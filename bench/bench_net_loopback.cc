@@ -5,9 +5,8 @@
 // (de)serialisation, the serving loop and the kernel's loopback path —
 // which bounds what a remote deployment can lose before the network
 // itself. A second section measures single-query round-trip latency
-// percentiles (p50/p95/p99) with completion-driven delivery (the wake-pipe
-// path) against the legacy 2 ms ticket poll, so the tail-latency effect of
-// the completion path is measured, not asserted. A third section sweeps
+// percentiles (p50/p95/p99) of completion-driven outcome delivery (the
+// wake-pipe path). A third section sweeps
 // concurrent connections (1/8/64/256 clients) against reactor widths
 // (io_threads 1/2/4) over a fixed budget of tiny queries, so the aggregate
 // q/s scaling of the epoll front end is measured where framing — not
@@ -66,18 +65,14 @@ double Percentile(std::vector<double>* sorted_in_place, double p) {
 }
 
 // Unpipelined submit->wait round trips against `index`: each iteration
-// pays the full deliver-the-outcome path, so the gap between the two modes
-// is exactly the outcome-delivery latency — wake-pipe-driven (completion
-// hook) vs the legacy 2 ms ticket poll. `label` names the row;
+// pays the full deliver-the-outcome path. `label` names the row;
 // `submit.timeout_seconds` may turn the query into a fixed-duration burn
 // (see DeliveryLatencySection).
 void LatencyRow(const char* label, const IndexedHypergraph& index,
                 const Hypergraph& query, const SubmitOptions& submit,
-                const ServiceOptions& service_options, bool completion_wakeups,
-                int rounds) {
+                const ServiceOptions& service_options, int rounds) {
   ServerOptions server_options;
   server_options.service = service_options;
-  server_options.completion_wakeups = completion_wakeups;
   MatchServer server(index, server_options);
   if (!server.Start().ok()) {
     std::printf("latency       unavailable on this platform\n");
@@ -99,21 +94,17 @@ void LatencyRow(const char* label, const IndexedHypergraph& index,
   const double p50 = Percentile(&rtt, 0.50) * 1e6;
   const double p95 = Percentile(&rtt, 0.95) * 1e6;
   const double p99 = Percentile(&rtt, 0.99) * 1e6;
-  std::printf(
-      "%s/%-8s %4d rtts  p50 %9.1fus  p95 %9.1fus  p99 %9.1fus\n", label,
-      completion_wakeups ? "callback" : "poll", rounds, p50, p95, p99);
+  std::printf("%-17s %4d rtts  p50 %9.1fus  p95 %9.1fus  p99 %9.1fus\n",
+              label, rounds, p50, p95, p99);
   server.Stop();
 }
 
 // Isolates outcome-*delivery* latency from scheduling luck: a
 // combinatorial monster query with a 3 ms per-query timeout burns its
 // whole budget on the pool, so its outcome always finalises while the
-// serving thread is parked inside poll() — the completion path wakes the
-// loop through the pipe at that instant, the poll path sleeps out the
-// remainder of its 2 ms window. Subtract the 3 ms budget from the printed
-// percentiles to read the pure delivery cost. Robust down to single-core
-// hosts, where an instant query can finish before the serving thread ever
-// reaches poll() and the cadence cost hides.
+// serving thread is parked in its event wait, and the completion hook wakes
+// the loop through the pipe at that instant. Subtract the 3 ms budget from
+// the printed percentiles to read the pure delivery cost.
 void DeliveryLatencySection() {
   Hypergraph clique;
   constexpr uint32_t kVertices = 40;
@@ -134,10 +125,7 @@ void DeliveryLatencySection() {
   submit.timeout_seconds = 0.003;
 
   std::printf("-- outcome delivery (3ms budget burn; subtract 3000us) --\n");
-  LatencyRow("delivery", index, monster, submit, service_options,
-             /*completion_wakeups=*/true, 120);
-  LatencyRow("delivery", index, monster, submit, service_options,
-             /*completion_wakeups=*/false, 120);
+  LatencyRow("delivery", index, monster, submit, service_options, 120);
 }
 
 // Aggregate-throughput sweep of the reactor: C concurrent clients split a
@@ -250,7 +238,6 @@ bool RunFloodCell(const IndexedHypergraph& index, const Hypergraph& tiny,
   if (!server.Start().ok()) return false;
 
   AsyncClientOptions copts;
-  if (cell->batch) copts.request_features |= kFeatureBatch;
   if (cell->compressed) copts.request_features |= kFeatureCompression;
   MatchClient client(copts);
   if (!client.Connect("127.0.0.1", server.port()).ok()) return false;
@@ -436,9 +423,7 @@ void CatalogSection() {
       std::printf("catalog       unavailable on this platform\n");
       return;
     }
-    AsyncClientOptions copts;
-    copts.request_features = kFeatureCatalog;
-    MatchClient client(copts);
+    MatchClient client;
     if (!client.Connect("127.0.0.1", server.port()).ok()) return;
 
     CatalogCell cell;
@@ -729,14 +714,9 @@ int Main(int argc, char** argv) {
       server.Stop();
     }
 
-    // Single-query round-trip tail latency: completion-driven delivery vs
-    // the legacy poll path. Small queries finish in well under a poll
-    // interval, so on multi-core hosts the poll cadence dominates their
-    // p50 — the case the completion path exists for.
+    // Single-query round-trip tail latency of completion-driven delivery.
     LatencyRow("latency", dataset.index, queries.front(), SubmitOptions{},
-               service_options, /*completion_wakeups=*/true, 400);
-    LatencyRow("latency", dataset.index, queries.front(), SubmitOptions{},
-               service_options, /*completion_wakeups=*/false, 400);
+               service_options, 400);
   }
 
   DeliveryLatencySection();

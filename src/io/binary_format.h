@@ -41,8 +41,8 @@ inline constexpr uint32_t kBinaryChunkBytes = 1u << 20;
 
 /// Appends the v1 binary encoding of `h` — the exact file image above,
 /// magic included — to *out. This is the wire image: net/protocol.cc
-/// inlines it into SUBMIT frames, where pre-HELLO peers must keep
-/// decoding it (frame-level compression is negotiated separately).
+/// inlines it into SUBMIT frames (frame-level compression is negotiated
+/// separately).
 void AppendHypergraphBinary(const Hypergraph& h, std::string* out);
 
 /// Appends the v2 (compact + chunk-compressed) encoding of `h` to *out.

@@ -67,28 +67,25 @@ Status AsyncMatchClient::Connect(const std::string& host, uint16_t port) {
     fd_ = fd;
   }
   reader_ = std::thread([this] { ReaderLoop(); });
-  if (options_.request_features != 0) {
-    // Negotiate before returning, so the caller's first Submit already
-    // knows which features it may use. A pre-HELLO server answers the
-    // unknown frame with kError, which surfaces here as a failed Connect.
-    const Status sent = SendFrame(FrameType::kHello,
-                                  EncodeFeatures(options_.request_features));
-    if (!sent.ok()) {
-      Close();
-      return sent;
-    }
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    cv_.wait(lock, [this] {
-      return hello_done_ || !failure_.ok() || closed_;
-    });
-    if (!hello_done_) {
-      const Status failure = failure_.ok()
-                                 ? Status::InvalidArgument("client closed")
-                                 : failure_;
-      lock.unlock();
-      Close();
-      return failure;
-    }
+  // HELLO is mandatory; negotiate before returning, so the caller's first
+  // Submit already knows which features it may use.
+  const Status sent = SendFrame(FrameType::kHello,
+                                EncodeFeatures(options_.request_features));
+  if (!sent.ok()) {
+    Close();
+    return sent;
+  }
+  std::unique_lock<std::mutex> lock(state_mutex_);
+  cv_.wait(lock, [this] {
+    return hello_done_ || !failure_.ok() || closed_;
+  });
+  if (!hello_done_) {
+    const Status failure = failure_.ok()
+                               ? Status::InvalidArgument("client closed")
+                               : failure_;
+    lock.unlock();
+    Close();
+    return failure;
   }
   return Status::OK();
 }
@@ -147,16 +144,9 @@ Result<uint64_t> AsyncMatchClient::Submit(const std::string& graph,
                                           const SubmitOptions& options,
                                           OutcomeCallback callback) {
   uint64_t id;
-  bool with_graph;
   {
     std::unique_lock<std::mutex> lock(state_mutex_);
     if (fd_ < 0) return Status::InvalidArgument("not connected");
-    with_graph = (features_ & kFeatureCatalog) != 0;
-    if (!graph.empty() && !with_graph) {
-      return Status::InvalidArgument(
-          "graph routing requires the catalog feature (request "
-          "kFeatureCatalog at Connect)");
-    }
     if (options_.max_inflight > 0) {
       cv_.wait(lock, [this] {
         return pending_.size() < options_.max_inflight || !failure_.ok() ||
@@ -176,7 +166,7 @@ Result<uint64_t> AsyncMatchClient::Submit(const std::string& graph,
   submit.timeout_seconds = options.timeout_seconds;
   submit.limit = options.limit;
   submit.graph = graph;
-  const std::string payload = EncodeSubmit(submit, query, with_graph);
+  const std::string payload = EncodeSubmit(submit, query);
   if (payload.size() > kMaxWirePayload) {
     // Fail just this request locally: sending it would make the server
     // error-close the connection, killing every pipelined sibling.
@@ -205,31 +195,12 @@ Result<uint64_t> AsyncMatchClient::Submit(const std::string& graph,
 Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
     const std::string& graph, const std::vector<const Hypergraph*>& queries,
     const SubmitOptions& options, OutcomeCallback callback) {
-  bool batched;
-  bool with_graph;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (fd_ < 0) return Status::InvalidArgument("not connected");
-    batched = (features_ & kFeatureBatch) != 0;
-    with_graph = (features_ & kFeatureCatalog) != 0;
-  }
-  if (!graph.empty() && !with_graph) {
-    return Status::InvalidArgument(
-        "graph routing requires the catalog feature (request "
-        "kFeatureCatalog at Connect)");
   }
   std::vector<uint64_t> ids;
   ids.reserve(queries.size());
-  if (!batched) {
-    // The server never granted batching: same requests, same callbacks,
-    // one SUBMIT frame each.
-    for (const Hypergraph* query : queries) {
-      Result<uint64_t> id = Submit(graph, *query, options, callback);
-      if (!id.ok()) return id.status();
-      ids.push_back(id.value());
-    }
-    return ids;
-  }
 
   // Pre-encode every entry with a placeholder request id; ids are only
   // assigned under the window wait below, chunk by chunk, and the id is
@@ -246,7 +217,7 @@ Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
   std::vector<std::string> entries;
   entries.reserve(queries.size());
   for (const Hypergraph* query : queries) {
-    entries.push_back(EncodeSubmit(fields, *query, with_graph));
+    entries.push_back(EncodeSubmit(fields, *query));
     if (entries.back().size() > kMaxWirePayload) {
       return Status::InvalidArgument(
           "batch entry exceeds the wire payload bound (" +
@@ -367,14 +338,6 @@ Status AsyncMatchClient::RequestShutdown() {
 
 Result<WireCatalogReply> AsyncMatchClient::CatalogRoundTrip(
     FrameType type, const std::string& payload) {
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if ((features_ & kFeatureCatalog) == 0) {
-      return Status::InvalidArgument(
-          "catalog verbs require the catalog feature (request "
-          "kFeatureCatalog at Connect)");
-    }
-  }
   const Status sent = SendFrame(type, payload);
   if (!sent.ok()) return sent;
   std::unique_lock<std::mutex> lock(state_mutex_);

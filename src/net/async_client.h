@@ -28,14 +28,9 @@ struct AsyncClientOptions {
   /// unbounded work into a slow server. 0 = unbounded.
   uint32_t max_inflight = 1024;
 
-  /// Feature bits (kFeatureBatch | kFeatureCompression | kFeatureCatalog |
-  /// kFeatureTrace) to request via a kHello exchange at Connect(). The
-  /// default 0 sends
-  /// no HELLO at all — the stream is then byte-identical to the pre-HELLO
-  /// protocol, so the default client interoperates with servers of any
-  /// age. Requesting features against a pre-HELLO server fails Connect()
-  /// (that server answers the unknown frame with kError): opting in is
-  /// explicit.
+  /// Feature bits (kFeatureCompression | kFeatureTrace) to request in the
+  /// kHello exchange that Connect() always performs; the server grants a
+  /// subset (see features()).
   uint32_t request_features = 0;
 };
 
@@ -118,8 +113,7 @@ class AsyncMatchClient {
   }
 
   /// Submit routed to a named graph in the server's catalog (empty =
-  /// default graph). Naming a graph requires kFeatureCatalog to have been
-  /// granted at Connect(); an unknown graph comes back as a
+  /// default graph). An unknown graph comes back as a
   /// QueryStatus::kRejected outcome with reject_reason kUnknownGraph.
   Result<uint64_t> Submit(const std::string& graph, const Hypergraph& query,
                           const SubmitOptions& options,
@@ -131,23 +125,20 @@ class AsyncMatchClient {
   /// in-flight window and the frame payload bound; each chunk blocks
   /// until the window has room for all of it. Returns the request ids in
   /// input order; the callback fires exactly once per id, as with
-  /// Submit(). Falls back to per-query SUBMIT frames when the server did
-  /// not grant kFeatureBatch (same ids, same callbacks, more frames).
+  /// Submit().
   Result<std::vector<uint64_t>> SubmitBatch(
       const std::vector<const Hypergraph*>& queries,
       const SubmitOptions& options, OutcomeCallback callback) {
     return SubmitBatch("", queries, options, std::move(callback));
   }
 
-  /// SubmitBatch routed to a named graph (empty = default graph; needs
-  /// kFeatureCatalog when non-empty).
+  /// SubmitBatch routed to a named graph (empty = default graph).
   Result<std::vector<uint64_t>> SubmitBatch(
       const std::string& graph,
       const std::vector<const Hypergraph*>& queries,
       const SubmitOptions& options, OutcomeCallback callback);
 
-  /// Feature bits granted by the server's kHelloReply (0 before Connect,
-  /// or when AsyncClientOptions::request_features was 0).
+  /// Feature bits granted by the server's kHelloReply (0 before Connect).
   uint32_t features() const;
 
   /// Transfer counters since Connect(). Thread-safe snapshot.
@@ -166,7 +157,7 @@ class AsyncMatchClient {
   /// allow_remote_shutdown).
   Status RequestShutdown();
 
-  /// Catalog verbs (block for the kCatalogReply; need kFeatureCatalog).
+  /// Catalog verbs (block for the kCatalogReply).
   /// Every reply carries the post-verb graph list; a failed verb comes
   /// back as ok() transport with reply.ok == false and the server's
   /// message — only transport/protocol trouble is a non-ok Result.
@@ -202,8 +193,8 @@ class AsyncMatchClient {
   Status SendFrame(FrameType type, const std::string& payload);
   /// SendFrame, compressed when the server granted kFeatureCompression.
   Status SendFrameNegotiated(FrameType type, const std::string& payload);
-  /// Shared body of the catalog verbs: requires kFeatureCatalog, sends
-  /// one frame, parks for the next kCatalogReply (FIFO, like Stats()).
+  /// Shared body of the catalog verbs: sends one frame, parks for the
+  /// next kCatalogReply (FIFO, like Stats()).
   Result<WireCatalogReply> CatalogRoundTrip(FrameType type,
                                             const std::string& payload);
 

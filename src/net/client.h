@@ -33,8 +33,8 @@ class MatchClient {
  public:
   MatchClient() = default;
   /// Non-default transport options — a bounded in-flight window, or
-  /// AsyncClientOptions::request_features to negotiate batching/
-  /// compression at Connect() (`hgmatch query --batch/--compress`).
+  /// AsyncClientOptions::request_features to negotiate compression or
+  /// tracing at Connect() (`hgmatch query --compress/--trace`).
   explicit MatchClient(const AsyncClientOptions& options)
       : async_(options) {}
   ~MatchClient();
@@ -53,16 +53,14 @@ class MatchClient {
                           const SubmitOptions& options = {});
 
   /// Submit routed to a named graph in the server's catalog (empty =
-  /// default graph; naming one requires kFeatureCatalog at Connect).
-  /// An unknown graph resolves as a QueryStatus::kRejected outcome with
-  /// reject_reason kUnknownGraph.
+  /// default graph). An unknown graph resolves as a QueryStatus::kRejected
+  /// outcome with reject_reason kUnknownGraph.
   Result<uint64_t> SubmitTo(const std::string& graph,
                             const Hypergraph& query,
                             const SubmitOptions& options = {});
 
   /// Sends many queries sharing one options block, coalesced into
-  /// kBatchSubmit frames when the server granted kFeatureBatch (per-query
-  /// SUBMIT frames otherwise). Returns the request ids in input order;
+  /// kBatchSubmit frames. Returns the request ids in input order;
   /// wait for each with WaitOutcome() as usual.
   Result<std::vector<uint64_t>> SubmitBatch(
       const std::vector<const Hypergraph*>& queries,
@@ -96,8 +94,7 @@ class MatchClient {
   /// Fetches the server statistics snapshot.
   Result<WireStats> Stats();
 
-  /// Catalog verbs (require kFeatureCatalog at Connect; see
-  /// AsyncMatchClient for the reply contract).
+  /// Catalog verbs (see AsyncMatchClient for the reply contract).
   Result<WireCatalogReply> ListGraphs() { return async_.ListGraphs(); }
   Result<WireCatalogReply> LoadGraph(const std::string& name,
                                      const std::string& path) {

@@ -40,13 +40,23 @@ void AppendGraphStats(const WireGraphStats& g, std::string* payload) {
   AppendValue<uint32_t>(g.shards, payload);
 }
 
-bool ReadGraphStats(ByteReader& r, WireGraphStats* g) {
-  if (!ReadString(r, &g->name)) return false;
-  g->is_default = r.ReadValue<uint8_t>() != 0;
-  g->queries = r.ReadValue<uint64_t>();
-  g->live_tickets = r.ReadValue<uint64_t>();
-  g->index_bytes = r.ReadValue<uint64_t>();
-  g->shards = r.ReadValue<uint32_t>();
+// Encoded size of a graph row with an empty name; a row count beyond
+// remaining / kMinGraphRowBytes is corrupt before anything is allocated.
+constexpr size_t kMinGraphRowBytes = 1 + 1 + 8 + 8 + 8 + 4;
+
+// Reads a varint row count followed by that many graph rows.
+bool ReadGraphRows(ByteReader& r, std::vector<WireGraphStats>* rows) {
+  const uint64_t count = ReadVarint(r);
+  if (!r.ok() || count > r.remaining() / kMinGraphRowBytes) return false;
+  rows->resize(count);
+  for (WireGraphStats& g : *rows) {
+    if (!ReadString(r, &g.name)) return false;
+    g.is_default = r.ReadValue<uint8_t>() != 0;
+    g.queries = r.ReadValue<uint64_t>();
+    g.live_tickets = r.ReadValue<uint64_t>();
+    g.index_bytes = r.ReadValue<uint64_t>();
+    g.shards = r.ReadValue<uint32_t>();
+  }
   return r.ok();
 }
 
@@ -60,12 +70,11 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
   out->append(payload);
 }
 
-std::string EncodeSubmit(const WireSubmit& submit, bool with_graph) {
-  return EncodeSubmit(submit, submit.query, with_graph);
+std::string EncodeSubmit(const WireSubmit& submit) {
+  return EncodeSubmit(submit, submit.query);
 }
 
-std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
-                         bool with_graph) {
+std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query) {
   std::string payload;
   AppendValue<uint64_t>(fields.request_id, &payload);
   AppendValue<uint32_t>(fields.tenant_id, &payload);
@@ -75,12 +84,12 @@ std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
   AppendValue<uint64_t>(fields.limit, &payload);
   // The graph name sits before the query image because the image consumes
   // the remainder of the payload.
-  if (with_graph) AppendString(fields.graph, &payload);
+  AppendString(fields.graph, &payload);
   AppendHypergraphBinary(query, &payload);
   return payload;
 }
 
-Result<WireSubmit> DecodeSubmit(std::string_view payload, bool with_graph) {
+Result<WireSubmit> DecodeSubmit(std::string_view payload) {
   ByteReader r(payload);
   WireSubmit submit;
   submit.request_id = r.ReadValue<uint64_t>();
@@ -89,8 +98,7 @@ Result<WireSubmit> DecodeSubmit(std::string_view payload, bool with_graph) {
   submit.weight = r.ReadValue<double>();
   submit.timeout_seconds = r.ReadValue<double>();
   submit.limit = r.ReadValue<uint64_t>();
-  if (!r.ok()) return Status::Corruption("truncated SUBMIT frame");
-  if (with_graph && !ReadString(r, &submit.graph)) {
+  if (!r.ok() || !ReadString(r, &submit.graph)) {
     return Status::Corruption("truncated SUBMIT frame");
   }
   const std::string_view image = r.rest();
@@ -120,8 +128,8 @@ std::string EncodeOutcome(const WireOutcome& wire, bool with_trace) {
   AppendValue<double>(out.finish_seconds, &payload);
   AppendValue<uint64_t>(out.admit_index, &payload);
   if (with_trace) {
-    // Trailing trace section, present only between kFeatureTrace peers:
-    // untraced peers keep the byte-identical pre-trace payload above.
+    // Trailing trace section, present only between kFeatureTrace peers,
+    // so untraced peers do not pay its bytes.
     const QuerySpan& span = out.span;
     AppendValue<uint8_t>(span.enabled ? 1 : 0, &payload);
     if (span.enabled) {
@@ -270,12 +278,8 @@ std::string EncodeStats(const WireStats& stats) {
     AppendValue<uint64_t>(t.bytes_out, &payload);
     AppendValue<uint64_t>(t.rejects, &payload);
   }
-  // Per-graph rows trail the original layout; the decoder treats them as
-  // optional, so a payload from a pre-catalog encoder still parses.
   AppendVarint(stats.graphs.size(), &payload);
   for (const WireGraphStats& g : stats.graphs) AppendGraphStats(g, &payload);
-  // Uptime + slow-query section trails the graph rows as a second
-  // optional tier (absent from pre-observability encoders).
   AppendValue<double>(stats.uptime_seconds, &payload);
   AppendValue<double>(stats.monotonic_seconds, &payload);
   AppendVarint(stats.slow_queries.size(), &payload);
@@ -309,7 +313,7 @@ Result<WireStats> DecodeStats(std::string_view payload) {
   if (!r.ok()) return Status::Corruption("malformed STATS frame");
   // 6 u64 counters per row; the bound keeps a corrupt count from turning
   // into a giant allocation before the length check can fail. A lower
-  // bound (not equality) because per-graph rows may trail the IO rows.
+  // bound (not equality) because the graph and slow-query rows follow.
   if (r.remaining() < static_cast<size_t>(threads) * 48) {
     return Status::Corruption("malformed STATS frame");
   }
@@ -322,44 +326,28 @@ Result<WireStats> DecodeStats(std::string_view payload) {
     t.bytes_out = r.ReadValue<uint64_t>();
     t.rejects = r.ReadValue<uint64_t>();
   }
-  if (!r.ok()) return Status::Corruption("malformed STATS frame");
-  if (r.remaining() > 0) {
-    // Optional graph-row section from a catalog-era server.
-    const uint64_t count = ReadVarint(r);
-    if (!r.ok() || count > r.remaining()) {
-      return Status::Corruption("malformed STATS frame");
-    }
-    stats.graphs.resize(count);
-    for (WireGraphStats& g : stats.graphs) {
-      if (!ReadGraphStats(r, &g)) {
-        return Status::Corruption("malformed STATS frame");
-      }
-    }
+  if (!r.ok() || !ReadGraphRows(r, &stats.graphs)) {
+    return Status::Corruption("malformed STATS frame");
   }
-  if (r.ok() && r.remaining() > 0) {
-    // Second optional tier: uptime + slow-query ring (observability-era
-    // servers). A payload that has graph rows but ends before this point
-    // is a valid pre-observability encoding.
-    stats.uptime_seconds = r.ReadValue<double>();
-    stats.monotonic_seconds = r.ReadValue<double>();
-    const uint64_t count = ReadVarint(r);
-    // >= 37 bytes per row (fixed fields + 1-byte name length); the bound
-    // keeps a corrupt count from turning into a giant allocation.
-    if (!r.ok() || count > r.remaining() / 37) {
+  stats.uptime_seconds = r.ReadValue<double>();
+  stats.monotonic_seconds = r.ReadValue<double>();
+  const uint64_t count = ReadVarint(r);
+  // >= 37 bytes per row (fixed fields + 1-byte name length); the bound
+  // keeps a corrupt count from turning into a giant allocation.
+  if (!r.ok() || count > r.remaining() / 37) {
+    return Status::Corruption("malformed STATS frame");
+  }
+  stats.slow_queries.resize(count);
+  for (WireSlowQuery& s : stats.slow_queries) {
+    s.request_id = r.ReadValue<uint64_t>();
+    s.tenant_id = r.ReadValue<uint32_t>();
+    if (!ReadString(r, &s.graph)) {
       return Status::Corruption("malformed STATS frame");
     }
-    stats.slow_queries.resize(count);
-    for (WireSlowQuery& s : stats.slow_queries) {
-      s.request_id = r.ReadValue<uint64_t>();
-      s.tenant_id = r.ReadValue<uint32_t>();
-      if (!ReadString(r, &s.graph)) {
-        return Status::Corruption("malformed STATS frame");
-      }
-      s.total_seconds = r.ReadValue<double>();
-      s.queue_seconds = r.ReadValue<double>();
-      s.run_seconds = r.ReadValue<double>();
-      s.deliver_seconds = r.ReadValue<double>();
-    }
+    s.total_seconds = r.ReadValue<double>();
+    s.queue_seconds = r.ReadValue<double>();
+    s.run_seconds = r.ReadValue<double>();
+    s.deliver_seconds = r.ReadValue<double>();
   }
   if (!r.ok() || r.remaining() != 0) {
     return Status::Corruption("malformed STATS frame");
@@ -397,23 +385,8 @@ Result<WireCatalogReply> DecodeCatalogReply(std::string_view payload) {
   ByteReader r(payload);
   WireCatalogReply reply;
   reply.ok = r.ReadValue<uint8_t>() != 0;
-  if (!r.ok() || !ReadString(r, &reply.message)) {
-    return Status::Corruption("malformed CATALOG_REPLY frame");
-  }
-  const uint64_t count = ReadVarint(r);
-  // Every row costs at least its name's length prefix plus the fixed
-  // counters, so a count beyond the remaining bytes is corrupt before
-  // anything is reserved.
-  if (!r.ok() || count > r.remaining()) {
-    return Status::Corruption("malformed CATALOG_REPLY frame");
-  }
-  reply.graphs.resize(count);
-  for (WireGraphStats& g : reply.graphs) {
-    if (!ReadGraphStats(r, &g)) {
-      return Status::Corruption("malformed CATALOG_REPLY frame");
-    }
-  }
-  if (!r.ok() || r.remaining() != 0) {
+  if (!r.ok() || !ReadString(r, &reply.message) ||
+      !ReadGraphRows(r, &reply.graphs) || r.remaining() != 0) {
     return Status::Corruption("malformed CATALOG_REPLY frame");
   }
   return reply;

@@ -16,18 +16,21 @@ namespace hgmatch {
 /// net/client.h speaks it): a stream of length-prefixed binary frames,
 /// little-endian, no padding:
 ///
-///   [u32 magic "HGN1"] [u8 type] [u32 payload bytes] [payload...]
+///   [u32 magic "HGN2"] [u8 type] [u32 payload bytes] [payload...]
 ///
 /// The magic doubles as the protocol version — an incompatible revision
 /// bumps the trailing digit and old peers fail fast on the first frame.
+/// The first client frame on every connection must be kHello; the server
+/// answers any other first frame with one kError frame and closes.
 /// Payloads are bounded by kMaxWirePayload; a frame announcing more (or a
 /// header with the wrong magic, or an undecodable payload) is a protocol
 /// error: the server answers with one kError frame and closes the
 /// connection, cancelling that connection's in-flight queries.
 ///
 /// Frame payloads:
-///   kSubmit     client->server  WireSubmit (options + inline query
-///                               hypergraph in the io/binary_format image)
+///   kSubmit     client->server  WireSubmit (options, target graph name +
+///                               inline query hypergraph in the
+///                               io/binary_format image)
 ///   kOutcome    server->client  WireOutcome (full QueryOutcome/MatchStats)
 ///   kRejected   server->client  WireRejected (u64 request id + u8 reason):
 ///                               the submission was shed at the server edge
@@ -46,11 +49,9 @@ namespace hgmatch {
 ///   kShutdown   client->server  empty; asks the server process to finish
 ///                               outstanding work and exit (honoured only
 ///                               with ServerOptions::allow_remote_shutdown)
-///   kHello      client->server  u32 requested feature bits (kFeature*).
-///                               Optional: a client that wants no optional
-///                               feature sends no HELLO and the stream is
-///                               byte-identical to the pre-HELLO protocol,
-///                               so old and new peers always interoperate.
+///   kHello      client->server  u32 requested feature bits (kFeature*; 0
+///                               is a valid request). Mandatory, and the
+///                               first frame of every connection.
 ///   kHelloReply server->client  u32 granted feature bits (a subset of the
 ///                               request). Only features granted here may
 ///                               appear on the wire afterwards, in either
@@ -58,11 +59,11 @@ namespace hgmatch {
 ///   kBatchSubmit client->server [varint count][varint bytes, SUBMIT
 ///                               payload]... — many submissions in one
 ///                               frame/syscall, admitted by the service in
-///                               one pass. Requires kFeatureBatch.
+///                               one pass.
 ///   kBatchOutcome server->client same framing over OUTCOME payloads:
 ///                               outcomes ready in the same reactor tick
-///                               coalesce into one frame. Sent only to
-///                               peers granted kFeatureBatch.
+///                               coalesce into one frame (a lone outcome
+///                               travels as a plain kOutcome).
 ///   kCompressed either way      [u8 inner type][varint raw bytes][LZSS
 ///                               stream] — a whole frame payload
 ///                               compressed (io/compress.h), opt-in per
@@ -73,22 +74,15 @@ namespace hgmatch {
 ///   kLoadGraph  client->server  WireCatalogRequest (graph name + a
 ///                               server-side .hgb path): load and index
 ///                               the file, serve it under the name.
-///                               Requires kFeatureCatalog.
 ///   kUnloadGraph client->server WireCatalogRequest (name; path unused):
 ///                               remove the graph once its in-flight
-///                               queries resolve. Requires kFeatureCatalog.
-///   kListGraphs client->server  empty. Requires kFeatureCatalog.
+///                               queries resolve.
+///   kListGraphs client->server  empty.
 ///   kCatalogReply server->client WireCatalogReply: ok/error of the verb
 ///                               plus the current graph list (every
 ///                               catalog verb answers with one, so a
 ///                               client always sees the post-verb state).
-///
-/// Catalog-negotiated peers (kFeatureCatalog granted) additionally carry
-/// an optional graph name in every SUBMIT/BATCH_SUBMIT entry, routing the
-/// query to a named graph (empty = the server's default graph); peers
-/// that never negotiated keep the original byte stream and always hit the
-/// default graph.
-inline constexpr uint32_t kWireMagic = 0x314e'4748;  // "HGN1"
+inline constexpr uint32_t kWireMagic = 0x324e'4748;  // "HGN2"
 
 /// Upper bound on a frame payload (a ~16 MiB query hypergraph is far
 /// beyond any sane pattern; real limits come from the data graph side).
@@ -119,17 +113,15 @@ enum class FrameType : uint8_t {
   kCatalogReply = 19,
 };
 
-/// Feature bits carried by kHello / kHelloReply.
+/// Feature bits carried by kHello / kHelloReply. Compression is granted
+/// only when the server operator enabled it
+/// (ServerOptions::enable_compression).
 inline constexpr uint32_t kFeatureCompression = 1u << 0;
-inline constexpr uint32_t kFeatureBatch = 1u << 1;
-inline constexpr uint32_t kFeatureCatalog = 1u << 2;
 /// Per-query tracing: the server records a QuerySpan for every submission
 /// on the connection and appends it to each OUTCOME payload as a trailing
-/// optional section (see the with_trace flag of EncodeOutcome /
-/// DecodeOutcome). Peers that never negotiated the bit keep the
-/// byte-identical pre-trace stream — the same compatibility pattern as
-/// kFeatureCatalog's SUBMIT graph field.
-inline constexpr uint32_t kFeatureTrace = 1u << 3;
+/// section (see the with_trace flag of EncodeOutcome / DecodeOutcome), so
+/// only peers that ask for spans pay their bytes.
+inline constexpr uint32_t kFeatureTrace = 1u << 1;
 
 /// Payloads below this size skip the compression attempt outright: the
 /// wrapper overhead (type byte + raw-size varint + control bytes) eats any
@@ -146,9 +138,7 @@ struct WireSubmit {
   double weight = 1.0;
   double timeout_seconds = -1;              // < 0 = inherit server default
   uint64_t limit = ~uint64_t{0};            // SubmitOptions::kInheritLimit
-  /// Target graph in the server's catalog (empty = default graph). On the
-  /// wire only between catalog-negotiated peers — see the with_graph flag
-  /// of EncodeSubmit/DecodeSubmit.
+  /// Target graph in the server's catalog (empty = default graph).
   std::string graph;
   Hypergraph query;
 };
@@ -241,15 +231,13 @@ struct WireStats {
 
   std::vector<WireIoThreadStats> io_threads;  // one row per IO thread
 
-  /// One row per hosted graph (default first). Absent on the wire when
-  /// the server predates the catalog — decoders leave it empty then.
+  /// One row per hosted graph (default first).
   std::vector<WireGraphStats> graphs;
 
-  /// Trailing optional uptime section (absent from pre-observability
-  /// encoders; decoders leave the defaults then): how long the server has
-  /// been up, the process-monotonic clock at snapshot time (lets a client
-  /// align span stamps from traced outcomes with this snapshot), and the
-  /// slow-query ring (newest last; empty when --slow-query-ms is off).
+  /// How long the server has been up, the process-monotonic clock at
+  /// snapshot time (lets a client align span stamps from traced outcomes
+  /// with this snapshot), and the slow-query ring (newest last; empty when
+  /// --slow-query-ms is off).
   double uptime_seconds = 0;
   double monotonic_seconds = 0;
   std::vector<WireSlowQuery> slow_queries;
@@ -273,18 +261,12 @@ struct WireCatalogReply {
 /// Appends one complete frame (header + payload) to *out.
 void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 
-/// with_graph selects the catalog-negotiated SUBMIT layout, which carries
-/// WireSubmit::graph before the query image. It must match on both ends:
-/// pass true exactly when the connection was granted kFeatureCatalog
-/// (batch entries inherit the connection's flag).
-std::string EncodeSubmit(const WireSubmit& submit, bool with_graph = false);
+std::string EncodeSubmit(const WireSubmit& submit);
 /// Encode variant that reads the query from the caller instead of
 /// `fields.query` (whose value is ignored), so senders need not clone a
 /// hypergraph into the move-only WireSubmit just to serialise it.
-std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query,
-                         bool with_graph = false);
-Result<WireSubmit> DecodeSubmit(std::string_view payload,
-                                bool with_graph = false);
+std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query);
+Result<WireSubmit> DecodeSubmit(std::string_view payload);
 
 /// with_trace selects the trace-negotiated OUTCOME layout, which appends
 /// the query's QuerySpan (enabled flag, six stamps, per-slice rows) after
@@ -304,6 +286,8 @@ Result<WireRejected> DecodeRejected(std::string_view payload);
 std::string EncodeRequestId(uint64_t request_id);
 Result<uint64_t> DecodeRequestId(std::string_view payload);
 
+/// One fixed layout: the counters, the IO-thread rows, the graph rows,
+/// then uptime, clock and the slow-query rows. Every section is required.
 std::string EncodeStats(const WireStats& stats);
 Result<WireStats> DecodeStats(std::string_view payload);
 

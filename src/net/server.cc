@@ -68,11 +68,6 @@ class MatchServer::Impl {
   ~Impl() { Stop(); }
 
   Status Start() {
-    if (!options_.completion_wakeups && options_.io_threads > 1) {
-      return Status::InvalidArgument(
-          "the poll fallback (completion_wakeups=false) predates the "
-          "reactor and supports io_threads=1 only");
-    }
     // Preloads happen here, not at construction, so a duplicate name or
     // an empty graph list is a reportable Start() failure.
     if (shared_data_ != nullptr) {
@@ -249,12 +244,13 @@ class MatchServer::Impl {
     bool peer_closed = false;
     // Close now, flush nothing (socket error or buffer-bound violation).
     bool dead = false;
-    // Feature bits granted to this peer by the kHello exchange (0 until a
-    // HELLO arrives — a pre-HELLO peer speaks the base protocol and must
-    // never see kBatchOutcome or kCompressed frames).
+    // The peer's kHello arrived; until then every other frame is a
+    // protocol error.
+    bool hello = false;
+    // Feature bits granted to this peer by the kHello exchange.
     uint32_t features = 0;
-    // Encoded OUTCOME payloads earned by a batch-capable peer, coalesced
-    // into one kBatchOutcome frame per reactor pass (FlushBatchReplies).
+    // Encoded OUTCOME payloads earned this reactor pass, coalesced into one
+    // frame per pass (FlushBatchReplies).
     std::vector<std::string> batch_replies;
   };
 
@@ -290,7 +286,6 @@ class MatchServer::Impl {
     std::vector<std::unique_ptr<Conn>> conns;
     std::unordered_map<int, Conn*> by_fd;
     std::unordered_map<uint64_t, Route> routes;  // ticket id -> reply route
-    uint64_t finished_seen = 0;  // poll-fallback delivery gate
     std::vector<ReadyItem> ready_drain;  // reusable swap target
 
     // Ticket ids whose outcomes finalised, pushed by the completion hook
@@ -328,12 +323,10 @@ class MatchServer::Impl {
                                           Impl* self) {
     CatalogOptions catalog;
     catalog.service = options.service;
-    if (options.completion_wakeups) {
-      catalog.on_query_complete = [self](uint64_t unique_id,
-                                         const QueryOutcome&) {
-        self->OnQueryComplete(unique_id);
-      };
-    }
+    catalog.on_query_complete = [self](uint64_t unique_id,
+                                       const QueryOutcome&) {
+      self->OnQueryComplete(unique_id);
+    };
     return catalog;
   }
 
@@ -595,16 +588,22 @@ class MatchServer::Impl {
     t->st_frames_out.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Coalesces the outcome payloads a batch peer earned this pass into one
-  // kBatchOutcome frame. Runs before every output flush, so batched
-  // replies are never pinned behind an idle wait.
+  // Coalesces the outcome payloads a peer earned this pass into one frame:
+  // a lone reply goes out as a plain kOutcome, several as one
+  // kBatchOutcome. Runs before every output flush, so replies are never
+  // pinned behind an idle wait.
   void FlushBatchReplies(IoThread* t, Conn* conn) {
     if (conn->batch_replies.empty()) return;
     metric_batch_replies_->Observe(
         static_cast<double>(conn->batch_replies.size()));
-    const std::string payload = EncodeBatchPayload(conn->batch_replies);
+    if (conn->batch_replies.size() == 1) {
+      SendFrameNegotiated(t, conn, FrameType::kOutcome,
+                          conn->batch_replies.front());
+    } else {
+      SendFrameNegotiated(t, conn, FrameType::kBatchOutcome,
+                          EncodeBatchPayload(conn->batch_replies));
+    }
     conn->batch_replies.clear();
-    SendFrameNegotiated(t, conn, FrameType::kBatchOutcome, payload);
   }
 
   // Cancels and orphans every in-flight query of a dying connection and
@@ -641,13 +640,8 @@ class MatchServer::Impl {
         wire.outcome.span.deliver_seconds = MonotonicSeconds();
         RecordSlowQuery(wire.outcome.span, request_id, tenant_id, graph);
       }
-      std::string payload =
-          EncodeOutcome(wire, (conn->features & kFeatureTrace) != 0);
-      if ((conn->features & kFeatureBatch) != 0) {
-        conn->batch_replies.push_back(std::move(payload));
-      } else {
-        SendFrameNegotiated(t, conn, FrameType::kOutcome, payload);
-      }
+      conn->batch_replies.push_back(
+          EncodeOutcome(wire, (conn->features & kFeatureTrace) != 0));
     }
   }
 
@@ -744,24 +738,21 @@ class MatchServer::Impl {
       DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
       return;
     }
-    if (options_.completion_wakeups) {
-      // Register, then probe again: a query that finished between the
-      // first TryGet and the registration ran its completion hook
-      // against an empty registry — nobody will wake us for it, so
-      // the second probe (ordered after the hook's lookup by the
-      // registry mutex) must answer it inline. A hook that instead
-      // runs after the registration finds the entry and the ready
-      // sweep delivers normally; if both paths fire, the inline
-      // answer erases the route and the sweep skips the stale id.
-      Register(ct.unique_id, t);
-      t->routes[ct.unique_id] = {conn, request_id, tenant_id, graph};
-      done = ct.ticket.TryGet();
-      if (done != nullptr) {
-        Unregister(ct.unique_id);
-        t->routes.erase(ct.unique_id);
-        DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
-        return;
-      }
+    // Register, then probe again: a query that finished between the first
+    // TryGet and the registration ran its completion hook against an empty
+    // registry — nobody will wake us for it, so the second probe (ordered
+    // after the hook's lookup by the registry mutex) must answer it
+    // inline. A hook that instead runs after the registration finds the
+    // entry and the ready sweep delivers normally; if both paths fire, the
+    // inline answer erases the route and the sweep skips the stale id.
+    Register(ct.unique_id, t);
+    t->routes[ct.unique_id] = {conn, request_id, tenant_id, graph};
+    done = ct.ticket.TryGet();
+    if (done != nullptr) {
+      Unregister(ct.unique_id);
+      t->routes.erase(ct.unique_id);
+      DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
+      return;
     }
     inflight_.fetch_add(1, std::memory_order_relaxed);
     conn->inflight.emplace(request_id, std::move(ct));
@@ -771,10 +762,13 @@ class MatchServer::Impl {
   // return value.
   void HandleFrame(IoThread* t, Conn* conn, FrameReader::Frame& frame) {
     t->st_frames_in.fetch_add(1, std::memory_order_relaxed);
+    if (!conn->hello && frame.type != FrameType::kHello) {
+      ProtocolError(t, conn, "HELLO must be the first frame");
+      return;
+    }
     switch (frame.type) {
       case FrameType::kSubmit: {
-        Result<WireSubmit> submit = DecodeSubmit(
-            frame.payload, (conn->features & kFeatureCatalog) != 0);
+        Result<WireSubmit> submit = DecodeSubmit(frame.payload);
         if (!submit.ok()) {
           ProtocolError(t, conn, submit.status().message());
           return;
@@ -815,16 +809,14 @@ class MatchServer::Impl {
           ProtocolError(t, conn, requested.status().message());
           return;
         }
-        // Batching, catalog routing and tracing are always worth
-        // granting; compression is an operator decision
+        // Tracing is always granted; compression is an operator decision
         // (ServerOptions::enable_compression). Unknown requested bits are
         // simply not granted.
-        uint32_t granted =
-            requested.value() &
-            (kFeatureBatch | kFeatureCatalog | kFeatureTrace);
+        uint32_t granted = requested.value() & kFeatureTrace;
         if (options_.enable_compression) {
           granted |= requested.value() & kFeatureCompression;
         }
+        conn->hello = true;
         conn->features = granted;
         SendFrame(t, conn, FrameType::kHelloReply, EncodeFeatures(granted));
         return;
@@ -849,11 +841,6 @@ class MatchServer::Impl {
         return;
       }
       case FrameType::kBatchSubmit: {
-        if ((conn->features & kFeatureBatch) == 0) {
-          ProtocolError(t, conn,
-                        "BATCH_SUBMIT frame without negotiated batching");
-          return;
-        }
         Result<std::vector<std::string_view>> entries =
             DecodeBatchPayload(frame.payload);
         if (!entries.ok()) {
@@ -868,8 +855,7 @@ class MatchServer::Impl {
         std::unordered_set<uint64_t> batch_ids;
         batch_ids.reserve(entries.value().size());
         for (const std::string_view entry : entries.value()) {
-          Result<WireSubmit> submit =
-              DecodeSubmit(entry, (conn->features & kFeatureCatalog) != 0);
+          Result<WireSubmit> submit = DecodeSubmit(entry);
           if (!submit.ok()) {
             ProtocolError(t, conn, submit.status().message());
             return;
@@ -961,11 +947,6 @@ class MatchServer::Impl {
         return;
       }
       case FrameType::kLoadGraph: {
-        if ((conn->features & kFeatureCatalog) == 0) {
-          ProtocolError(t, conn,
-                        "LOAD_GRAPH frame without negotiated catalog");
-          return;
-        }
         Result<WireCatalogRequest> req = DecodeCatalogRequest(frame.payload);
         if (!req.ok()) {
           ProtocolError(t, conn, req.status().message());
@@ -991,11 +972,6 @@ class MatchServer::Impl {
         return;
       }
       case FrameType::kUnloadGraph: {
-        if ((conn->features & kFeatureCatalog) == 0) {
-          ProtocolError(t, conn,
-                        "UNLOAD_GRAPH frame without negotiated catalog");
-          return;
-        }
         Result<WireCatalogRequest> req = DecodeCatalogRequest(frame.payload);
         if (!req.ok()) {
           ProtocolError(t, conn, req.status().message());
@@ -1009,11 +985,6 @@ class MatchServer::Impl {
         return;
       }
       case FrameType::kListGraphs:
-        if ((conn->features & kFeatureCatalog) == 0) {
-          ProtocolError(t, conn,
-                        "LIST_GRAPHS frame without negotiated catalog");
-          return;
-        }
         SendCatalogReply(t, conn, Status::OK());
         return;
       case FrameType::kPing:
@@ -1212,35 +1183,6 @@ class MatchServer::Impl {
     t->ready_drain.clear();
   }
 
-  // Poll fallback (ServerOptions::completion_wakeups == false, single IO
-  // thread): scan every pending ticket, gated on the service's
-  // finished-query counter so idle passes stay cheap. Snapshot before
-  // sweeping: a finish racing the sweep re-arms the next pass.
-  void DeliverFinished(IoThread* t) {
-    const uint64_t finished_now = catalog_.finished_queries();
-    if (finished_now == t->finished_seen) return;
-    for (auto& conn : t->conns) {
-      for (auto it = conn->inflight.begin(); it != conn->inflight.end();) {
-        const QueryOutcome* done = it->second.ticket.TryGet();
-        if (done == nullptr) {
-          ++it;
-          continue;
-        }
-        DeliverOutcome(t, conn.get(), it->first, *done, 0, std::string());
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
-        it = conn->inflight.erase(it);
-      }
-    }
-    t->finished_seen = finished_now;
-  }
-
-  bool AnyPendingWork(const IoThread* t) const {
-    for (const auto& conn : t->conns) {
-      if (!conn->inflight.empty()) return true;
-    }
-    return false;
-  }
-
   void SweepConns(IoThread* t) {
     for (size_t i = 0; i < t->conns.size();) {
       Conn* conn = t->conns[i].get();
@@ -1279,11 +1221,7 @@ class MatchServer::Impl {
     std::vector<EventLoop::Event> events;
     while (true) {
       if (stop_requested_.load(std::memory_order_acquire)) break;
-      if (options_.completion_wakeups) {
-        DeliverReady(t);
-      } else {
-        DeliverFinished(t);
-      }
+      DeliverReady(t);
       for (auto& conn : t->conns) {
         if (conn->dead) continue;
         FlushBatchReplies(t, conn.get());
@@ -1309,12 +1247,8 @@ class MatchServer::Impl {
       }
       UpdateInterest(t);
       // Completion wakeups arrive through the wake pipe the instant a
-      // query finishes, so the timeout is pure idle housekeeping; only
-      // the poll fallback needs a tight cadence to notice finished
-      // queries.
-      const int timeout_ms =
-          !options_.completion_wakeups && AnyPendingWork(t) ? 2 : 250;
-      const int n = t->loop.Wait(timeout_ms, &events);
+      // query finishes, so the timeout is pure idle housekeeping.
+      const int n = t->loop.Wait(250, &events);
       if (n < 0) break;
       // Event handlers only mark connection state (draining/dead); no fd
       // closes here, so a stale event cannot hit a recycled descriptor —

@@ -67,8 +67,7 @@ struct ServerOptions {
   /// filesystem to index and serve. Off by default for the same reason
   /// as remote shutdown: a connected client gets a server-side
   /// capability (filesystem reads, memory growth) beyond query traffic.
-  /// UNLOAD_GRAPH and LIST_GRAPHS are always honoured for
-  /// catalog-negotiated peers.
+  /// UNLOAD_GRAPH and LIST_GRAPHS are always honoured.
   bool allow_remote_load = false;
 
   /// Grant kFeatureCompression to clients that request it via kHello
@@ -76,8 +75,7 @@ struct ServerOptions {
   /// payloads in kCompressed. Off by default — compression trades CPU on
   /// the reactor threads for bytes on the wire, a profitable trade for
   /// small-query floods over real networks but not for loopback-local
-  /// bulk work. Batching (kFeatureBatch) is always granted: it strictly
-  /// reduces per-frame overhead and costs nothing when unused.
+  /// bulk work.
   bool enable_compression = false;
 
   /// Prometheus exposition port: when >= 0 the server opens a second
@@ -95,20 +93,6 @@ struct ServerOptions {
   /// (WireStats::slow_queries). Enabling the ring forces span capture
   /// for every submission, traced peer or not. 0 disables it.
   double slow_query_ms = 0;
-
-  /// Completion-driven outcome delivery (the default): the server hangs a
-  /// completion hook on the service (ServiceOptions::on_query_complete)
-  /// that routes each finished ticket id to the ready list of the IO
-  /// thread owning its connection and wakes that thread's loop, so
-  /// outcomes are delivered the instant a query finishes — the idle wait
-  /// timeout stays at 250 ms regardless of in-flight work.
-  /// Off = the legacy poll fallback: the loop re-polls at 2 ms while
-  /// queries are in flight and scans every pending ticket. The fallback
-  /// predates the reactor and only composes with io_threads == 1 (Start()
-  /// rejects other combinations); it is kept as an operational escape
-  /// hatch and as the baseline of the bench_net_loopback latency
-  /// comparison.
-  bool completion_wakeups = true;
 };
 
 /// One graph preloaded into the server's catalog at construction time
@@ -127,12 +111,11 @@ struct NamedGraph {
 /// client never blocks matching and a heavy query never blocks the
 /// protocol.
 ///
-/// The catalog hosts any number of named graphs behind one pool.
-/// Catalog-negotiated peers (kFeatureCatalog via HELLO) route each
-/// submission by graph name, manage graphs with
-/// LOAD_GRAPH/UNLOAD_GRAPH/LIST_GRAPHS, and see per-graph STATS rows;
-/// peers that never negotiated speak the original byte stream and always
-/// hit the default graph — old clients interoperate unchanged.
+/// The catalog hosts any number of named graphs behind one pool. Every
+/// submission names its graph (empty = the default graph); peers manage
+/// graphs with LOAD_GRAPH/UNLOAD_GRAPH/LIST_GRAPHS and see per-graph STATS
+/// rows. A connection's first frame must be HELLO (net/protocol.h); any
+/// other first frame gets one kError frame and the connection closes.
 ///
 /// Thread-ownership invariants (the reason this design needs no
 /// per-connection locks):
@@ -161,8 +144,9 @@ struct NamedGraph {
 /// Per connection the server keeps a table of in-flight tickets keyed by
 /// the client's request id. Outcome delivery is completion-driven: the
 /// hook enqueues each finished ticket id on the owning thread's ready
-/// list and wakes its loop, so outcomes are delivered as kOutcome frames
-/// the moment they finalise, in completion order (clients pipeline
+/// list and wakes its loop, so outcomes are delivered the moment they
+/// finalise — coalesced into one kBatchOutcome frame when several finish
+/// in the same reactor pass — in completion order (clients pipeline
 /// submissions and match replies by id). A submission shed by queue-depth
 /// backpressure or the per-tenant rate limiter comes back immediately as
 /// kRejected with its reason. A connection that drops — cleanly or not —
@@ -189,8 +173,7 @@ class MatchServer {
   MatchServer(const MatchServer&) = delete;
   MatchServer& operator=(const MatchServer&) = delete;
 
-  /// Binds, listens and launches the IO threads. Call once. Rejects
-  /// incoherent options (poll fallback with io_threads > 1).
+  /// Binds, listens and launches the IO threads. Call once.
   Status Start();
 
   /// The bound port (resolves option port 0); valid after Start().

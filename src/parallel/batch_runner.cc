@@ -6,10 +6,10 @@
 
 namespace hgmatch {
 
-// The batch engine is a compatibility facade over the streaming query
-// service: one private MatchService per call (so plan-cache statistics are
-// batch-scoped), submit every query in input order, wait for all of them,
-// map outcomes back to input order. Admission order, plan caching,
+// The batch engine is a facade over the streaming query service: one
+// private MatchService per call (so plan-cache statistics are
+// batch-scoped), submit every query in input order, Shutdown() to wait for
+// all of them, map outcomes back to input order. Admission order, plan caching,
 // sink-less repeat mirroring and per-query exactness all live in the
 // service/scheduler layers.
 BatchResult RunBatch(const IndexedHypergraph& data,
@@ -25,11 +25,6 @@ BatchResult RunBatch(const IndexedHypergraph& data,
   service_options.run_timeout_seconds = options.batch_timeout_seconds;
   service_options.plan_cache = options.plan_cache;
   service_options.plan_cache_isomorphism = options.plan_cache_isomorphism;
-  // Frozen-batch mode: collect the whole batch before the pool starts, so
-  // the pre-start seeds spread directly over the worker deques and every
-  // per-query deadline arms when execution actually begins — the batch
-  // engine's historical timing semantics.
-  service_options.defer_start = true;
   MatchService service(data, service_options);
 
   std::vector<Ticket> tickets;

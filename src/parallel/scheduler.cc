@@ -46,10 +46,8 @@ struct QuerySlot;
 //
 // Non-atomic fields written at admission (deadline, admit_seconds, seeded)
 // are published to other workers through the structure that carries the
-// query's SCAN tasks: pre-start admission pushes into the (not yet running)
-// workers' deques, whose Pop/Steal synchronise with the Push, and admissions
-// while the pool runs go through the injection queue, whose mutex orders the
-// writes before any reader.
+// query's SCAN tasks: the injection queue, whose mutex orders the writes
+// before any reader.
 //
 // The stat sums are flushed once per task (Impl::FlushTaskStats), not once
 // per counter event, so the atomics are off the per-candidate hot path; the
@@ -187,10 +185,22 @@ class Scheduler::Impl {
           "hgmatch_queries_finished_total",
           std::string("status=\"") + QueryStatusName(s) + "\"");
     }
+    // The pool starts here: every member above is initialised before the
+    // first worker runs.
+    batch_deadline_ = Deadline::After(options_.batch_timeout_seconds);
+    workers_.reserve(num_threads_);
+    for (uint32_t i = 0; i < num_threads_; ++i) {
+      workers_.push_back(
+          std::make_unique<Worker>(i, options_.parallel.seed + i));
+    }
+    threads_.reserve(num_threads_);
+    for (uint32_t i = 0; i < num_threads_; ++i) {
+      threads_.emplace_back([this, i] { WorkerLoop(workers_[i].get()); });
+    }
   }
 
   ~Impl() {
-    if (!started_ || joined_) return;
+    if (joined_) return;
     // Abandoned while running (e.g. an exception unwound past Join): stop
     // every unfinished query and drain, so the threads can be joined.
     {
@@ -267,14 +277,14 @@ class Scheduler::Impl {
       submitted_count_.fetch_add(1, std::memory_order_relaxed);
       metric_submitted_->Add();
 
-      // Queue-depth backpressure: once the pool runs, the waiting queue is
-      // non-empty only while the admission window is full (AdmitLocked
-      // drains it otherwise), so "window full and the queue at its bound"
-      // means this submission could only wait — shed it instead of
-      // queueing, before it costs any queue memory. Resolved synchronously:
+      // Queue-depth backpressure: the waiting queue is non-empty only while
+      // the admission window is full (AdmitLocked drains it otherwise), so
+      // "window full and the queue at its bound" means this submission
+      // could only wait — shed it instead of queueing, before it costs any
+      // queue memory. Resolved synchronously:
       // the caller observes kRejected from the returned index immediately.
       const uint32_t window = options_.max_inflight_queries;
-      if (threads_running_ && options_.max_queued_queries != 0 &&
+      if (options_.max_queued_queries != 0 &&
           window != 0 && inflight_ >= window &&
           queued_count_ - queued_corpses_ >= options_.max_queued_queries) {
         raw->rejected = true;
@@ -287,10 +297,8 @@ class Scheduler::Impl {
         RecycleContextLocked(raw);
       } else {
         EnqueuePendingLocked(raw);
-        if (threads_running_) {
-          AdmitLocked(nullptr);
-          notify = true;
-        }
+        AdmitLocked(nullptr);
+        notify = true;
       }
       fire.swap(deferred_completions_);
     }
@@ -299,39 +307,13 @@ class Scheduler::Impl {
     return index;
   }
 
-  void Start() {
-    std::vector<PendingCompletion> fire;
-    {
-      std::lock_guard<std::mutex> lock(admit_mutex_);
-      wall_.Reset();
-      batch_deadline_ = Deadline::After(options_.batch_timeout_seconds);
-      workers_.reserve(num_threads_);
-      for (uint32_t i = 0; i < num_threads_; ++i) {
-        workers_.push_back(
-            std::make_unique<Worker>(i, options_.parallel.seed + i));
-      }
-      // Queries submitted before Start() are seeded directly into the
-      // workers' deques (threads_running_ still false); everything after
-      // this block goes through the injection queue.
-      AdmitLocked(nullptr);
-      threads_running_ = true;
-      started_ = true;
-      fire.swap(deferred_completions_);
-    }
-    FireCompletions(&fire);  // queries resolved at pre-start admission
-    threads_.reserve(num_threads_);
-    for (uint32_t i = 0; i < num_threads_; ++i) {
-      threads_.emplace_back([this, i] { WorkerLoop(workers_[i].get()); });
-    }
-  }
-
   void Seal() {
     std::vector<PendingCompletion> fire;
     {
       std::lock_guard<std::mutex> lock(admit_mutex_);
       if (sealed_) return;
       sealed_ = true;
-      if (threads_running_) AdmitLocked(nullptr);
+      AdmitLocked(nullptr);
       if (queued_count_ == 0) {
         all_admitted_.store(true, std::memory_order_release);
       }
@@ -374,12 +356,6 @@ class Scheduler::Impl {
     return report;
   }
 
-  SchedulerReport Run() {
-    Start();
-    Seal();
-    return Join();
-  }
-
   bool Cancel(uint32_t query) {
     std::vector<PendingCompletion> fire;
     {
@@ -395,12 +371,8 @@ class Scheduler::Impl {
         // Still waiting for admission: resolve it right here rather than
         // when the window would eventually have reached it. Its queue entry
         // stays behind and is skipped (already finished) when popped.
-        // Before Start() the run clock has not begun (wall_ resets there),
-        // so a pre-start cancellation stamps 0 to stay inside the run's
-        // timeline.
         ctx->admit_index = admit_seq_++;
-        ctx->admit_seconds = ctx->finish_seconds =
-            started_ ? wall_.ElapsedSeconds() : 0;
+        ctx->admit_seconds = ctx->finish_seconds = wall_.ElapsedSeconds();
         CompleteQuery(ctx);
         QueueCompletionLocked(ctx);
         if (ctx->in_pending_queue) {
@@ -411,38 +383,12 @@ class Scheduler::Impl {
         } else {
           RecycleContextLocked(ctx);
         }
-        if (threads_running_) AdmitLocked(nullptr);
+        AdmitLocked(nullptr);
       }
       fire.swap(deferred_completions_);
     }
     FireCompletions(&fire);
     return true;
-  }
-
-  const QueryOutcome& WaitQuery(uint32_t query) {
-    QuerySlot* slot = SlotFor(query);
-    if (slot == nullptr) {
-      // Waiting on a Release()d query is a contract violation (retrieval
-      // and release must be serialised by the caller); fail soft with an
-      // empty outcome rather than dereferencing a dead slot.
-      static const QueryOutcome kReleased{};
-      return kReleased;
-    }
-    std::unique_lock<std::mutex> lock(finish_mutex_);
-    finish_cv_.wait(lock, [slot] {
-      return slot->finished.load(std::memory_order_acquire);
-    });
-    return slot->outcome;
-  }
-
-  const QueryOutcome* WaitQueryFor(uint32_t query, double seconds) {
-    QuerySlot* slot = SlotFor(query);
-    if (slot == nullptr) return nullptr;
-    std::unique_lock<std::mutex> lock(finish_mutex_);
-    const bool done = finish_cv_.wait_for(
-        lock, std::chrono::duration<double>(seconds > 0 ? seconds : 0),
-        [slot] { return slot->finished.load(std::memory_order_acquire); });
-    return done ? &slot->outcome : nullptr;
   }
 
   const QueryOutcome* TryGetQuery(uint32_t query) {
@@ -498,10 +444,6 @@ class Scheduler::Impl {
 
   uint64_t RejectedCount() const {
     return rejected_count_.load(std::memory_order_relaxed);
-  }
-
-  uint64_t FinishedCount() const {
-    return finished_count_.load(std::memory_order_acquire);
   }
 
   void WaitIdle() {
@@ -647,10 +589,9 @@ class Scheduler::Impl {
     {
       std::lock_guard<std::mutex> lock(finish_mutex_);
       ctx->slot->finished.store(true, std::memory_order_release);
-      // Count strictly after the flag: an observer of the advanced count
-      // must find the outcome retrievable, or a count-gated poller (the
-      // wire server) could sweep too early and then never re-check. Under
-      // finish_mutex_ so WaitIdle's predicate cannot miss its wakeup.
+      // Count strictly after the flag, so WaitIdle returns only once every
+      // outcome is retrievable; under finish_mutex_ so its predicate cannot
+      // miss the wakeup.
       finished_count_.fetch_add(1, std::memory_order_release);
     }
     finish_cv_.notify_all();
@@ -868,10 +809,8 @@ class Scheduler::Impl {
 
   // Admits queries in policy order until the window is full or none are
   // left. Callers hold admit_mutex_. `seeder == nullptr` for admissions not
-  // performed by a pool worker (pre-start seeding, external Submit/Cancel
-  // threads); before the threads launch, SCAN ranges are spread round-robin
-  // over all workers' deques, afterwards they go through the injection
-  // queue (see Inject()).
+  // performed by a pool worker (external Submit/Cancel/Seal threads); SCAN
+  // ranges go through the injection queue (see Inject()).
   void AdmitLocked(Worker* seeder) {
     const uint32_t window = options_.max_inflight_queries;
     while (queued_count_ > 0 && (window == 0 || inflight_ < window)) {
@@ -912,13 +851,8 @@ class Scheduler::Impl {
         const uint64_t lo = ctx->scan_lo + static_cast<uint64_t>(w) * chunk;
         if (lo >= ctx->scan_hi) break;
         const uint64_t hi = std::min<uint64_t>(lo + chunk, ctx->scan_hi);
-        Task* t = Task::NewScan(ctx, static_cast<uint32_t>(lo),
-                                static_cast<uint32_t>(hi));
-        if (!threads_running_) {
-          Spawn(workers_[(w + ctx->index) % num_threads_].get(), t);
-        } else {
-          Inject(seeder, t);
-        }
+        Inject(seeder, Task::NewScan(ctx, static_cast<uint32_t>(lo),
+                                     static_cast<uint32_t>(hi)));
       }
     }
     if (sealed_ && queued_count_ == 0) {
@@ -937,8 +871,8 @@ class Scheduler::Impl {
     }
     if (batch_deadline_.Expired() &&
         !batch_expired_.exchange(true, std::memory_order_relaxed)) {
-      // queries_ grows under admit_mutex_ in streaming mode, so the
-      // once-per-run sweep over it takes the lock.
+      // queries_ grows under admit_mutex_, so the once-per-run sweep over
+      // it takes the lock.
       std::lock_guard<std::mutex> lock(admit_mutex_);
       for (auto& [index, slot] : queries_) {
         if (slot.finished.load(std::memory_order_acquire)) continue;
@@ -974,15 +908,23 @@ class Scheduler::Impl {
   // emit if complete, queue the EXPAND task, or — when the query is over
   // its task quota — expand depth-first inline so its deque share stays
   // bounded (the work still happens, it just cannot bury other queries'
-  // tasks under millions of queued expansions).
+  // tasks under millions of queued expansions). While a newly admitted
+  // query waits in the injection queue, children are queued instead of
+  // inlined, so a long inline expansion unwinds to its next task boundary
+  // and the worker picks the new query up there.
   void ProcessChild(Worker* w, QueryContext* ctx, const EdgeId* prefix,
                     uint32_t prefix_len, EdgeId c) {
     if (prefix_len + 1 == ctx->plan->NumSteps()) {
       EmitEmbedding(w, ctx, prefix, prefix_len, c);
     } else if (options_.task_quota != 0 &&
                ctx->pending.load(std::memory_order_relaxed) >=
-                   static_cast<int64_t>(options_.task_quota)) {
-      for (uint32_t i = 0; i < prefix_len; ++i) w->inline_prefix[i] = prefix[i];
+                   static_cast<int64_t>(options_.task_quota) &&
+               inject_size_.load(std::memory_order_relaxed) == 0) {
+      if (prefix != w->inline_prefix.data()) {  // else already in place
+        for (uint32_t i = 0; i < prefix_len; ++i) {
+          w->inline_prefix[i] = prefix[i];
+        }
+      }
       w->inline_prefix[prefix_len] = c;
       ExpandInline(w, ctx, prefix_len + 1);
     } else {
@@ -991,22 +933,17 @@ class Scheduler::Impl {
   }
 
   // Depth-first expansion of w->inline_prefix[0..len) without queueing
-  // tasks. Recursion depth is bounded by the plan length; each depth owns
-  // its valid buffer (EnsureDepthBuffers ran before any reference is held).
+  // tasks (unless ProcessChild decides otherwise). Recursion depth is
+  // bounded by the plan length; each depth owns its valid buffer
+  // (EnsureDepthBuffers ran before any reference is held).
   void ExpandInline(Worker* w, QueryContext* ctx, uint32_t len) {
     std::vector<EdgeId>& valid = w->valid_at[len];
     ExpanderFor(w, ctx)->Expand(w->inline_prefix.data(), len, &valid,
                                 &w->task_stats);
-    const uint32_t steps = ctx->plan->NumSteps();
     size_t i = 0;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
-      if (len + 1 == steps) {
-        EmitEmbedding(w, ctx, w->inline_prefix.data(), len, valid[i]);
-      } else {
-        w->inline_prefix[len] = valid[i];
-        ExpandInline(w, ctx, len + 1);
-      }
+      ProcessChild(w, ctx, w->inline_prefix.data(), len, valid[i]);
     }
     if (i < valid.size()) {
       ctx->work_dropped.store(true, std::memory_order_relaxed);
@@ -1145,12 +1082,14 @@ class Scheduler::Impl {
             retired_version_.load(std::memory_order_acquire);
         ReapRetiredPlans(w);
       }
-      Task* t = nullptr;
-      if (!w->deque.Pop(&t)) {
-        // Freshly injected seed ranges first (they spread a newly admitted
-        // query without depending on work stealing), then steal.
-        t = PopInject();
-        if (t == nullptr && options_.parallel.work_stealing) t = TrySteal(w);
+      // Freshly injected seed ranges come before the worker's own deque: a
+      // newly admitted query starts at the next task boundary instead of
+      // queueing behind the expansions of the queries already running, and
+      // it spreads over the pool without depending on work stealing.
+      Task* t = PopInject();
+      if (t == nullptr && !w->deque.Pop(&t) &&
+          options_.parallel.work_stealing) {
+        t = TrySteal(w);
       }
       if (t != nullptr) {
         Execute(w, t);
@@ -1184,11 +1123,9 @@ class Scheduler::Impl {
   uint32_t next_query_index_ = 0;  // admit_mutex_
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  bool started_ = false;
   bool joined_ = false;
 
   std::mutex admit_mutex_;
-  bool threads_running_ = false;   // guarded by admit_mutex_
   bool sealed_ = false;            // guarded by admit_mutex_
   uint32_t inflight_ = 0;          // guarded by admit_mutex_
   size_t queued_count_ = 0;        // entries across the policy structures
@@ -1209,7 +1146,7 @@ class Scheduler::Impl {
   std::atomic<int64_t> inject_size_{0};
   // Completion hooks of queries that finalised inside the current
   // admit_mutex_ critical section, awaiting lock-free delivery. Every code
-  // path that can append (Submit, Cancel, Seal, Start, Finish — directly
+  // path that can append (Submit, Cancel, Seal, Finish — directly
   // or through AdmitLocked) drains the list into a local vector before
   // releasing the lock and fires it after, so entries never outlive the
   // critical section that produced them. Guarded by admit_mutex_.
@@ -1270,23 +1207,11 @@ uint32_t Scheduler::Submit(const QueryPlan* plan, EmbeddingSink* sink) {
   return impl_->Submit(plan, impl_->default_data(), options);
 }
 
-void Scheduler::Start() { impl_->Start(); }
-
 void Scheduler::Seal() { impl_->Seal(); }
 
 SchedulerReport Scheduler::Join() { return impl_->Join(); }
 
-SchedulerReport Scheduler::Run() { return impl_->Run(); }
-
 bool Scheduler::Cancel(uint32_t query) { return impl_->Cancel(query); }
-
-const QueryOutcome& Scheduler::WaitQuery(uint32_t query) {
-  return impl_->WaitQuery(query);
-}
-
-const QueryOutcome* Scheduler::WaitQueryFor(uint32_t query, double seconds) {
-  return impl_->WaitQueryFor(query, seconds);
-}
 
 const QueryOutcome* Scheduler::TryGetQuery(uint32_t query) {
   return impl_->TryGetQuery(query);
@@ -1301,8 +1226,6 @@ size_t Scheduler::LiveContexts() { return impl_->LiveContexts(); }
 size_t Scheduler::RetainedSlots() { return impl_->RetainedSlots(); }
 
 uint64_t Scheduler::RejectedCount() const { return impl_->RejectedCount(); }
-
-uint64_t Scheduler::FinishedCount() const { return impl_->FinishedCount(); }
 
 void Scheduler::WaitIdle() { impl_->WaitIdle(); }
 

@@ -26,10 +26,10 @@ struct SchedulerOptions {
   ParallelOptions parallel;
 
   /// Whole-run wall-clock timeout in seconds; <= 0 disables. Armed when the
-  /// pool starts. When it fires, every unfinished query is stopped; a query
-  /// is reported `timed_out` only if any of its work was actually dropped
-  /// (a query whose final mid-flight task completes its counts is not
-  /// marked timed out).
+  /// scheduler is constructed. When it fires, every unfinished query is
+  /// stopped; a query is reported `timed_out` only if any of its work was
+  /// actually dropped (a query whose final mid-flight task completes its
+  /// counts is not marked timed out).
   double batch_timeout_seconds = 0;
 
   /// Admission window: at most this many queries have live tasks at any
@@ -47,8 +47,7 @@ struct SchedulerOptions {
   /// admission window is full and this many queries are already waiting
   /// resolves immediately with QueryStatus::kRejected instead of queueing
   /// (load shedding — the caller may retry once the backlog drains).
-  /// 0 = unbounded. Queries submitted before Start() (the frozen-batch
-  /// collection phase) are never shed.
+  /// 0 = unbounded.
   uint32_t max_queued_queries = 0;
 
   /// Per-query fairness quota: when a query already has at least this many
@@ -73,9 +72,9 @@ struct QueryOutcome {
 
   MatchStats stats;
 
-  /// Seconds from pool start until this query was admitted. Always the
-  /// wall clock at admission, so approximately — not exactly — 0 when the
-  /// admission window is unlimited; do not test it with == 0.
+  /// Seconds from pool start (construction) until this query was admitted.
+  /// Always the wall clock at admission, so approximately — not exactly —
+  /// 0 when the admission window is unlimited; do not test it with == 0.
   double admit_seconds = 0;
 
   /// Seconds from pool start until this query's last task retired (equals
@@ -114,18 +113,16 @@ struct SchedulerReport {
 /// context. It owns the worker pool, the deques, the steal policy,
 /// per-query deadlines/limits, the admission window and policy, and
 /// per-query stats accumulation; the public engines are thin facades over
-/// it. Queries admitted while the pool is running are seeded through a
-/// shared injection queue that idle workers drain, so a newly admitted
-/// query spreads over the pool even with work stealing disabled.
+/// it. Admitted queries are seeded through a shared injection queue that
+/// workers drain before their own deques, so a newly admitted query starts
+/// at the next task boundary and spreads over the pool even with work
+/// stealing disabled.
 ///
-/// Two usage modes:
-///
-///  * Batch (the historical API): construct, Submit() each compiled plan,
-///    then Run() exactly once — equivalent to Start() + Seal() + Join().
-///  * Streaming: construct, Start(), then Submit() from any thread at any
-///    time; each submission is admitted per the admission policy. Cancel()
-///    stops one query; WaitQuery()/TryGetQuery() observe per-query
-///    outcomes as they finish; Seal() + Join() shut the pool down.
+/// The pool starts in the constructor. Submit() from any thread at any
+/// time; each submission is admitted per the admission policy. Cancel()
+/// stops one query; SubmitOptions::completion and TryGetQuery() observe
+/// per-query outcomes as they finish; Seal() + Join() shut the pool down
+/// (a batch is Submit() each plan, then Seal() + Join()).
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do
@@ -148,14 +145,14 @@ class Scheduler {
   /// Registers one query. `plan` must outlive the query and must come from
   /// BuildQueryPlan/BuildQueryPlanWithOrder (its uid stamps the per-worker
   /// expander cache; a hand-assembled plan with uid 0 is rejected by
-  /// assertion). `options.sink` may be null (count only). Thread-safe
-  /// after Start(); must not be called after Seal(). Returns the query's
+  /// assertion). `options.sink` may be null (count only). Thread-safe;
+  /// must not be called after Seal(). Returns the query's
   /// index (also its index into SchedulerReport::queries).
   ///
   /// `options.completion`, when set, is invoked exactly once at the moment
   /// the query's outcome finalises — whatever the terminal status,
   /// including submissions resolved synchronously inside this call
-  /// (queue-depth rejection) or inside Cancel()/Start()/Seal() — after the
+  /// (queue-depth rejection) or inside Cancel()/Seal() — after the
   /// outcome became observable through TryGetQuery() and with no scheduler
   /// lock held (see SubmitOptions::completion for the full contract).
   ///
@@ -175,11 +172,6 @@ class Scheduler {
   /// Back-compat convenience: Submit with default options and this sink.
   uint32_t Submit(const QueryPlan* plan, EmbeddingSink* sink = nullptr);
 
-  /// Launches the worker pool. Queries submitted before Start() are seeded
-  /// directly into the workers' deques (round-robin); later submissions go
-  /// through the injection queue. Call exactly once.
-  void Start();
-
   /// Declares that no further Submit() calls will follow, which arms pool
   /// termination: workers exit once every admitted query has retired its
   /// last task and the admission queue is empty.
@@ -189,9 +181,6 @@ class Scheduler {
   /// returns the aggregate report. Call exactly once.
   SchedulerReport Join();
 
-  /// Batch mode: Start() + Seal() + Join().
-  SchedulerReport Run();
-
   /// Requests cancellation of one query. A query still waiting for
   /// admission resolves immediately (status kCancelled, zero stats); an
   /// in-flight query stops at the next task boundary and resolves once its
@@ -199,17 +188,10 @@ class Scheduler {
   /// Thread-safe.
   bool Cancel(uint32_t query);
 
-  /// Blocks until the query finishes and returns its outcome. The
-  /// reference stays valid until the query is Release()d (or for the
-  /// scheduler's lifetime when Release is never called). Thread-safe; may
-  /// be called before, during or after Join().
-  const QueryOutcome& WaitQuery(uint32_t query);
-
-  /// Bounded WaitQuery: blocks for at most `seconds` and returns null if
-  /// the query was still unfinished when the budget expired. Thread-safe.
-  const QueryOutcome* WaitQueryFor(uint32_t query, double seconds);
-
-  /// Non-blocking WaitQuery: null until the query finishes.
+  /// The outcome of a finished query; null until it finishes. The pointer
+  /// stays valid until the query is Release()d (or for the scheduler's
+  /// lifetime when Release is never called). Thread-safe; may be called
+  /// before, during or after Join().
   const QueryOutcome* TryGetQuery(uint32_t query);
 
   /// Recycles a finished query's outcome slot once the caller has copied
@@ -217,7 +199,7 @@ class Scheduler {
   /// (indices are never reused) and the query appears default-initialised
   /// in SchedulerReport::queries. Returns false when the query is unknown,
   /// already released or not yet finished. Must not race with
-  /// WaitQuery/WaitQueryFor/TryGetQuery on the same query — the caller
+  /// TryGetQuery on the same query — the caller
   /// serialises retrieval against release (the service layer does).
   ///
   /// The *heavy* per-query state (task context, deadline, atomics) is
@@ -243,11 +225,6 @@ class Scheduler {
 
   /// Total submissions shed by the max_queued_queries bound so far.
   uint64_t RejectedCount() const;
-
-  /// Monotonic count of queries that have finished (any terminal status).
-  /// Cheap (one atomic load): pollers can skip scanning for outcomes while
-  /// it has not advanced.
-  uint64_t FinishedCount() const;
 
   /// Blocks until every query submitted so far has finished (the pool may
   /// stay up for more submissions). Thread-safe.

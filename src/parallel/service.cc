@@ -236,20 +236,13 @@ class ServiceImpl {
       : data_(data),
         options_(options),
         owned_(std::make_unique<Scheduler>(data, ToSchedulerOptions(options))),
-        sched_(owned_.get()) {
-    if (!options.defer_start) {
-      sched_->Start();
-      started_ = true;
-    }
-  }
+        sched_(owned_.get()) {}
 
   // Shared-pool mode: execute on `pool`'s (already running) workers,
   // carrying data_ per submission. The pool outlives this service.
   ServiceImpl(const IndexedHypergraph& data, SchedulerPool& pool,
               const ServiceOptions& options)
-      : data_(data), options_(options), sched_(&pool.scheduler()) {
-    started_ = true;
-  }
+      : data_(data), options_(options), sched_(&pool.scheduler()) {}
 
   ~ServiceImpl() { Shutdown(); }
 
@@ -310,7 +303,6 @@ class ServiceImpl {
   }
 
   void Drain() {
-    EnsureStarted();
     // On an owned pool, idling first is a cheap fast-forward; on a shared
     // pool it would wait on sibling services' queries too, and the
     // record wait below is sufficient on its own (every record resolves
@@ -353,10 +345,6 @@ class ServiceImpl {
       // admitted.
       std::lock_guard<std::mutex> lock(mutex_);
       sealed_ = true;
-      if (!started_) {
-        sched_->Start();
-        started_ = true;
-      }
     }
     if (owned_ == nullptr) {
       // Shared pool: the pool keeps running for sibling services, so no
@@ -408,10 +396,6 @@ class ServiceImpl {
   }
 
   uint32_t num_threads() const { return sched_->num_threads(); }
-
-  uint64_t finished_queries() const {
-    return finished_.load(std::memory_order_acquire);
-  }
 
   ServiceGauges Gauges() {
     ServiceGauges g;
@@ -620,15 +604,10 @@ class ServiceImpl {
     }
     rec->mirrors.clear();
     if (rec->sched_index != kNotScheduled || rec->fan != nullptr) {
-      // The finished-count gate of the wire server's poll fallback: bumped
-      // strictly after this record's resolved flag AND after its mirrors
-      // resolved (the fetch_add is visible to the lock-free sweep while
-      // resolve_mutex_ is still held — a bump before the mirror loop would
-      // let the sweep latch its gate past a mirror that resolves a few
-      // instructions later and strand its outcome), so an observer of the
-      // advanced count always finds every dependent outcome retrievable.
-      // A sharded record's fan is set before any slice is submitted, so
-      // no attachment catch-up is needed on the fan path.
+      // Counts pool submissions for Gauges().finished. A record whose
+      // scheduler index is not attached yet is counted by
+      // AttachSchedIndex; a sharded record's fan is set before any slice
+      // is submitted, so the fan path needs no catch-up.
       finished_.fetch_add(1, std::memory_order_release);
     }
   }
@@ -663,7 +642,7 @@ class ServiceImpl {
   // the index was known: a query can finalise on the pool (or synchronously
   // inside Submit, on the rejection path) before Submit's caller regains
   // control, and ResolveLocked then finds kNotScheduled. The catch-up also
-  // performs the finished-count bump that gates the poll fallback.
+  // counts the record in Gauges().finished.
   void AttachSchedIndex(const std::shared_ptr<QueryRecord>& rec,
                         uint32_t index) {
     bool cancel = false;
@@ -866,14 +845,6 @@ class ServiceImpl {
       FireCompletions(&fire);
     }
     list->clear();
-  }
-
-  void EnsureStarted() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_) {
-      sched_->Start();
-      started_ = true;
-    }
   }
 
   double EffectiveTimeout(const SubmitOptions& so) const {
@@ -1281,7 +1252,6 @@ class ServiceImpl {
   uint64_t unique_plans_ = 0;  // plans compiled (cached or record-owned)
   size_t last_sweep_size_ = 0;
   bool sealed_ = false;
-  bool started_ = false;  // guarded by mutex_ after construction
 
   // Lock order: mutex_ before resolve_mutex_; scheduler-internal locks are
   // only ever taken *under* resolve_mutex_ (Release/RetirePlan/TryGet),
@@ -1371,9 +1341,7 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& o) {
 }
 
 SchedulerPool::SchedulerPool(const ServiceOptions& options)
-    : scheduler_(std::make_unique<Scheduler>(ToSchedulerOptions(options))) {
-  scheduler_->Start();
-}
+    : scheduler_(std::make_unique<Scheduler>(ToSchedulerOptions(options))) {}
 
 SchedulerPool::~SchedulerPool() {
   scheduler_->Seal();
@@ -1411,10 +1379,6 @@ void MatchService::Drain() { impl_->Drain(); }
 ServiceReport MatchService::Shutdown() { return impl_->Shutdown(); }
 
 uint32_t MatchService::num_threads() const { return impl_->num_threads(); }
-
-uint64_t MatchService::finished_queries() const {
-  return impl_->finished_queries();
-}
 
 ServiceGauges MatchService::Gauges() { return impl_->Gauges(); }
 

@@ -67,21 +67,10 @@ struct ServiceOptions {
   /// the bound under heavy concurrency.
   size_t plan_cache_capacity = 0;
 
-  /// Whole-service wall-clock budget in seconds, armed when the pool
-  /// starts; <= 0 disables. Exists mainly for the RunBatch facade's
+  /// Whole-service wall-clock budget in seconds, armed at construction;
+  /// <= 0 disables. Exists mainly for the RunBatch facade's
   /// whole-batch timeout; a long-lived service normally leaves it off.
   double run_timeout_seconds = 0;
-
-  /// Batch mode (used by the RunBatch facade): do not start the worker
-  /// pool at construction — collect every submission first and start the
-  /// pool lazily at Drain()/Shutdown(). Queries submitted before the pool
-  /// starts are seeded directly into the worker deques (the frozen-batch
-  /// layout, where LIFO scheduling naturally runs the latest-seeded cheap
-  /// queries first and every per-query deadline arms at the same instant),
-  /// instead of streaming through the injection queue into an
-  /// already-saturated pool. With defer_start, Ticket::Wait() blocks until
-  /// something triggers the start — call Drain() or Shutdown() first.
-  bool defer_start = false;
 
   /// Detect repeated queries across *all* submissions of this service's
   /// lifetime and reuse one compiled plan for all copies. A sink-less
@@ -357,16 +346,6 @@ class MatchService {
 
   /// Resolved pool size.
   uint32_t num_threads() const;
-
-  /// Monotonic count of pool submissions whose outcome has finalised *and*
-  /// become retrievable through Ticket::TryGet (any terminal status;
-  /// mirrors resolved from their canonical and plan errors resolve without
-  /// touching it, while a re-dispatched mirror is a pool submission of its
-  /// own and counts when it resolves). One atomic load
-  /// — a poller (the wire server's poll fallback) can skip scanning its
-  /// tickets while this has not advanced, and an advance guarantees the
-  /// corresponding TryGet calls succeed.
-  uint64_t finished_queries() const;
 
   /// Live observability snapshot (see ServiceGauges). Thread-safe;
   /// non-const because sampling the scheduler's slot gauges performs its

@@ -127,10 +127,7 @@ Status GraphCatalog::Install(std::shared_ptr<Entry> entry) {
     so.on_query_complete = [st, raw, base, chained, user, fin](
                                uint64_t id, const QueryOutcome& out) {
       if (chained) chained(id, out);
-      // The finished count rises before the user hook runs: the hook is
-      // what triggers outcome delivery, so anyone who has seen an
-      // outcome must also see its finished increment.
-      fin->fetch_add(1, std::memory_order_release);
+      fin->fetch_add(1, std::memory_order_release);  // Gauges().finished
       if (user) user(base + id, out);
       std::lock_guard<std::mutex> lock(st->m);
       --raw->live;
@@ -328,10 +325,6 @@ bool GraphCatalog::Cancel(const CatalogTicket& ticket) {
   const bool cancelled = ticket.ticket.Cancel();
   Unpin(entry);
   return cancelled;
-}
-
-uint64_t GraphCatalog::finished_queries() const {
-  return finished_->load(std::memory_order_acquire);
 }
 
 uint32_t GraphCatalog::num_threads() const {

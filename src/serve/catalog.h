@@ -120,10 +120,6 @@ class GraphCatalog {
   /// drain). Returns false when the query already finished.
   bool Cancel(const CatalogTicket& ticket);
 
-  /// Monotonic count of finished submissions across all graphs (the wire
-  /// server's poll-fallback gate). Cheap: one atomic load.
-  uint64_t finished_queries() const;
-
   /// Shared pool width.
   uint32_t num_threads() const;
 

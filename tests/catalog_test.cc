@@ -175,12 +175,15 @@ TEST(CatalogTest, CompletionHookFiresOncePerUniqueId) {
     expected.insert(ta.value().unique_id);
     expected.insert(tb.value().unique_id);
   }
+  for (const CatalogGraphInfo& g : catalog.List()) {
+    EXPECT_EQ(g.queries, 3u) << g.name;
+  }
   catalog.Shutdown();
 
   std::lock_guard<std::mutex> lock(mutex);
   EXPECT_EQ(seen.size(), 6u);  // exactly once each
   EXPECT_EQ(std::set<uint64_t>(seen.begin(), seen.end()), expected);
-  EXPECT_EQ(catalog.finished_queries(), 6u);
+  EXPECT_EQ(catalog.Gauges().finished, 6u);
 }
 
 // A waiting unload must block until the graph's in-flight tickets

@@ -178,13 +178,13 @@ if(UNIX)
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq)
   run_cli("query 2: embeddings 2 in [0-9.]+s  \\[ok\\] \\(mirrored\\)" query
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq)
-  # The same queryset through negotiated batching + compression: one
+  # The same queryset through batching + negotiated compression: one
   # BATCH_SUBMIT frame, identical counts, and the framing-stats line
   # reports the granted features.
   run_cli("remote: 3 queries \\(3 completed, 0 rejected\\), embeddings 6 in"
           query --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq
           --batch --compress)
-  run_cli("wire: granted batch compress, sent" query
+  run_cli("wire: granted compress, sent" query
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq
           --batch --compress)
   run_cli("remote: 3 queries \\(3 completed, 0 rejected\\), embeddings 6 in"

@@ -285,11 +285,9 @@ TEST(BinaryV2Test, ChunkDeclaringOversizeRawIsRejected) {
 
 TEST(BinaryV2Test, SaveLoadParityBothVersions) {
   const Hypergraph h = GenerateHypergraph(SmallRandomConfig(23));
-  const std::string dir = ::testing::TempDir();
-
   for (const bool compress : {false, true}) {
     const std::string path =
-        dir + (compress ? "/parity_v2.hgb" : "/parity_v1.hgb");
+        TempPath(compress ? "parity_v2.hgb" : "parity_v1.hgb");
     ASSERT_TRUE(SaveHypergraphBinary(h, path, compress).ok());
     Result<Hypergraph> back = LoadHypergraphBinary(path);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -305,7 +303,7 @@ TEST(BinaryV2Test, V1FilesStillLoad) {
   // Backward compatibility: files written before the v2 bump (i.e. with
   // compress=false, the old writer's exact image) load unchanged.
   const Hypergraph h = PaperDataHypergraph();
-  const std::string path = ::testing::TempDir() + "/legacy_v1.hgb";
+  const std::string path = TempPath("legacy_v1.hgb");
   ASSERT_TRUE(SaveHypergraphBinary(h, path, /*compress=*/false).ok());
 
   std::string v1;

@@ -185,7 +185,7 @@ TEST(EdgeLabelTest, TextFormatRoundTripsLabels) {
 
 TEST(EdgeLabelTest, BinaryFormatRoundTripsLabels) {
   LabeledKb kb;
-  const std::string path = ::testing::TempDir() + "/hg_edge_label.hgb";
+  const std::string path = TempPath("hg_edge_label.hgb");
   ASSERT_TRUE(SaveHypergraphBinary(kb.data, path).ok());
   Result<Hypergraph> loaded = LoadHypergraphBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

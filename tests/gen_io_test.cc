@@ -208,7 +208,7 @@ TEST(IoTest, RoundTrip) {
 
 TEST(IoTest, FileRoundTrip) {
   Hypergraph h = GenerateHypergraph(SmallRandomConfig(2));
-  const std::string path = ::testing::TempDir() + "/hg_io_test.hg";
+  const std::string path = TempPath("hg_io_test.hg");
   ASSERT_TRUE(SaveHypergraph(h, path).ok());
   Result<Hypergraph> loaded = LoadHypergraph(path);
   ASSERT_TRUE(loaded.ok());
@@ -221,8 +221,8 @@ TEST(IoTest, BinaryFileRoundTripsInBothOnDiskVersions) {
   // --v1 escape hatch writes the uncompressed v1 layout. Both must load
   // back to an identical hypergraph through the same entry point.
   Hypergraph h = GenerateHypergraph(SmallRandomConfig(2));
-  const std::string v2 = ::testing::TempDir() + "/hg_io_test_v2.hgb";
-  const std::string v1 = ::testing::TempDir() + "/hg_io_test_v1.hgb";
+  const std::string v2 = TempPath("hg_io_test_v2.hgb");
+  const std::string v1 = TempPath("hg_io_test_v1.hgb");
   ASSERT_TRUE(SaveHypergraphBinary(h, v2).ok());
   ASSERT_TRUE(SaveHypergraphBinary(h, v1, /*compress=*/false).ok());
   for (const std::string& path : {v2, v1}) {

@@ -21,6 +21,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/hgmatch.h"
@@ -184,50 +185,32 @@ TEST(ProtocolTest, StatsFrameRoundTripsGraphRows) {
   EXPECT_EQ(decoded.value().graphs[0].shards, 8u);
   EXPECT_EQ(decoded.value().graphs[1].name, "users");
   EXPECT_FALSE(decoded.value().graphs[1].is_default);
-
-  // The graph section is optional on the wire: a pre-catalog payload
-  // (nothing after the IO rows) still decodes, with no graph rows. The
-  // encoder now emits the graph varint (1 byte here) plus the 17-byte
-  // uptime/slow-query tier after the IO rows; strip both to reproduce
-  // the v1 byte stream.
-  WireStats old_style;
-  old_style.num_threads = 1;
-  std::string encoded = EncodeStats(old_style);
-  const std::string trailer_free = encoded.substr(0, encoded.size() - 18);
-  Result<WireStats> old_decoded = DecodeStats(trailer_free);
-  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status().ToString();
-  EXPECT_TRUE(old_decoded.value().graphs.empty());
 }
 
-TEST(ProtocolTest, SubmitFrameCarriesGraphOnlyWhenNegotiated) {
+TEST(ProtocolTest, SubmitFrameCarriesGraphName) {
   WireSubmit submit;
   submit.request_id = 9;
   submit.query = PaperQueryHypergraph();
   submit.graph = "orders";
 
-  // Negotiated peers round-trip the route.
-  Result<WireSubmit> routed =
-      DecodeSubmit(EncodeSubmit(submit, /*with_graph=*/true),
-                   /*with_graph=*/true);
+  Result<WireSubmit> routed = DecodeSubmit(EncodeSubmit(submit));
   ASSERT_TRUE(routed.ok()) << routed.status().ToString();
   EXPECT_EQ(routed.value().graph, "orders");
   EXPECT_EQ(routed.value().request_id, 9u);
   EXPECT_EQ(routed.value().query.NumEdges(), submit.query.NumEdges());
 
-  // Without the feature the field never reaches the wire, so a v1 decoder
-  // sees a byte-identical pre-catalog payload.
+  // The empty name (the default graph) travels as a zero-length string.
   WireSubmit plain;
   plain.request_id = 9;
   plain.query = PaperQueryHypergraph();
-  EXPECT_EQ(EncodeSubmit(submit, /*with_graph=*/false), EncodeSubmit(plain));
-  Result<WireSubmit> unrouted = DecodeSubmit(EncodeSubmit(submit));
+  Result<WireSubmit> unrouted = DecodeSubmit(EncodeSubmit(plain));
   ASSERT_TRUE(unrouted.ok());
   EXPECT_TRUE(unrouted.value().graph.empty());
 
   // A graph-name length running past the payload is corruption.
-  std::string truncated = EncodeSubmit(submit, /*with_graph=*/true);
+  std::string truncated = EncodeSubmit(submit);
   truncated.resize(20);
-  EXPECT_FALSE(DecodeSubmit(truncated, /*with_graph=*/true).ok());
+  EXPECT_FALSE(DecodeSubmit(truncated).ok());
 }
 
 TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
@@ -321,23 +304,40 @@ TEST(ProtocolTest, StatsFrameRoundTripsUptimeAndSlowQueries) {
   EXPECT_EQ(decoded.value().slow_queries[0].run_seconds, 0.3);
   EXPECT_EQ(decoded.value().slow_queries[0].deliver_seconds, 0.05);
   EXPECT_EQ(decoded.value().slow_queries[1].request_id, 0u);
+}
 
-  // The tier is optional, exactly like the graph section before it: a
-  // pre-observability payload (nothing after the graph rows) still
-  // decodes, with zero uptime and no slow rows.
+TEST(ProtocolTest, StatsFrameCutAtAnyByteIsCorruption) {
+  // One fixed layout: every section is required, so a payload cut at any
+  // byte — inside the IO rows, the graph rows, the uptime fields or a slow
+  // row — is corruption, never a shorter valid snapshot.
+  WireStats stats;
+  stats.num_threads = 2;
+  stats.io_threads.resize(2);
+  WireGraphStats g;
+  g.name = "orders";
+  stats.graphs.push_back(g);
+  stats.uptime_seconds = 1.5;
+  WireSlowQuery slow;
+  slow.graph = "orders";
+  stats.slow_queries.push_back(slow);
+  const std::string full = EncodeStats(stats);
+  ASSERT_TRUE(DecodeStats(full).ok());
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    Result<WireStats> decoded = DecodeStats(full.substr(0, cut));
+    ASSERT_FALSE(decoded.ok()) << "cut " << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << "cut " << cut;
+  }
+  EXPECT_FALSE(DecodeStats(full + "x").ok());
+
+  // Hostile graph-row counts are refused before anything is allocated.
   WireStats bare;
-  bare.num_threads = 1;
-  std::string encoded = EncodeStats(bare);
-  // uptime + monotonic doubles + the varint 0 slow count = 17 bytes.
-  const std::string trailer_free = encoded.substr(0, encoded.size() - 17);
-  Result<WireStats> old_decoded = DecodeStats(trailer_free);
-  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status().ToString();
-  EXPECT_EQ(old_decoded.value().uptime_seconds, 0.0);
-  EXPECT_TRUE(old_decoded.value().slow_queries.empty());
-
-  // Truncation inside a slow row (or a hostile row count) is corruption.
-  std::string full = EncodeStats(stats);
-  EXPECT_FALSE(DecodeStats(full.substr(0, full.size() - 3)).ok());
+  std::string bomb = EncodeStats(bare);
+  const size_t graphs_at = 4 + 10 * 8 + 4;  // counters, then IO-row count
+  bomb.resize(graphs_at);
+  AppendVarint(uint64_t{1} << 40, &bomb);
+  bomb.append(64, '\0');
+  EXPECT_FALSE(DecodeStats(bomb).ok());
 }
 
 TEST(ProtocolTest, CatalogRequestAndReplyRoundTrip) {
@@ -422,6 +422,15 @@ TEST(ProtocolTest, FrameReaderRejectsMalformedHeaders) {
     EXPECT_FALSE(reader.Next(&frame).ok());
   }
   {
+    FrameReader reader;  // the previous protocol revision's "HGN1" magic
+    std::string header = "HGN1";
+    header.push_back(static_cast<char>(FrameType::kPing));
+    header.append(4, '\0');
+    reader.Feed(header.data(), header.size());
+    FrameReader::Frame frame;
+    EXPECT_FALSE(reader.Next(&frame).ok());
+  }
+  {
     FrameReader reader;  // unknown frame type
     std::string header;
     header.append(reinterpret_cast<const char*>(&kWireMagic), 4);
@@ -460,8 +469,8 @@ TEST(ProtocolTest, TruncatedPayloadsAreCorruption) {
 
 TEST(ProtocolTest, FeaturesFrameRoundTrips) {
   for (uint32_t features :
-       {0u, kFeatureCompression, kFeatureBatch,
-        kFeatureCompression | kFeatureBatch, 0xffffffffu}) {
+       {0u, kFeatureCompression, kFeatureTrace,
+        kFeatureCompression | kFeatureTrace, 0xffffffffu}) {
     Result<uint32_t> decoded = DecodeFeatures(EncodeFeatures(features));
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value(), features);
@@ -873,16 +882,31 @@ class RawConn {
   int fd_ = -1;
 };
 
-void ExpectErrorFrameThenEof(RawConn& conn) {
+// The frame every well-behaved connection opens with.
+std::string HelloFrame(uint32_t features = 0) {
+  std::string frame;
+  AppendFrame(FrameType::kHello, EncodeFeatures(features), &frame);
+  return frame;
+}
+
+// Reads until the server closes and requires exactly one kError frame —
+// after the kHelloReply when the connection opened with a HELLO — and
+// nothing else.
+void ExpectErrorFrameThenEof(RawConn& conn, bool after_hello = false) {
   const std::string reply = conn.ReadAll();  // EOF proves the server closed
   FrameReader reader;
   reader.Feed(reply.data(), reply.size());
   FrameReader::Frame frame;
+  if (after_hello) {
+    ASSERT_TRUE(reader.Next(&frame).value());
+    EXPECT_EQ(frame.type, FrameType::kHelloReply);
+  }
   Result<bool> next = reader.Next(&frame);
   ASSERT_TRUE(next.ok());
   ASSERT_TRUE(next.value());
   EXPECT_EQ(frame.type, FrameType::kError);
   EXPECT_FALSE(frame.payload.empty());
+  EXPECT_EQ(reader.buffered(), 0u);  // the error is the last frame
 }
 
 TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
@@ -895,7 +919,7 @@ TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
 
   RawConn conn;
   ASSERT_TRUE(conn.Connect(server.port()));
-  std::string burst;
+  std::string burst = HelloFrame();
   AppendFrame(FrameType::kPing, "one", &burst);
   AppendFrame(FrameType::kPing, "two", &burst);
   ASSERT_TRUE(conn.Send(burst));
@@ -905,6 +929,8 @@ TEST(NetTest, EofFlushesRepliesEarnedByTheFinalBurst) {
   FrameReader reader;
   reader.Feed(reply.data(), reply.size());
   FrameReader::Frame frame;
+  ASSERT_TRUE(reader.Next(&frame).value());
+  EXPECT_EQ(frame.type, FrameType::kHelloReply);
   std::vector<std::string> pongs;
   while (true) {
     Result<bool> next = reader.Next(&frame);
@@ -966,13 +992,13 @@ TEST(NetTest, UndecodablePayloadCancelsConnectionQueries) {
     WireSubmit submit;
     submit.request_id = 1;
     submit.query = PathQuery(4);
-    std::string stream;
+    std::string stream = HelloFrame();
     AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &stream);
     // ...followed by a syntactically valid frame with an undecodable body.
     AppendFrame(FrameType::kSubmit, "definitely not a hypergraph", &stream);
     ASSERT_TRUE(conn.Send(stream));
   }
-  ExpectErrorFrameThenEof(conn);
+  ExpectErrorFrameThenEof(conn, /*after_hello=*/true);
   ASSERT_TRUE(EventuallyTrue([&] {
     Result<WireStats> s = observer.Stats();
     return s.ok() && s.value().cancelled_by_disconnect == 1 &&
@@ -1058,54 +1084,18 @@ TEST(NetTest, RemoteShutdownIsRefusedWhenDisabled) {
   server.Stop();
 }
 
-TEST(NetTest, PollFallbackStillDeliversOutcomes) {
-  // ServerOptions::completion_wakeups = false keeps the legacy 2 ms ticket
-  // poll alive as an operational escape hatch (and as the baseline of the
-  // bench_net_loopback latency comparison); parity, pipelining and cancel
-  // must hold there too.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
-  ServerOptions options = LoopbackOptions(2);
-  options.completion_wakeups = false;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const uint64_t expected1 =
-      MatchSequential(idx, PathQuery(1)).value().embeddings;
-  const uint64_t expected2 =
-      MatchSequential(idx, PathQuery(2)).value().embeddings;
-
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  std::vector<uint64_t> ids;
-  for (uint32_t k : {1u, 2u, 1u}) {
-    Result<uint64_t> id = client.Submit(PathQuery(k));
-    ASSERT_TRUE(id.ok());
-    ids.push_back(id.value());
-  }
-  for (size_t i = ids.size(); i-- > 0;) {
-    Result<WireOutcome> reply = client.WaitOutcome(ids[i]);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().outcome.stats.embeddings,
-              i % 2 == 0 ? expected1 : expected2);
-  }
-  server.Stop();
-}
-
-TEST(NetTest, PollFallbackDeliversRedispatchedMirrorOutcomes) {
-  // Regression: the poll fallback's sweep gate (finished_queries) is read
-  // lock-free while the service resolves a canonical and settles its
-  // mirrors under its resolve lock. The gate must only advance once the
-  // mirrors are settled too — a bump in between let the sweep latch past a
-  // mirror and strand its outcome forever (this test then hangs into its
-  // TIMEOUT). The mirror does not inherit the canonical's cancellation:
-  // it re-dispatches and its outcome arrives with its own exact counts.
+TEST(NetTest, DeliversRedispatchedMirrorOutcomes) {
+  // A mirror attached to an in-flight canonical does not inherit the
+  // canonical's cancellation: it re-dispatches, and both outcomes must
+  // reach the wire — the canonical's cancellation and the mirror's own
+  // complete run with exact counts. A stranded outcome hangs this test
+  // into its TIMEOUT.
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   const uint64_t expected =
       MatchSequential(idx, PathQuery(4)).value().embeddings;
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
   options.service.task_quota = 64;  // plan_cache stays on (default)
-  options.completion_wakeups = false;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1129,9 +1119,9 @@ TEST(NetTest, PollFallbackDeliversRedispatchedMirrorOutcomes) {
   server.Stop();
 }
 
-// ------------------------------------------- negotiated batch/compression --
+// ------------------------------------ handshake, batching, compression --
 
-TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
+TEST(NetTest, HelloNegotiatesCompressionAndBatchesKeepExactCounts) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
   ServerOptions options = LoopbackOptions(2);
   options.enable_compression = true;
@@ -1144,10 +1134,10 @@ TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
       MatchSequential(idx, PathQuery(2)).value().embeddings;
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureBatch | kFeatureCompression;
+  copts.request_features = kFeatureCompression;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), kFeatureBatch | kFeatureCompression);
+  EXPECT_EQ(client.features(), kFeatureCompression);
 
   const Hypergraph q1 = PathQuery(1);
   const Hypergraph q2 = PathQuery(2);
@@ -1178,17 +1168,17 @@ TEST(NetTest, HelloNegotiatesBatchAndCompressionAndKeepsExactCounts) {
 }
 
 TEST(NetTest, CompressionGrantRequiresServerOptIn) {
-  // The server always grants batching but only grants compression when
-  // the operator enabled it; the client degrades gracefully.
+  // The server only grants compression when the operator enabled it; the
+  // client degrades gracefully, and batching needs no grant at all.
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
   MatchServer server(idx, LoopbackOptions(2));  // enable_compression off
   ASSERT_TRUE(server.Start().ok());
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureBatch | kFeatureCompression;
+  copts.request_features = kFeatureCompression;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), kFeatureBatch);
+  EXPECT_EQ(client.features(), 0u);
 
   const uint64_t expected =
       MatchSequential(idx, PathQuery(1)).value().embeddings;
@@ -1204,68 +1194,51 @@ TEST(NetTest, CompressionGrantRequiresServerOptIn) {
   server.Stop();
 }
 
-TEST(NetTest, SubmitBatchFallsBackToPerQueryFramesWithoutNegotiation) {
-  // A client that never sent HELLO can still call SubmitBatch: it decays
-  // to per-query SUBMIT frames against any server.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(8));
-  MatchServer server(idx, LoopbackOptions(2));
-  ASSERT_TRUE(server.Start().ok());
-
-  MatchClient client;  // request_features = 0: no HELLO at all
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_EQ(client.features(), 0u);
-
-  const uint64_t expected =
-      MatchSequential(idx, PathQuery(1)).value().embeddings;
-  const Hypergraph q = PathQuery(1);
-  Result<std::vector<uint64_t>> ids = client.SubmitBatch({&q, &q});
-  ASSERT_TRUE(ids.ok());
-  ASSERT_EQ(ids.value().size(), 2u);
-  for (uint64_t id : ids.value()) {
-    Result<WireOutcome> reply = client.WaitOutcome(id);
-    ASSERT_TRUE(reply.ok());
-    EXPECT_EQ(reply.value().outcome.stats.embeddings, expected);
-  }
-  server.Stop();
-}
-
-TEST(NetTest, PreHelloClientInteropsWithCompressionEnabledServer) {
-  // Old-client/new-server interop: a client that never sends HELLO gets
-  // the plain v1 byte stream even from a server with compression enabled.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServerOptions options = LoopbackOptions(2);
-  options.enable_compression = true;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  const MatchStats expected =
-      MatchSequential(idx, PaperQueryHypergraph()).value();
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(client.Ping().ok());
-  Result<uint64_t> id = client.Submit(PaperQueryHypergraph());
-  ASSERT_TRUE(id.ok());
-  Result<WireOutcome> reply = client.WaitOutcome(id.value());
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.value().outcome.stats.embeddings, expected.embeddings);
-  server.Stop();
-}
-
-TEST(NetTest, BatchSubmitWithoutHelloIsAProtocolError) {
+TEST(NetTest, FramesBeforeHelloGetOneErrorAndClose) {
+  // HELLO is mandatory: on a fresh connection, any other first frame is
+  // answered with exactly one kError frame, then the server closes.
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchServer server(idx, LoopbackOptions(1));
   ASSERT_TRUE(server.Start().ok());
 
-  RawConn conn;
-  ASSERT_TRUE(conn.Connect(server.port()));
   WireSubmit submit;
   submit.request_id = 1;
   submit.query = PaperQueryHypergraph();
-  std::string stream;
-  AppendFrame(FrameType::kBatchSubmit,
-              EncodeBatchPayload({EncodeSubmit(submit)}), &stream);
-  ASSERT_TRUE(conn.Send(stream));
-  ExpectErrorFrameThenEof(conn);
+  std::vector<std::pair<FrameType, std::string>> firsts = {
+      {FrameType::kSubmit, EncodeSubmit(submit)},
+      {FrameType::kStats, ""},
+      {FrameType::kPing, "ping"},
+      {FrameType::kBatchSubmit, EncodeBatchPayload({EncodeSubmit(submit)})},
+      {FrameType::kListGraphs, ""},
+  };
+  for (const auto& [type, payload] : firsts) {
+    SCOPED_TRACE("frame type " + std::to_string(static_cast<int>(type)));
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port()));
+    std::string stream;
+    AppendFrame(type, payload, &stream);
+    ASSERT_TRUE(conn.Send(stream));
+    conn.HalfClose();  // a server that answered instead still closes
+    ExpectErrorFrameThenEof(conn);
+  }
+
+  // A HELLO under the previous revision's "HGN1" magic is no HELLO at all.
+  RawConn old_peer;
+  ASSERT_TRUE(old_peer.Connect(server.port()));
+  std::string old_hello = HelloFrame();
+  old_hello.replace(0, 4, "HGN1");
+  ASSERT_TRUE(old_peer.Send(old_hello));
+  old_peer.HalfClose();
+  ExpectErrorFrameThenEof(old_peer);
+
+  // Nothing was submitted, and a client that opens with HELLO is served.
+  MatchClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  EXPECT_EQ(client.features(), 0u);
+  ASSERT_TRUE(client.Ping().ok());
+  Result<WireStats> stats = client.Stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().submitted, 0u);
   server.Stop();
 }
 
@@ -1279,8 +1252,7 @@ TEST(NetTest, DuplicateRequestIdsInsideABatchCloseTheConnection) {
   WireSubmit submit;
   submit.request_id = 9;  // twice in one frame
   submit.query = PaperQueryHypergraph();
-  std::string stream;
-  AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureBatch), &stream);
+  std::string stream = HelloFrame();
   AppendFrame(FrameType::kBatchSubmit,
               EncodeBatchPayload({EncodeSubmit(submit), EncodeSubmit(submit)}),
               &stream);
@@ -1364,10 +1336,16 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
-  // The corpus of valid byte streams the mutations start from.
+  // The corpus of valid byte streams the mutations start from. Seeds meant
+  // to reach a handler open with HELLO; the pre-HELLO seeds must end in
+  // one kError and a close before any mutation (checked below).
   std::vector<std::string> corpus;
+  std::vector<std::string> pre_hello;
   {
     std::string s;
+    AppendFrame(FrameType::kPing, "fuzz", &s);
+    pre_hello.push_back(s);
+    s = HelloFrame();
     AppendFrame(FrameType::kPing, "fuzz", &s);
     corpus.push_back(s);
   }
@@ -1377,24 +1355,38 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     submit.query = PaperQueryHypergraph();
     std::string s;
     AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &s);
+    pre_hello.push_back(s);
+    s = HelloFrame();
+    AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &s);
     corpus.push_back(s);
   }
   {
     std::string s;
+    AppendFrame(FrameType::kStats, "", &s);
+    pre_hello.push_back(s);
+    s = HelloFrame();
     AppendFrame(FrameType::kCancel, EncodeRequestId(7), &s);
     AppendFrame(FrameType::kStats, "", &s);
     corpus.push_back(s);
   }
   {
-    std::string s;
+    std::string s = HelloFrame();
     AppendFrame(FrameType::kShutdown, "", &s);  // disabled => error path
     corpus.push_back(s);
   }
   {
-    // HELLO then a two-entry batch: the negotiated batch path.
-    std::string s;
-    AppendFrame(FrameType::kHello,
-                EncodeFeatures(kFeatureBatch | kFeatureCompression), &s);
+    // The catalog verbs: a listing, and an unload of a graph that is not
+    // hosted (remote loads are disabled, so LOAD_GRAPH mutants get a
+    // refusal reply).
+    std::string s = HelloFrame();
+    AppendFrame(FrameType::kListGraphs, "", &s);
+    AppendFrame(FrameType::kUnloadGraph, EncodeCatalogRequest({"nope", ""}),
+                &s);
+    corpus.push_back(s);
+  }
+  {
+    // HELLO then a two-entry batch: the batch path.
+    std::string s = HelloFrame(kFeatureCompression);
     WireSubmit a;
     a.request_id = 11;
     a.query = PaperQueryHypergraph();
@@ -1407,8 +1399,7 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
   }
   {
     // HELLO then a compressed SUBMIT wrapper: the kCompressed unwrap path.
-    std::string s;
-    AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureCompression), &s);
+    std::string s = HelloFrame(kFeatureCompression);
     WireSubmit submit;
     submit.request_id = 13;
     submit.query = PaperQueryHypergraph();
@@ -1423,11 +1414,18 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     bomb.push_back(static_cast<char>(FrameType::kSubmit));
     AppendVarint(uint64_t{1} << 42, &bomb);
     bomb.append(128, '\x55');
-    std::string s;
-    AppendFrame(FrameType::kHello, EncodeFeatures(kFeatureCompression), &s);
+    std::string s = HelloFrame(kFeatureCompression);
     AppendFrame(FrameType::kCompressed, bomb, &s);
     corpus.push_back(s);
   }
+  for (const std::string& s : pre_hello) {
+    RawConn conn;
+    ASSERT_TRUE(conn.Connect(server.port()));
+    ASSERT_TRUE(conn.Send(s));
+    conn.HalfClose();
+    ExpectErrorFrameThenEof(conn);
+  }
+  corpus.insert(corpus.end(), pre_hello.begin(), pre_hello.end());
 
   // Checks one server reply stream: every complete frame parses, only
   // server->client frame types appear, and an error frame (if any) is
@@ -1453,6 +1451,7 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
         case FrameType::kHelloReply:
         case FrameType::kBatchOutcome:
         case FrameType::kCompressed:
+        case FrameType::kCatalogReply:
           break;  // legal replies to a mutant that stayed well-formed
         case FrameType::kError:
           saw_error = true;
@@ -1499,13 +1498,13 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
           bytes[4] = static_cast<char>(rng.NextBounded(256));
         }
         break;
-      case 4: {  // garbage payload under a valid header
+      case 4: {  // garbage payload under a valid header, after HELLO
         const uint32_t len = static_cast<uint32_t>(rng.NextBounded(512));
         std::string garbage(len, '\0');
         for (char& c : garbage) c = static_cast<char>(rng.Next64());
-        bytes.clear();
+        bytes = HelloFrame(static_cast<uint32_t>(rng.NextBounded(4)));
         AppendFrame(static_cast<FrameType>(
-                        1 + rng.NextBounded(15)),  // any defined type
+                        1 + rng.NextBounded(19)),  // any defined type
                     garbage, &bytes);
         break;
       }
@@ -1638,28 +1637,6 @@ TEST(NetReactorTest, SixtyFourClientsOverFourIoThreadsKeepExactCounts) {
     frames_in += row.frames_in;
   }
   EXPECT_GE(frames_in, 2u * kClients);  // every submit frame was counted
-  server.Stop();
-}
-
-TEST(NetReactorTest, PollFallbackComposesOnlyWithOneIoThread) {
-  // The legacy 2 ms ticket poll scans one thread's ticket tables; with
-  // completion wakeups off a multi-thread reactor would strand outcomes,
-  // so Start() must refuse the combination outright...
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServerOptions options = LoopbackOptions(1);
-  options.completion_wakeups = false;
-  options.io_threads = 2;
-  {
-    MatchServer server(idx, options);
-    EXPECT_FALSE(server.Start().ok());
-  }
-  // ...while the supported single-thread shape still starts and serves.
-  options.io_threads = 1;
-  MatchServer server(idx, options);
-  ASSERT_TRUE(server.Start().ok());
-  MatchClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE(client.Ping().ok());
   server.Stop();
 }
 
@@ -1929,10 +1906,10 @@ TEST(AsyncClientTest, InflightWindowBlocksSubmitUntilASlotFrees) {
 // ------------------------------------------------------- catalog tests --
 
 // The serving-tier acceptance flow: a server hosting two named graphs; a
-// catalog-negotiated client lists them, loads a third from disk, routes
-// submits by graph id, unloads a graph with queries still in flight (no
-// outcome lost or wrong), and a pre-catalog client keeps working against
-// the default graph over the same server.
+// client lists them, loads a third from disk, routes submits by graph
+// id, unloads a graph with queries still in flight (no outcome lost or
+// wrong), and a second client's unrouted submissions hit the default
+// graph over the same server.
 TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   std::vector<NamedGraph> graphs;
   graphs.push_back({"small", PaperDataHypergraph()});
@@ -1950,11 +1927,8 @@ TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   const MatchStats want_big = MatchSequential(big_idx, query).value();
   ASSERT_NE(want_small.embeddings, want_big.embeddings);
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog | kFeatureBatch;
-  MatchClient client(copts);
+  MatchClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ASSERT_TRUE((client.features() & kFeatureCatalog) != 0);
 
   // LIST: both preloaded graphs, the first one default.
   Result<WireCatalogReply> list = client.ListGraphs();
@@ -1965,8 +1939,7 @@ TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   EXPECT_TRUE(list.value().graphs[0].is_default);
 
   // LOAD a third graph from the server's filesystem.
-  const std::string third_path =
-      ::testing::TempDir() + "/net_catalog_third.hgb";
+  const std::string third_path = TempPath("net_catalog_third.hgb");
   ASSERT_TRUE(
       SaveHypergraphBinary(PairCliqueData(5), third_path).ok());
   Result<WireCatalogReply> loaded = client.LoadGraph("third", third_path);
@@ -2045,18 +2018,17 @@ TEST(NetCatalogTest, EndToEndMultiGraphServing) {
   EXPECT_TRUE(stats.value().graphs[0].is_default);
   EXPECT_GT(stats.value().graphs[0].index_bytes, 0u);
 
-  // A pre-catalog client (no HELLO at all) still speaks the v1 byte
-  // stream against the default graph of the very same server.
-  MatchClient legacy;
-  ASSERT_TRUE(legacy.Connect("127.0.0.1", server.port()).ok());
-  Result<uint64_t> legacy_id = legacy.Submit(query);
-  ASSERT_TRUE(legacy_id.ok());
-  EXPECT_EQ(legacy.WaitOutcome(legacy_id.value())
+  // An unrouted submission (empty graph name) hits the default graph.
+  MatchClient unrouted;
+  ASSERT_TRUE(unrouted.Connect("127.0.0.1", server.port()).ok());
+  Result<uint64_t> unrouted_id = unrouted.Submit(query);
+  ASSERT_TRUE(unrouted_id.ok());
+  EXPECT_EQ(unrouted.WaitOutcome(unrouted_id.value())
                 .value().outcome.stats.embeddings,
             want_small.embeddings);
 
   client.Close();
-  legacy.Close();
+  unrouted.Close();
   server.Stop();
 }
 
@@ -2065,9 +2037,7 @@ TEST(NetCatalogTest, UnknownGraphRejectsWithoutClosingConnection) {
   MatchServer server(idx, LoopbackOptions(2));
   ASSERT_TRUE(server.Start().ok());
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog;
-  MatchClient client(copts);
+  MatchClient client;  // zero feature bits: routing needs no grant
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   Result<uint64_t> id = client.SubmitTo("nope", PaperQueryHypergraph());
@@ -2090,9 +2060,7 @@ TEST(NetCatalogTest, RemoteLoadNeedsServerOptIn) {
   MatchServer server(idx, LoopbackOptions(2));  // allow_remote_load off
   ASSERT_TRUE(server.Start().ok());
 
-  AsyncClientOptions copts;
-  copts.request_features = kFeatureCatalog;
-  MatchClient client(copts);
+  MatchClient client;  // zero feature bits: routing needs no grant
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   Result<WireCatalogReply> denied =
@@ -2105,23 +2073,6 @@ TEST(NetCatalogTest, RemoteLoadNeedsServerOptIn) {
   EXPECT_TRUE(list.value().ok);
   ASSERT_EQ(list.value().graphs.size(), 1u);
   EXPECT_EQ(list.value().graphs[0].name, "default");
-  server.Stop();
-}
-
-TEST(NetCatalogTest, GraphRoutingRequiresNegotiatedFeature) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  MatchServer server(idx, LoopbackOptions(2));
-  ASSERT_TRUE(server.Start().ok());
-
-  MatchClient client;  // no HELLO, no features
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  EXPECT_FALSE(client.SubmitTo("any", PaperQueryHypergraph()).ok());
-  EXPECT_FALSE(client.ListGraphs().ok());
-  // The empty route is the v1 stream and keeps working.
-  Result<uint64_t> id = client.Submit(PaperQueryHypergraph());
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(client.WaitOutcome(id.value()).value().outcome.status,
-            QueryStatus::kOk);
   server.Stop();
 }
 
@@ -2164,8 +2115,8 @@ TEST(NetCatalogTest, ShardedServerKeepsExactCountsOverTheWire) {
 // ----------------------------------------------------- observability --
 
 // A trace-negotiated peer gets the end-to-end timeline back on every
-// outcome — ordered stamps through delivery — while an un-negotiated
-// peer on the same server keeps span-free (byte-identical) outcomes.
+// outcome — ordered stamps through delivery — while a peer that did not
+// ask for tracing on the same server gets span-free outcomes.
 TEST(NetObsTest, TraceNegotiationCarriesOrderedSpansOverTheWire) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchServer server(idx, LoopbackOptions(2));
@@ -2214,7 +2165,7 @@ TEST(NetObsTest, UnknownGraphRejectKeepsTracedConnectionCoherent) {
   ASSERT_TRUE(server.Start().ok());
 
   AsyncClientOptions copts;
-  copts.request_features = kFeatureTrace | kFeatureCatalog;
+  copts.request_features = kFeatureTrace;
   MatchClient client(copts);
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 

@@ -322,7 +322,7 @@ TEST(SchedulerTest, PerQueryTimeoutMeasuredFromAdmission) {
 }
 
 TEST(SchedulerTest, CompletedCountsAreNeverMarkedTimedOut) {
-  // A deadline that has long expired before Run() still yields exact,
+  // A deadline that has long expired before the query runs still yields exact,
   // un-flagged results when every task completes its counts (the scheduler
   // only reports timed_out when work was actually dropped).
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
@@ -372,7 +372,8 @@ TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
   options.parallel.scan_grain = 1;
   Scheduler scheduler(idx, options);
   EXPECT_EQ(scheduler.Submit(&plan.value()), 0u);
-  SchedulerReport report = scheduler.Run();
+  scheduler.Seal();
+  SchedulerReport report = scheduler.Join();
   ASSERT_EQ(report.queries.size(), 1u);
   EXPECT_EQ(report.queries[0].stats.embeddings, 2u);
   EXPECT_EQ(report.workers.size(), 3u);
@@ -431,7 +432,6 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   options.parallel.num_threads = 2;
   options.max_inflight_queries = 2;
   Scheduler scheduler(idx, options);
-  scheduler.Start();
 
   constexpr int kWaves = 40;
   constexpr int kPerWave = 50;  // 2000 submissions in total
@@ -444,8 +444,11 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
     }
     max_live = std::max(max_live, scheduler.LiveContexts());
     max_slots = std::max(max_slots, scheduler.RetainedSlots());
+    scheduler.WaitIdle();
     for (uint32_t id : ids) {
-      EXPECT_EQ(scheduler.WaitQuery(id).status, QueryStatus::kOk);
+      const QueryOutcome* out = scheduler.TryGetQuery(id);
+      ASSERT_NE(out, nullptr);
+      EXPECT_EQ(out->status, QueryStatus::kOk);
       EXPECT_TRUE(scheduler.Release(id));
       EXPECT_FALSE(scheduler.Release(id));  // released slots are gone
     }
@@ -525,7 +528,8 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
       (void)scheduler.LiveContexts();
     };
     ASSERT_EQ(scheduler.Submit(&plan.value(), so), 0u);
-    scheduler.Run();
+    scheduler.Seal();
+    scheduler.Join();
     EXPECT_EQ(probe.fires.load(), 1)
         << "path=" << c.path_len << " expected "
         << QueryStatusName(c.expected);
@@ -548,7 +552,6 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
   Scheduler scheduler(idx, options);
-  scheduler.Start();
 
   GateSink gate;
   SubmitOptions plug_options;
@@ -588,41 +591,14 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
   ASSERT_NE(scheduler.TryGetQuery(shed), nullptr);
 
   gate.Release();
-  EXPECT_EQ(scheduler.WaitQuery(plug).status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.WaitQuery(waiting).status, QueryStatus::kOk);
   scheduler.Seal();
   scheduler.Join();
+  EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
+  EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kOk);
   // Nothing fired twice, and the plug/waiting queries (no hook) changed
   // nothing.
   EXPECT_EQ(cancelled.fires.load(), 1);
   EXPECT_EQ(rejected.fires.load(), 1);
-}
-
-TEST(SchedulerCallbackTest, PreStartCancelFiresBeforeTheRun) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(6));
-  const Hypergraph query = PathQuery(1);
-  Result<QueryPlan> plan = BuildQueryPlan(query, idx);
-  ASSERT_TRUE(plan.ok());
-
-  SchedulerOptions options;
-  options.parallel.num_threads = 2;
-  Scheduler scheduler(idx, options);
-  HookProbe probe;
-  SubmitOptions so;
-  so.completion = [&](const QueryOutcome& out) {
-    probe.fires.fetch_add(1);
-    probe.status.store(out.status);
-  };
-  const uint32_t doomed = scheduler.Submit(&plan.value(), so);
-  const uint32_t survivor = scheduler.Submit(&plan.value(), SubmitOptions{});
-  EXPECT_TRUE(scheduler.Cancel(doomed));
-  EXPECT_EQ(probe.fires.load(), 1);  // resolved before the pool even starts
-  EXPECT_EQ(probe.status.load(), QueryStatus::kCancelled);
-
-  SchedulerReport report = scheduler.Run();
-  EXPECT_EQ(probe.fires.load(), 1);
-  EXPECT_EQ(report.queries[doomed].status, QueryStatus::kCancelled);
-  EXPECT_EQ(report.queries[survivor].status, QueryStatus::kOk);
 }
 
 TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
@@ -640,7 +616,6 @@ TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
   Scheduler scheduler(idx, options);
-  scheduler.Start();
 
   constexpr int kQueries = 48;
   std::vector<std::atomic<int>> fires(kQueries);
@@ -679,7 +654,6 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
   Scheduler scheduler(idx, options);
-  scheduler.Start();
 
   GateSink gate;
   SubmitOptions plug_options;
@@ -709,14 +683,14 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   EXPECT_EQ(scheduler.RejectedCount(), 1u);
 
   gate.Release();
-  // The admitted query and the one admitted after the cancel both finish
-  // with exact counts: shedding affects the overflow only.
-  EXPECT_EQ(scheduler.WaitQuery(plug).status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.WaitQuery(waiting).status, QueryStatus::kCancelled);
-  EXPECT_EQ(scheduler.WaitQuery(after_cancel).status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.WaitQuery(after_cancel).stats.embeddings, expected);
   scheduler.Seal();
   scheduler.Join();
+  // The admitted query and the one admitted after the cancel both finish
+  // with exact counts: shedding affects the overflow only.
+  EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
+  EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kCancelled);
+  EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->status, QueryStatus::kOk);
+  EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->stats.embeddings, expected);
 }
 
 }  // namespace

@@ -95,7 +95,7 @@ TEST(ShardIoTest, SaveLoadRoundTripsAtSeveralFanouts) {
   Hypergraph h = GenerateHypergraph(SmallRandomConfig(3));
   for (uint32_t k : {1u, 2u, 8u}) {
     const std::string prefix =
-        ::testing::TempDir() + "/shard_io_" + std::to_string(k);
+        TempPath("shard_io_" + std::to_string(k));
     Result<std::vector<std::string>> paths = SaveShards(h, prefix, k);
     ASSERT_TRUE(paths.ok()) << paths.status().ToString();
     ASSERT_EQ(paths.value().size(), k);

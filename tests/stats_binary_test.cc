@@ -66,7 +66,7 @@ TEST(PartitionStatsTest, PaperExample) {
 
 TEST(BinaryFormatTest, RoundTrip) {
   Hypergraph h = GenerateHypergraph(SmallRandomConfig(12));
-  const std::string path = ::testing::TempDir() + "/hg_binary_test.hgb";
+  const std::string path = TempPath("hg_binary_test.hgb");
   ASSERT_TRUE(SaveHypergraphBinary(h, path).ok());
   Result<Hypergraph> loaded = LoadHypergraphBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -75,7 +75,7 @@ TEST(BinaryFormatTest, RoundTrip) {
 }
 
 TEST(BinaryFormatTest, RejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/hg_binary_garbage.hgb";
+  const std::string path = TempPath("hg_binary_garbage.hgb");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   const char junk[] = "this is not a hypergraph";
@@ -90,7 +90,7 @@ TEST(BinaryFormatTest, RejectsGarbage) {
 
 TEST(BinaryFormatTest, RejectsTruncation) {
   Hypergraph h = PaperDataHypergraph();
-  const std::string path = ::testing::TempDir() + "/hg_binary_trunc.hgb";
+  const std::string path = TempPath("hg_binary_trunc.hgb");
   ASSERT_TRUE(SaveHypergraphBinary(h, path).ok());
   // Truncate the file in the middle of the hyperedge section.
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -1,7 +1,11 @@
 #ifndef HGMATCH_TESTS_TEST_FIXTURES_H_
 #define HGMATCH_TESTS_TEST_FIXTURES_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/hypergraph.h"
@@ -10,6 +14,20 @@
 #include "gen/generator.h"
 
 namespace hgmatch {
+
+/// A scratch path under ::testing::TempDir() for `name`, with this
+/// process's id inserted before the extension ("x.hgb" -> "x_<pid>.hgb"),
+/// so two test runs on one host never race on the same file.
+inline std::string TempPath(const std::string& name) {
+  const size_t dot = std::min(name.rfind('.'), name.size());
+  std::string path = ::testing::TempDir();
+  path += '/';
+  path += name.substr(0, dot);
+  path += '_';
+  path += std::to_string(::getpid());
+  path += name.substr(dot);
+  return path;
+}
 
 /// The paper's running example (Fig 1b): data hypergraph H with vertices
 /// v0..v6 labelled A,C,A,A,B,C,A and hyperedges e1..e6 (ids 0..5 here).

@@ -121,16 +121,13 @@ int Usage() {
                "                         off unless given)\n"
                "    [--slow-query-ms=T]  record queries slower than T ms in\n"
                "                         a ring surfaced via --stats\n"
-               "    [--poll-outcomes]    legacy 2ms outcome polling instead\n"
-               "                         of completion-driven delivery\n"
-               "                         (io-threads=1 only)\n"
                "    [--allow-remote-shutdown]  honour client SHUTDOWN\n"
                "    [--compress]         grant clients frame compression\n"
                "                         when they request it at connect\n"
                "  hgmatch query --connect=HOST:PORT [<queryset>]\n"
                "    [--limit=N]          per-query embedding limit\n"
-               "    [--batch]            negotiate BATCH_SUBMIT and send\n"
-               "                         the queryset coalesced (shared\n"
+               "    [--batch]            send the queryset coalesced in\n"
+               "                         BATCH_SUBMIT frames (shared\n"
                "                         options; per-query headers are\n"
                "                         ignored)\n"
                "    [--compress]         negotiate frame compression\n"
@@ -143,8 +140,7 @@ int Usage() {
                "                         print a stage timeline under each\n"
                "                         outcome\n"
                "    [--graph=NAME]       route the queryset to catalog\n"
-               "                         graph NAME (negotiates the\n"
-               "                         catalog feature)\n"
+               "                         graph NAME\n"
                "    [--list-graphs]      print the server's graph catalog\n"
                "    [--load-graph=NAME=PATH]  ask the server to load PATH\n"
                "                         (its filesystem) as NAME\n"
@@ -663,8 +659,6 @@ int CmdServe(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--no-plan-cache") == 0) {
       options.service.plan_cache = false;
-    } else if (std::strcmp(arg, "--poll-outcomes") == 0) {
-      options.completion_wakeups = false;
     } else if (std::strcmp(arg, "--allow-remote-shutdown") == 0) {
       options.allow_remote_shutdown = true;
     } else if (std::strcmp(arg, "--compress") == 0) {
@@ -968,17 +962,12 @@ int CmdQuery(int argc, char** argv) {
     return Usage();
   }
 
-  // --batch/--compress opt into the negotiated extensions: a kHello
+  // --compress/--trace opt into the negotiated extensions: the kHello
   // exchange at connect requests the feature bits, and the server's grant
-  // decides what actually goes over the wire. Graph routing and the
-  // catalog verbs ride on kFeatureCatalog.
+  // decides what actually goes over the wire.
   AsyncClientOptions copts;
-  if (use_batch) copts.request_features |= kFeatureBatch;
   if (use_compress) copts.request_features |= kFeatureCompression;
   if (use_trace) copts.request_features |= kFeatureTrace;
-  if (!graph.empty() || catalog_admin) {
-    copts.request_features |= kFeatureCatalog;
-  }
 
   if (queryset.empty()) {
     MatchClient client(copts);
@@ -1112,19 +1101,17 @@ int CmdQuery(int argc, char** argv) {
               static_cast<unsigned long long>(rejected),
               static_cast<unsigned long long>(total_embeddings),
               timer.ElapsedSeconds());
-  if (copts.request_features != 0) {
+  if (use_batch || copts.request_features != 0) {
     const ClientTransferStats ts = client.TransferStats();
     const double per_query =
         ids.empty() ? 0.0
                     : static_cast<double>(ts.bytes_sent + ts.bytes_received) /
                           static_cast<double>(ids.size());
-    std::printf("wire: granted%s%s%s%s%s, sent %llu frames / %llu bytes, "
+    std::printf("wire: granted%s%s%s, sent %llu frames / %llu bytes, "
                 "received %llu frames / %llu bytes, %.1f bytes/query\n",
                 client.features() == 0 ? " none" : "",
-                (client.features() & kFeatureBatch) != 0 ? " batch" : "",
                 (client.features() & kFeatureCompression) != 0 ? " compress"
                                                                : "",
-                (client.features() & kFeatureCatalog) != 0 ? " catalog" : "",
                 (client.features() & kFeatureTrace) != 0 ? " trace" : "",
                 static_cast<unsigned long long>(ts.frames_sent),
                 static_cast<unsigned long long>(ts.bytes_sent),
