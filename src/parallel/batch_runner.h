@@ -21,11 +21,13 @@ struct BatchOptions {
   /// admission window does not burn its own budget while queued.
   ParallelOptions parallel;
 
-  /// Whole-batch wall-clock timeout in seconds; <= 0 disables. When it
-  /// fires, unfinished queries are stopped; a query is only reported
-  /// timed_out if some of its work was actually dropped — a query whose
-  /// final mid-flight task completes its counts keeps exact stats and is
-  /// not marked timed out.
+  /// Whole-batch wall-clock timeout in seconds; <= 0 disables. The clock
+  /// starts when RunBatch starts its pool, before the first query is
+  /// planned, so planning and submission count against it. When it fires,
+  /// unfinished queries are stopped, and so is every query submitted
+  /// after it fired; a query is only reported timed_out if some of its
+  /// work was actually dropped — a query whose final mid-flight task
+  /// completes its counts keeps exact stats and is not marked timed out.
   double batch_timeout_seconds = 0;
 
   /// Admission window: at most this many queries are in flight at once;

@@ -821,6 +821,13 @@ class Scheduler::Impl {
       ctx->admit_mono = MonotonicSeconds();
       metric_queue_wait_->Observe(ctx->admit_mono - ctx->submit_mono);
       ctx->deadline = Deadline::After(ctx->timeout_seconds);
+      if (batch_deadline_.Expired()) {
+        // Admitted after the whole-run budget ran out. The once-per-run
+        // sweep in PollDeadlines covers only the queries that existed when
+        // it ran, so a later submission is stopped here.
+        ctx->timeout_fired.store(true, std::memory_order_relaxed);
+        ctx->stop.store(true, std::memory_order_relaxed);
+      }
       if (ctx->stop.load(std::memory_order_relaxed)) {
         // Stopped before it ever ran (whole-run deadline): all of its work
         // is dropped by definition, unless it had none to begin with.
@@ -908,23 +915,15 @@ class Scheduler::Impl {
   // emit if complete, queue the EXPAND task, or — when the query is over
   // its task quota — expand depth-first inline so its deque share stays
   // bounded (the work still happens, it just cannot bury other queries'
-  // tasks under millions of queued expansions). While a newly admitted
-  // query waits in the injection queue, children are queued instead of
-  // inlined, so a long inline expansion unwinds to its next task boundary
-  // and the worker picks the new query up there.
+  // tasks under millions of queued expansions).
   void ProcessChild(Worker* w, QueryContext* ctx, const EdgeId* prefix,
                     uint32_t prefix_len, EdgeId c) {
     if (prefix_len + 1 == ctx->plan->NumSteps()) {
       EmitEmbedding(w, ctx, prefix, prefix_len, c);
     } else if (options_.task_quota != 0 &&
                ctx->pending.load(std::memory_order_relaxed) >=
-                   static_cast<int64_t>(options_.task_quota) &&
-               inject_size_.load(std::memory_order_relaxed) == 0) {
-      if (prefix != w->inline_prefix.data()) {  // else already in place
-        for (uint32_t i = 0; i < prefix_len; ++i) {
-          w->inline_prefix[i] = prefix[i];
-        }
-      }
+                   static_cast<int64_t>(options_.task_quota)) {
+      for (uint32_t i = 0; i < prefix_len; ++i) w->inline_prefix[i] = prefix[i];
       w->inline_prefix[prefix_len] = c;
       ExpandInline(w, ctx, prefix_len + 1);
     } else {
@@ -932,18 +931,36 @@ class Scheduler::Impl {
     }
   }
 
+  // Whether a running SCAN or EXPAND task stops at its next child and
+  // queues the remaining children as one continuation task. Only under a
+  // task quota, whose inline expansions can keep a worker inside one task
+  // for a long time: while a newly admitted query's seeds wait in the
+  // injection queue, the worker ends its task at the next child and takes
+  // them (WorkerLoop pops the injection queue first). The continuation
+  // replaces the task it came from, so the query's queued-task count, and
+  // with it the quota's memory bound, does not grow.
+  bool YieldToAdmission() const {
+    return options_.task_quota != 0 &&
+           inject_size_.load(std::memory_order_relaxed) != 0;
+  }
+
   // Depth-first expansion of w->inline_prefix[0..len) without queueing
-  // tasks (unless ProcessChild decides otherwise). Recursion depth is
-  // bounded by the plan length; each depth owns its valid buffer
-  // (EnsureDepthBuffers ran before any reference is held).
+  // tasks. Recursion depth is bounded by the plan length; each depth owns
+  // its valid buffer (EnsureDepthBuffers ran before any reference is held).
   void ExpandInline(Worker* w, QueryContext* ctx, uint32_t len) {
     std::vector<EdgeId>& valid = w->valid_at[len];
     ExpanderFor(w, ctx)->Expand(w->inline_prefix.data(), len, &valid,
                                 &w->task_stats);
+    const uint32_t steps = ctx->plan->NumSteps();
     size_t i = 0;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
-      ProcessChild(w, ctx, w->inline_prefix.data(), len, valid[i]);
+      if (len + 1 == steps) {
+        EmitEmbedding(w, ctx, w->inline_prefix.data(), len, valid[i]);
+      } else {
+        w->inline_prefix[len] = valid[i];
+        ExpandInline(w, ctx, len + 1);
+      }
     }
     if (i < valid.size()) {
       ctx->work_dropped.store(true, std::memory_order_relaxed);
@@ -971,6 +988,10 @@ class Scheduler::Impl {
     uint32_t i = lo;
     for (; i < hi; ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
+      if (i > lo && YieldToAdmission()) {
+        Spawn(w, Task::NewScan(ctx, i, hi));
+        return;
+      }
       ProcessChild(w, ctx, nullptr, 0, (*ctx->scan_table)[i]);
       PollDeadlines(w, ctx);
     }
@@ -981,10 +1002,22 @@ class Scheduler::Impl {
     QueryContext* ctx = Ctx(t);
     EnsureDepthBuffers(w, ctx->plan->NumSteps());
     std::vector<EdgeId>& valid = w->valid_at[t->depth];
-    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid, &w->task_stats);
-    size_t i = 0;
+    // A continuation (first child > 0) re-derives children its original
+    // task already counted, so its Expand counters are discarded.
+    const uint32_t first = t->scan_lo;
+    MatchStats recount;
+    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid,
+                                first == 0 ? &w->task_stats : &recount);
+    size_t i = first;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
+      if (i > first && YieldToAdmission()) {
+        Task* rest = Task::NewExpand(ctx, t->edges, t->depth - 1,
+                                     t->edges[t->depth - 1]);
+        rest->scan_lo = static_cast<uint32_t>(i);
+        Spawn(w, rest);
+        return;
+      }
       ProcessChild(w, ctx, t->edges, t->depth, valid[i]);
     }
     if (i < valid.size()) {

@@ -27,9 +27,10 @@ struct SchedulerOptions {
 
   /// Whole-run wall-clock timeout in seconds; <= 0 disables. Armed when the
   /// scheduler is constructed. When it fires, every unfinished query is
-  /// stopped; a query is reported `timed_out` only if any of its work was
-  /// actually dropped (a query whose final mid-flight task completes its
-  /// counts is not marked timed out).
+  /// stopped, and so is every query admitted afterwards; a query is
+  /// reported `timed_out` only if any of its work was actually dropped (a
+  /// query whose final mid-flight task completes its counts is not marked
+  /// timed out).
   double batch_timeout_seconds = 0;
 
   /// Admission window: at most this many queries have live tasks at any
@@ -53,7 +54,11 @@ struct SchedulerOptions {
   /// Per-query fairness quota: when a query already has at least this many
   /// live (queued or executing) tasks, new expansions of that query are run
   /// inline depth-first instead of being queued, so one expensive query
-  /// cannot flood the deques and starve the rest of a batch. 0 = off.
+  /// cannot flood the deques and starve the rest of a batch. A task that
+  /// expands inline ends at its next child while a newly admitted query
+  /// waits to be seeded, and queues its remaining children as one
+  /// continuation task, so admissions are not held up and the quota still
+  /// bounds the query's queued tasks. 0 = off.
   uint64_t task_quota = 0;
 };
 

@@ -68,7 +68,8 @@ struct ServiceOptions {
   size_t plan_cache_capacity = 0;
 
   /// Whole-service wall-clock budget in seconds, armed at construction;
-  /// <= 0 disables. Exists mainly for the RunBatch facade's
+  /// <= 0 disables. Once it runs out, later submissions are stopped at
+  /// admission. Exists mainly for the RunBatch facade's
   /// whole-batch timeout; a long-lived service normally leaves it off.
   double run_timeout_seconds = 0;
 

@@ -9,12 +9,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/hgmatch.h"
 #include "parallel/batch_runner.h"
+#include "parallel/task.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
@@ -255,6 +258,53 @@ TEST(SchedulerTest, TaskQuotaKeepsCountsExact) {
   }
 }
 
+TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
+  // A quota-inlining query yields to each new admission by handing its
+  // remaining children back as one continuation task, so a steady stream of
+  // admissions (a serving load) must not lift its queued-task count above
+  // the quota: live task memory stays within two quotas' worth of tasks.
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
+  const Hypergraph expensive = PathQuery(4);
+  const Hypergraph cheap = PathQuery(1);
+  Result<QueryPlan> expensive_plan = BuildQueryPlan(expensive, idx);
+  Result<QueryPlan> cheap_plan = BuildQueryPlan(cheap, idx);
+  ASSERT_TRUE(expensive_plan.ok());
+  ASSERT_TRUE(cheap_plan.ok());
+  const uint64_t cheap_expected =
+      MatchSequential(idx, cheap).value().embeddings;
+
+  constexpr uint64_t kQuota = 64;
+  SchedulerOptions options;
+  options.parallel.num_threads = 4;
+  options.task_quota = kQuota;
+  Scheduler scheduler(idx, options);
+  SubmitOptions expensive_options;
+  expensive_options.timeout_seconds = 0.3;
+  const uint32_t monster =
+      scheduler.Submit(&expensive_plan.value(), expensive_options);
+  // One cheap query at a time, so the stream's own tasks stay negligible
+  // next to the monster's and the peak measures the quota bound.
+  std::vector<uint32_t> cheap_ids;
+  while (scheduler.TryGetQuery(monster) == nullptr) {
+    cheap_ids.push_back(scheduler.Submit(&cheap_plan.value(), SubmitOptions{}));
+    while (scheduler.TryGetQuery(cheap_ids.back()) == nullptr) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  scheduler.Seal();
+  const SchedulerReport report = scheduler.Join();
+
+  EXPECT_TRUE(report.queries[monster].stats.timed_out);
+  for (uint32_t id : cheap_ids) {
+    EXPECT_EQ(report.queries[id].status, QueryStatus::kOk) << "query " << id;
+    EXPECT_EQ(report.queries[id].stats.embeddings, cheap_expected);
+  }
+  // The largest task this plan spawns is an EXPAND of three hyperedges.
+  const uint64_t max_task_bytes = sizeof(Task) + 3 * sizeof(EdgeId);
+  EXPECT_LE(report.peak_task_bytes, 2 * kQuota * max_task_bytes)
+      << cheap_ids.size() << " admissions";
+}
+
 TEST(SchedulerTest, LimitOvershootIsBoundedByPoolSize) {
   const uint32_t threads = 4;
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(20));
@@ -357,6 +407,31 @@ TEST(SchedulerTest, BatchTimeoutStopsStragglersAndKeepsFinishedExact) {
   EXPECT_EQ(r.queries[1].stats.embeddings, cheap_expected);
   EXPECT_FALSE(r.queries[1].stats.timed_out);
   EXPECT_EQ(r.completed, 1u);
+}
+
+TEST(SchedulerTest, BatchTimeoutStopsQueriesSubmittedAfterItFired) {
+  // The whole-run budget starts at construction. A query submitted after it
+  // ran out, and after a running query already triggered the one sweep over
+  // the queries of that moment, must still be stopped, not run unbounded.
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
+  const Hypergraph query = PathQuery(4);
+  Result<QueryPlan> plan = BuildQueryPlan(query, idx);
+  ASSERT_TRUE(plan.ok());
+
+  SchedulerOptions options;
+  options.parallel.num_threads = 4;
+  options.batch_timeout_seconds = 0.05;
+  Scheduler scheduler(idx, options);
+  const uint32_t first = scheduler.Submit(&plan.value());
+  scheduler.WaitIdle();  // stopped by the sweep its own workers ran
+  ASSERT_EQ(scheduler.TryGetQuery(first)->status, QueryStatus::kTimeout);
+
+  const uint32_t late = scheduler.Submit(&plan.value());
+  scheduler.Seal();
+  const SchedulerReport report = scheduler.Join();
+  EXPECT_EQ(report.queries[late].status, QueryStatus::kTimeout);
+  EXPECT_TRUE(report.queries[late].stats.timed_out);
+  EXPECT_EQ(report.queries[late].stats.embeddings, 0u);
 }
 
 TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
