@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "core/reference.h"
+#include "gen/dataset_profiles.h"
+#include "gen/query_gen.h"
+#include "parallel/executor.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
@@ -138,6 +148,168 @@ TEST(ReferenceTest, VertexSemanticsCountsSymmetries) {
   Result<MatchStats> hg = MatchSequential(idx, q);
   ASSERT_TRUE(hg.ok());
   EXPECT_EQ(hg.value().embeddings, 1u);
+}
+
+
+// Golden Fig 9 counters. The four counters are deterministic functions of
+// (data, query, plan), so they pin every rewrite of the Expand kernel
+// (Algorithms 4 and 5) to exactly the candidates and filter decisions of
+// the reference implementation. The values below were recorded with the
+// sorted-vector kernel (binary-searched vertex counts, heap-merge union).
+
+// `a` and `b` side by side as two components of one query.
+Hypergraph DisjointUnion(const Hypergraph& a, const Hypergraph& b) {
+  Hypergraph q;
+  for (VertexId v = 0; v < a.NumVertices(); ++v) q.AddVertex(a.label(v));
+  for (VertexId v = 0; v < b.NumVertices(); ++v) q.AddVertex(b.label(v));
+  for (EdgeId e = 0; e < a.NumEdges(); ++e) {
+    EXPECT_TRUE(q.AddEdge(a.edge(e), a.edge_label(e)).ok());
+  }
+  const VertexId shift = static_cast<VertexId>(a.NumVertices());
+  for (EdgeId e = 0; e < b.NumEdges(); ++e) {
+    VertexSet vs = b.edge(e);
+    for (VertexId& v : vs) v += shift;
+    EXPECT_TRUE(q.AddEdge(std::move(vs), b.edge_label(e)).ok());
+  }
+  return q;
+}
+
+// `q` with hyperedge i relabelled to i % 2.
+Hypergraph AlternateEdgeLabels(const Hypergraph& q) {
+  Hypergraph out;
+  for (VertexId v = 0; v < q.NumVertices(); ++v) out.AddVertex(q.label(v));
+  for (EdgeId e = 0; e < q.NumEdges(); ++e) {
+    EXPECT_TRUE(out.AddEdge(q.edge(e), e % 2).ok());
+  }
+  return out;
+}
+
+// A random hypergraph whose hyperedges carry one of three labels.
+Hypergraph EdgeLabelledData() {
+  GeneratorConfig c = SmallRandomConfig(7);
+  c.num_vertices = 150;
+  c.num_edges = 800;
+  c.num_labels = 3;
+  c.label_locality = 0.8;
+  Hypergraph plain = GenerateHypergraph(c);
+  Hypergraph h;
+  for (VertexId v = 0; v < plain.NumVertices(); ++v) {
+    h.AddVertex(plain.label(v));
+  }
+  for (EdgeId e = 0; e < plain.NumEdges(); ++e) {
+    EXPECT_TRUE(h.AddEdge(plain.edge(e), e % 3).ok());
+  }
+  return h;
+}
+
+struct GoldenCase {
+  const char* name;
+  // {candidates, filtered, embeddings, expansions}
+  std::array<uint64_t, 4> sequential;
+  std::array<uint64_t, 4> parallel;
+};
+
+struct GoldenCounters {
+  MatchStats sequential;
+  MatchStats parallel;
+};
+
+// Runs every golden query through both engines, in the order of the table.
+std::vector<std::pair<std::string, GoldenCounters>> RunGoldenQueries() {
+  std::vector<std::pair<std::string, GoldenCounters>> out;
+  auto run = [&](const std::string& name, const IndexedHypergraph& idx,
+                 const Hypergraph& q) {
+    Result<MatchStats> seq = MatchSequential(idx, q);
+    ParallelOptions po;
+    po.num_threads = 3;
+    po.scan_grain = 4;
+    Result<ParallelResult> par = MatchParallel(idx, q, po);
+    EXPECT_TRUE(seq.ok() && par.ok()) << name;
+    if (!seq.ok() || !par.ok()) return;
+    out.push_back({name, {seq.value(), par.value().stats}});
+  };
+  struct Source {
+    const char* name;
+    Hypergraph data;
+  };
+  std::vector<Source> sources;
+  sources.push_back({"SB", FindDatasetProfile("SB")->Generate(0.05)});
+  sources.push_back({"WT", FindDatasetProfile("WT")->Generate(0.3)});
+  sources.push_back({"EL", EdgeLabelledData()});
+  for (Source& src : sources) {
+    IndexedHypergraph idx = IndexedHypergraph::Build(std::move(src.data));
+    for (const QuerySettings& qs : {kQ2, kQ3, kQ4}) {
+      std::vector<Hypergraph> qs_list =
+          SampleQueries(idx.graph(), qs, 2, 0xF19 + qs.num_edges);
+      for (size_t i = 0; i < qs_list.size(); ++i) {
+        run(std::string(src.name) + "/" + qs.name + "#" + std::to_string(i),
+            idx, qs_list[i]);
+      }
+    }
+    if (idx.graph().NumEdgeLabels() > 1) {
+      for (const QuerySettings& qs : {kQ2, kQ3, kQ4}) {
+        std::vector<Hypergraph> qs_list =
+            SampleQueries(idx.graph(), qs, 1, 0xE1 + qs.num_edges);
+        if (qs_list.empty()) continue;
+        run(std::string(src.name) + "/" + qs.name + "-labelled", idx,
+            AlternateEdgeLabels(qs_list[0]));
+      }
+    }
+    std::vector<Hypergraph> pair = SampleQueries(idx.graph(), kQ2, 2, 0xD15);
+    if (pair.size() == 2) {
+      run(std::string(src.name) + "/q2+q2", idx,
+          DisjointUnion(pair[0], pair[1]));
+    }
+  }
+  return out;
+}
+
+TEST(GoldenCountersTest, Fig9CountersMatchRecordedValues) {
+  // {candidates, filtered, embeddings, expansions} through MatchSequential
+  // and MatchParallel. The parallel engine scans the first table without an
+  // Expand call, so its counters lack the step-0 SCAN's contribution.
+  const GoldenCase kGolden[] = {
+    {"SB/q2#0", {14566, 2175, 2067, 109}, {14458, 2067, 2067, 108}},
+    {"SB/q2#1", {11301, 2449, 2371, 79}, {11223, 2371, 2371, 78}},
+    {"SB/q3#0", {37346, 17282, 5048, 334}, {37331, 17267, 5048, 333}},
+    {"SB/q3#1", {72269, 17564, 9890, 562}, {72254, 17549, 9890, 561}},
+    {"SB/q4#0", {342823, 342591, 55719, 6354}, {342808, 342576, 55719, 6353}},
+    {"SB/q4#1", {50513, 47718, 21799, 3955}, {50460, 47665, 21799, 3954}},
+    {"SB/q2+q2", {58801, 1265, 0, 1266}, {58754, 1218, 0, 1265}},
+    {"WT/q2#0", {7, 7, 4, 4}, {4, 4, 4, 3}},
+    {"WT/q2#1", {9, 9, 8, 2}, {8, 8, 8, 1}},
+    {"WT/q3#0", {7, 7, 1, 7}, {3, 3, 1, 6}},
+    {"WT/q3#1", {6, 6, 3, 4}, {4, 4, 3, 3}},
+    {"WT/q4#0", {7, 7, 1, 7}, {6, 6, 1, 6}},
+    {"WT/q4#1", {13, 8, 3, 6}, {11, 6, 3, 5}},
+    {"WT/q2+q2", {51, 51, 32, 20}, {43, 43, 32, 19}},
+    {"EL/q2#0", {211, 185, 161, 25}, {187, 161, 161, 24}},
+    {"EL/q2#1", {173, 162, 137, 26}, {148, 137, 137, 25}},
+    {"EL/q3#0", {4, 4, 0, 5}, {0, 0, 0, 4}},
+    {"EL/q3#1", {980, 822, 637, 186}, {956, 798, 637, 185}},
+    {"EL/q4#0", {32, 30, 0, 31}, {18, 16, 0, 30}},
+    {"EL/q4#1", {520, 448, 245, 204}, {504, 432, 245, 203}},
+    {"EL/q2-labelled", {79, 73, 57, 17}, {63, 57, 57, 16}},
+    {"EL/q3-labelled", {13, 13, 8, 6}, {11, 11, 8, 5}},
+    {"EL/q4-labelled", {275, 242, 31, 212}, {251, 218, 31, 211}},
+    {"EL/q2+q2", {10417, 8569, 6672, 1898}, {10393, 8545, 6672, 1897}},
+  };
+  const auto got = RunGoldenQueries();
+  ASSERT_EQ(got.size(), std::size(kGolden));
+  for (size_t i = 0; i < got.size(); ++i) {
+    const GoldenCase& want = kGolden[i];
+    const auto& [name, c] = got[i];
+    ASSERT_EQ(name, want.name);
+    for (const auto& [engine, stats, golden] :
+         {std::tuple("sequential", c.sequential, want.sequential),
+          std::tuple("parallel", c.parallel, want.parallel)}) {
+      SCOPED_TRACE(name + " " + engine);
+      EXPECT_EQ(stats.candidates, golden[0]);
+      EXPECT_EQ(stats.filtered, golden[1]);
+      EXPECT_EQ(stats.embeddings, golden[2]);
+      EXPECT_EQ(stats.expansions, golden[3]);
+    }
+  }
 }
 
 }  // namespace
