@@ -51,21 +51,30 @@ BENCHMARK(BM_IntersectAsymmetric)->Range(1 << 10, 1 << 20);
 
 void BM_UnionMany(benchmark::State& state) {
   // K posting lists, as produced per shared vertex in Algorithm 4 line 6.
+  // dense:1 draws 256 ids per list from 2^16 ids (a 1024-word span, which
+  // takes the bitmap union from 3 inputs on); dense:0 draws them from 2^30
+  // ids, a span far above 4 words per item, which takes the heap merge.
   const size_t k = state.range(0);
+  const uint32_t universe = state.range(1) != 0 ? 1u << 16 : 1u << 30;
   std::vector<std::vector<uint32_t>> lists;
   std::vector<const std::vector<uint32_t>*> ptrs;
+  size_t items = 0;
   for (size_t i = 0; i < k; ++i) {
-    lists.push_back(MakeSorted(256, 1 << 16, i + 1));
+    lists.push_back(MakeSorted(256, universe, i + 1));
+    items += lists.back().size();
   }
   for (const auto& l : lists) ptrs.push_back(&l);
   std::vector<uint32_t> out;
   for (auto _ : state) {
     UnionMany(ptrs, &out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * k * 256);
+  state.SetItemsProcessed(state.iterations() * items);
 }
-BENCHMARK(BM_UnionMany)->RangeMultiplier(4)->Range(2, 128);
+BENCHMARK(BM_UnionMany)
+    ->ArgNames({"inputs", "dense"})
+    ->ArgsProduct({{2, 8, 32, 128}, {1, 0}});
 
 void BM_Difference(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -1,45 +1,76 @@
 #include "core/candidates.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "core/validation.h"
 #include "util/set_ops.h"
 
 namespace hgmatch {
 
-Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan)
-    : data_(&data), plan_(&plan) {}
+namespace {
 
-void Expander::BuildVertexCounts(const EdgeId* embedding, uint32_t step) {
-  counts_.clear();
-  const Hypergraph& h = data_->graph();
-  for (uint32_t j = 0; j < step; ++j) {
-    for (VertexId v : h.edge(embedding[j])) counts_.emplace_back(v, 1u);
-  }
-  std::sort(counts_.begin(), counts_.end());
-  // Collapse runs of the same vertex into (vertex, multiplicity).
-  size_t w = 0;
-  for (size_t r = 0; r < counts_.size();) {
-    const VertexId v = counts_[r].first;
-    uint32_t c = 0;
-    while (r < counts_.size() && counts_[r].first == v) {
-      ++c;
-      ++r;
+// The calling thread's step masks: mask[v] has bit j set iff data vertex v
+// lies in the hyperedge matched at step j of the partial embedding being
+// expanded, and `touched` lists the non-zero entries. Shared by every
+// Expander on the thread, so each call must leave it all-zero.
+struct StepMasks {
+  std::vector<uint64_t> mask;
+  std::vector<VertexId> touched;
+};
+
+// Sets the thread's step masks for embedding[0..step-1] and clears exactly
+// those entries again when it goes out of scope.
+class StepMaskScope {
+ public:
+  StepMaskScope(const Hypergraph& h, const EdgeId* embedding, uint32_t step)
+      : m_(ThreadStepMasks()) {
+    assert(m_.touched.empty());
+    if (m_.mask.size() < h.NumVertices()) m_.mask.resize(h.NumVertices());
+    for (uint32_t j = 0; j < step; ++j) {
+      for (VertexId v : h.edge(embedding[j])) {
+        if (m_.mask[v] == 0) m_.touched.push_back(v);
+        m_.mask[v] |= 1ULL << j;
+      }
     }
-    counts_[w++] = {v, c};
   }
-  counts_.resize(w);
-}
+  ~StepMaskScope() {
+    for (VertexId v : m_.touched) m_.mask[v] = 0;
+    m_.touched.clear();
+  }
+  StepMaskScope(const StepMaskScope&) = delete;
+  StepMaskScope& operator=(const StepMaskScope&) = delete;
 
-uint32_t Expander::CountOf(VertexId v) const {
-  auto it = std::lower_bound(
-      counts_.begin(), counts_.end(), std::make_pair(v, 0u),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (it == counts_.end() || it->first != v) return 0;
-  return it->second;
+  const uint64_t* mask() const { return m_.mask.data(); }
+  // |V(H_m)|: distinct data vertices of the partial embedding.
+  uint32_t matched_vertices() const {
+    return static_cast<uint32_t>(m_.touched.size());
+  }
+
+ private:
+  static StepMasks& ThreadStepMasks() {
+    static thread_local StepMasks masks;
+    return masks;
+  }
+
+  StepMasks& m_;
+};
+
+}  // namespace
+
+Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan)
+    : data_(&data), plan_(&plan) {
+  nonadjacent_bits_.reserve(plan.steps.size());
+  for (const PlanStep& s : plan.steps) {
+    uint64_t bits = 0;
+    for (uint32_t j : s.nonadjacent_prev) bits |= 1ULL << j;
+    nonadjacent_bits_.push_back(bits);
+  }
 }
 
 void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
+                                      const uint64_t* step_mask,
                                       std::vector<EdgeId>* out) {
   out->clear();
   const PlanStep& s = plan_->steps[step];
@@ -52,15 +83,9 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
     *out = part->edges();
   } else {
     const Hypergraph& h = data_->graph();
-
     // Line 1: vertices matched by non-adjacent query hyperedges must not be
     // incident to the new hyperedge (Observation V.3).
-    non_incident_.clear();
-    for (uint32_t j : s.nonadjacent_prev) {
-      const VertexSet& fe = h.edge(embedding[j]);
-      non_incident_.insert(non_incident_.end(), fe.begin(), fe.end());
-    }
-    SortUnique(&non_incident_);
+    const uint64_t nonadjacent = nonadjacent_bits_[step];
 
     // Lines 3-7: for each shared query vertex u, collect V_incdt (the data
     // vertices that may be matched to u: Observations V.2/V.3/V.4), union
@@ -75,8 +100,11 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
         incident_scratch_.clear();
         for (VertexId v : fe) {
           if (h.label(v) != info.label) continue;
-          if (CountOf(v) != info.degree_before) continue;
-          if (Contains(non_incident_, v)) continue;
+          const uint64_t m = step_mask[v];
+          if (static_cast<uint32_t>(std::popcount(m)) != info.degree_before) {
+            continue;
+          }
+          if ((m & nonadjacent) != 0) continue;
           incident_scratch_.push_back(v);  // fe sorted => scratch sorted
         }
         if (incident_scratch_.empty()) {
@@ -112,8 +140,8 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
   }
 }
 
-bool Expander::IsValidImpl(const EdgeId* embedding, uint32_t step, EdgeId c,
-                           bool* vertex_count_ok) {
+bool Expander::IsValidImpl(uint32_t step, EdgeId c, const uint64_t* step_mask,
+                           uint32_t matched_vertices, bool* vertex_count_ok) {
   *vertex_count_ok = false;
   const PlanStep& s = plan_->steps[step];
   const Hypergraph& h = data_->graph();
@@ -121,24 +149,19 @@ bool Expander::IsValidImpl(const EdgeId* embedding, uint32_t step, EdgeId c,
   // Observation V.5: |V(q')| must equal |V(H_m')|.
   uint32_t new_vertices = 0;
   for (VertexId v : h.edge(c)) {
-    if (CountOf(v) == 0) ++new_vertices;
+    if (step_mask[v] == 0) ++new_vertices;
   }
-  const uint32_t distinct_after =
-      static_cast<uint32_t>(counts_.size()) + new_vertices;
-  if (distinct_after != s.num_query_vertices_after) return false;
+  if (matched_vertices + new_vertices != s.num_query_vertices_after) {
+    return false;
+  }
   *vertex_count_ok = true;
 
   // Theorem V.2: the multiset of vertex profiles of the new hyperedge's
-  // vertices must equal the precomputed query-side profiles.
+  // vertices must equal the precomputed query-side profiles. A vertex's
+  // step set is its earlier steps plus this one (v ∈ m'[step] = c).
   data_profiles_.clear();
   for (VertexId v : h.edge(c)) {
-    PlanStep::Profile p;
-    p.label = h.label(v);
-    p.steps_mask = 1ULL << step;  // v ∈ m'[step] = c
-    for (uint32_t j = 0; j < step; ++j) {
-      if (Contains(h.edge(embedding[j]), v)) p.steps_mask |= 1ULL << j;
-    }
-    data_profiles_.push_back(p);
+    data_profiles_.push_back({h.label(v), step_mask[v] | 1ULL << step});
   }
   std::sort(data_profiles_.begin(), data_profiles_.end());
   return data_profiles_ == s.query_profiles;
@@ -146,13 +169,14 @@ bool Expander::IsValidImpl(const EdgeId* embedding, uint32_t step, EdgeId c,
 
 void Expander::Expand(const EdgeId* embedding, uint32_t step,
                       std::vector<EdgeId>* out_valid, MatchStats* stats) {
-  BuildVertexCounts(embedding, step);
-  GenerateCandidatesImpl(embedding, step, &candidate_scratch_);
+  const StepMaskScope masks(data_->graph(), embedding, step);
+  GenerateCandidatesImpl(embedding, step, masks.mask(), &candidate_scratch_);
   stats->candidates += candidate_scratch_.size();
   out_valid->clear();
   for (EdgeId c : candidate_scratch_) {
     bool vertex_count_ok = false;
-    if (IsValidImpl(embedding, step, c, &vertex_count_ok)) {
+    if (IsValidImpl(step, c, masks.mask(), masks.matched_vertices(),
+                    &vertex_count_ok)) {
       out_valid->push_back(c);
     }
     if (vertex_count_ok) ++stats->filtered;
@@ -162,14 +186,15 @@ void Expander::Expand(const EdgeId* embedding, uint32_t step,
 
 void Expander::GenerateCandidates(const EdgeId* embedding, uint32_t step,
                                   std::vector<EdgeId>* out) {
-  BuildVertexCounts(embedding, step);
-  GenerateCandidatesImpl(embedding, step, out);
+  const StepMaskScope masks(data_->graph(), embedding, step);
+  GenerateCandidatesImpl(embedding, step, masks.mask(), out);
 }
 
 bool Expander::IsValidEmbedding(const EdgeId* embedding, uint32_t step,
                                 EdgeId c, bool* vertex_count_ok) {
-  BuildVertexCounts(embedding, step);
-  return IsValidImpl(embedding, step, c, vertex_count_ok);
+  const StepMaskScope masks(data_->graph(), embedding, step);
+  return IsValidImpl(step, c, masks.mask(), masks.matched_vertices(),
+                     vertex_count_ok);
 }
 
 bool Expander::VerifyExact(const EdgeId* embedding, uint32_t size) const {

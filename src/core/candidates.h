@@ -2,7 +2,6 @@
 #define HGMATCH_CORE_CANDIDATES_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/indexed_hypergraph.h"
@@ -16,8 +15,19 @@ namespace hgmatch {
 /// plus embedding validation (Algorithm 5) for one compiled query against
 /// one indexed data hypergraph. Buffers grow to the working-set size of the
 /// query and are then reused, so the steady-state hot path performs no
-/// allocation. The parallel engine creates one Expander per worker thread;
-/// an Expander itself is not thread-safe.
+/// allocation. The parallel engine creates one Expander per (worker, plan)
+/// pair; an Expander itself is not thread-safe.
+///
+/// Every call first records, for each data vertex v of the partial
+/// embedding m, the mask of earlier steps whose matched hyperedge contains
+/// v (bit j = step j). d_Hm(v) is its popcount, membership in V_nonincdt is
+/// an AND with the step's non-adjacent mask, and Theorem V.2's vertex
+/// profile is the mask plus the current step's bit, so neither algorithm
+/// searches a sorted list. The masks live in one dense array per thread,
+/// shared by every Expander that runs on it: 8 B x |V| of the largest data
+/// hypergraph the thread has expanded over. The array is all-zero between
+/// calls; each call clears the entries it set, through a touched-vertex
+/// list, before it returns.
 class Expander {
  public:
   /// `data` and `plan` must outlive the Expander.
@@ -52,25 +62,23 @@ class Expander {
   const IndexedHypergraph& data() const { return *data_; }
 
  private:
-  // Rebuilds vertex -> multiplicity for embedding[0..step-1] into counts_
-  // (sorted by vertex id). Must be called before the *Impl helpers.
-  void BuildVertexCounts(const EdgeId* embedding, uint32_t step);
-
-  // Binary search in counts_; zero when absent.
-  uint32_t CountOf(VertexId v) const;
-
-  // Algorithm 4 / Algorithm 5 bodies; require counts_ to be current.
+  // Algorithm 4 / Algorithm 5 bodies. `step_mask` is the thread's dense
+  // step-mask array for embedding[0..step-1], and `matched_vertices` is
+  // |V(H_m)|, the number of its non-zero entries.
   void GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
+                              const uint64_t* step_mask,
                               std::vector<EdgeId>* out);
-  bool IsValidImpl(const EdgeId* embedding, uint32_t step, EdgeId c,
-                   bool* vertex_count_ok);
+  bool IsValidImpl(uint32_t step, EdgeId c, const uint64_t* step_mask,
+                   uint32_t matched_vertices, bool* vertex_count_ok);
 
   const IndexedHypergraph* data_;
   const QueryPlan* plan_;
 
+  // Per step: the bits of the earlier steps not adjacent to it
+  // (Observation V.3), so V_nonincdt is {v : step_mask[v] & bits != 0}.
+  std::vector<uint64_t> nonadjacent_bits_;
+
   // Scratch, reused across calls.
-  std::vector<std::pair<VertexId, uint32_t>> counts_;   // d_Hm(v)
-  std::vector<VertexId> non_incident_;                  // V_nonincdt, sorted
   std::vector<VertexId> incident_scratch_;              // V_incdt per u
   std::vector<EdgeId> union_scratch_;                   // per-u posting union
   std::vector<EdgeId> intersect_scratch_;

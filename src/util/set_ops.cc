@@ -1,6 +1,8 @@
 #include "util/set_ops.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 
 namespace hgmatch {
@@ -52,6 +54,41 @@ void IntersectMerge(const std::vector<uint32_t>& a,
       ++j;
     }
   }
+}
+
+// A span of at most this many 64-bit words per input item takes the bitmap
+// union: setting one bit per item and scanning the words is then cheaper
+// than a heap merge, whose cost grows with log(#inputs) per item.
+constexpr size_t kBitmapUnionWordsPerItem = 4;
+
+// Union over the id span [base, base + 64 * words): set one bit per item,
+// then scan the words in order, which emits the union sorted and
+// duplicate-free. The thread's bitmap is all-zero between calls; the scan
+// clears each word as it reads it.
+void UnionBitmap(const std::vector<const std::vector<uint32_t>*>& inputs,
+                 uint32_t base, size_t words, size_t total,
+                 std::vector<uint32_t>* out) {
+  static thread_local std::vector<uint64_t> bits;
+  if (bits.size() < words) bits.resize(words);
+  for (const std::vector<uint32_t>* in : inputs) {
+    for (uint32_t x : *in) {
+      const uint32_t off = x - base;
+      bits[off >> 6] |= 1ULL << (off & 63);
+    }
+  }
+  out->resize(total);
+  uint32_t* dst = out->data();
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word = bits[w];
+    if (word == 0) continue;
+    bits[w] = 0;
+    const uint32_t word_base = base + static_cast<uint32_t>(w << 6);
+    do {
+      *dst++ = word_base + static_cast<uint32_t>(std::countr_zero(word));
+      word &= word - 1;
+    } while (word != 0);
+  }
+  out->resize(static_cast<size_t>(dst - out->data()));
 }
 
 }  // namespace
@@ -121,6 +158,22 @@ void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
     Union(*inputs[0], *inputs[1], out);
     return;
   }
+  size_t total = 0;
+  uint32_t lo = UINT32_MAX;
+  uint32_t hi = 0;
+  for (const std::vector<uint32_t>* in : inputs) {
+    if (in->empty()) continue;
+    total += in->size();
+    lo = std::min(lo, in->front());
+    hi = std::max(hi, in->back());
+  }
+  if (total == 0) return;
+  const uint32_t base = lo & ~63u;
+  const size_t words = ((hi - base) >> 6) + 1;
+  if (words <= kBitmapUnionWordsPerItem * total) {
+    UnionBitmap(inputs, base, words, total, out);
+    return;
+  }
   // K-way merge with a min-heap over (value, input index, position).
   struct Cursor {
     uint32_t value;
@@ -129,9 +182,7 @@ void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
     bool operator>(const Cursor& other) const { return value > other.value; }
   };
   std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
-  size_t total = 0;
   for (uint32_t k = 0; k < inputs.size(); ++k) {
-    total += inputs[k]->size();
     if (!inputs[k]->empty()) heap.push({(*inputs[k])[0], k, 0});
   }
   out->reserve(total);

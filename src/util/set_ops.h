@@ -16,7 +16,8 @@ namespace hgmatch {
 /// per incident vertex and the per-vertex unions are intersected. The paper
 /// notes these operations "can be implemented very efficiently on modern
 /// hardware"; we provide a scalar merge path plus a galloping path that is
-/// automatically selected when the input sizes are very asymmetric.
+/// automatically selected when the input sizes are very asymmetric, and a
+/// bitmap union selected when many inputs fall in a dense id span.
 
 /// out = a ∩ b. `out` is cleared first. Aliasing with inputs is not allowed.
 void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
@@ -36,8 +37,11 @@ void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 /// In-place: a = a ∪ b (uses a scratch buffer internally).
 void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
 
-/// out = union of all input lists (k-way merge). `inputs` may be empty, in
-/// which case `out` is cleared. Pointers must be non-null.
+/// out = union of all input lists. `inputs` may be empty, in which case
+/// `out` is cleared. Pointers must be non-null. Three or more inputs whose
+/// id span, in 64-bit words, is at most 4x their total length are unioned
+/// through a bitmap over that span (a per-thread buffer that grows to the
+/// largest such span); sparser inputs take a k-way heap merge.
 void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
                std::vector<uint32_t>* out);
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/validation.h"
+#include "gen/dataset_profiles.h"
+#include "gen/query_gen.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
@@ -74,6 +79,159 @@ TEST(CandidatesTest, ExcludesAlreadyMatchedEdges) {
   // Neighbours of data edge {1,2} with signature {A,A}: {0,1} and {2,3};
   // the matched edge itself is excluded.
   EXPECT_EQ(out, (std::vector<EdgeId>{0, 2}));
+}
+
+// One call site of the Expander API: extend `prefix` at step prefix.size().
+struct PartialEmbedding {
+  std::vector<EdgeId> prefix;
+  uint32_t step() const { return static_cast<uint32_t>(prefix.size()); }
+};
+
+// Up to `cap` partial embeddings of `plan` (the empty one first), in
+// depth-first order.
+std::vector<PartialEmbedding> CollectPartialEmbeddings(
+    const IndexedHypergraph& idx, const QueryPlan& plan, size_t cap) {
+  std::vector<PartialEmbedding> out;
+  Expander expander(idx, plan);
+  MatchStats stats;
+  std::vector<EdgeId> m;
+  auto visit = [&](auto& self) -> void {
+    if (out.size() >= cap || m.size() >= plan.NumSteps()) return;
+    out.push_back({m});
+    std::vector<EdgeId> valid;
+    expander.Expand(m.data(), static_cast<uint32_t>(m.size()), &valid, &stats);
+    for (EdgeId c : valid) {
+      m.push_back(c);
+      self(self);
+      m.pop_back();
+    }
+  };
+  visit(visit);
+  return out;
+}
+
+// Everything the Expander API answers about one partial embedding.
+struct ExpandOutcome {
+  std::vector<EdgeId> valid;        // Expand
+  uint64_t candidates = 0;          // Expand's counters
+  uint64_t filtered = 0;
+  std::vector<EdgeId> generated;    // GenerateCandidates
+  std::vector<int> checks;          // IsValidEmbedding per generated edge:
+                                    // 2 valid, 1 count ok only, 0 neither
+  bool operator==(const ExpandOutcome&) const = default;
+};
+
+ExpandOutcome ExpectedOutcome(const IndexedHypergraph& idx,
+                              const QueryPlan& plan,
+                              const PartialEmbedding& pe) {
+  // A fresh Expander on a fresh thread: no state shared with any other
+  // call.
+  ExpandOutcome out;
+  std::thread([&] {
+    Expander expander(idx, plan);
+    MatchStats stats;
+    expander.Expand(pe.prefix.data(), pe.step(), &out.valid, &stats);
+    out.candidates = stats.candidates;
+    out.filtered = stats.filtered;
+    expander.GenerateCandidates(pe.prefix.data(), pe.step(), &out.generated);
+    for (EdgeId c : out.generated) {
+      bool count_ok = false;
+      const bool valid =
+          expander.IsValidEmbedding(pe.prefix.data(), pe.step(), c, &count_ok);
+      out.checks.push_back(valid ? 2 : count_ok ? 1 : 0);
+    }
+  }).join();
+  return out;
+}
+
+// Expanders of different plans over data hypergraphs of different |V|
+// share one thread's step-mask array. Interleaving their Expand,
+// GenerateCandidates and IsValidEmbedding calls on one thread must give
+// exactly the answers of fresh Expanders, which holds only if every call
+// leaves the array all-zero.
+TEST(CandidatesTest, InterleavedExpandersMatchFreshOnes) {
+  GeneratorConfig big_config;
+  big_config.seed = 11;
+  big_config.num_vertices = 3000;
+  big_config.num_edges = 6000;
+  big_config.num_labels = 2;
+  big_config.arity_min = 2;
+  big_config.arity_max = 4;
+  big_config.vertex_skew = 0.9;
+  const IndexedHypergraph small_idx =
+      IndexedHypergraph::Build(FindDatasetProfile("SB")->Generate(0.05));
+  const IndexedHypergraph big_idx =
+      IndexedHypergraph::Build(GenerateHypergraph(big_config));
+  ASSERT_LT(small_idx.graph().NumVertices(), 100u);
+  ASSERT_GT(big_idx.graph().NumVertices(), 1000u);
+
+  struct Side {
+    const IndexedHypergraph* idx;
+    QueryPlan plan;
+    std::vector<PartialEmbedding> calls;
+    std::vector<ExpandOutcome> expected;
+  };
+  std::vector<Side> sides;
+  for (const IndexedHypergraph* idx : {&small_idx, &big_idx}) {
+    std::vector<Hypergraph> queries =
+        SampleQueries(idx->graph(), kQ4, 1, 0x1A7E);
+    ASSERT_EQ(queries.size(), 1u);
+    Result<QueryPlan> plan = BuildQueryPlan(queries[0], *idx);
+    ASSERT_TRUE(plan.ok());
+    Side side{idx, std::move(plan).value(), {}, {}};
+    side.calls = CollectPartialEmbeddings(*idx, side.plan, 40);
+    for (const PartialEmbedding& pe : side.calls) {
+      side.expected.push_back(ExpectedOutcome(*idx, side.plan, pe));
+    }
+    sides.push_back(std::move(side));
+  }
+  // The queries must have more than a SCAN to interleave.
+  for (const Side& side : sides) ASSERT_GT(side.calls.size(), 3u);
+
+  Expander a(*sides[0].idx, sides[0].plan);
+  Expander b(*sides[1].idx, sides[1].plan);
+  Expander* expanders[] = {&a, &b};
+  const size_t rounds =
+      std::max(sides[0].calls.size(), sides[1].calls.size());
+  // Round r runs each API call on the r-th partial embedding of both
+  // sides, alternating sides between every single call.
+  std::vector<ExpandOutcome> got[2];
+  for (size_t r = 0; r < rounds; ++r) {
+    for (int phase = 0; phase < 3; ++phase) {
+      for (int k = 0; k < 2; ++k) {
+        const int x = (k + static_cast<int>(r)) % 2;  // who goes first
+        const Side& side = sides[x];
+        if (r >= side.calls.size()) continue;
+        const PartialEmbedding& pe = side.calls[r];
+        Expander& ex = *expanders[x];
+        if (phase == 0) got[x].emplace_back();
+        ExpandOutcome& o = got[x].back();
+        if (phase == 0) {
+          MatchStats stats;
+          ex.Expand(pe.prefix.data(), pe.step(), &o.valid, &stats);
+          o.candidates = stats.candidates;
+          o.filtered = stats.filtered;
+        } else if (phase == 1) {
+          ex.GenerateCandidates(pe.prefix.data(), pe.step(), &o.generated);
+        } else {
+          for (EdgeId c : o.generated) {
+            bool count_ok = false;
+            const bool valid =
+                ex.IsValidEmbedding(pe.prefix.data(), pe.step(), c, &count_ok);
+            o.checks.push_back(valid ? 2 : count_ok ? 1 : 0);
+          }
+        }
+      }
+    }
+  }
+  for (int x = 0; x < 2; ++x) {
+    ASSERT_EQ(got[x].size(), sides[x].expected.size());
+    for (size_t r = 0; r < got[x].size(); ++r) {
+      EXPECT_TRUE(got[x][r] == sides[x].expected[r])
+          << "side " << x << " call " << r << " at step "
+          << sides[x].calls[r].step();
+    }
+  }
 }
 
 // Fig 4 of the paper: a candidate that passes the vertex-count check but

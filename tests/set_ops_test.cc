@@ -136,5 +136,74 @@ TEST_P(SetOpsPropertyTest, MatchesStdSet) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SetOpsPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// UnionMany against a std::set_union fold. Three or more inputs take the
+// bitmap path when their id span is dense and the heap merge when it is
+// sparse, so the sweep draws both spans, plus ids at the top of the uint32
+// range where the bitmap's 64-aligned base matters.
+V UnionFold(const std::vector<V>& lists) {
+  V acc;
+  for (const V& l : lists) {
+    V next;
+    std::set_union(acc.begin(), acc.end(), l.begin(), l.end(),
+                   std::back_inserter(next));
+    acc.swap(next);
+  }
+  return acc;
+}
+
+V UnionManyOf(const std::vector<V>& lists) {
+  std::vector<const V*> ptrs;
+  for (const V& l : lists) ptrs.push_back(&l);
+  V out = {42};  // must be cleared
+  UnionMany(ptrs, &out);
+  return out;
+}
+
+TEST(SetOpsTest, UnionManyEdgeCases) {
+  constexpr uint32_t kMax = UINT32_MAX;
+  const std::vector<std::vector<V>> cases = {
+      {},
+      {{}},
+      {{}, {}, {}},
+      {{7}},
+      {{}, {3, 9}, {}},
+      {{1, 2, 3}, {2, 3, 4}, {0, 5}},                    // dense
+      {{0}, {1000000000}, {kMax}},                       // sparse
+      {{kMax}, {kMax - 1, kMax}, {kMax - 64, kMax}},     // dense at the top
+      {{kMax - 63}, {kMax - 64}, {kMax - 127, kMax}},    // word boundaries
+      {{0, kMax}, {1, kMax - 1}, {2}},                   // widest span
+  };
+  for (const auto& lists : cases) {
+    EXPECT_EQ(UnionManyOf(lists), UnionFold(lists));
+  }
+}
+
+class UnionManyPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnionManyPropertyTest, MatchesSetUnionFold) {
+  Rng rng(GetParam());
+  for (int iter = 0; iter < 60; ++iter) {
+    const size_t k = 1 + rng.NextBounded(130);
+    // 0: dense span, 1: sparse span, 2: dense near UINT32_MAX.
+    const int regime = iter % 3;
+    const uint32_t span = regime == 1 ? 1u << 30 : 64 + rng.NextBounded(4096);
+    const uint32_t lo =
+        regime == 2 ? UINT32_MAX - span + 1 : rng.NextBounded(1u << 20);
+    std::vector<V> lists(k);
+    for (V& l : lists) {
+      if (rng.NextBounded(8) == 0) continue;  // some inputs stay empty
+      std::set<uint32_t> s;
+      const size_t n = rng.NextBounded(regime == 1 ? 8 : 200);
+      for (size_t i = 0; i < n; ++i) s.insert(lo + rng.NextBounded(span));
+      l.assign(s.begin(), s.end());
+    }
+    EXPECT_EQ(UnionManyOf(lists), UnionFold(lists))
+        << "iteration " << iter << ", " << k << " inputs";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UnionManyPropertyTest,
+                         ::testing::Values(1, 2, 3, 4));
+
 }  // namespace
 }  // namespace hgmatch
