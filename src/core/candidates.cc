@@ -60,14 +60,7 @@ class StepMaskScope {
 }  // namespace
 
 Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan)
-    : data_(&data), plan_(&plan) {
-  nonadjacent_bits_.reserve(plan.steps.size());
-  for (const PlanStep& s : plan.steps) {
-    uint64_t bits = 0;
-    for (uint32_t j : s.nonadjacent_prev) bits |= 1ULL << j;
-    nonadjacent_bits_.push_back(bits);
-  }
-}
+    : data_(&data), plan_(&plan) {}
 
 void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
                                       const uint64_t* step_mask,
@@ -83,9 +76,12 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
     *out = part->edges();
   } else {
     const Hypergraph& h = data_->graph();
+
     // Line 1: vertices matched by non-adjacent query hyperedges must not be
-    // incident to the new hyperedge (Observation V.3).
-    const uint64_t nonadjacent = nonadjacent_bits_[step];
+    // incident to the new hyperedge (Observation V.3): V_nonincdt is every v
+    // with a non-adjacent step in its mask.
+    uint64_t nonadjacent = 0;
+    for (uint32_t j : s.nonadjacent_prev) nonadjacent |= 1ULL << j;
 
     // Lines 3-7: for each shared query vertex u, collect V_incdt (the data
     // vertices that may be matched to u: Observations V.2/V.3/V.4), union

@@ -74,10 +74,6 @@ class Expander {
   const IndexedHypergraph* data_;
   const QueryPlan* plan_;
 
-  // Per step: the bits of the earlier steps not adjacent to it
-  // (Observation V.3), so V_nonincdt is {v : step_mask[v] & bits != 0}.
-  std::vector<uint64_t> nonadjacent_bits_;
-
   // Scratch, reused across calls.
   std::vector<VertexId> incident_scratch_;              // V_incdt per u
   std::vector<EdgeId> union_scratch_;                   // per-u posting union
