@@ -4,15 +4,23 @@
 //   * HGMatch sequential == edge-tuple brute force (count AND set),
 //   * HGMatch parallel (any thread count, stealing on/off) == sequential,
 //   * BFS executor == sequential,
-//   * plan order is irrelevant to the result set.
+//   * plan order is irrelevant to the result set,
+//   * the service (fresh runs, exact and isomorphic plan-cache hits,
+//     mirrors) == edge-tuple brute force.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
+#include "core/canonical.h"
 #include "core/hgmatch.h"
 #include "core/reference.h"
 #include "gen/query_gen.h"
 #include "parallel/bfs_executor.h"
 #include "parallel/executor.h"
+#include "parallel/service.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
@@ -106,6 +114,83 @@ TEST_P(CrossEngineTest, BfsExecutorMatchesSequential) {
   BfsResult got = ExecutePlanBfs(data_, plan.value(), options);
   EXPECT_EQ(got.stats.embeddings, expected.value().embeddings);
   EXPECT_GT(got.peak_bytes, 0u);
+}
+
+// One service, four submissions of the scenario's query: a fresh run with
+// a sink, an exact sink-less repeat (mirrored), a renamed, edge-reordered
+// sink-less repeat (an isomorphic plan-cache hit, mirrored) and a renamed
+// repeat with a sink (a private plan, whose tuples map back to the
+// original's edges through the edge permutation). Counts and sets all
+// equal the oracle's.
+TEST_P(CrossEngineTest, ServiceMatchesOracle) {
+  CollectSink oracle_sink;
+  const MatchStats oracle =
+      ReferenceEdgeTupleMatch(data_, query_, {}, &oracle_sink);
+  std::vector<EdgeId> natural(query_.NumEdges());
+  std::iota(natural.begin(), natural.end(), 0);
+  const std::vector<Embedding> expected =
+      NormalizeEmbeddings(oracle_sink.embeddings(), natural);
+
+  // Reverse the vertex ids and rotate the hyperedges by one.
+  std::vector<VertexId> perm(query_.NumVertices());
+  for (VertexId v = 0; v < query_.NumVertices(); ++v) {
+    perm[v] = query_.NumVertices() - 1 - v;
+  }
+  std::vector<EdgeId> edge_order = natural;
+  std::rotate(edge_order.begin(), edge_order.begin() + 1, edge_order.end());
+  const Hypergraph renamed = Permuted(query_, perm, edge_order);
+  const bool invariant = CanonicalQueryKey(query_).isomorphism_invariant;
+
+  ServiceOptions options;
+  options.parallel.num_threads = 2;
+  options.parallel.scan_grain = 4;
+  MatchService service(data_, options);
+
+  CollectSink fresh_sink;
+  SubmitOptions fresh_options;
+  fresh_options.sink = &fresh_sink;
+  const QueryOutcome fresh =
+      service.SubmitBorrowed(query_, fresh_options).Wait();
+  ASSERT_EQ(fresh.status, QueryStatus::kOk);
+  EXPECT_FALSE(fresh.mirrored);
+  EXPECT_EQ(fresh.stats.embeddings, oracle.embeddings);
+  Result<QueryPlan> plan = BuildQueryPlan(query_, data_);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(NormalizeEmbeddings(fresh_sink.embeddings(), plan.value().Order()),
+            expected);
+
+  const QueryOutcome exact = service.SubmitBorrowed(query_).Wait();
+  EXPECT_EQ(exact.status, QueryStatus::kOk);
+  EXPECT_TRUE(exact.mirrored);
+  EXPECT_EQ(exact.stats.embeddings, oracle.embeddings);
+
+  const QueryOutcome iso = service.SubmitBorrowed(renamed).Wait();
+  EXPECT_EQ(iso.status, QueryStatus::kOk);
+  EXPECT_EQ(iso.mirrored, invariant);
+  EXPECT_EQ(iso.stats.embeddings, oracle.embeddings);
+
+  CollectSink renamed_sink;
+  SubmitOptions renamed_options;
+  renamed_options.sink = &renamed_sink;
+  const QueryOutcome own =
+      service.SubmitBorrowed(renamed, renamed_options).Wait();
+  EXPECT_EQ(own.status, QueryStatus::kOk);
+  EXPECT_FALSE(own.mirrored);
+  EXPECT_EQ(own.stats.embeddings, oracle.embeddings);
+  Result<QueryPlan> renamed_plan = BuildQueryPlan(renamed, data_);
+  ASSERT_TRUE(renamed_plan.ok());
+  // Renamed tuple slot j holds query edge renamed_plan.Order()[j], which is
+  // edge edge_order[...] of the original query.
+  std::vector<EdgeId> back;
+  for (EdgeId e : renamed_plan.value().Order()) back.push_back(edge_order[e]);
+  EXPECT_EQ(NormalizeEmbeddings(renamed_sink.embeddings(), back), expected);
+
+  const ServiceReport report = service.Shutdown();
+  EXPECT_EQ(report.submitted, 4u);
+  // The fresh plan plus the renamed sink-ful repeat's private one (or,
+  // when the key fell back to the exact one, its ordinary miss).
+  EXPECT_EQ(report.unique_plans, 2u);
+  EXPECT_EQ(report.plan_cache_isomorphic_hits, invariant ? 1u : 0u);
 }
 
 std::vector<Scenario> MakeScenarios() {

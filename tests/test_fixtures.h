@@ -56,6 +56,24 @@ inline Hypergraph PaperQueryHypergraph() {
   return q;
 }
 
+/// Applies a vertex permutation `perm` (old id -> new id) to `q`, adding
+/// the hyperedges in the order given by `edge_order`: hyperedge i of the
+/// result is hyperedge edge_order[i] of `q`.
+inline Hypergraph Permuted(const Hypergraph& q,
+                           const std::vector<VertexId>& perm,
+                           const std::vector<EdgeId>& edge_order) {
+  Hypergraph out;
+  std::vector<Label> labels(q.NumVertices());
+  for (VertexId v = 0; v < q.NumVertices(); ++v) labels[perm[v]] = q.label(v);
+  for (Label l : labels) out.AddVertex(l);
+  for (EdgeId e : edge_order) {
+    VertexSet members;
+    for (VertexId v : q.edge(e)) members.push_back(perm[v]);
+    (void)out.AddEdge(std::move(members), q.edge_label(e));
+  }
+  return out;
+}
+
 /// Small random hypergraph configurations used by cross-engine property
 /// sweeps. Sized so brute-force oracles stay fast.
 inline GeneratorConfig SmallRandomConfig(uint64_t seed) {
