@@ -1,5 +1,5 @@
-// Batch throughput: queries/second of the shared-pool batch engine
-// (parallel/batch_runner.h) as the number of threads grows, compared with
+// Batch throughput: queries/second of the shared-pool query service
+// (parallel/service.h RunBatch) as the number of threads grows, compared with
 // running the same workload one query at a time through the sequential
 // engine. Inter-query parallelism should scale throughput with the thread
 // count on workloads of many small/medium queries even when no single
@@ -12,7 +12,7 @@
 
 #include "bench/bench_common.h"
 #include "core/hgmatch.h"
-#include "parallel/batch_runner.h"
+#include "parallel/service.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -20,6 +20,19 @@ using namespace hgmatch;        // NOLINT
 using namespace hgmatch::bench; // NOLINT
 
 namespace {
+
+// Throughput in *executed* queries per second: plan-cache-mirrored
+// repeats complete at zero execution cost, so folding them in would
+// inflate the number (they are reported separately).
+double ExecutedPerSecond(const ServiceReport& r) {
+  return r.seconds > 0 ? static_cast<double>(r.executed) / r.seconds : 0;
+}
+
+uint64_t TotalEmbeddings(const BatchRun& run) {
+  uint64_t total = 0;
+  for (const Ticket& t : run.tickets) total += t.Wait().stats.embeddings;
+  return total;
+}
 
 // A vertex-renamed, edge-reordered copy of `q`: isomorphic to the
 // original but byte-different, so only the canonical plan-cache key can
@@ -71,24 +84,24 @@ void RenamedRepeatAblation(const Dataset& d,
     const char* mode;
     bool cache;
     bool isomorphism;
-    BatchResult r;
+    ServiceReport r;
   };
   Cell cells[] = {{"no-cache", false, false, {}},
                   {"exact-key", true, false, {}},
                   {"isomorphic", true, true, {}}};
   for (Cell& cell : cells) {
-    BatchOptions options;
+    ServiceOptions options;
     options.parallel.num_threads = threads;
     options.plan_cache = cell.cache;
     options.plan_cache_isomorphism = cell.isomorphism;
-    cell.r = RunBatch(d.index, renamed, options);
+    cell.r = RunBatch(d.index, renamed, options).report;
   }
 
   std::printf("  renamed-repeat workload (%zu byte-distinct copies of one "
               "shape, plan %.3gms/query):\n",
               kRenamedCopies, plan_per_query * 1e3);
   for (const Cell& cell : cells) {
-    const BatchResult& r = cell.r;
+    const ServiceReport& r = cell.r;
     const double hit_rate =
         static_cast<double>(r.plan_cache_hits) / (kRenamedCopies - 1);
     std::printf("    %-11s %10s  %llu plans compiled, %llu hits "
@@ -106,7 +119,7 @@ void RenamedRepeatAblation(const Dataset& d,
     std::printf("  (could not write BENCH_plancache.json)\n");
     return;
   }
-  const BatchResult& iso = cells[2].r;
+  const ServiceReport& iso = cells[2].r;
   std::fprintf(json, "{\n  \"bench\": \"plan_cache_renamed_repeats\",\n");
   std::fprintf(json, "  \"dataset\": \"%s\",\n  \"copies\": %zu,\n",
                d.name.c_str(), kRenamedCopies);
@@ -114,7 +127,7 @@ void RenamedRepeatAblation(const Dataset& d,
                plan_per_query);
   std::fprintf(json, "  \"cells\": [\n");
   for (size_t i = 0; i < 3; ++i) {
-    const BatchResult& r = cells[i].r;
+    const ServiceReport& r = cells[i].r;
     std::fprintf(
         json,
         "    {\"mode\": \"%s\", \"seconds\": %.6f, \"unique_plans\": %llu, "
@@ -181,20 +194,18 @@ int main(int argc, char** argv) {
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
       if (threads > 2 * hw && threads > 4) break;
       max_threads = threads;
-      BatchOptions options;
+      ServiceOptions options;
       options.parallel.num_threads = threads;
-      const BatchResult r = RunBatch(d.index, batch, options);
-      // Throughput counts *executed* queries only: plan-cache-mirrored
-      // repeats complete at zero execution cost, so folding them in would
-      // inflate the number (they are reported separately).
+      const BatchRun run = RunBatch(d.index, batch, options);
+      const ServiceReport& r = run.report;
       std::printf("  batch t=%2u:     %10s  %8.1f exec-queries/s  "
                   "(%llu executed + %llu mirrored, %llu embeddings, "
                   "peak task mem %llu bytes)\n",
                   threads, FormatSeconds(r.seconds).c_str(),
-                  r.QueriesPerSecond(),
+                  ExecutedPerSecond(r),
                   static_cast<unsigned long long>(r.executed),
                   static_cast<unsigned long long>(r.mirrored),
-                  static_cast<unsigned long long>(r.total.embeddings),
+                  static_cast<unsigned long long>(TotalEmbeddings(run)),
                   static_cast<unsigned long long>(r.peak_task_bytes));
     }
 
@@ -203,20 +214,20 @@ int main(int argc, char** argv) {
     // (multi-user serving mode; peak task memory should shrink with the
     // window while throughput stays close).
     {
-      BatchOptions options;
+      ServiceOptions options;
       options.parallel.num_threads = max_threads;
       options.plan_cache = false;
-      const BatchResult r = RunBatch(d.index, batch, options);
+      const ServiceReport r = RunBatch(d.index, batch, options).report;
       std::printf("  no plan cache:  %10s  %8.1f queries/s\n",
                   FormatSeconds(r.seconds).c_str(),
                   r.seconds > 0 ? batch.size() / r.seconds : 0.0);
     }
     for (uint32_t window : {1u, 2 * max_threads}) {
-      BatchOptions options;
+      ServiceOptions options;
       options.parallel.num_threads = max_threads;
       options.max_inflight_queries = window;
       options.plan_cache = false;  // window effects are per executed query
-      const BatchResult r = RunBatch(d.index, batch, options);
+      const ServiceReport r = RunBatch(d.index, batch, options).report;
       std::printf("  window=%3u:     %10s  %8.1f queries/s  "
                   "(peak task mem %llu bytes)\n",
                   window, FormatSeconds(r.seconds).c_str(),
@@ -232,7 +243,7 @@ int main(int argc, char** argv) {
     // costing A little.
     for (AdmissionPolicy policy :
          {AdmissionPolicy::kFifo, AdmissionPolicy::kWeightedFair}) {
-      BatchOptions options;
+      ServiceOptions options;
       options.parallel.num_threads = max_threads;
       options.max_inflight_queries = max_threads;  // order must matter
       options.admission = policy;
@@ -243,12 +254,11 @@ int main(int argc, char** argv) {
         submit[i].tenant_id = i < half ? 1 : 2;
         submit[i].weight = i < half ? 3.0 : 1.0;
       }
-      const BatchResult r = RunBatch(d.index, batch, options, nullptr,
-                                     &submit);
+      const BatchRun run = RunBatch(d.index, batch, options, &submit);
       double finish_a = 0, finish_b = 0;
-      for (size_t i = 0; i < r.queries.size(); ++i) {
-        const double finish =
-            r.queries[i].admit_seconds + r.queries[i].stats.seconds;
+      for (size_t i = 0; i < run.tickets.size(); ++i) {
+        const QueryOutcome& q = run.tickets[i].Wait();
+        const double finish = q.admit_seconds + q.stats.seconds;
         (i < half ? finish_a : finish_b) += finish;
       }
       finish_a /= half > 0 ? half : 1;

@@ -10,8 +10,8 @@
 
 #include "bench/bench_common.h"
 #include "core/hgmatch.h"
-#include "parallel/batch_runner.h"
 #include "parallel/executor.h"
+#include "parallel/service.h"
 
 using namespace hgmatch;        // NOLINT
 using namespace hgmatch::bench; // NOLINT
@@ -57,17 +57,18 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(r.value().stats.embeddings));
       }
       // Facade-parity check: the same query as a batch of one through the
-      // batch engine must match the executor's count and wall time (both
-      // are thin layers over the shared scheduler core).
+      // service must match the executor's count and wall time (both are
+      // thin layers over the shared scheduler core).
       {
         std::vector<Hypergraph> one;
         one.push_back(q.Clone());
-        BatchOptions options;
+        ServiceOptions options;
         options.parallel.num_threads = max_threads;
-        const BatchResult r = RunBatch(d.index, one, options);
+        const BatchRun r = RunBatch(d.index, one, options);
         std::printf("  batch-of-one t=%2u: %10s  (%llu embeddings)\n",
-                    max_threads, FormatSeconds(r.seconds).c_str(),
-                    static_cast<unsigned long long>(r.total.embeddings));
+                    max_threads, FormatSeconds(r.report.seconds).c_str(),
+                    static_cast<unsigned long long>(
+                        r.tickets[0].Wait().stats.embeddings));
       }
     }
   }

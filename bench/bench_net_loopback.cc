@@ -15,9 +15,8 @@
 // compressed} and reports bytes/query and q/s per cell — the wire-economy
 // numbers behind the batched/compressed framing — and writes them to
 // BENCH_net.json for machine consumption. A fifth section exercises the
-// graph catalog: round-robin routing over 1 vs 4 hosted graphs and a
-// scatter-gather shard sweep (K = 1/2/8) of one expensive query shape,
-// with per-query counts cross-checked across every cell, written to
+// graph catalog: round-robin routing over 1 vs 4 hosted graphs, with
+// per-query counts cross-checked across both cells, written to
 // BENCH_catalog.json. A sixth section reruns the 10k-query flood under
 // {metrics on (the default), metrics compiled in but disabled, metrics +
 // per-query tracing} and reports each cell's q/s overhead against the
@@ -374,19 +373,13 @@ void FloodSection() {
   std::printf("wrote BENCH_net.json\n");
 }
 
-// Catalog + scatter-gather section. Two measurements, one JSON file:
-//  * multi-graph serving: G hosted graphs on one pool vs the same load on
-//    a single-graph server — the cost of routing and per-graph services
-//    when the pool, not the catalog, should be the bottleneck;
-//  * shard sweep: K in {1, 2, 8} scan-sliced fan-out of one expensive
-//    query shape, pipelined through one connection — the latency lever
-//    sharding buys on a multi-core pool (and the fan-out overhead it
-//    costs on K > cores).
-// Counts are asserted equal across all cells: sharding and routing are
-// exactness-preserving, so a mismatch here is a bug, not noise.
+// Catalog section: G hosted graphs on one pool vs the same load on a
+// single-graph server — the cost of routing and per-graph services when
+// the pool, not the catalog, should be the bottleneck. Counts are
+// asserted equal across the cells: routing is exactness-preserving, so a
+// mismatch here is a bug, not noise.
 struct CatalogCell {
   std::string label;
-  uint32_t shards = 1;
   size_t queries = 0;
   uint64_t embeddings = 0;
   double seconds = 0;
@@ -399,12 +392,12 @@ void CatalogSection() {
   for (VertexId i = 0; i < kVertices; ++i) {
     for (VertexId j = i + 1; j < kVertices; ++j) (void)clique.AddEdge({i, j});
   }
-  Hypergraph query;  // 3-edge path: heavy enough for slicing to matter
+  Hypergraph query;  // 3-edge path
   query.AddVertices(4, 0);
   for (VertexId v = 0; v < 3; ++v) (void)query.AddEdge({v, v + 1});
 
   std::vector<CatalogCell> cells;
-  std::printf("-- graph catalog + shard sweep (28-clique, 3-edge path) --\n");
+  std::printf("-- graph catalog (28-clique, 3-edge path) --\n");
 
   // Multi-graph routing: the same budget of queries against 1 vs 4 hosted
   // copies of the graph, round-robin routed, one client.
@@ -453,46 +446,6 @@ void CatalogSection() {
     cells.push_back(std::move(cell));
   }
 
-  // Shard sweep: scatter-gather fan-out of every submission.
-  constexpr size_t kSharded = 32;
-  for (uint32_t shards : {1u, 2u, 8u}) {
-    std::vector<NamedGraph> graphs;
-    graphs.push_back({"default", clique.Clone()});
-    ServerOptions server_options;
-    server_options.service.parallel.num_threads = 4;
-    server_options.service.shards = shards;
-    MatchServer server(std::move(graphs), server_options);
-    if (!server.Start().ok()) return;
-    MatchClient client;
-    if (!client.Connect("127.0.0.1", server.port()).ok()) return;
-
-    CatalogCell cell;
-    cell.label = "shards/" + std::to_string(shards);
-    cell.shards = shards;
-    cell.queries = kSharded;
-    Timer timer;
-    std::vector<uint64_t> ids;
-    ids.reserve(kSharded);
-    for (size_t i = 0; i < kSharded; ++i) {
-      Result<uint64_t> id = client.Submit(query);
-      if (!id.ok()) return;
-      ids.push_back(id.value());
-    }
-    for (uint64_t id : ids) {
-      Result<WireOutcome> reply = client.WaitOutcome(id);
-      if (!reply.ok()) return;
-      cell.embeddings += reply.value().outcome.stats.embeddings;
-    }
-    cell.seconds = timer.ElapsedSeconds();
-    server.Stop();
-    std::printf("%-16s %4zu queries  %8.4fs  %8.1f q/s\n",
-                cell.label.c_str(), cell.queries, cell.seconds,
-                cell.seconds > 0
-                    ? static_cast<double>(cell.queries) / cell.seconds
-                    : 0);
-    cells.push_back(std::move(cell));
-  }
-
   // Exactness cross-check: every cell saw the same per-query counts.
   const uint64_t per_query = cells.empty() || cells[0].queries == 0
                                  ? 0
@@ -517,9 +470,9 @@ void CatalogSection() {
   for (size_t i = 0; i < cells.size(); ++i) {
     const CatalogCell& cell = cells[i];
     std::fprintf(json,
-                 "    {\"label\": \"%s\", \"shards\": %u, \"queries\": %zu, "
+                 "    {\"label\": \"%s\", \"queries\": %zu, "
                  "\"embeddings\": %llu, \"seconds\": %.6f, \"qps\": %.1f}%s\n",
-                 cell.label.c_str(), cell.shards, cell.queries,
+                 cell.label.c_str(), cell.queries,
                  static_cast<unsigned long long>(cell.embeddings),
                  cell.seconds,
                  cell.seconds > 0

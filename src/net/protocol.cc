@@ -37,12 +37,11 @@ void AppendGraphStats(const WireGraphStats& g, std::string* payload) {
   AppendValue<uint64_t>(g.queries, payload);
   AppendValue<uint64_t>(g.live_tickets, payload);
   AppendValue<uint64_t>(g.index_bytes, payload);
-  AppendValue<uint32_t>(g.shards, payload);
 }
 
 // Encoded size of a graph row with an empty name; a row count beyond
 // remaining / kMinGraphRowBytes is corrupt before anything is allocated.
-constexpr size_t kMinGraphRowBytes = 1 + 1 + 8 + 8 + 8 + 4;
+constexpr size_t kMinGraphRowBytes = 1 + 1 + 8 + 8 + 8;
 
 // Reads a varint row count followed by that many graph rows.
 bool ReadGraphRows(ByteReader& r, std::vector<WireGraphStats>* rows) {
@@ -55,7 +54,6 @@ bool ReadGraphRows(ByteReader& r, std::vector<WireGraphStats>* rows) {
     g.queries = r.ReadValue<uint64_t>();
     g.live_tickets = r.ReadValue<uint64_t>();
     g.index_bytes = r.ReadValue<uint64_t>();
-    g.shards = r.ReadValue<uint32_t>();
   }
   return r.ok();
 }
@@ -139,13 +137,6 @@ std::string EncodeOutcome(const WireOutcome& wire, bool with_trace) {
       AppendValue<double>(span.last_task_seconds, &payload);
       AppendValue<double>(span.resolve_seconds, &payload);
       AppendValue<double>(span.deliver_seconds, &payload);
-      AppendVarint(span.slices.size(), &payload);
-      for (const TraceSlice& s : span.slices) {
-        AppendValue<uint32_t>(s.slice, &payload);
-        AppendValue<double>(s.admit_seconds, &payload);
-        AppendValue<double>(s.first_task_seconds, &payload);
-        AppendValue<double>(s.finish_seconds, &payload);
-      }
     }
   }
   return payload;
@@ -187,19 +178,6 @@ Result<WireOutcome> DecodeOutcome(std::string_view payload,
       span.last_task_seconds = r.ReadValue<double>();
       span.resolve_seconds = r.ReadValue<double>();
       span.deliver_seconds = r.ReadValue<double>();
-      const uint64_t slices = ReadVarint(r);
-      // 28 bytes per row; the bound keeps a corrupt count from turning
-      // into a giant allocation before the length check can fail.
-      if (!r.ok() || slices > r.remaining() / 28) {
-        return Status::Corruption("malformed OUTCOME trace section");
-      }
-      span.slices.resize(slices);
-      for (TraceSlice& s : span.slices) {
-        s.slice = r.ReadValue<uint32_t>();
-        s.admit_seconds = r.ReadValue<double>();
-        s.first_task_seconds = r.ReadValue<double>();
-        s.finish_seconds = r.ReadValue<double>();
-      }
     }
   }
   if (!r.ok() || r.remaining() != 0) {

@@ -194,7 +194,6 @@ struct WireGraphStats {
   uint64_t queries = 0;       // submissions routed to this graph, ever
   uint64_t live_tickets = 0;  // submissions not yet resolved
   uint64_t index_bytes = 0;   // signature-index footprint
-  uint32_t shards = 1;        // scatter-gather fan-out
 };
 
 /// One slow-query ring entry in kStatsReply (ServerOptions::
@@ -269,8 +268,8 @@ std::string EncodeSubmit(const WireSubmit& fields, const Hypergraph& query);
 Result<WireSubmit> DecodeSubmit(std::string_view payload);
 
 /// with_trace selects the trace-negotiated OUTCOME layout, which appends
-/// the query's QuerySpan (enabled flag, six stamps, per-slice rows) after
-/// the fixed fields. It must match on both ends: pass true exactly when
+/// the query's QuerySpan (enabled flag, then six stamps when enabled)
+/// after the fixed fields. It must match on both ends: pass true exactly when
 /// the connection was granted kFeatureTrace (batch entries inherit the
 /// connection's flag). With with_trace=true and an untraced outcome the
 /// section is a single 0 byte.

@@ -340,7 +340,6 @@ class MatchServer::Impl {
       row.queries = g.queries;
       row.live_tickets = g.live_tickets;
       row.index_bytes = g.index_bytes;
-      row.shards = g.shards;
       rows.push_back(std::move(row));
     }
     return rows;

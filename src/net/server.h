@@ -27,8 +27,7 @@ struct ServerOptions {
   /// (the catalog builds one MatchService per graph from this template,
   /// all on one scheduler pool). Backpressure lives here:
   /// service.max_queued_queries bounds the admission backlog, and the
-  /// server relays each shed submission as a kRejected frame. Sharded
-  /// scatter-gather execution is service.shards.
+  /// server relays each shed submission as a kRejected frame.
   ServiceOptions service;
 
   /// Reactor IO threads: each runs its own epoll loop and owns the full

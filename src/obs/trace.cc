@@ -29,15 +29,6 @@ double QuerySpan::TotalSeconds() const {
 
 namespace {
 
-void MergeMin(double* into, double from) {
-  if (from <= 0) return;
-  if (*into <= 0 || from < *into) *into = from;
-}
-
-void MergeMax(double* into, double from) {
-  if (from > *into) *into = from;
-}
-
 void AppendStage(std::string* out, const char* name, double stamp,
                  double submit) {
   char buf[128];
@@ -51,16 +42,6 @@ void AppendStage(std::string* out, const char* name, double stamp,
 }
 
 }  // namespace
-
-void QuerySpan::MergeFrom(const QuerySpan& other) {
-  enabled = enabled || other.enabled;
-  MergeMin(&submit_seconds, other.submit_seconds);
-  MergeMin(&admit_seconds, other.admit_seconds);
-  MergeMin(&first_task_seconds, other.first_task_seconds);
-  MergeMax(&last_task_seconds, other.last_task_seconds);
-  MergeMax(&resolve_seconds, other.resolve_seconds);
-  MergeMax(&deliver_seconds, other.deliver_seconds);
-}
 
 std::string QuerySpan::Timeline() const {
   std::string out;
@@ -78,23 +59,6 @@ std::string QuerySpan::Timeline() const {
   AppendStage(&out, "last-task", last_task_seconds, submit_seconds);
   AppendStage(&out, "resolve", resolve_seconds, submit_seconds);
   AppendStage(&out, "deliver", deliver_seconds, submit_seconds);
-  for (const TraceSlice& s : slices) {
-    if (s.first_task_seconds > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    "  slice %-6u admit +%.3f ms  first-task +%.3f ms  "
-                    "finish +%.3f ms\n",
-                    s.slice, (s.admit_seconds - submit_seconds) * 1e3,
-                    (s.first_task_seconds - submit_seconds) * 1e3,
-                    (s.finish_seconds - submit_seconds) * 1e3);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "  slice %-6u admit +%.3f ms  first-task -  finish "
-                    "+%.3f ms\n",
-                    s.slice, (s.admit_seconds - submit_seconds) * 1e3,
-                    (s.finish_seconds - submit_seconds) * 1e3);
-    }
-    out.append(buf);
-  }
   return out;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace hgmatch {
 
@@ -13,17 +12,6 @@ namespace hgmatch {
 /// taken on different threads and different pools are directly
 /// comparable. Never goes backwards, unaffected by wall-clock jumps.
 double MonotonicSeconds();
-
-/// One scatter-gather slice's contribution to a traced query: when the
-/// slice was admitted by its scheduler, when its first task ran, and when
-/// it finished. All stamps are MonotonicSeconds(); 0 means "never
-/// happened" (e.g. a slice cancelled before running a task).
-struct TraceSlice {
-  uint32_t slice = 0;
-  double admit_seconds = 0;
-  double first_task_seconds = 0;
-  double finish_seconds = 0;
-};
 
 /// The end-to-end timeline of one query, filled in as it crosses layers:
 ///
@@ -47,16 +35,9 @@ struct QuerySpan {
   double last_task_seconds = 0;
   double resolve_seconds = 0;
   double deliver_seconds = 0;
-  /// Per-shard rows when the service fanned the query over scan slices.
-  std::vector<TraceSlice> slices;
 
   /// Latest stamp minus submit: the query's total visible latency so far.
   double TotalSeconds() const;
-
-  /// Merges a shard slice's span into this (the fan parent's) span:
-  /// earliest submit/admit/first_task, latest last_task. Zero stamps on
-  /// either side never win a min.
-  void MergeFrom(const QuerySpan& other);
 
   /// Multi-line human-readable timeline (relative offsets from submit),
   /// as printed by `hgmatch query --trace`.

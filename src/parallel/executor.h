@@ -58,8 +58,8 @@ struct ParallelResult {
 /// schedules LIFO, and steals up to half of a random victim's queue when
 /// idle. This is a thin facade over the shared scheduler core
 /// (parallel/scheduler.h) — a single query runs as a batch of one, so every
-/// deque/steal/deadline behaviour is identical to the batch engine's
-/// (parallel/batch_runner.h) by construction. `sink` may be null (count
+/// deque/steal/deadline behaviour is identical to the service's
+/// (parallel/service.h) by construction. `sink` may be null (count
 /// only); when non-null, Emit calls are serialised by the engine, so any
 /// sink works but heavy sinks limit scalability — the experiments count,
 /// matching the paper's metric. `stats.timed_out` is only set when the

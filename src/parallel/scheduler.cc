@@ -62,10 +62,6 @@ struct QueryContext {
   // per-submission graph of the data-graph Submit overload.
   const IndexedHypergraph* data = nullptr;
   const EdgeSet* scan_table = nullptr;  // first-step signature table
-  // Slice of the first-step table this query seeds (SubmitOptions::
-  // scan_slice/scan_slices); [0, scan_table->size()) when unsliced.
-  uint32_t scan_lo = 0;
-  uint32_t scan_hi = 0;
   EmbeddingSink* sink = nullptr;
   std::mutex sink_mutex;
 
@@ -257,20 +253,7 @@ class Scheduler::Impl {
           plan->NumSteps() > 0 ? data->FindPartition(plan->steps[0].signature)
                                : nullptr;
       if (first != nullptr && !first->edges().empty()) {
-        // Clamp the requested slice into [0, table size); an empty slice
-        // (every table smaller than scan_slices leaves some slices empty)
-        // behaves exactly like an empty table: done at admission with zero
-        // stats.
-        const uint64_t total = first->edges().size();
-        const uint64_t slices = std::max<uint32_t>(1, so.scan_slices);
-        const uint64_t slice = std::min<uint64_t>(so.scan_slice, slices - 1);
-        const uint64_t lo = total * slice / slices;
-        const uint64_t hi = total * (slice + 1) / slices;
-        if (lo < hi) {
-          ctx->scan_table = &first->edges();
-          ctx->scan_lo = static_cast<uint32_t>(lo);
-          ctx->scan_hi = static_cast<uint32_t>(hi);
-        }
+        ctx->scan_table = &first->edges();
       }
       QueryContext* raw = ctx.get();
       slot.ctx = std::move(ctx);
@@ -850,14 +833,12 @@ class Scheduler::Impl {
       }
       ctx->seeded = true;
       ++inflight_;
-      // Seed only the query's slice of the table (the whole table when
-      // unsliced); SCAN task ranges are absolute table indices.
-      const uint64_t total = ctx->scan_hi - ctx->scan_lo;
+      const uint64_t total = ctx->scan_table->size();
       const uint64_t chunk = (total + num_threads_ - 1) / num_threads_;
       for (uint32_t w = 0; w < num_threads_; ++w) {
-        const uint64_t lo = ctx->scan_lo + static_cast<uint64_t>(w) * chunk;
-        if (lo >= ctx->scan_hi) break;
-        const uint64_t hi = std::min<uint64_t>(lo + chunk, ctx->scan_hi);
+        const uint64_t lo = static_cast<uint64_t>(w) * chunk;
+        if (lo >= total) break;
+        const uint64_t hi = std::min<uint64_t>(lo + chunk, total);
         Inject(seeder, Task::NewScan(ctx, static_cast<uint32_t>(lo),
                                      static_cast<uint32_t>(hi)));
       }

@@ -96,8 +96,8 @@ struct QueryOutcome {
   /// End-to-end timeline (process-monotonic stamps), recorded only when
   /// the query was submitted with SubmitOptions::trace; span.enabled is
   /// false otherwise. The scheduler fills submit/admit/first_task/
-  /// last_task; the service layer adds resolve (and slice rows for fanned
-  /// queries); the wire server adds deliver.
+  /// last_task; the service layer adds resolve; the wire server adds
+  /// deliver.
   QuerySpan span;
 };
 
@@ -110,18 +110,17 @@ struct SchedulerReport {
 };
 
 /// The scheduler core shared by the single-query executor
-/// (parallel/executor.h), the batch facade (parallel/batch_runner.h) and
-/// the streaming query service (parallel/service.h): one worker pool where
-/// each worker owns a Chase-Lev deque, schedules LIFO and steals up to half
-/// of a random victim's queue when idle (Section VI.B/VI.C), generalised to
-/// many concurrent query plans by tagging every task with its query
-/// context. It owns the worker pool, the deques, the steal policy,
-/// per-query deadlines/limits, the admission window and policy, and
-/// per-query stats accumulation; the public engines are thin facades over
-/// it. Admitted queries are seeded through a shared injection queue that
-/// workers drain before their own deques, so a newly admitted query starts
-/// at the next task boundary and spreads over the pool even with work
-/// stealing disabled.
+/// (parallel/executor.h) and the streaming query service
+/// (parallel/service.h): one worker pool where each worker owns a Chase-Lev
+/// deque, schedules LIFO and steals up to half of a random victim's queue
+/// when idle (Section VI.B/VI.C), generalised to many concurrent query
+/// plans by tagging every task with its query context. It owns the worker
+/// pool, the deques, the steal policy, per-query deadlines/limits, the
+/// admission window and policy, and per-query stats accumulation; the
+/// public engines are thin facades over it. Admitted queries are seeded
+/// through a shared injection queue that workers drain before their own
+/// deques, so a newly admitted query starts at the next task boundary and
+/// spreads over the pool even with work stealing disabled.
 ///
 /// The pool starts in the constructor. Submit() from any thread at any
 /// time; each submission is admitted per the admission policy. Cancel()
@@ -166,11 +165,7 @@ class Scheduler {
   uint32_t Submit(const QueryPlan* plan, const SubmitOptions& options);
 
   /// Submit against an explicit data graph (must match the index the plan
-  /// was built against and outlive the query). `options.scan_slice/
-  /// scan_slices` restrict the first-step SCAN to one contiguous slice of
-  /// the root signature table — the scatter half of sharded execution:
-  /// slices of the same plan partition the embedding set exactly, so
-  /// summing the slice counts reproduces the unsliced result.
+  /// was built against and outlive the query).
   uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph& data,
                   const SubmitOptions& options);
 

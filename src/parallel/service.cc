@@ -50,63 +50,6 @@ const ServiceMetrics& Metrics() {
   return m;
 }
 
-// Serialises Emit across the sub-queries of one sharded fan: the
-// scheduler serialises Emit per query, and each fan sub-query is its own
-// scheduler query, so concurrent slices would otherwise race on the
-// user's sink.
-class LockedSink : public EmbeddingSink {
- public:
-  explicit LockedSink(EmbeddingSink* wrapped) : wrapped_(wrapped) {}
-
-  void Emit(const EdgeId* edges, uint32_t size) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    wrapped_->Emit(edges, size);
-  }
-
- private:
-  EmbeddingSink* wrapped_;
-  std::mutex mutex_;
-};
-
-// Merge dominance of terminal statuses: when the slices of one sharded
-// query end differently, the parent reports the most user-actionable
-// cause (the same order QueryStatus documents).
-int StatusSeverity(QueryStatus s) {
-  switch (s) {
-    case QueryStatus::kOk: return 0;
-    case QueryStatus::kLimit: return 1;
-    case QueryStatus::kTimeout: return 2;
-    case QueryStatus::kCancelled: return 3;
-    case QueryStatus::kPlanError: return 5;
-    case QueryStatus::kRejected: return 4;
-  }
-  return 0;
-}
-
-// Folds one slice outcome into the fan's merged parent outcome: counts
-// sum (the slices partition the embedding set), wall-clock fields span
-// the whole fan (earliest admission to last finish), and the most severe
-// status wins. `any` is false for the first slice.
-void MergeShardOutcome(QueryOutcome* into, const QueryOutcome& out,
-                       bool any) {
-  if (!any) {
-    *into = out;
-    return;
-  }
-  if (StatusSeverity(out.status) > StatusSeverity(into->status)) {
-    into->status = out.status;
-  }
-  into->stats += out.stats;
-  into->stats.seconds = std::max(into->stats.seconds, out.stats.seconds);
-  into->admit_seconds = std::min(into->admit_seconds, out.admit_seconds);
-  into->finish_seconds = std::max(into->finish_seconds, out.finish_seconds);
-  into->admit_index = std::min(into->admit_index, out.admit_index);
-  // Span scalars span the whole fan (earliest submit/admit/first task,
-  // latest last task); per-slice rows are appended by the caller, which
-  // knows the slice index.
-  into->span.MergeFrom(out.span);
-}
-
 // Whether a canonical outcome is a trustworthy source of mirrored counts:
 // a complete run (kOk) or a limit stop at the same limit budget. Anything
 // else (timeout, cancelled) carries partial counts that belong only to the
@@ -119,26 +62,6 @@ bool Mirrorable(QueryStatus s) {
 }  // namespace
 
 namespace internal {
-
-// Fan-out bookkeeping of one sharded submission (ServiceOptions::shards
-// > 1): the record's execution is K scheduler sub-queries, one per scan
-// slice, and the parent resolves when the last of them does. Every field
-// is guarded by ServiceImpl::resolve_mutex_ (sub-query completion hooks,
-// attachment of scheduler indices and parent resolution all serialise
-// there), except `locked_sink`, which is written once before the first
-// sub-query is submitted.
-struct ShardFan {
-  uint32_t remaining = 0;      // sub-queries not yet finished
-  bool any = false;            // `merged` holds at least one slice
-  bool cancel_issued = false;  // a rejected slice cancelled its siblings
-  QueryOutcome merged;         // running merge of finished slices
-  // Scheduler indices of the sub-queries; kNotScheduled until Submit
-  // returns each (a slice resolving synchronously inside Submit can beat
-  // its own attachment).
-  std::vector<uint32_t> sub;
-  // Serialising wrapper around the user's sink, when one is set.
-  std::unique_ptr<LockedSink> locked_sink;
-};
 
 // The mutex + condition variable every ticket wait and record resolution
 // parks on. Shared-owned: the service holds one reference and every
@@ -191,8 +114,6 @@ struct QueryRecord {
   // LRU eviction guard); decremented exactly once, at resolution. Null
   // for cache-off submissions.
   std::shared_ptr<std::atomic<uint32_t>> plan_live;
-  // Sharded execution state; null for plain (shards <= 1) submissions.
-  std::shared_ptr<ShardFan> fan;
 
   // Mirror re-dispatch state, set at attachment (under mutex_ +
   // resolve_mutex_) and consumed by RedispatchMirrors when the canonical
@@ -349,9 +270,9 @@ class ServiceImpl {
     if (owned_ == nullptr) {
       // Shared pool: the pool keeps running for sibling services, so no
       // Seal/Join — wait for this service's own records instead (every
-      // one resolves through a completion hook, sharded fans included),
-      // then for in-flight hook deliveries to leave the building (Join
-      // provides that barrier in owned mode; here nothing else would).
+      // one resolves through a completion hook), then for in-flight hook
+      // deliveries to leave the building (Join provides that barrier in
+      // owned mode; here nothing else would).
       WaitRecordsResolved();
       {
         std::unique_lock<std::mutex> lock(resolve_mutex_);
@@ -415,8 +336,6 @@ class ServiceImpl {
   bool Cancel(const std::shared_ptr<QueryRecord>& rec) {
     if (rec->resolved.load(std::memory_order_acquire)) return false;
     std::vector<FiredCompletion> fire;
-    std::vector<uint32_t> subs;
-    bool mirror = false;
     {
       // Classify under resolve_mutex_: re-dispatch moves a record from
       // mirror to executed concurrently, so an unlocked canonical check
@@ -433,33 +352,18 @@ class ServiceImpl {
         QueryOutcome out;
         out.status = QueryStatus::kCancelled;
         ResolveLocked(rec, out, &fire, nullptr);
-        mirror = true;
       } else if (rec->redispatching) {
         // Detached from its canonical but its pool submission has not
         // attached yet — nothing to target; the attachment observes the
         // flag and cancels on the way out.
         rec->cancel_pending = true;
         return true;
-      } else if (rec->fan != nullptr) {
-        subs = rec->fan->sub;
-        // Slices still inside their own Submit call attach later;
-        // AttachShardIndex observes the flag and cancels them then.
-        rec->fan->cancel_issued = true;
       }
     }
-    if (mirror) {
+    if (!fire.empty()) {  // a mirror, resolved above
       resolve_cv_.notify_all();
       FireCompletions(&fire);
       return true;
-    }
-    if (!subs.empty()) {
-      // Sharded: cancel every attached sub-query; the fan resolves
-      // (status kCancelled dominating ok/limit) once every slice does.
-      bool any = false;
-      for (uint32_t idx : subs) {
-        if (idx != kNotScheduled && sched_->Cancel(idx)) any = true;
-      }
-      return any;
     }
     // Resolution arrives through the scheduler's completion hook —
     // synchronously inside this call for queries cancelled while queued,
@@ -603,33 +507,21 @@ class ServiceImpl {
       }
     }
     rec->mirrors.clear();
-    if (rec->sched_index != kNotScheduled || rec->fan != nullptr) {
+    if (rec->sched_index != kNotScheduled) {
       // Counts pool submissions for Gauges().finished. A record whose
       // scheduler index is not attached yet is counted by
-      // AttachSchedIndex; a sharded record's fan is set before any slice
-      // is submitted, so the fan path needs no catch-up.
+      // AttachSchedIndex.
       finished_.fetch_add(1, std::memory_order_release);
     }
   }
 
-  // Releases the resolved record's scheduler slot(s) and, for
-  // plan-cache-off submissions, retires + frees the plan that served
-  // exactly this query. Callers hold resolve_mutex_.
+  // Releases the resolved record's scheduler slot and, for plan-cache-off
+  // submissions, retires + frees the plan that served exactly this query.
+  // Callers hold resolve_mutex_.
   void ReleaseSlotLocked(QueryRecord* rec) {
-    if (rec->fan != nullptr) {
-      if (rec->released) return;
-      rec->released = true;
-      // Parent resolution means every slice's completion hook already ran,
-      // so every attached sub-slot is releasable; slices still inside
-      // their own Submit call release at attachment (AttachShardIndex).
-      for (uint32_t idx : rec->fan->sub) {
-        if (idx != kNotScheduled) sched_->Release(idx);
-      }
-    } else {
-      if (rec->released || rec->sched_index == kNotScheduled) return;
-      rec->released = true;
-      sched_->Release(rec->sched_index);
-    }
+    if (rec->released || rec->sched_index == kNotScheduled) return;
+    rec->released = true;
+    sched_->Release(rec->sched_index);
     if (rec->owned_plan != nullptr) {
       sched_->RetirePlan(rec->owned_plan->uid);
       rec->owned_plan.reset();
@@ -661,74 +553,6 @@ class ServiceImpl {
     if (cancel) sched_->Cancel(index);
   }
 
-  // Fan analogue of AttachSchedIndex: publishes slice k's scheduler index.
-  // If the parent already resolved (this slice finished synchronously
-  // inside its own Submit and was the last one), the slot is released
-  // right here — the parent's ReleaseSlotLocked could not reach it. If a
-  // cancellation was issued while this slice was mid-Submit, it is
-  // cancelled on the way out.
-  void AttachShardIndex(const std::shared_ptr<QueryRecord>& rec, uint32_t k,
-                        uint32_t index) {
-    bool cancel = false;
-    {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      if (rec->released) {
-        sched_->Release(index);
-        return;
-      }
-      rec->fan->sub[k] = index;
-      cancel = rec->fan->cancel_issued;
-    }
-    if (cancel) sched_->Cancel(index);
-  }
-
-  // Completion hook of fan slice k: fold the slice outcome into the
-  // parent's running merge; the parent resolves when the last slice does.
-  // A rejected slice (queue-bound shed) cancels its siblings so the fan
-  // resolves promptly as kRejected instead of burning pool time on a
-  // result that is already lost.
-  void OnShardComplete(const std::shared_ptr<QueryRecord>& rec, uint32_t k,
-                       const QueryOutcome& out) {
-    std::vector<uint32_t> to_cancel;
-    std::vector<FiredCompletion> fire;
-    std::vector<std::shared_ptr<QueryRecord>> redispatch;
-    bool resolved_now = false;
-    {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      ShardFan* fan = rec->fan.get();
-      MergeShardOutcome(&fan->merged, out, fan->any);
-      if (out.span.enabled) {
-        fan->merged.span.slices.push_back({k, out.span.admit_seconds,
-                                           out.span.first_task_seconds,
-                                           out.span.last_task_seconds});
-      }
-      fan->any = true;
-      if (out.status == QueryStatus::kRejected && !fan->cancel_issued) {
-        fan->cancel_issued = true;
-        for (uint32_t idx : fan->sub) {
-          if (idx != kNotScheduled) to_cancel.push_back(idx);
-        }
-      }
-      if (--fan->remaining == 0 &&
-          !rec->resolved.load(std::memory_order_acquire)) {
-        ResolveLocked(rec, fan->merged, &fire, &redispatch);
-        resolved_now = true;
-      }
-      ++hook_busy_;  // see OnSchedulerComplete
-    }
-    // Cancel outside resolve_mutex_: Cancel fires sibling completion hooks
-    // synchronously for still-queued slices, and those hooks re-enter this
-    // function.
-    for (uint32_t idx : to_cancel) sched_->Cancel(idx);
-    if (resolved_now) {
-      DeliverResolutions(&fire, &redispatch);
-    } else {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      --hook_busy_;
-      resolve_cv_.notify_all();
-    }
-  }
-
   // Resolves a record outside the scheduler path (plan errors, sealed
   // submissions, mirrors of already-finished canonicals). Callers hold no
   // lock beyond mutex_ and fire + notify after releasing it. Such records
@@ -758,30 +582,6 @@ class ServiceImpl {
       if (!rec->resolved.load(std::memory_order_acquire)) {
         ResolveLocked(rec, rec->canonical->outcome, fire, nullptr);
       }
-      return;
-    }
-    if (rec->fan != nullptr) {
-      // Owned-mode Shutdown after Seal()+WaitIdle(): every slice finished
-      // and attached (Submit callers are gone), so re-merge the lot — the
-      // straggler here is the parent whose last hook is still mid-flight,
-      // and a fresh merge of the authoritative per-slice outcomes is
-      // race-free.
-      QueryOutcome merged;
-      bool any = false;
-      for (uint32_t k = 0; k < rec->fan->sub.size(); ++k) {
-        const uint32_t idx = rec->fan->sub[k];
-        if (idx == kNotScheduled) continue;
-        const QueryOutcome* out = sched_->TryGetQuery(idx);
-        if (out == nullptr) return;  // hook mid-flight; resolves itself
-        MergeShardOutcome(&merged, *out, any);
-        if (out->span.enabled) {
-          merged.span.slices.push_back({k, out->span.admit_seconds,
-                                        out->span.first_task_seconds,
-                                        out->span.last_task_seconds});
-        }
-        any = true;
-      }
-      if (any) ResolveLocked(rec, merged, fire, nullptr);
       return;
     }
     const QueryOutcome* out = sched_->TryGetQuery(rec->sched_index);
@@ -916,46 +716,12 @@ class ServiceImpl {
     return effective;
   }
 
-  // Hands one record to the pool: plain single submission when sharding
-  // is off, otherwise a K-way scan-slice fan-out whose slices merge back
-  // into the one record (see ShardFan). Callers hold mutex_.
+  // Hands one record to the pool. Callers hold mutex_.
   void SubmitToPool(const std::shared_ptr<QueryRecord>& rec,
                     const QueryPlan* plan, const SubmitOptions& so,
                     const std::shared_ptr<std::atomic<uint64_t>>& plan_cost) {
-    const uint32_t shards = std::max<uint32_t>(1, options_.shards);
-    if (shards == 1) {
-      AttachSchedIndex(rec, sched_->Submit(plan, data_,
-                                           SchedulerSubmit(so, rec,
-                                                           plan_cost)));
-      return;
-    }
-    auto fan = std::make_shared<ShardFan>();
-    fan->remaining = shards;
-    fan->sub.assign(shards, kNotScheduled);
-    if (so.sink != nullptr) {
-      fan->locked_sink = std::make_unique<LockedSink>(so.sink);
-    }
-    {
-      std::lock_guard<std::mutex> lock(resolve_mutex_);
-      rec->fan = fan;
-      // A re-dispatched mirror's cancel routing moves to the fan from
-      // here on; carry over a Cancel() that raced the re-dispatch.
-      rec->redispatching = false;
-      fan->cancel_issued = rec->cancel_pending;
-    }
-    for (uint32_t k = 0; k < shards; ++k) {
-      SubmitOptions sub = SchedulerSubmit(so, rec, plan_cost);
-      sub.scan_slice = k;
-      sub.scan_slices = shards;
-      // Charge the fan's admission cost once across its slices, not K
-      // times (the plan's measured cost covers the whole embedding set).
-      sub.cost = std::max(1.0, sub.cost / shards);
-      if (fan->locked_sink != nullptr) sub.sink = fan->locked_sink.get();
-      sub.completion = [this, rec, k](const QueryOutcome& out) {
-        OnShardComplete(rec, k, out);
-      };
-      AttachShardIndex(rec, k, sched_->Submit(plan, data_, sub));
-    }
+    AttachSchedIndex(rec, sched_->Submit(plan, data_,
+                                         SchedulerSubmit(so, rec, plan_cost)));
   }
 
   // `borrowed` is null for owning submits (the query then lives in
@@ -1381,5 +1147,22 @@ ServiceReport MatchService::Shutdown() { return impl_->Shutdown(); }
 uint32_t MatchService::num_threads() const { return impl_->num_threads(); }
 
 ServiceGauges MatchService::Gauges() { return impl_->Gauges(); }
+
+// ---------------------------------------------------------------- RunBatch --
+
+BatchRun RunBatch(const IndexedHypergraph& data,
+                  const std::vector<Hypergraph>& queries,
+                  const ServiceOptions& options,
+                  const std::vector<SubmitOptions>* submit) {
+  MatchService service(data, options);
+  BatchRun run;
+  run.tickets.reserve(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    run.tickets.push_back(service.SubmitBorrowed(
+        queries[i], submit != nullptr ? (*submit)[i] : SubmitOptions{}));
+  }
+  run.report = service.Shutdown();
+  return run;
+}
 
 }  // namespace hgmatch

@@ -44,20 +44,6 @@ struct ServiceOptions {
   /// Per-query fairness quota on live tasks (see SchedulerOptions).
   uint64_t task_quota = 0;
 
-  /// Scatter-gather sharded execution: every accepted submission fans out
-  /// as this many scan-sliced sub-queries (each runs the shared plan over
-  /// one contiguous slice of the first step's signature table — see
-  /// SubmitOptions::scan_slice), and their outcomes merge back into the
-  /// one ticket the caller holds: counts/stats sum, admission/finish
-  /// timestamps take min/max, and the most severe terminal status wins.
-  /// The slices partition the embedding set exactly, so merged counts
-  /// equal an unsharded run. Each sub-query inherits the parent's
-  /// timeout; the embedding limit applies per slice, so a limit-bounded
-  /// sharded query may overshoot by up to a factor of `shards` (the same
-  /// per-worker overshoot the parallel executor already allows). Each
-  /// sub-query occupies its own admission-window slot. 0 and 1 = off.
-  uint32_t shards = 1;
-
   /// Upper bound on distinct compiled plans retained by the plan cache;
   /// 0 = unbounded (the historical behaviour). When an insertion pushes
   /// the cache past the bound, the least-recently-used entries with no
@@ -68,9 +54,11 @@ struct ServiceOptions {
   size_t plan_cache_capacity = 0;
 
   /// Whole-service wall-clock budget in seconds, armed at construction;
-  /// <= 0 disables. Once it runs out, later submissions are stopped at
-  /// admission. Exists mainly for the RunBatch facade's
-  /// whole-batch timeout; a long-lived service normally leaves it off.
+  /// <= 0 disables. When it runs out, unfinished queries are stopped, and
+  /// so is every later submission at admission. A query is only reported
+  /// timed out if some of its work was actually dropped. This is the
+  /// whole-batch timeout of RunBatch; a long-lived service normally leaves
+  /// it off.
   double run_timeout_seconds = 0;
 
   /// Detect repeated queries across *all* submissions of this service's
@@ -245,7 +233,7 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& options);
 /// service bound to it must be shut down (or destroyed) first. The
 /// `parallel` shape, admission policy, window/queue bounds and task quota
 /// of `options` configure the pool; per-service fields (plan cache,
-/// shards, hooks) are ignored here and read from each service's own
+/// budgets, hooks) are ignored here and read from each service's own
 /// options.
 class SchedulerPool {
  public:
@@ -289,9 +277,6 @@ class SchedulerPool {
 /// bounded), and resolved ticket records are swept opportunistically, so
 /// memory tracks in-flight work plus the plan cache (one plan + canonical
 /// outcome per distinct query structure), not the total ever submitted.
-///
-/// The batch engine (parallel/batch_runner.h RunBatch) is a thin facade
-/// over this class: submit all, wait all, map outcomes to input order.
 class MatchService {
  public:
   /// Starts the worker pool. `data` must outlive the service.
@@ -300,8 +285,8 @@ class MatchService {
   /// Binds the service to a shared pool instead of owning one: queries
   /// execute on `pool`'s workers, carrying `data` per submission. The
   /// pool's admission policy/window/queue bounds apply pool-wide; this
-  /// service's `options` still govern its plan cache, sharding, default
-  /// budgets and completion hooks (the `parallel` pool-shape fields and
+  /// service's `options` still govern its plan cache, default budgets and
+  /// completion hooks (the `parallel` pool-shape fields and
   /// admission fields of `options` are ignored). `data` and `pool` must
   /// outlive the service; Shutdown() waits for this service's own queries
   /// only and leaves the pool running for its siblings (its report then
@@ -322,7 +307,7 @@ class MatchService {
   Ticket Submit(Hypergraph query, const SubmitOptions& options = {});
 
   /// Like Submit() but without taking ownership: `query` must stay alive
-  /// until its ticket resolves. Used by RunBatch, which already owns the
+  /// until its ticket resolves. Used by RunBatch, whose caller owns the
   /// whole batch.
   Ticket SubmitBorrowed(const Hypergraph& query,
                         const SubmitOptions& options = {});
@@ -356,6 +341,25 @@ class MatchService {
  private:
   std::unique_ptr<internal::ServiceImpl> impl_;
 };
+
+/// The tickets of one RunBatch call, in input order, and the report of the
+/// service that ran them. Every ticket is resolved.
+struct BatchRun {
+  std::vector<Ticket> tickets;
+  ServiceReport report;
+};
+
+/// Runs a set of queries as one batch: a private MatchService over `data`
+/// (so plan-cache statistics are batch-scoped), every query submitted
+/// borrowed in input order, then Shutdown(). `submit`, when non-null, holds
+/// one SubmitOptions per query: admission parameters, budgets and sink.
+/// Queries that fail to plan resolve with QueryStatus::kPlanError and a
+/// not-ok Ticket::status() and do not affect the others. Per-query counts
+/// equal a standalone MatchSequential run of the same query.
+BatchRun RunBatch(const IndexedHypergraph& data,
+                  const std::vector<Hypergraph>& queries,
+                  const ServiceOptions& options,
+                  const std::vector<SubmitOptions>* submit = nullptr);
 
 }  // namespace hgmatch
 

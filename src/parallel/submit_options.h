@@ -5,11 +5,10 @@
 #include <functional>
 
 // Plain-data submission vocabulary shared by the scheduler core
-// (parallel/scheduler.h), the streaming service (parallel/service.h), the
-// batch facade (parallel/batch_runner.h) and the query-set loader
-// (io/loader.h). Deliberately free of scheduler/executor includes so that
-// parsing a query-set file does not couple the io layer to the concurrency
-// subsystem.
+// (parallel/scheduler.h), the streaming service (parallel/service.h) and
+// the query-set loader (io/loader.h). Deliberately free of
+// scheduler/executor includes so that parsing a query-set file does not
+// couple the io layer to the concurrency subsystem.
 
 namespace hgmatch {
 
@@ -83,17 +82,6 @@ struct SubmitOptions {
   /// measured task count of the previous run of the same plan (cost-aware
   /// WFQ); 1 — the flat historical charge — for first-seen plans.
   double cost = 1.0;
-
-  /// Scatter-gather scan slicing: run this query against slice
-  /// `scan_slice` (0-based) of `scan_slices` near-equal contiguous ranges
-  /// of the first plan step's signature table instead of the whole table.
-  /// Slices of one plan partition the table — and therefore the embedding
-  /// set — exactly, so submitting every slice and summing the counts
-  /// reproduces the unsliced result. The defaults (slice 0 of 1) are the
-  /// whole table. scan_slices == 0 is treated as 1; an out-of-range
-  /// scan_slice is clamped to the last slice.
-  uint32_t scan_slice = 0;
-  uint32_t scan_slices = 1;
 
   /// Record an end-to-end QuerySpan for this query: monotonic
   /// submit/admit/first-task/last-task/resolve timestamps surfaced through

@@ -197,7 +197,6 @@ std::vector<CatalogGraphInfo> GraphCatalog::List() {
       row.queries = e->queries;
       row.live_tickets = e->live;
       row.index_bytes = e->index->IndexBytes();
-      row.shards = std::max<uint32_t>(1, options_.service.shards);
       rows.push_back(std::move(row));
     }
   }

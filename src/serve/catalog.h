@@ -17,7 +17,7 @@ namespace hgmatch {
 struct CatalogOptions {
   /// Pool shape (parallel/admission/window/queue/quota fields build the
   /// shared SchedulerPool) and per-graph service behaviour (plan cache,
-  /// capacity, shards, default budgets) — every hosted graph's
+  /// capacity, default budgets) — every hosted graph's
   /// MatchService is configured from this one template.
   ServiceOptions service;
 
@@ -38,7 +38,6 @@ struct CatalogGraphInfo {
   uint64_t queries = 0;       // submissions routed to this graph, ever
   uint64_t live_tickets = 0;  // submissions not yet resolved
   uint64_t index_bytes = 0;   // IndexedHypergraph::IndexBytes()
-  uint32_t shards = 1;        // scatter-gather fan-out (ServiceOptions)
 };
 
 /// A submission accepted by the catalog: the service ticket plus the
@@ -52,11 +51,11 @@ struct CatalogTicket {
 
 /// A registry of named data graphs served from one worker pool — the
 /// serving tier behind `hgmatch serve`. Each loaded graph gets its own
-/// MatchService (plan cache, sharded scatter-gather execution, budgets)
-/// bound to the catalog's shared SchedulerPool, so K graphs cost one set
-/// of worker threads, not K. Submissions route by graph name (empty =
-/// the default graph, the first one loaded), and every accepted
-/// submission carries a catalog-unique ticket id.
+/// MatchService (plan cache, budgets) bound to the catalog's shared
+/// SchedulerPool, so K graphs cost one set of worker threads, not K.
+/// Submissions route by graph name (empty = the default graph, the first
+/// one loaded), and every accepted submission carries a catalog-unique
+/// ticket id.
 ///
 /// Lifetime is refcounted per graph: Unload marks the graph so new
 /// submissions are rejected immediately, then waits (or defers, wait =

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/hgmatch.h"
 #include "gen/dataset_profiles.h"
@@ -255,6 +257,35 @@ TEST(IoTest, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseHypergraph("v 0 1\nv 2 1\ne 0\n").ok());  // sparse ids
   EXPECT_FALSE(ParseHypergraph("v 0 1\ne 0 5\n").ok());   // unknown vertex
   EXPECT_FALSE(LoadHypergraph("/nonexistent/p.hg").ok()); // io error
+}
+
+TEST(QuerySetIoTest, ParseSeparatorsAndSampleOutput) {
+  const Hypergraph q = PaperQueryHypergraph();
+  const std::string one = FormatHypergraph(q);
+  // "# query i" headers (hgmatch sample output) and "---" both separate.
+  const std::string text =
+      "# query 0\n" + one + "---\n" + one + "\n# query 2\n" + one;
+  Result<std::vector<Hypergraph>> set = ParseQuerySet(text);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  ASSERT_EQ(set.value().size(), 3u);
+  for (const Hypergraph& parsed : set.value()) {
+    EXPECT_EQ(parsed.NumVertices(), q.NumVertices());
+    EXPECT_EQ(parsed.NumEdges(), q.NumEdges());
+  }
+}
+
+TEST(QuerySetIoTest, BadBlockReportsIndex) {
+  Result<std::vector<Hypergraph>> set =
+      ParseQuerySet("v 0 0\ne 0\n---\nnonsense line\n");
+  ASSERT_FALSE(set.ok());
+  EXPECT_NE(set.status().message().find("query block 1"), std::string::npos);
+}
+
+TEST(QuerySetIoTest, EmptyAndWhitespaceBlocksSkipped) {
+  Result<std::vector<Hypergraph>> set =
+      ParseQuerySet("---\n\n---\nv 0 0\ne 0\n---\n  \n");
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(set.value().size(), 1u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -168,7 +169,6 @@ TEST(ProtocolTest, StatsFrameRoundTripsGraphRows) {
   g.queries = 42;
   g.live_tickets = 3;
   g.index_bytes = 123456;
-  g.shards = 8;
   stats.graphs.push_back(g);
   g = WireGraphStats();
   g.name = "users";
@@ -182,7 +182,6 @@ TEST(ProtocolTest, StatsFrameRoundTripsGraphRows) {
   EXPECT_EQ(decoded.value().graphs[0].queries, 42u);
   EXPECT_EQ(decoded.value().graphs[0].live_tickets, 3u);
   EXPECT_EQ(decoded.value().graphs[0].index_bytes, 123456u);
-  EXPECT_EQ(decoded.value().graphs[0].shards, 8u);
   EXPECT_EQ(decoded.value().graphs[1].name, "users");
   EXPECT_FALSE(decoded.value().graphs[1].is_default);
 }
@@ -224,10 +223,8 @@ TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
   wire.outcome.span.last_task_seconds = 2.0;
   wire.outcome.span.resolve_seconds = 2.25;
   wire.outcome.span.deliver_seconds = 2.5;
-  wire.outcome.span.slices.push_back({0, 1.25, 1.5, 1.9});
-  wire.outcome.span.slices.push_back({1, 1.3, 0, 2.0});
 
-  // Negotiated peers round-trip the whole timeline, slices included.
+  // Negotiated peers round-trip the whole timeline.
   Result<WireOutcome> traced =
       DecodeOutcome(EncodeOutcome(wire, /*with_trace=*/true),
                     /*with_trace=*/true);
@@ -240,10 +237,6 @@ TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
   EXPECT_EQ(span.last_task_seconds, 2.0);
   EXPECT_EQ(span.resolve_seconds, 2.25);
   EXPECT_EQ(span.deliver_seconds, 2.5);
-  ASSERT_EQ(span.slices.size(), 2u);
-  EXPECT_EQ(span.slices[1].slice, 1u);
-  EXPECT_EQ(span.slices[1].first_task_seconds, 0.0);
-  EXPECT_EQ(span.slices[1].finish_seconds, 2.0);
 
   // Without the feature the section never reaches the wire: the payload
   // is byte-identical to a pre-trace encoding of the same outcome.
@@ -272,6 +265,39 @@ TEST(ProtocolTest, OutcomeFrameCarriesTraceOnlyWhenNegotiated) {
                       /*with_trace=*/true)
             .ok())
         << "cut " << cut;
+  }
+}
+
+TEST(ProtocolTest, TracedOutcomeRejectsTruncatedStampsAndTrailingBytes) {
+  // The span is plain data, so the decoder has no length field to trust:
+  // hostile input can fail the bounds checks but never size an
+  // allocation.
+  static_assert(std::is_trivially_copyable_v<QuerySpan>);
+  WireOutcome wire;
+  wire.request_id = 5;
+  wire.outcome.span.enabled = true;
+  wire.outcome.span.submit_seconds = 1.0;
+  wire.outcome.span.deliver_seconds = 2.0;
+  const std::string full = EncodeOutcome(wire, /*with_trace=*/true);
+
+  // A cut anywhere inside the six stamps leaves one truncated.
+  for (size_t cut = 1; cut < 6 * sizeof(double); ++cut) {
+    Result<WireOutcome> r = DecodeOutcome(
+        std::string_view(full).substr(0, full.size() - cut),
+        /*with_trace=*/true);
+    ASSERT_FALSE(r.ok()) << "cut " << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << "cut " << cut;
+  }
+
+  // Bytes after the section, shaped like a huge varint row count, on a
+  // traced and an untraced outcome alike.
+  for (bool enabled : {true, false}) {
+    wire.outcome.span.enabled = enabled;
+    std::string padded = EncodeOutcome(wire, /*with_trace=*/true);
+    padded.append("\xff\xff\xff\xff\xff\xff\xff\xff\x7f");
+    Result<WireOutcome> r = DecodeOutcome(padded, /*with_trace=*/true);
+    ASSERT_FALSE(r.ok()) << "enabled " << enabled;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   }
 }
 
@@ -356,7 +382,6 @@ TEST(ProtocolTest, CatalogRequestAndReplyRoundTrip) {
   WireGraphStats g;
   g.name = "default";
   g.is_default = true;
-  g.shards = 2;
   reply.graphs.push_back(g);
   Result<WireCatalogReply> rep =
       DecodeCatalogReply(EncodeCatalogReply(reply));
@@ -365,7 +390,6 @@ TEST(ProtocolTest, CatalogRequestAndReplyRoundTrip) {
   EXPECT_EQ(rep.value().message, reply.message);
   ASSERT_EQ(rep.value().graphs.size(), 1u);
   EXPECT_EQ(rep.value().graphs[0].name, "default");
-  EXPECT_EQ(rep.value().graphs[0].shards, 2u);
 
   // Hostile row counts and truncations are corruption, not allocations.
   std::string encoded = EncodeCatalogReply(reply);
@@ -2074,42 +2098,6 @@ TEST(NetCatalogTest, RemoteLoadNeedsServerOptIn) {
   ASSERT_EQ(list.value().graphs.size(), 1u);
   EXPECT_EQ(list.value().graphs[0].name, "default");
   server.Stop();
-}
-
-// Scatter-gather behind the wire: a sharded server fans every submission
-// across K scan slices and merged counts stay exactly sequential.
-TEST(NetCatalogTest, ShardedServerKeepsExactCountsOverTheWire) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(7));
-  const Hypergraph query = PathQuery(2);
-  const MatchStats expected = MatchSequential(idx, query).value();
-
-  for (uint32_t shards : {2u, 8u}) {
-    ServerOptions options = LoopbackOptions(4);
-    options.service.shards = shards;
-    MatchServer server(idx, options);
-    ASSERT_TRUE(server.Start().ok());
-
-    MatchClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-    std::vector<uint64_t> ids;
-    for (int i = 0; i < 6; ++i) {
-      Result<uint64_t> id = client.Submit(query);
-      ASSERT_TRUE(id.ok());
-      ids.push_back(id.value());
-    }
-    for (uint64_t id : ids) {
-      Result<WireOutcome> reply = client.WaitOutcome(id);
-      ASSERT_TRUE(reply.ok());
-      EXPECT_EQ(reply.value().outcome.stats.embeddings,
-                expected.embeddings)
-          << "shards " << shards;
-    }
-    Result<WireStats> stats = client.Stats();
-    ASSERT_TRUE(stats.ok());
-    ASSERT_EQ(stats.value().graphs.size(), 1u);
-    EXPECT_EQ(stats.value().graphs[0].shards, shards);
-    server.Stop();
-  }
 }
 
 // ----------------------------------------------------- observability --

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/hgmatch.h"
-#include "parallel/batch_runner.h"
+#include "parallel/service.h"
 #include "parallel/task.h"
 #include "tests/test_fixtures.h"
 
@@ -91,19 +91,19 @@ TEST(SchedulerTest, DeterministicInputOrderAcrossConfigurations) {
   for (uint32_t threads : {1u, 4u}) {
     for (uint32_t window : {0u, 1u, 2u}) {
       for (uint64_t quota : {uint64_t{0}, uint64_t{2}}) {
-        BatchOptions options;
+        ServiceOptions options;
         options.parallel.num_threads = threads;
         options.parallel.scan_grain = 1;
         options.max_inflight_queries = window;
         options.task_quota = quota;
-        const BatchResult r = RunBatch(idx, queries, options);
-        ASSERT_EQ(r.queries.size(), queries.size());
+        const BatchRun r = RunBatch(idx, queries, options);
+        ASSERT_EQ(r.tickets.size(), queries.size());
         for (size_t i = 0; i < queries.size(); ++i) {
-          EXPECT_EQ(r.queries[i].stats.embeddings, expected[i])
+          EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
               << "query " << i << " threads=" << threads
               << " window=" << window << " quota=" << quota;
         }
-        EXPECT_EQ(r.completed, queries.size());
+        EXPECT_EQ(Completed(r), queries.size());
       }
     }
   }
@@ -116,22 +116,22 @@ TEST(SchedulerTest, ZeroAndSingleThreadPools) {
   const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
 
   // num_threads = 0 resolves to hardware_concurrency (>= 1 worker).
-  BatchOptions defaults;
-  const BatchResult auto_pool = RunBatch(idx, queries, defaults);
-  EXPECT_GE(auto_pool.workers.size(), 1u);
+  ServiceOptions defaults;
+  const BatchRun auto_pool = RunBatch(idx, queries, defaults);
+  EXPECT_GE(auto_pool.report.workers.size(), 1u);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(auto_pool.queries[i].stats.embeddings, expected[i]);
+    EXPECT_EQ(auto_pool.tickets[i].Wait().stats.embeddings, expected[i]);
   }
 
   // A single worker still honours admission windows and quotas.
-  BatchOptions one;
+  ServiceOptions one;
   one.parallel.num_threads = 1;
   one.max_inflight_queries = 1;
   one.task_quota = 1;
-  const BatchResult single = RunBatch(idx, queries, one);
-  EXPECT_EQ(single.workers.size(), 1u);
+  const BatchRun single = RunBatch(idx, queries, one);
+  EXPECT_EQ(single.report.workers.size(), 1u);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(single.queries[i].stats.embeddings, expected[i]);
+    EXPECT_EQ(single.tickets[i].Wait().stats.embeddings, expected[i]);
   }
 }
 
@@ -142,22 +142,23 @@ TEST(SchedulerTest, AdmissionWindowOfOneSerialisesQueries) {
   queries.push_back(PathQuery(3));
   queries.push_back(PathQuery(2).Clone());  // identical to queries[0]
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.max_inflight_queries = 1;
   options.plan_cache = false;  // every copy runs, so admission is observable
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
 
   const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(r.queries[i].stats.embeddings, expected[i]) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
+        << "query " << i;
   }
   // With a window of one, query i is only admitted once query i-1 retired
   // its last task.
   for (size_t i = 1; i < queries.size(); ++i) {
-    const double prev_finish =
-        r.queries[i - 1].admit_seconds + r.queries[i - 1].stats.seconds;
-    EXPECT_GE(r.queries[i].admit_seconds, prev_finish) << "query " << i;
+    const QueryOutcome& prev = r.tickets[i - 1].Wait();
+    const double prev_finish = prev.admit_seconds + prev.stats.seconds;
+    EXPECT_GE(r.tickets[i].Wait().admit_seconds, prev_finish) << "query " << i;
   }
 }
 
@@ -170,17 +171,18 @@ TEST(SchedulerTest, MidRunAdmissionsDoNotRequireWorkStealing) {
   for (uint32_t k : {1u, 2u, 3u, 1u, 2u, 3u}) queries.push_back(PathQuery(k));
   const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.scan_grain = 1;
   options.parallel.work_stealing = false;
   options.max_inflight_queries = 2;
   options.plan_cache = false;  // every copy is admitted and executed
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(r.queries[i].stats.embeddings, expected[i]) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
+        << "query " << i;
   }
-  EXPECT_EQ(r.completed, queries.size());
+  EXPECT_EQ(Completed(r), queries.size());
 }
 
 TEST(SchedulerTest, AdmissionChurnStressKeepsCountsExact) {
@@ -196,17 +198,18 @@ TEST(SchedulerTest, AdmissionChurnStressKeepsCountsExact) {
   for (int i = 0; i < 32; ++i) queries.push_back(PathQuery(1 + i % 2));
   const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.scan_grain = 1;  // one hyperedge per task: maximum churn
   options.max_inflight_queries = 1;
   options.plan_cache = false;
-  const BatchResult r = RunBatch(idx, queries, options);
-  ASSERT_EQ(r.queries.size(), queries.size());
+  const BatchRun r = RunBatch(idx, queries, options);
+  ASSERT_EQ(r.tickets.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(r.queries[i].stats.embeddings, expected[i]) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
+        << "query " << i;
   }
-  EXPECT_EQ(r.completed, queries.size());
+  EXPECT_EQ(Completed(r), queries.size());
 }
 
 TEST(SchedulerTest, FairnessCheapQueryCompletesUnderExpensiveLoad) {
@@ -218,25 +221,26 @@ TEST(SchedulerTest, FairnessCheapQueryCompletesUnderExpensiveLoad) {
   const uint64_t cheap_expected =
       MatchSequential(idx, queries[1]).value().embeddings;
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.timeout_seconds = 0.25;  // only the expensive one hits it
   options.max_inflight_queries = 2;
   options.task_quota = 64;
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
 
   // The cheap query is admitted alongside the expensive one and completes
   // exactly, milliseconds into the run, while the expensive query is still
   // saturating the pool (it runs its full 0.25s budget).
-  EXPECT_TRUE(r.queries[0].stats.timed_out);
-  EXPECT_FALSE(r.queries[1].stats.timed_out);
-  EXPECT_EQ(r.queries[1].stats.embeddings, cheap_expected);
-  const double cheap_finish =
-      r.queries[1].admit_seconds + r.queries[1].stats.seconds;
+  EXPECT_TRUE(r.tickets[0].Wait().stats.timed_out);
+  EXPECT_FALSE(r.tickets[1].Wait().stats.timed_out);
+  EXPECT_EQ(r.tickets[1].Wait().stats.embeddings, cheap_expected);
+  const QueryOutcome& cheap = r.tickets[1].Wait();
+  const QueryOutcome& expensive = r.tickets[0].Wait();
+  const double cheap_finish = cheap.admit_seconds + cheap.stats.seconds;
   const double expensive_finish =
-      r.queries[0].admit_seconds + r.queries[0].stats.seconds;
+      expensive.admit_seconds + expensive.stats.seconds;
   EXPECT_LT(cheap_finish, expensive_finish);
-  EXPECT_EQ(r.completed, 1u);
+  EXPECT_EQ(Completed(r), 1u);
 }
 
 TEST(SchedulerTest, TaskQuotaKeepsCountsExact) {
@@ -247,12 +251,12 @@ TEST(SchedulerTest, TaskQuotaKeepsCountsExact) {
 
   const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
   for (uint64_t quota : {uint64_t{1}, uint64_t{8}}) {
-    BatchOptions options;
+    ServiceOptions options;
     options.parallel.num_threads = 4;
     options.task_quota = quota;
-    const BatchResult r = RunBatch(idx, queries, options);
+    const BatchRun r = RunBatch(idx, queries, options);
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(r.queries[i].stats.embeddings, expected[i])
+      EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
           << "query " << i << " quota=" << quota;
     }
   }
@@ -311,16 +315,16 @@ TEST(SchedulerTest, LimitOvershootIsBoundedByPoolSize) {
   std::vector<Hypergraph> queries;
   queries.push_back(PathQuery(3));
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = threads;
   options.parallel.limit = 10;
-  const BatchResult r = RunBatch(idx, queries, options);
-  EXPECT_TRUE(r.queries[0].stats.limit_hit);
+  const BatchRun r = RunBatch(idx, queries, options);
+  EXPECT_TRUE(r.tickets[0].Wait().stats.limit_hit);
   // Every emission goes through one fetch_add on the per-query counter, and
   // the emitting worker that crosses the limit stops itself before its next
   // child — so each of the other workers can emit at most one straggler.
-  EXPECT_GE(r.queries[0].stats.embeddings, 10u);
-  EXPECT_LE(r.queries[0].stats.embeddings, 10u + threads);
+  EXPECT_GE(r.tickets[0].Wait().stats.embeddings, 10u);
+  EXPECT_LE(r.tickets[0].Wait().stats.embeddings, 10u + threads);
 }
 
 TEST(SchedulerTest, PerQueryTimeoutFiresMidBatchAndIsolatesNeighbours) {
@@ -333,18 +337,19 @@ TEST(SchedulerTest, PerQueryTimeoutFiresMidBatchAndIsolatesNeighbours) {
   const uint64_t cheap_expected =
       MatchSequential(idx, queries[1]).value().embeddings;
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.timeout_seconds = 0.05;
   options.plan_cache = false;
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
 
-  EXPECT_TRUE(r.queries[0].stats.timed_out);
+  EXPECT_TRUE(r.tickets[0].Wait().stats.timed_out);
   for (size_t i = 1; i < queries.size(); ++i) {
-    EXPECT_FALSE(r.queries[i].stats.timed_out) << "query " << i;
-    EXPECT_EQ(r.queries[i].stats.embeddings, cheap_expected) << "query " << i;
+    EXPECT_FALSE(r.tickets[i].Wait().stats.timed_out) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, cheap_expected)
+        << "query " << i;
   }
-  EXPECT_EQ(r.completed, 2u);
+  EXPECT_EQ(Completed(r), 2u);
 }
 
 TEST(SchedulerTest, PerQueryTimeoutMeasuredFromAdmission) {
@@ -356,19 +361,19 @@ TEST(SchedulerTest, PerQueryTimeoutMeasuredFromAdmission) {
   const uint64_t cheap_expected =
       MatchSequential(idx, queries[1]).value().embeddings;
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.timeout_seconds = 0.15;
   options.max_inflight_queries = 1;
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
 
-  EXPECT_TRUE(r.queries[0].stats.timed_out);
+  EXPECT_TRUE(r.tickets[0].Wait().stats.timed_out);
   // The cheap query was admitted only after the expensive one exhausted its
   // budget; were timeouts measured from batch start it would be dead on
   // arrival. Measured from admission, it completes exactly.
-  EXPECT_GE(r.queries[1].admit_seconds, 0.05);
-  EXPECT_FALSE(r.queries[1].stats.timed_out);
-  EXPECT_EQ(r.queries[1].stats.embeddings, cheap_expected);
+  EXPECT_GE(r.tickets[1].Wait().admit_seconds, 0.05);
+  EXPECT_FALSE(r.tickets[1].Wait().stats.timed_out);
+  EXPECT_EQ(r.tickets[1].Wait().stats.embeddings, cheap_expected);
 }
 
 TEST(SchedulerTest, CompletedCountsAreNeverMarkedTimedOut) {
@@ -379,13 +384,13 @@ TEST(SchedulerTest, CompletedCountsAreNeverMarkedTimedOut) {
   std::vector<Hypergraph> queries;
   queries.push_back(PaperQueryHypergraph());
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 2;
   options.parallel.timeout_seconds = 1e-9;
-  const BatchResult r = RunBatch(idx, queries, options);
-  EXPECT_EQ(r.queries[0].stats.embeddings, 2u);
-  EXPECT_FALSE(r.queries[0].stats.timed_out);
-  EXPECT_EQ(r.completed, 1u);
+  const BatchRun r = RunBatch(idx, queries, options);
+  EXPECT_EQ(r.tickets[0].Wait().stats.embeddings, 2u);
+  EXPECT_FALSE(r.tickets[0].Wait().stats.timed_out);
+  EXPECT_EQ(Completed(r), 1u);
 }
 
 TEST(SchedulerTest, BatchTimeoutStopsStragglersAndKeepsFinishedExact) {
@@ -397,16 +402,16 @@ TEST(SchedulerTest, BatchTimeoutStopsStragglersAndKeepsFinishedExact) {
   const uint64_t cheap_expected =
       MatchSequential(idx, queries[1]).value().embeddings;
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
-  options.batch_timeout_seconds = 0.08;
+  options.run_timeout_seconds = 0.08;
   options.task_quota = 64;  // keep the straggler from burying the cheap one
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
 
-  EXPECT_TRUE(r.queries[0].stats.timed_out);
-  EXPECT_EQ(r.queries[1].stats.embeddings, cheap_expected);
-  EXPECT_FALSE(r.queries[1].stats.timed_out);
-  EXPECT_EQ(r.completed, 1u);
+  EXPECT_TRUE(r.tickets[0].Wait().stats.timed_out);
+  EXPECT_EQ(r.tickets[1].Wait().stats.embeddings, cheap_expected);
+  EXPECT_FALSE(r.tickets[1].Wait().stats.timed_out);
+  EXPECT_EQ(Completed(r), 1u);
 }
 
 TEST(SchedulerTest, BatchTimeoutStopsQueriesSubmittedAfterItFired) {

@@ -12,6 +12,7 @@
 #include "core/matching_order.h"
 #include "core/result.h"
 #include "gen/generator.h"
+#include "parallel/service.h"
 
 namespace hgmatch {
 
@@ -88,6 +89,14 @@ inline GeneratorConfig SmallRandomConfig(uint64_t seed) {
   c.vertex_skew = 0.4;
   c.label_skew = 0.4;
   return c;
+}
+
+/// Queries of a RunBatch call that ran to completion (QueryStatus::kOk):
+/// planned, and stopped by no timeout, limit, cancellation or rejection.
+inline size_t Completed(const BatchRun& run) {
+  return std::count_if(
+      run.tickets.begin(), run.tickets.end(),
+      [](const Ticket& t) { return t.Wait().status == QueryStatus::kOk; });
 }
 
 /// Normalises a list of embeddings (each given in some per-engine order)

@@ -3,8 +3,8 @@
 // limit, timeout, cancel-while-queued, cancel-while-running, shed by
 // backpressure, plan-cache mirror — with monotonically ordered stamps for
 // the stages that actually happened and zeros for the ones that did not.
-// Sharded execution contributes one slice row per shard. The suite runs
-// in the TSan matrix: stamps cross from pool workers to the waiter.
+// The suite runs in the TSan matrix: stamps cross from pool workers to the
+// waiter.
 
 #include <gtest/gtest.h>
 
@@ -179,29 +179,6 @@ TEST(TraceTest, MirrorCarriesCanonicalSpanWithOwnResolve) {
   // its own (later or equal) instant.
   EXPECT_EQ(mout.span.first_task_seconds, cout_.span.first_task_seconds);
   EXPECT_GE(mout.span.resolve_seconds, cout_.span.resolve_seconds);
-  service.Shutdown();
-}
-
-TEST(TraceTest, ShardedQueryCollectsOneSliceRowPerShard) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServiceOptions options = BaseOptions(2);
-  options.shards = 3;
-  MatchService service(idx, options);
-
-  Ticket t = service.Submit(PaperQueryHypergraph(), Traced());
-  const QueryOutcome& out = t.Wait();
-  EXPECT_EQ(out.status, QueryStatus::kOk);
-  ExpectWellFormed(out.span);
-  ASSERT_EQ(out.span.slices.size(), 3u);
-  std::vector<bool> seen(3, false);
-  for (const TraceSlice& s : out.span.slices) {
-    ASSERT_LT(s.slice, 3u);
-    EXPECT_FALSE(seen[s.slice]);  // each shard reports exactly once
-    seen[s.slice] = true;
-    if (s.finish_seconds > 0 && s.admit_seconds > 0) {
-      EXPECT_GE(s.finish_seconds, s.admit_seconds);
-    }
-  }
   service.Shutdown();
 }
 

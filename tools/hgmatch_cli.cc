@@ -8,8 +8,7 @@
 //   hgmatch batch <data> <queryset> [threads] [limit] [--max-inflight=N]
 //                 [--task-quota=N] [--timeout=S] [--batch-timeout=S]
 //                 [--no-plan-cache] [--policy=fifo|priority|wfq]
-//   hgmatch shard <in> <out-prefix> <K>
-//   hgmatch serve [<data>] [--graph NAME=PATH]... [--shards=K]
+//   hgmatch serve [<data>] [--graph NAME=PATH]...
 //                 [--port=N] [--host=H] [--threads=N] [flags...]
 //   hgmatch query --connect=HOST:PORT <queryset> [--limit=N] [--batch]
 //                 [--compress] [--graph=NAME] [--list-graphs]
@@ -31,13 +30,12 @@
 #include "gen/query_gen.h"
 #include "io/binary_format.h"
 #include "io/loader.h"
-#include "io/shard_io.h"
 #include "io/writer.h"
 #include "net/client.h"
 #include "net/server.h"
-#include "parallel/batch_runner.h"
 #include "parallel/dataflow.h"
 #include "parallel/executor.h"
+#include "parallel/service.h"
 #include "util/timer.h"
 
 namespace hgmatch {
@@ -85,18 +83,11 @@ int Usage() {
                "    [--no-plan-cache]    plan every query independently\n"
                "    [--policy=P]         admission order: fifo (default),\n"
                "                         priority, wfq (weighted-fair)\n"
-               "  hgmatch shard <in> <out-prefix> <K>\n"
-               "                         split a data hypergraph into K\n"
-               "                         edge-disjoint shard files\n"
-               "                         (<out-prefix>.shardI-ofK.hgb)\n"
                "  hgmatch serve [<data>] TCP front end over the service\n"
                "    [--graph NAME=PATH]  serve PATH as graph NAME\n"
                "                         (repeatable; first graph — or the\n"
                "                         positional <data>, as \"default\" —\n"
                "                         answers unrouted submits)\n"
-               "    [--shards=K]         split each graph into K shards and\n"
-               "                         scatter-gather every query across\n"
-               "                         them (1 = off)\n"
                "    [--plan-cache-cap=N] keep at most N idle cached plans\n"
                "                         per graph (0 = unbounded)\n"
                "    [--allow-remote-load]  honour client LOAD_GRAPH (reads\n"
@@ -389,7 +380,7 @@ int CmdBatch(int argc, char** argv) {
     return 1;
   }
 
-  BatchOptions options;
+  ServiceOptions options;
   int positional = 0;
   for (int a = 4; a < argc; ++a) {
     const char* arg = argv[a];
@@ -404,7 +395,7 @@ int CmdBatch(int argc, char** argv) {
       continue;
     }
     if (std::strncmp(arg, "--batch-timeout=", 16) == 0) {
-      if (!ParseSeconds(arg + 16, &options.batch_timeout_seconds)) {
+      if (!ParseSeconds(arg + 16, &options.run_timeout_seconds)) {
         std::fprintf(stderr, "bad value '%s'\n", arg);
         return 2;
       }
@@ -440,65 +431,44 @@ int CmdBatch(int argc, char** argv) {
   }
 
   IndexedHypergraph index = IndexedHypergraph::Build(std::move(data.value()));
-  const BatchResult r = RunBatch(index, queries, options, nullptr, &submit);
+  const BatchRun run = RunBatch(index, queries, options, &submit);
+  const ServiceReport& r = run.report;
 
   size_t planned = 0;
-  for (size_t i = 0; i < r.queries.size(); ++i) {
-    const BatchQueryResult& q = r.queries[i];
-    if (!q.status.ok()) {
-      std::printf("query %zu: %s  [%s]\n", i, q.status.ToString().c_str(),
-                  QueryStatusName(q.outcome));
+  uint64_t completed = 0;
+  uint64_t embeddings = 0;
+  for (size_t i = 0; i < run.tickets.size(); ++i) {
+    const Ticket& t = run.tickets[i];
+    const QueryOutcome& q = t.Wait();
+    if (!t.status().ok()) {
+      std::printf("query %zu: %s  [%s]\n", i, t.status().ToString().c_str(),
+                  QueryStatusName(q.status));
       continue;
     }
     ++planned;
+    if (q.status == QueryStatus::kOk) ++completed;
+    embeddings += q.stats.embeddings;
     std::printf("query %zu: embeddings %llu%s in %.3fs  [%s]%s\n", i,
                 static_cast<unsigned long long>(q.stats.embeddings),
                 q.stats.limit_hit ? "+" : "", q.stats.seconds,
-                QueryStatusName(q.outcome), q.mirrored ? " (mirrored)" : "");
+                QueryStatusName(q.status), q.mirrored ? " (mirrored)" : "");
   }
-  std::printf("batch: %llu queries (%llu completed), embeddings %llu "
+  // Throughput counts executed queries only: mirrored repeats finish at no
+  // execution cost.
+  std::printf("batch: %zu queries (%llu completed), embeddings %llu "
               "in %.3fs (%llu executed at %.1f queries/s, %llu mirrored, "
               "%llu re-dispatched, peak task mem %llu bytes, "
               "%llu plan-cache hits of which %llu isomorphic)\n",
-              static_cast<unsigned long long>(r.queries.size()),
-              static_cast<unsigned long long>(r.completed),
-              static_cast<unsigned long long>(r.total.embeddings), r.seconds,
+              run.tickets.size(), static_cast<unsigned long long>(completed),
+              static_cast<unsigned long long>(embeddings), r.seconds,
               static_cast<unsigned long long>(r.executed),
-              r.QueriesPerSecond(),
+              r.seconds > 0 ? static_cast<double>(r.executed) / r.seconds : 0,
               static_cast<unsigned long long>(r.mirrored),
               static_cast<unsigned long long>(r.redispatched),
               static_cast<unsigned long long>(r.peak_task_bytes),
               static_cast<unsigned long long>(r.plan_cache_hits),
               static_cast<unsigned long long>(r.plan_cache_isomorphic_hits));
   return planned > 0 ? 0 : 1;
-}
-
-int CmdShard(int argc, char** argv) {
-  if (argc < 5) return Usage();
-  Result<Hypergraph> data = LoadAny(argv[2]);
-  if (!data.ok()) {
-    std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
-    return 1;
-  }
-  uint64_t k = 0;
-  if (!ParseCount(argv[4], &k) || k < 1 || k > 256) {
-    std::fprintf(stderr, "bad shard count '%s'\n", argv[4]);
-    return 2;
-  }
-  Timer timer;
-  Result<std::vector<std::string>> paths =
-      SaveShards(data.value(), argv[3], static_cast<uint32_t>(k));
-  if (!paths.ok()) {
-    std::fprintf(stderr, "%s\n", paths.status().ToString().c_str());
-    return 1;
-  }
-  for (const std::string& p : paths.value()) {
-    std::printf("wrote %s\n", p.c_str());
-  }
-  std::printf("sharded %zu hyperedges into %llu files (%.2fs)\n",
-              data.value().NumEdges(), static_cast<unsigned long long>(k),
-              timer.ElapsedSeconds());
-  return 0;
 }
 
 // Parses "HOST:PORT" (the last ':' splits, so numeric hosts stay simple).
@@ -595,12 +565,6 @@ int CmdServe(int argc, char** argv) {
         return 1;
       }
       graphs.push_back({std::move(name), std::move(data.value())});
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      if (!ParseCount(arg + 9, &count) || count < 1 || count > 256) {
-        std::fprintf(stderr, "bad value '%s'\n", arg);
-        return 2;
-      }
-      options.service.shards = static_cast<uint32_t>(count);
     } else if (std::strncmp(arg, "--plan-cache-cap=", 17) == 0) {
       if (!ParseCount(arg + 17, &count)) {
         std::fprintf(stderr, "bad value '%s'\n", arg);
@@ -748,13 +712,11 @@ void PrintWireStats(const WireStats& s) {
                 static_cast<unsigned long long>(t.rejects));
   }
   for (const WireGraphStats& g : s.graphs) {
-    std::printf("  graph %s%s: queries %llu, live %llu, index %llu bytes, "
-                "%u shard%s\n",
+    std::printf("  graph %s%s: queries %llu, live %llu, index %llu bytes\n",
                 g.name.c_str(), g.is_default ? " (default)" : "",
                 static_cast<unsigned long long>(g.queries),
                 static_cast<unsigned long long>(g.live_tickets),
-                static_cast<unsigned long long>(g.index_bytes),
-                g.shards, g.shards == 1 ? "" : "s");
+                static_cast<unsigned long long>(g.index_bytes));
   }
   if (s.uptime_seconds > 0) {
     std::printf("  uptime                   %.1fs\n", s.uptime_seconds);
@@ -838,12 +800,12 @@ void PrintWireStatsJson(const WireStats& s) {
   for (size_t i = 0; i < s.graphs.size(); ++i) {
     const WireGraphStats& g = s.graphs[i];
     std::printf("%s{\"name\":\"%s\",\"default\":%s,\"queries\":%llu,"
-                "\"live_tickets\":%llu,\"index_bytes\":%llu,\"shards\":%u}",
+                "\"live_tickets\":%llu,\"index_bytes\":%llu}",
                 i == 0 ? "" : ",", JsonEscape(g.name).c_str(),
                 g.is_default ? "true" : "false",
                 static_cast<unsigned long long>(g.queries),
                 static_cast<unsigned long long>(g.live_tickets),
-                static_cast<unsigned long long>(g.index_bytes), g.shards);
+                static_cast<unsigned long long>(g.index_bytes));
   }
   std::printf("],\"slow_queries\":[");
   for (size_t i = 0; i < s.slow_queries.size(); ++i) {
@@ -874,13 +836,11 @@ int PrintCatalogReply(const Result<WireCatalogReply>& reply) {
   std::printf("catalog: %zu graph%s\n", r.graphs.size(),
               r.graphs.size() == 1 ? "" : "s");
   for (const WireGraphStats& g : r.graphs) {
-    std::printf("  %s%s: queries %llu, live %llu, index %llu bytes, "
-                "%u shard%s\n",
+    std::printf("  %s%s: queries %llu, live %llu, index %llu bytes\n",
                 g.name.c_str(), g.is_default ? " (default)" : "",
                 static_cast<unsigned long long>(g.queries),
                 static_cast<unsigned long long>(g.live_tickets),
-                static_cast<unsigned long long>(g.index_bytes),
-                g.shards, g.shards == 1 ? "" : "s");
+                static_cast<unsigned long long>(g.index_bytes));
   }
   return 0;
 }
@@ -1158,7 +1118,6 @@ int Main(int argc, char** argv) {
   if (cmd == "sample") return CmdSample(argc, argv);
   if (cmd == "match") return CmdMatch(argc, argv);
   if (cmd == "batch") return CmdBatch(argc, argv);
-  if (cmd == "shard") return CmdShard(argc, argv);
   if (cmd == "serve") return CmdServe(argc, argv);
   if (cmd == "query") return CmdQuery(argc, argv);
   return Usage();
