@@ -269,10 +269,10 @@ Result<WireSubmit> DecodeSubmit(std::string_view payload);
 
 /// with_trace selects the trace-negotiated OUTCOME layout, which appends
 /// the query's QuerySpan (enabled flag, then six stamps when enabled)
-/// after the fixed fields. It must match on both ends: pass true exactly when
-/// the connection was granted kFeatureTrace (batch entries inherit the
-/// connection's flag). With with_trace=true and an untraced outcome the
-/// section is a single 0 byte.
+/// after the fixed fields. It must match on both ends: pass true exactly
+/// when the connection was granted kFeatureTrace (batch entries inherit
+/// the connection's flag). With with_trace=true and an untraced outcome
+/// the section is a single 0 byte.
 std::string EncodeOutcome(const WireOutcome& outcome,
                           bool with_trace = false);
 Result<WireOutcome> DecodeOutcome(std::string_view payload,

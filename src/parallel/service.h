@@ -286,11 +286,11 @@ class MatchService {
   /// execute on `pool`'s workers, carrying `data` per submission. The
   /// pool's admission policy/window/queue bounds apply pool-wide; this
   /// service's `options` still govern its plan cache, default budgets and
-  /// completion hooks (the `parallel` pool-shape fields and
-  /// admission fields of `options` are ignored). `data` and `pool` must
-  /// outlive the service; Shutdown() waits for this service's own queries
-  /// only and leaves the pool running for its siblings (its report then
-  /// carries service counters but no worker rows).
+  /// completion hooks (the `parallel` pool-shape fields and admission
+  /// fields of `options` are ignored). `data` and `pool` must outlive the
+  /// service; Shutdown() waits for this service's own queries only and
+  /// leaves the pool running for its siblings (its report then carries
+  /// service counters but no worker rows).
   MatchService(const IndexedHypergraph& data, SchedulerPool& pool,
                const ServiceOptions& options);
 

@@ -18,7 +18,7 @@ struct QueryOutcome;
 /// Order in which waiting queries are admitted into the pool when the
 /// admission window has a free slot.
 enum class AdmissionPolicy : uint8_t {
-  /// Submission order (the batch engine's historical behaviour).
+  /// Submission order.
   kFifo,
   /// Highest SubmitOptions::priority first; ties in submission order.
   kPriority,
