@@ -1,4 +1,9 @@
-#include "parallel/batch_runner.h"
+// Coverage of batch runs through RunBatch (parallel/service.h): per-query
+// counts equal MatchSequential at every thread count, plan-cache hits on
+// repeated queries (and none when the cache is off or the queries only look
+// alike), per-query sinks that see exact embedding streams, isolation of a
+// planning failure, the per-query embedding limit, no-steal scheduling and
+// the empty batch.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +13,20 @@
 #include "core/hgmatch.h"
 #include "gen/generator.h"
 #include "gen/query_gen.h"
-#include "io/loader.h"
-#include "io/writer.h"
+#include "parallel/service.h"
 #include "tests/test_fixtures.h"
+#include "util/rng.h"
 
 namespace hgmatch {
 namespace {
+
+// Path query of `k` edges over label-0 vertices: {0,1}, {1,2}, ...
+Hypergraph PathQuery(uint32_t k) {
+  Hypergraph q;
+  q.AddVertices(k + 1, 0);
+  for (VertexId v = 0; v < k; ++v) (void)q.AddEdge({v, v + 1});
+  return q;
+}
 
 // Deterministic small workload: a mix of sampled (guaranteed non-empty
 // result) and generated queries against one random data hypergraph.
@@ -35,7 +48,13 @@ std::vector<Hypergraph> MixedQueries(const Hypergraph& data, size_t count) {
   return queries;
 }
 
-TEST(BatchRunnerTest, CountsMatchSequentialPerQuery) {
+uint64_t TotalEmbeddings(const BatchRun& run) {
+  uint64_t total = 0;
+  for (const Ticket& t : run.tickets) total += t.Wait().stats.embeddings;
+  return total;
+}
+
+TEST(RunBatchTest, CountsMatchSequentialPerQuery) {
   Hypergraph data = GenerateHypergraph(SmallRandomConfig(9));
   std::vector<Hypergraph> queries = MixedQueries(data, 8);
   IndexedHypergraph idx = IndexedHypergraph::Build(std::move(data));
@@ -48,62 +67,62 @@ TEST(BatchRunnerTest, CountsMatchSequentialPerQuery) {
   }
 
   for (uint32_t threads : {1u, 2u, 4u}) {
-    BatchOptions options;
+    ServiceOptions options;
     options.parallel.num_threads = threads;
     options.parallel.scan_grain = 2;
-    const BatchResult r = RunBatch(idx, queries, options);
-    ASSERT_EQ(r.queries.size(), queries.size());
+    const BatchRun r = RunBatch(idx, queries, options);
+    ASSERT_EQ(r.tickets.size(), queries.size());
     uint64_t total = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(r.queries[i].status.ok());
-      EXPECT_EQ(r.queries[i].stats.embeddings, expected[i])
+      ASSERT_TRUE(r.tickets[i].status().ok());
+      EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
           << "query " << i << ", " << threads << " threads";
       total += expected[i];
     }
-    EXPECT_EQ(r.total.embeddings, total);
-    EXPECT_EQ(r.completed, queries.size());
-    EXPECT_EQ(r.workers.size(), threads);
+    EXPECT_EQ(TotalEmbeddings(r), total);
+    EXPECT_EQ(Completed(r), queries.size());
+    EXPECT_EQ(r.report.workers.size(), threads);
   }
 }
 
-TEST(BatchRunnerTest, PaperExampleRepeatedQueries) {
+TEST(RunBatchTest, PaperExampleRepeatedQueries) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   std::vector<Hypergraph> queries;
   for (int i = 0; i < 5; ++i) queries.push_back(PaperQueryHypergraph());
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 3;
   options.parallel.scan_grain = 1;
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(r.queries[i].stats.embeddings, 2u) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, 2u) << "query " << i;
   }
-  EXPECT_EQ(r.total.embeddings, 10u);
-  EXPECT_EQ(r.completed, 5u);
-  EXPECT_GT(r.peak_task_bytes, 0u);
+  EXPECT_EQ(TotalEmbeddings(r), 10u);
+  EXPECT_EQ(Completed(r), 5u);
+  EXPECT_GT(r.report.peak_task_bytes, 0u);
   // The four repeats are plan-cache hits onto the first copy's plan.
-  EXPECT_EQ(r.plan_cache_hits, 4u);
-  EXPECT_EQ(r.unique_plans, 1u);
+  EXPECT_EQ(r.report.plan_cache_hits, 4u);
+  EXPECT_EQ(r.report.unique_plans, 1u);
 }
 
-TEST(BatchRunnerTest, PlanCacheDisabledPlansEveryCopy) {
+TEST(RunBatchTest, PlanCacheDisabledPlansEveryCopy) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   std::vector<Hypergraph> queries;
   for (int i = 0; i < 5; ++i) queries.push_back(PaperQueryHypergraph());
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 3;
   options.plan_cache = false;
-  const BatchResult r = RunBatch(idx, queries, options);
-  EXPECT_EQ(r.plan_cache_hits, 0u);
-  EXPECT_EQ(r.unique_plans, 5u);
-  EXPECT_EQ(r.total.embeddings, 10u);
-  EXPECT_EQ(r.completed, 5u);
+  const BatchRun r = RunBatch(idx, queries, options);
+  EXPECT_EQ(r.report.plan_cache_hits, 0u);
+  EXPECT_EQ(r.report.unique_plans, 5u);
+  EXPECT_EQ(TotalEmbeddings(r), 10u);
+  EXPECT_EQ(Completed(r), 5u);
 }
 
-TEST(BatchRunnerTest, PlanCacheDistinguishesNearDuplicates) {
+TEST(RunBatchTest, PlanCacheDistinguishesNearDuplicates) {
   // Same edge-signature multisets but different structure must not share a
-  // plan or counts: the cache key is exact structural identity.
+  // plan or counts.
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   std::vector<Hypergraph> queries;
   queries.push_back(PaperQueryHypergraph());
@@ -119,18 +138,18 @@ TEST(BatchRunnerTest, PlanCacheDistinguishesNearDuplicates) {
     queries.push_back(std::move(q));
   }
 
-  const BatchResult r = RunBatch(idx, queries, BatchOptions{});
-  EXPECT_EQ(r.plan_cache_hits, 0u);
-  EXPECT_EQ(r.unique_plans, 2u);
+  const BatchRun r = RunBatch(idx, queries, ServiceOptions{});
+  EXPECT_EQ(r.report.plan_cache_hits, 0u);
+  EXPECT_EQ(r.report.unique_plans, 2u);
   Result<MatchStats> seq0 = MatchSequential(idx, queries[0]);
   Result<MatchStats> seq1 = MatchSequential(idx, queries[1]);
   ASSERT_TRUE(seq0.ok());
   ASSERT_TRUE(seq1.ok());
-  EXPECT_EQ(r.queries[0].stats.embeddings, seq0.value().embeddings);
-  EXPECT_EQ(r.queries[1].stats.embeddings, seq1.value().embeddings);
+  EXPECT_EQ(r.tickets[0].Wait().stats.embeddings, seq0.value().embeddings);
+  EXPECT_EQ(r.tickets[1].Wait().stats.embeddings, seq1.value().embeddings);
 }
 
-TEST(BatchRunnerTest, PlanCacheWithSinksStillEmitsPerCopy) {
+TEST(RunBatchTest, PlanCacheWithSinksStillEmitsPerCopy) {
   // Repeated queries that carry sinks share the compiled plan but execute
   // individually, so every sink observes its own exact embedding stream.
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
@@ -138,33 +157,33 @@ TEST(BatchRunnerTest, PlanCacheWithSinksStillEmitsPerCopy) {
   for (int i = 0; i < 3; ++i) queries.push_back(PaperQueryHypergraph());
 
   std::vector<CollectSink> collect(queries.size());
-  std::vector<EmbeddingSink*> sinks;
-  for (CollectSink& s : collect) sinks.push_back(&s);
+  std::vector<SubmitOptions> submit(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) submit[i].sink = &collect[i];
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 3;
-  const BatchResult r = RunBatch(idx, queries, options, &sinks);
-  EXPECT_EQ(r.plan_cache_hits, 2u);
-  EXPECT_EQ(r.unique_plans, 1u);
+  const BatchRun r = RunBatch(idx, queries, options, &submit);
+  EXPECT_EQ(r.report.plan_cache_hits, 2u);
+  EXPECT_EQ(r.report.unique_plans, 1u);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(collect[i].count(), 2u) << "query " << i;
-    EXPECT_EQ(r.queries[i].stats.embeddings, 2u) << "query " << i;
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, 2u) << "query " << i;
   }
 }
 
-TEST(BatchRunnerTest, SinksReceiveExactEmbeddings) {
+TEST(RunBatchTest, SinksReceiveExactEmbeddings) {
   Hypergraph data = GenerateHypergraph(SmallRandomConfig(11));
   std::vector<Hypergraph> queries = MixedQueries(data, 4);
   IndexedHypergraph idx = IndexedHypergraph::Build(std::move(data));
 
   std::vector<CollectSink> collect(queries.size());
-  std::vector<EmbeddingSink*> sinks;
-  for (CollectSink& s : collect) sinks.push_back(&s);
+  std::vector<SubmitOptions> submit(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) submit[i].sink = &collect[i];
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.scan_grain = 2;
-  const BatchResult r = RunBatch(idx, queries, options, &sinks);
+  const BatchRun r = RunBatch(idx, queries, options, &submit);
 
   for (size_t i = 0; i < queries.size(); ++i) {
     Result<QueryPlan> plan = BuildQueryPlan(queries[i], idx);
@@ -176,100 +195,68 @@ TEST(BatchRunnerTest, SinksReceiveExactEmbeddings) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b) << "query " << i;
-    EXPECT_EQ(r.queries[i].stats.embeddings, collect[i].count());
+    EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, collect[i].count());
   }
 }
 
-TEST(BatchRunnerTest, PlanningFailureIsIsolated) {
+TEST(RunBatchTest, PlanningFailureIsIsolated) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   std::vector<Hypergraph> queries;
   queries.push_back(PaperQueryHypergraph());
   queries.emplace_back();  // empty query: planning fails
   queries.push_back(PaperQueryHypergraph());
 
-  const BatchResult r = RunBatch(idx, queries, BatchOptions{});
-  ASSERT_EQ(r.queries.size(), 3u);
-  EXPECT_TRUE(r.queries[0].status.ok());
-  EXPECT_FALSE(r.queries[1].status.ok());
-  EXPECT_TRUE(r.queries[2].status.ok());
-  EXPECT_EQ(r.queries[0].stats.embeddings, 2u);
-  EXPECT_EQ(r.queries[1].stats.embeddings, 0u);
-  EXPECT_EQ(r.queries[2].stats.embeddings, 2u);
-  EXPECT_EQ(r.completed, 2u);
+  const BatchRun r = RunBatch(idx, queries, ServiceOptions{});
+  ASSERT_EQ(r.tickets.size(), 3u);
+  EXPECT_TRUE(r.tickets[0].status().ok());
+  EXPECT_FALSE(r.tickets[1].status().ok());
+  EXPECT_TRUE(r.tickets[2].status().ok());
+  EXPECT_EQ(r.tickets[0].Wait().stats.embeddings, 2u);
+  EXPECT_EQ(r.tickets[1].Wait().stats.embeddings, 0u);
+  EXPECT_EQ(r.tickets[2].Wait().stats.embeddings, 2u);
+  EXPECT_EQ(Completed(r), 2u);
 }
 
-TEST(BatchRunnerTest, PerQueryLimitStopsEachQuery) {
+TEST(RunBatchTest, PerQueryLimitStopsEachQuery) {
   Hypergraph h;
   h.AddVertices(100, 0);
   for (VertexId v = 0; v + 1 < 100; ++v) (void)h.AddEdge({v, v + 1});
   IndexedHypergraph idx = IndexedHypergraph::Build(std::move(h));
-  Hypergraph q;
-  q.AddVertices(3, 0);
-  (void)q.AddEdge({0, 1});
-  (void)q.AddEdge({1, 2});
   std::vector<Hypergraph> queries;
-  queries.push_back(q.Clone());
-  queries.push_back(q.Clone());
+  queries.push_back(PathQuery(2));
+  queries.push_back(PathQuery(2));
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 2;
   options.parallel.limit = 3;
-  const BatchResult r = RunBatch(idx, queries, options);
+  const BatchRun r = RunBatch(idx, queries, options);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(r.queries[i].stats.limit_hit) << "query " << i;
-    EXPECT_GE(r.queries[i].stats.embeddings, 3u) << "query " << i;
+    EXPECT_TRUE(r.tickets[i].Wait().stats.limit_hit) << "query " << i;
+    EXPECT_GE(r.tickets[i].Wait().stats.embeddings, 3u) << "query " << i;
   }
-  EXPECT_EQ(r.completed, 0u);
+  EXPECT_EQ(Completed(r), 0u);
 }
 
-TEST(BatchRunnerTest, NoStealMeansZeroSteals) {
+TEST(RunBatchTest, NoStealMeansZeroSteals) {
   Hypergraph data = GenerateHypergraph(SmallRandomConfig(7));
   std::vector<Hypergraph> queries = MixedQueries(data, 4);
   IndexedHypergraph idx = IndexedHypergraph::Build(std::move(data));
 
-  BatchOptions options;
+  ServiceOptions options;
   options.parallel.num_threads = 4;
   options.parallel.work_stealing = false;
-  const BatchResult r = RunBatch(idx, queries, options);
-  for (const WorkerReport& w : r.workers) EXPECT_EQ(w.steals, 0u);
-  EXPECT_EQ(r.completed, queries.size());
+  const BatchRun r = RunBatch(idx, queries, options);
+  for (const WorkerReport& w : r.report.workers) EXPECT_EQ(w.steals, 0u);
+  EXPECT_EQ(Completed(r), queries.size());
 }
 
-TEST(BatchRunnerTest, EmptyBatchIsOk) {
+TEST(RunBatchTest, EmptyBatchIsOk) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  const BatchResult r = RunBatch(idx, {}, BatchOptions{});
-  EXPECT_TRUE(r.queries.empty());
-  EXPECT_EQ(r.total.embeddings, 0u);
-  EXPECT_EQ(r.completed, 0u);
-}
-
-TEST(QuerySetIoTest, ParseSeparatorsAndSampleOutput) {
-  const Hypergraph q = PaperQueryHypergraph();
-  const std::string one = FormatHypergraph(q);
-  // "# query i" headers (hgmatch sample output) and "---" both separate.
-  const std::string text =
-      "# query 0\n" + one + "---\n" + one + "\n# query 2\n" + one;
-  Result<std::vector<Hypergraph>> set = ParseQuerySet(text);
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  ASSERT_EQ(set.value().size(), 3u);
-  for (const Hypergraph& parsed : set.value()) {
-    EXPECT_EQ(parsed.NumVertices(), q.NumVertices());
-    EXPECT_EQ(parsed.NumEdges(), q.NumEdges());
-  }
-}
-
-TEST(QuerySetIoTest, BadBlockReportsIndex) {
-  Result<std::vector<Hypergraph>> set =
-      ParseQuerySet("v 0 0\ne 0\n---\nnonsense line\n");
-  ASSERT_FALSE(set.ok());
-  EXPECT_NE(set.status().message().find("query block 1"), std::string::npos);
-}
-
-TEST(QuerySetIoTest, EmptyAndWhitespaceBlocksSkipped) {
-  Result<std::vector<Hypergraph>> set =
-      ParseQuerySet("---\n\n---\nv 0 0\ne 0\n---\n  \n");
-  ASSERT_TRUE(set.ok()) << set.status().ToString();
-  EXPECT_EQ(set.value().size(), 1u);
+  const BatchRun r = RunBatch(idx, {}, ServiceOptions{});
+  EXPECT_TRUE(r.tickets.empty());
+  EXPECT_EQ(r.report.submitted, 0u);
+  EXPECT_EQ(TotalEmbeddings(r), 0u);
+  EXPECT_EQ(Completed(r), 0u);
 }
 
 }  // namespace
