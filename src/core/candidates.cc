@@ -60,14 +60,19 @@ class StepMaskScope {
 }  // namespace
 
 Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan)
-    : data_(&data), plan_(&plan) {}
+    : data_(&data), plan_(&plan) {
+  step_partition_.reserve(plan.NumSteps());
+  for (const PlanStep& s : plan.steps) {
+    step_partition_.push_back(data.FindPartition(s.signature));
+  }
+}
 
 void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
                                       const uint64_t* step_mask,
                                       std::vector<EdgeId>* out) {
   out->clear();
   const PlanStep& s = plan_->steps[step];
-  const Partition* part = data_->FindPartition(s.signature);
+  const Partition* part = step_partition_[step];
   if (part == nullptr) return;  // Observation V.1: no table, no candidates.
 
   if (s.adjacent_prev.empty()) {
@@ -152,15 +157,19 @@ bool Expander::IsValidImpl(uint32_t step, EdgeId c, const uint64_t* step_mask,
   }
   *vertex_count_ok = true;
 
-  // Theorem V.2: the multiset of vertex profiles of the new hyperedge's
-  // vertices must equal the precomputed query-side profiles. A vertex's
-  // step set is its earlier steps plus this one (v ∈ m'[step] = c).
+  // Theorem V.2 on the already-matched vertices of c: their (label, earlier
+  // steps) multiset must equal the precomputed shared query profiles. c
+  // comes from the step's signature table and has passed Observation V.5,
+  // so its new vertices then match the query's new ones by subtraction.
+  // This loop stays apart from the one above so that the candidates V.5
+  // rejects never load a label.
   data_profiles_.clear();
   for (VertexId v : h.edge(c)) {
-    data_profiles_.push_back({h.label(v), step_mask[v] | 1ULL << step});
+    const uint64_t m = step_mask[v];
+    if (m != 0) data_profiles_.push_back({h.label(v), m});
   }
   std::sort(data_profiles_.begin(), data_profiles_.end());
-  return data_profiles_ == s.query_profiles;
+  return data_profiles_ == s.shared_profiles;
 }
 
 void Expander::Expand(const EdgeId* embedding, uint32_t step,
@@ -188,6 +197,11 @@ void Expander::GenerateCandidates(const EdgeId* embedding, uint32_t step,
 
 bool Expander::IsValidEmbedding(const EdgeId* embedding, uint32_t step,
                                 EdgeId c, bool* vertex_count_ok) {
+  const Partition* part = step_partition_[step];
+  if (part == nullptr || data_->PartitionOf(c) != part->id()) {
+    *vertex_count_ok = false;
+    return false;
+  }
   const StepMaskScope masks(data_->graph(), embedding, step);
   return IsValidImpl(step, c, masks.mask(), masks.matched_vertices(),
                      vertex_count_ok);

@@ -22,8 +22,12 @@ namespace hgmatch {
 /// embedding m, the mask of earlier steps whose matched hyperedge contains
 /// v (bit j = step j). d_Hm(v) is its popcount, membership in V_nonincdt is
 /// an AND with the step's non-adjacent mask, and Theorem V.2's vertex
-/// profile is the mask plus the current step's bit, so neither algorithm
-/// searches a sorted list. The masks live in one dense array per thread,
+/// profile is the mask, so neither algorithm searches a sorted list.
+/// Theorem V.2 is checked on the candidate's already-matched vertices only
+/// (PlanStep::shared_profiles): a candidate from the step's signature table
+/// that passes Observation V.5 has as many new vertices as the query edge,
+/// and equal shared profiles then leave the new vertices equal profiles
+/// too. The masks live in one dense array per thread,
 /// shared by every Expander that runs on it: 8 B x |V| of the largest data
 /// hypergraph the thread has expanded over. The array is all-zero between
 /// calls; each call clears the entries it set, through a touched-vertex
@@ -49,7 +53,11 @@ class Expander {
 
   /// Standalone IsValidEmbedding (Algorithm 5) for candidate `c` appended
   /// at `step`. `vertex_count_ok` reports whether the Observation V.5 check
-  /// passed (the "Filtered" counter of Fig 9). Prefer Expand() in hot loops.
+  /// passed (the "Filtered" counter of Fig 9). `c` may be any data
+  /// hyperedge: one outside the step's signature table is rejected before
+  /// Observation V.5 (vertex_count_ok = false), since the shared-vertex
+  /// form of Theorem V.2 holds only for candidates from that table. Prefer
+  /// Expand() in hot loops.
   bool IsValidEmbedding(const EdgeId* embedding, uint32_t step, EdgeId c,
                         bool* vertex_count_ok);
 
@@ -73,6 +81,8 @@ class Expander {
 
   const IndexedHypergraph* data_;
   const QueryPlan* plan_;
+  // Signature table of each step; nullptr when the data has none.
+  std::vector<const Partition*> step_partition_;
 
   // Scratch, reused across calls.
   std::vector<VertexId> incident_scratch_;              // V_incdt per u
@@ -80,7 +90,7 @@ class Expander {
   std::vector<EdgeId> intersect_scratch_;
   std::vector<EdgeId> candidate_scratch_;               // Expand() candidates
   std::vector<const std::vector<EdgeId>*> list_ptrs_;   // UnionMany inputs
-  std::vector<PlanStep::Profile> data_profiles_;        // Algorithm 5 side
+  std::vector<PlanStep::Profile> data_profiles_;        // shared, Theorem V.2
 };
 
 }  // namespace hgmatch

@@ -14,6 +14,11 @@ MatchStats ExecutePlanSequential(const IndexedHypergraph& data,
   Timer timer;
   const Deadline deadline = Deadline::After(options.timeout_seconds);
   const uint32_t n = plan.NumSteps();
+  // With nothing to emit, verify or stop at, every valid candidate of the
+  // last step completes exactly one embedding, so the level is counted in
+  // one add instead of visited.
+  const bool count_only =
+      sink == nullptr && options.limit == 0 && !options.strict_validation;
 
   Expander expander(data, plan);
   std::vector<std::vector<EdgeId>> level_valid(n);
@@ -31,6 +36,15 @@ MatchStats ExecutePlanSequential(const IndexedHypergraph& data,
         stats.timed_out = true;
         break;
       }
+    }
+    if (count_only && static_cast<uint32_t>(depth) + 1 == n) {
+      // The poll counter advances by the embeddings counted, so the
+      // deadline is polled after the same work as when each is visited.
+      const size_t found = level_valid[depth].size();
+      stats.embeddings += found;
+      steps_since_poll += found;
+      --depth;
+      continue;
     }
     if (cursor[depth] >= level_valid[depth].size()) {
       // This subtree is exhausted; backtrack.

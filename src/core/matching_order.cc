@@ -183,19 +183,20 @@ void CompileStep(const Hypergraph& query, const std::vector<EdgeId>& order,
   SortUnique(&all);
   step->num_query_vertices_after = static_cast<uint32_t>(all.size());
 
-  // Query-side vertex profiles of eq's vertices w.r.t. the partial query
-  // after this step (Def V.3): since the partial embedding m is duplicate
-  // free, comparing sets of matched data hyperedges {f(e)} is equivalent to
-  // comparing sets of step indices, which are known statically.
+  // Query-side profiles of eq's vertices that an earlier step contains,
+  // over the steps before this one (Def V.3): since the partial embedding m
+  // is duplicate free, comparing sets of matched data hyperedges {f(e)} is
+  // equivalent to comparing sets of step indices, which are known
+  // statically.
   for (VertexId u : eq_vertices) {
     PlanStep::Profile p;
     p.label = query.label(u);
-    for (uint32_t j = 0; j <= i; ++j) {
+    for (uint32_t j = 0; j < i; ++j) {
       if (Contains(query.edge(order[j]), u)) p.steps_mask |= 1ULL << j;
     }
-    step->query_profiles.push_back(p);
+    if (p.steps_mask != 0) step->shared_profiles.push_back(p);
   }
-  std::sort(step->query_profiles.begin(), step->query_profiles.end());
+  std::sort(step->shared_profiles.begin(), step->shared_profiles.end());
 }
 
 Result<QueryPlan> Compile(const Hypergraph& query, std::vector<EdgeId> order) {

@@ -48,13 +48,11 @@ struct PlanStep {
   /// |V(q')| of the partial query AFTER this step (Observation V.5).
   uint32_t num_query_vertices_after = 0;
 
-  /// Vertex profiles of the vertices of this step's query hyperedge,
-  /// relative to the partial query AFTER this step (Definition V.3 /
-  /// Theorem V.2): (label, set of step indices j <= i whose query hyperedge
-  /// contains the vertex). The step set is encoded as a 64-bit mask — query
-  /// hypergraphs are limited to 64 hyperedges, far above any practical
-  /// pattern size — so profiles are POD and multiset comparison is a sort +
-  /// memcmp. Stored sorted so two profile multisets compare with ==.
+  /// Vertex profile (Definition V.3): a vertex's label and the set of step
+  /// indices whose query hyperedge contains it. The step set is encoded as a
+  /// 64-bit mask — query hypergraphs are limited to 64 hyperedges, far above
+  /// any practical pattern size — so profiles are POD and multiset
+  /// comparison is a sort + memcmp.
   struct Profile {
     Label label = kInvalidLabel;
     uint64_t steps_mask = 0;
@@ -65,7 +63,15 @@ struct PlanStep {
       return steps_mask < other.steps_mask;
     }
   };
-  std::vector<Profile> query_profiles;  // sorted ascending
+
+  /// Theorem V.2, shared half: the profiles of this step's query vertices
+  /// that an earlier step already contains, with masks over steps j < i
+  /// only (this step's bit left out). Stored sorted so two profile
+  /// multisets compare with ==. The new vertices need no profile: every
+  /// candidate comes from this step's signature table, so once Observation
+  /// V.5 fixes their number, equal shared profiles leave them the same
+  /// label multiset as the query's new vertices, all with mask {i}.
+  std::vector<Profile> shared_profiles;  // sorted ascending
 };
 
 /// A compiled query: matching order ϕ (Definition V.1) plus per-step

@@ -324,6 +324,46 @@ TEST(ValidationTest, VertexCountCheckFiltersEarly) {
   EXPECT_FALSE(count_ok);  // 4 distinct data vertices != 5 query vertices
 }
 
+TEST(ValidationTest, RejectsCandidateFromAnotherSignatureTable) {
+  // The kernel checks Theorem V.2 on shared vertices only, which is exact
+  // for candidates from the step's signature table. A same-arity candidate
+  // from another table must still be rejected by the standalone check.
+  const Label A = 0, B = 1;
+  Hypergraph h;
+  h.AddVertex(A);  // v0
+  h.AddVertex(A);  // v1
+  h.AddVertex(B);  // v2
+  h.AddVertex(A);  // v3
+  const EdgeId d0 = h.AddEdge({0, 1}).value();  // {A,A}
+  const EdgeId d1 = h.AddEdge({1, 2}).value();  // {A,B}
+  const EdgeId d2 = h.AddEdge({1, 3}).value();  // {A,A}
+  IndexedHypergraph idx = IndexedHypergraph::Build(std::move(h));
+
+  // q0 = {u0,u1} (A,A) then q1 = {u1,u2} (A,B): the shared vertex u1 has
+  // profile (A, {0}), which d2's shared vertex v1 matches; d2's new vertex
+  // is an A where the query's is a B.
+  Hypergraph q;
+  q.AddVertex(A);
+  q.AddVertex(A);
+  q.AddVertex(B);
+  (void)q.AddEdge({0, 1});
+  (void)q.AddEdge({1, 2});
+  Result<QueryPlan> plan = BuildQueryPlanWithOrder(q, {0, 1});
+  ASSERT_TRUE(plan.ok());
+  Expander expander(idx, plan.value());
+
+  const EdgeId m[] = {d0};
+  bool count_ok = false;
+  EXPECT_TRUE(expander.IsValidEmbedding(m, 1, d1, &count_ok));
+  EXPECT_TRUE(count_ok);
+  count_ok = true;
+  EXPECT_FALSE(expander.IsValidEmbedding(m, 1, d2, &count_ok));
+  EXPECT_FALSE(count_ok);
+  // Step 0 takes only {A,A} edges.
+  EXPECT_TRUE(expander.IsValidEmbedding(nullptr, 0, d2, &count_ok));
+  EXPECT_FALSE(expander.IsValidEmbedding(nullptr, 0, d1, &count_ok));
+}
+
 TEST(EmbeddingConsistentTest, SymmetricVerticesAllowAnyBijection) {
   // Two query vertices with identical labels and incidence are
   // interchangeable; the class check must accept.

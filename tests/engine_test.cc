@@ -212,6 +212,11 @@ struct GoldenCase {
 struct GoldenCounters {
   MatchStats sequential;
   MatchStats parallel;
+  // The sequential engine's per-embedding branch: once with a sink, once
+  // with strict validation, so the count-only shortcut is pinned to it.
+  MatchStats sequential_sink;
+  uint64_t sink_count = 0;
+  MatchStats sequential_strict;
 };
 
 // Runs every golden query through both engines, in the order of the table.
@@ -224,9 +229,21 @@ std::vector<std::pair<std::string, GoldenCounters>> RunGoldenQueries() {
     po.num_threads = 3;
     po.scan_grain = 4;
     Result<ParallelResult> par = MatchParallel(idx, q, po);
-    EXPECT_TRUE(seq.ok() && par.ok()) << name;
-    if (!seq.ok() || !par.ok()) return;
-    out.push_back({name, {seq.value(), par.value().stats}});
+    Result<QueryPlan> plan = BuildQueryPlan(q, idx);
+    EXPECT_TRUE(seq.ok() && par.ok() && plan.ok()) << name;
+    if (!seq.ok() || !par.ok() || !plan.ok()) return;
+    GoldenCounters c;
+    c.sequential = seq.value();
+    c.parallel = par.value().stats;
+    CountSink sink;
+    c.sequential_sink =
+        ExecutePlanSequential(idx, plan.value(), MatchOptions{}, &sink);
+    c.sink_count = sink.count();
+    MatchOptions strict;
+    strict.strict_validation = true;
+    c.sequential_strict =
+        ExecutePlanSequential(idx, plan.value(), strict, nullptr);
+    out.push_back({name, c});
   };
   struct Source {
     const char* name;
@@ -309,7 +326,32 @@ TEST(GoldenCountersTest, Fig9CountersMatchRecordedValues) {
       EXPECT_EQ(stats.embeddings, golden[2]);
       EXPECT_EQ(stats.expansions, golden[3]);
     }
+    for (const auto& [branch, stats] :
+         {std::pair("sink", c.sequential_sink),
+          std::pair("strict", c.sequential_strict)}) {
+      SCOPED_TRACE(name + " sequential " + branch);
+      EXPECT_EQ(stats.candidates, c.sequential.candidates);
+      EXPECT_EQ(stats.filtered, c.sequential.filtered);
+      EXPECT_EQ(stats.embeddings, c.sequential.embeddings);
+      EXPECT_EQ(stats.expansions, c.sequential.expansions);
+    }
+    EXPECT_EQ(c.sink_count, c.sequential.embeddings) << name;
   }
+}
+
+TEST(SequentialEngineTest, CountOnlyQueryStillTimesOut) {
+  // Count-only runs add the last step's embeddings in one go; the deadline
+  // must still be polled. Full SB with a q4 query runs for seconds.
+  IndexedHypergraph idx =
+      IndexedHypergraph::Build(FindDatasetProfile("SB")->Generate(1.0));
+  std::vector<Hypergraph> queries = SampleQueries(idx.graph(), kQ4, 1, 0x71);
+  ASSERT_EQ(queries.size(), 1u);
+  MatchOptions options;
+  options.timeout_seconds = 0.02;
+  Result<MatchStats> r = MatchSequential(idx, queries[0], options);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().timed_out);
+  EXPECT_LT(r.value().seconds, 1.0);
 }
 
 }  // namespace

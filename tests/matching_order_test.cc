@@ -116,18 +116,16 @@ TEST(QueryPlanTest, StepPrecomputationOnPaperExample) {
   EXPECT_EQ(p.steps[2].num_query_vertices_after, 5u);
   EXPECT_TRUE(p.steps[2].nonadjacent_prev.empty());
 
-  // Step 2 profiles: u0 (A, steps {1,2}), u1 (C, {1,2}), u3 (A, {2}),
-  // u4 (B, {0,2}), sorted by (label, mask).
-  ASSERT_EQ(p.steps[2].query_profiles.size(), 4u);
-  const auto& profiles = p.steps[2].query_profiles;
+  // Step 2 shared profiles, over steps 0-1 only: u0 (A, {1}), u4 (B, {0}),
+  // u1 (C, {1}), sorted by (label, mask). u3 is new at step 2 and has none.
+  ASSERT_EQ(p.steps[2].shared_profiles.size(), 3u);
+  const auto& profiles = p.steps[2].shared_profiles;
   EXPECT_EQ(profiles[0].label, 0u);  // A
-  EXPECT_EQ(profiles[0].steps_mask, 0b100ULL);  // u3: step 2 only
-  EXPECT_EQ(profiles[1].label, 0u);
-  EXPECT_EQ(profiles[1].steps_mask, 0b110ULL);  // u0: steps 1,2
-  EXPECT_EQ(profiles[2].label, 1u);  // B
-  EXPECT_EQ(profiles[2].steps_mask, 0b101ULL);  // u4: steps 0,2
-  EXPECT_EQ(profiles[3].label, 2u);  // C
-  EXPECT_EQ(profiles[3].steps_mask, 0b110ULL);  // u1: steps 1,2
+  EXPECT_EQ(profiles[0].steps_mask, 0b010ULL);  // u0: step 1
+  EXPECT_EQ(profiles[1].label, 1u);  // B
+  EXPECT_EQ(profiles[1].steps_mask, 0b001ULL);  // u4: step 0
+  EXPECT_EQ(profiles[2].label, 2u);  // C
+  EXPECT_EQ(profiles[2].steps_mask, 0b010ULL);  // u1: step 1
 }
 
 TEST(QueryPlanTest, RejectsBadInputs) {
