@@ -341,7 +341,7 @@ TEST(GoldenCountersTest, Fig9CountersMatchRecordedValues) {
 
 TEST(SequentialEngineTest, CountOnlyQueryStillTimesOut) {
   // Count-only runs add the last step's embeddings in one go; the deadline
-  // must still be polled. Full SB with a q4 query runs for seconds.
+  // must still be polled. This q4 query on full SB runs for over 30 s.
   IndexedHypergraph idx =
       IndexedHypergraph::Build(FindDatasetProfile("SB")->Generate(1.0));
   std::vector<Hypergraph> queries = SampleQueries(idx.graph(), kQ4, 1, 0x71);
