@@ -51,16 +51,48 @@ Fixture& GetFixture() {
   return *f;
 }
 
-void BM_IndexBuild(benchmark::State& state) {
-  const DatasetProfile* profile = FindDatasetProfile("SB");
-  Hypergraph h = profile->Generate(1.0);
+// Index build on a profile dataset; each iteration includes one Clone().
+// SB has a few large signature tables; AR at a small scale has many small
+// ones, most of whose posting lists hold a single hyperedge.
+void BM_IndexBuild(benchmark::State& state, const char* dataset,
+                   double scale) {
+  const Hypergraph h = FindDatasetProfile(dataset)->Generate(scale);
+  size_t tables = 0;
   for (auto _ : state) {
     IndexedHypergraph idx = IndexedHypergraph::Build(h.Clone());
+    tables = idx.partitions().size();
     benchmark::DoNotOptimize(idx.IndexBytes());
   }
   state.SetItemsProcessed(state.iterations() * h.NumEdges());
+  state.counters["tables"] = static_cast<double>(tables);
 }
-BENCHMARK(BM_IndexBuild);
+BENCHMARK_CAPTURE(BM_IndexBuild, SB, "SB", 1.0);
+BENCHMARK_CAPTURE(BM_IndexBuild, AR, "AR", 1.0 / 256);
+
+// The posting-list lookups of one Algorithm 4 call at step 2: the step's
+// signature table, probed with every vertex of the hyperedges matched at
+// steps 0 and 1.
+void BM_PostingsLookup(benchmark::State& state) {
+  Fixture& f = GetFixture();
+  const Partition* part =
+      f.plan.NumSteps() < 3 ? nullptr
+                            : f.data.FindPartition(f.plan.steps[2].signature);
+  if (!f.has_prefix || part == nullptr) {
+    state.SkipWithError("no 2-prefix available");
+    return;
+  }
+  std::vector<VertexId> vertices;
+  for (EdgeId e : f.prefix) {
+    for (VertexId v : f.data.graph().edge(e)) vertices.push_back(v);
+  }
+  for (auto _ : state) {
+    size_t postings = 0;
+    for (VertexId v : vertices) postings += part->Postings(v).size();
+    benchmark::DoNotOptimize(postings);
+  }
+  state.SetItemsProcessed(state.iterations() * vertices.size());
+}
+BENCHMARK(BM_PostingsLookup);
 
 void BM_PlanCompilation(benchmark::State& state) {
   Fixture& f = GetFixture();

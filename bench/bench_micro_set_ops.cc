@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+
 #include "util/rng.h"
 #include "util/set_ops.h"
 
@@ -57,16 +59,16 @@ void BM_UnionMany(benchmark::State& state) {
   const size_t k = state.range(0);
   const uint32_t universe = state.range(1) != 0 ? 1u << 16 : 1u << 30;
   std::vector<std::vector<uint32_t>> lists;
-  std::vector<const std::vector<uint32_t>*> ptrs;
   size_t items = 0;
   for (size_t i = 0; i < k; ++i) {
     lists.push_back(MakeSorted(256, universe, i + 1));
     items += lists.back().size();
   }
-  for (const auto& l : lists) ptrs.push_back(&l);
+  const std::vector<std::span<const uint32_t>> spans(lists.begin(),
+                                                     lists.end());
   std::vector<uint32_t> out;
   for (auto _ : state) {
-    UnionMany(ptrs, &out);
+    UnionMany(spans, &out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -75,18 +77,6 @@ void BM_UnionMany(benchmark::State& state) {
 BENCHMARK(BM_UnionMany)
     ->ArgNames({"inputs", "dense"})
     ->ArgsProduct({{2, 8, 32, 128}, {1, 0}});
-
-void BM_Difference(benchmark::State& state) {
-  const size_t n = state.range(0);
-  const auto a = MakeSorted(n, 4 * n, 3);
-  const auto b = MakeSorted(n / 2, 4 * n, 4);
-  std::vector<uint32_t> out;
-  for (auto _ : state) {
-    Difference(a, b, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_Difference)->Range(64, 1 << 16);
 
 void BM_IntersectsEarlyExit(benchmark::State& state) {
   const size_t n = state.range(0);

@@ -112,12 +112,12 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
           out->clear();
           return;
         }
-        list_ptrs_.clear();
+        lists_.clear();
         for (VertexId v : incident_scratch_) {
-          const EdgeSet& postings = part->Postings(v);
-          if (!postings.empty()) list_ptrs_.push_back(&postings);
+          const std::span<const EdgeId> postings = part->Postings(v);
+          if (!postings.empty()) lists_.push_back(postings);
         }
-        UnionMany(list_ptrs_, &union_scratch_);
+        UnionMany(lists_, &union_scratch_);
         if (first) {
           out->swap(union_scratch_);
           first = false;

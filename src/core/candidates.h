@@ -2,6 +2,7 @@
 #define HGMATCH_CORE_CANDIDATES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/indexed_hypergraph.h"
@@ -89,7 +90,7 @@ class Expander {
   std::vector<EdgeId> union_scratch_;                   // per-u posting union
   std::vector<EdgeId> intersect_scratch_;
   std::vector<EdgeId> candidate_scratch_;               // Expand() candidates
-  std::vector<const std::vector<EdgeId>*> list_ptrs_;   // UnionMany inputs
+  std::vector<std::span<const EdgeId>> lists_;          // UnionMany inputs
   std::vector<PlanStep::Profile> data_profiles_;        // shared, Theorem V.2
 };
 

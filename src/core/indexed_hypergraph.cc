@@ -1,27 +1,96 @@
 #include "core/indexed_hypergraph.h"
 
-namespace hgmatch {
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 
-namespace {
-const EdgeSet kEmptyPostings;
-}  // namespace
+namespace hgmatch {
 
 IndexedHypergraph IndexedHypergraph::Build(Hypergraph graph) {
   IndexedHypergraph out;
   out.graph_ = std::move(graph);
   const Hypergraph& h = out.graph_;
-  out.edge_partition_.resize(h.NumEdges(), kInvalidPartition);
-  // Edge ids are visited in ascending order, so Partition::Add keeps every
-  // posting list sorted with no extra sort pass.
+  if (h.NumIncidences() > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "IndexedHypergraph: 2^32 or more incidences\n");
+    std::abort();
+  }
+
+  // Assign every hyperedge to its signature's table, counting each table's
+  // hyperedges and incidences.
+  out.edge_partition_.resize(h.NumEdges());
+  std::vector<uint32_t> num_edges, num_postings;
   for (EdgeId e = 0; e < h.NumEdges(); ++e) {
     Signature s = SignatureKeyOf(h, e);
     auto [it, inserted] = out.by_signature_.try_emplace(
         s, static_cast<PartitionId>(out.partitions_.size()));
+    const PartitionId p = it->second;
     if (inserted) {
-      out.partitions_.emplace_back(it->second, std::move(s));
+      out.partitions_.push_back(Partition(p, std::move(s)));
+      num_edges.push_back(0);
+      num_postings.push_back(0);
     }
-    out.partitions_[it->second].Add(e, h.edge(e));
-    out.edge_partition_[e] = it->second;
+    out.edge_partition_[e] = p;
+    ++num_edges[p];
+    num_postings[p] += h.arity(e);
+  }
+  out.partitions_.shrink_to_fit();
+  const size_t num_tables = out.partitions_.size();
+
+  // Count each table's distinct vertices: one vertex-major pass.
+  std::vector<VertexId> last_key(num_tables, kInvalidVertex);
+  std::vector<uint32_t> num_keys(num_tables, 0);
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    for (EdgeId e : h.incident(v)) {
+      const PartitionId p = out.edge_partition_[e];
+      if (last_key[p] != v) {
+        last_key[p] = v;
+        ++num_keys[p];
+      }
+    }
+  }
+
+  // Lay the tables out one after another; key_at and posting_at are each
+  // table's fill cursor into keys_/offsets_ and postings_.
+  std::vector<uint32_t> key_at(num_tables), posting_at(num_tables);
+  uint32_t total_keys = 0, total_postings = 0;
+  for (PartitionId p = 0; p < num_tables; ++p) {
+    out.partitions_[p].edges_.reserve(num_edges[p]);
+    key_at[p] = total_keys;
+    posting_at[p] = total_postings;
+    total_keys += num_keys[p];
+    total_postings += num_postings[p];
+  }
+  for (EdgeId e = 0; e < h.NumEdges(); ++e) {
+    out.partitions_[out.edge_partition_[e]].edges_.push_back(e);
+  }
+  out.keys_.resize(total_keys);
+  out.offsets_.resize(size_t{total_keys} + 1);
+  out.postings_.resize(total_postings);
+
+  // Fill: v ascending, then e ascending in he(v), so every table receives
+  // its (v, e) entries sorted. A table's last list ends where the next
+  // table's first list starts, and the final one at offsets_.back().
+  std::fill(last_key.begin(), last_key.end(), kInvalidVertex);
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    for (EdgeId e : h.incident(v)) {
+      const PartitionId p = out.edge_partition_[e];
+      if (last_key[p] != v) {
+        last_key[p] = v;
+        out.keys_[key_at[p]] = v;
+        out.offsets_[key_at[p]++] = posting_at[p];
+      }
+      out.postings_[posting_at[p]++] = e;
+    }
+  }
+  out.offsets_[total_keys] = total_postings;
+
+  for (PartitionId p = 0; p < num_tables; ++p) {
+    Partition& t = out.partitions_[p];
+    const uint32_t first_key = key_at[p] - num_keys[p];
+    t.keys_ = {out.keys_.data() + first_key, num_keys[p]};
+    t.offsets_ = out.offsets_.data() + first_key;
+    t.postings_ = out.postings_.data();
   }
   return out;
 }
@@ -37,16 +106,23 @@ size_t IndexedHypergraph::Cardinality(const Signature& s) const {
   return p == nullptr ? 0 : p->size();
 }
 
-const EdgeSet& IndexedHypergraph::Postings(const Signature& s,
-                                           VertexId v) const {
+std::span<const EdgeId> IndexedHypergraph::Postings(const Signature& s,
+                                                    VertexId v) const {
   const Partition* p = FindPartition(s);
-  if (p == nullptr) return kEmptyPostings;
+  if (p == nullptr) return {};
   return p->Postings(v);
 }
 
 uint64_t IndexedHypergraph::IndexBytes() const {
-  uint64_t bytes = edge_partition_.size() * sizeof(PartitionId);
-  for (const Partition& p : partitions_) bytes += p.IndexBytes();
+  uint64_t bytes = partitions_.capacity() * sizeof(Partition) +
+                   edge_partition_.capacity() * sizeof(PartitionId) +
+                   keys_.capacity() * sizeof(VertexId) +
+                   offsets_.capacity() * sizeof(uint32_t) +
+                   postings_.capacity() * sizeof(EdgeId);
+  for (const Partition& p : partitions_) {
+    bytes += p.signature().capacity() * sizeof(Label) +
+             p.edges().capacity() * sizeof(EdgeId);
+  }
   return bytes;
 }
 

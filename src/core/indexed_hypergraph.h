@@ -2,6 +2,7 @@
 #define HGMATCH_CORE_INDEXED_HYPERGRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -16,10 +17,21 @@ namespace hgmatch {
 /// the data hypergraph stored as per-signature hyperedge tables, each with
 /// its lightweight inverted hyperedge index. Built once per data hypergraph;
 /// no further auxiliary structure is created at query time.
+///
+/// The inverted indexes of all tables live in three flat arrays, table
+/// after table (see Partition), so a table costs a few dozen bytes of
+/// header beyond its 12 B or less per incidence.
 class IndexedHypergraph {
  public:
   /// Builds the partitioned storage + inverted indexes. Takes ownership of
   /// the hypergraph (the raw structure is still accessible via graph()).
+  /// Passes over the hyperedges assign them to tables and fill each
+  /// table's hyperedge list; two vertex-major passes over he(v), v
+  /// ascending and e ascending, first count each table's distinct vertices
+  /// and then fill the arrays, so every table receives its (v, e) entries
+  /// already sorted, every array is sized once and no sort runs. Aborts
+  /// if the hypergraph has 2^32 or more incidences, since offsets are
+  /// 32-bit (such a hypergraph would itself take over 32 GB).
   static IndexedHypergraph Build(Hypergraph graph);
 
   IndexedHypergraph(IndexedHypergraph&&) = default;
@@ -44,9 +56,12 @@ class IndexedHypergraph {
 
   /// Posting list he(v, s): incident hyperedges of v with signature s,
   /// ascending global ids. Empty if the signature or vertex is absent.
-  const EdgeSet& Postings(const Signature& s, VertexId v) const;
+  std::span<const EdgeId> Postings(const Signature& s, VertexId v) const;
 
-  /// Total bytes of all inverted indexes + table headers (Exp-1 metric).
+  /// Bytes held by the hyperedge tables and their inverted indexes (Exp-1
+  /// metric): the capacity of every array, the table headers with their
+  /// signatures, and the edge-to-table map. The signature-to-table hash
+  /// map is not counted.
   uint64_t IndexBytes() const;
 
  private:
@@ -56,6 +71,12 @@ class IndexedHypergraph {
   std::vector<Partition> partitions_;
   std::unordered_map<Signature, PartitionId, SignatureHash> by_signature_;
   std::vector<PartitionId> edge_partition_;
+  // The inverted index of every table, table after table: distinct
+  // vertices ascending within a table, the start of each one's list in
+  // postings_ (plus one end offset), and the posting lists.
+  std::vector<VertexId> keys_;
+  std::vector<uint32_t> offsets_;
+  std::vector<EdgeId> postings_;
 };
 
 }  // namespace hgmatch

@@ -1,31 +1,14 @@
 #include "core/partition.h"
 
+#include <algorithm>
+
 namespace hgmatch {
 
-namespace {
-const EdgeSet kEmptyPostings;
-}  // namespace
-
-const EdgeSet& Partition::Postings(VertexId v) const {
-  auto it = index_.find(v);
-  if (it == index_.end()) return kEmptyPostings;
-  return it->second;
-}
-
-void Partition::Add(EdgeId e, const VertexSet& vertices) {
-  edges_.push_back(e);
-  for (VertexId v : vertices) index_[v].push_back(e);
-}
-
-uint64_t Partition::IndexBytes() const {
-  uint64_t bytes = signature_.size() * sizeof(Label);
-  bytes += edges_.size() * sizeof(EdgeId);
-  for (const auto& [v, postings] : index_) {
-    (void)v;
-    bytes += sizeof(VertexId) + postings.size() * sizeof(EdgeId) +
-             sizeof(EdgeSet);
-  }
-  return bytes;
+std::span<const EdgeId> Partition::Postings(VertexId v) const {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), v);
+  if (it == keys_.end() || *it != v) return {};
+  const size_t i = static_cast<size_t>(it - keys_.begin());
+  return {postings_ + offsets_[i], postings_ + offsets_[i + 1]};
 }
 
 }  // namespace hgmatch

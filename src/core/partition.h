@@ -2,7 +2,7 @@
 #define HGMATCH_CORE_PARTITION_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/signature.h"
@@ -15,15 +15,16 @@ namespace hgmatch {
 /// (Section IV.C) mapping each vertex that occurs in the table to the sorted
 /// posting list of its incident hyperedges *within this table*.
 ///
-/// Posting lists store global edge ids in ascending order, so candidate
-/// generation (Algorithm 4) is plain sorted-set algebra over posting lists:
-/// he(v, S(e_q)) is a single hash lookup followed by set unions and
-/// intersections.
+/// The index is three sorted flat arrays, owned by the IndexedHypergraph
+/// that built the table and shared by all of its tables: the table's
+/// distinct vertices ascending (`keys`), one offset per key plus an end
+/// offset (`offsets`), and the posting lists back to back (`postings`,
+/// global edge ids ascending within each list). he(v, S(e_q)) is a binary
+/// search over the keys, and candidate generation (Algorithm 4) is plain
+/// sorted-set algebra over the returned lists. A Partition is valid only
+/// while its IndexedHypergraph lives.
 class Partition {
  public:
-  Partition(PartitionId id, Signature signature)
-      : id_(id), signature_(std::move(signature)) {}
-
   PartitionId id() const { return id_; }
   const Signature& signature() const { return signature_; }
 
@@ -35,24 +36,25 @@ class Partition {
 
   /// Posting list of v within this table: he(v, S) sorted ascending.
   /// Returns an empty list when v does not occur in the table.
-  const EdgeSet& Postings(VertexId v) const;
+  std::span<const EdgeId> Postings(VertexId v) const;
 
   /// Number of distinct vertices appearing in the table.
-  size_t NumIndexedVertices() const { return index_.size(); }
-
-  /// Appends a hyperedge (must be called with ascending global edge ids;
-  /// this keeps every posting list sorted without a separate sort pass).
-  void Add(EdgeId e, const VertexSet& vertices);
-
-  /// Estimated memory of the inverted index (posting lists + table header),
-  /// reported by Exp-1.
-  uint64_t IndexBytes() const;
+  size_t NumIndexedVertices() const { return keys_.size(); }
 
  private:
+  friend class IndexedHypergraph;
+
+  Partition(PartitionId id, Signature signature)
+      : id_(id), signature_(std::move(signature)) {}
+
   PartitionId id_;
   Signature signature_;
   EdgeSet edges_;
-  std::unordered_map<VertexId, EdgeSet> index_;
+  std::span<const VertexId> keys_;
+  // offsets_[i] .. offsets_[i + 1] is the range of keys_[i]'s list in
+  // postings_; both point into the owner's shared arrays.
+  const uint32_t* offsets_ = nullptr;
+  const EdgeId* postings_ = nullptr;
 };
 
 }  // namespace hgmatch

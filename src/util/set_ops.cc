@@ -65,13 +65,13 @@ constexpr size_t kBitmapUnionWordsPerItem = 4;
 // then scan the words in order, which emits the union sorted and
 // duplicate-free. The thread's bitmap is all-zero between calls; the scan
 // clears each word as it reads it.
-void UnionBitmap(const std::vector<const std::vector<uint32_t>*>& inputs,
+void UnionBitmap(const std::vector<std::span<const uint32_t>>& inputs,
                  uint32_t base, size_t words, size_t total,
                  std::vector<uint32_t>* out) {
   static thread_local std::vector<uint64_t> bits;
   if (bits.size() < words) bits.resize(words);
-  for (const std::vector<uint32_t>* in : inputs) {
-    for (uint32_t x : *in) {
+  for (std::span<const uint32_t> in : inputs) {
+    for (uint32_t x : in) {
       const uint32_t off = x - base;
       bits[off >> 6] |= 1ULL << (off & 63);
     }
@@ -124,14 +124,7 @@ size_t IntersectSize(const std::vector<uint32_t>& a,
   return n;
 }
 
-void IntersectInPlace(std::vector<uint32_t>* a,
-                      const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> tmp;
-  Intersect(*a, b, &tmp);
-  a->swap(tmp);
-}
-
-void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+void Union(std::span<const uint32_t> a, std::span<const uint32_t> b,
            std::vector<uint32_t>* out) {
   out->clear();
   out->reserve(a.size() + b.size());
@@ -139,33 +132,26 @@ void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
                  std::back_inserter(*out));
 }
 
-void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b) {
-  if (b.empty()) return;
-  std::vector<uint32_t> tmp;
-  Union(*a, b, &tmp);
-  a->swap(tmp);
-}
-
-void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
+void UnionMany(const std::vector<std::span<const uint32_t>>& inputs,
                std::vector<uint32_t>* out) {
   out->clear();
   if (inputs.empty()) return;
   if (inputs.size() == 1) {
-    *out = *inputs[0];
+    out->assign(inputs[0].begin(), inputs[0].end());
     return;
   }
   if (inputs.size() == 2) {
-    Union(*inputs[0], *inputs[1], out);
+    Union(inputs[0], inputs[1], out);
     return;
   }
   size_t total = 0;
   uint32_t lo = UINT32_MAX;
   uint32_t hi = 0;
-  for (const std::vector<uint32_t>* in : inputs) {
-    if (in->empty()) continue;
-    total += in->size();
-    lo = std::min(lo, in->front());
-    hi = std::max(hi, in->back());
+  for (std::span<const uint32_t> in : inputs) {
+    if (in.empty()) continue;
+    total += in.size();
+    lo = std::min(lo, in.front());
+    hi = std::max(hi, in.back());
   }
   if (total == 0) return;
   const uint32_t base = lo & ~63u;
@@ -183,24 +169,16 @@ void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
   };
   std::priority_queue<Cursor, std::vector<Cursor>, std::greater<Cursor>> heap;
   for (uint32_t k = 0; k < inputs.size(); ++k) {
-    if (!inputs[k]->empty()) heap.push({(*inputs[k])[0], k, 0});
+    if (!inputs[k].empty()) heap.push({inputs[k][0], k, 0});
   }
   out->reserve(total);
   while (!heap.empty()) {
     Cursor c = heap.top();
     heap.pop();
     if (out->empty() || out->back() != c.value) out->push_back(c.value);
-    const auto& in = *inputs[c.input];
+    const std::span<const uint32_t> in = inputs[c.input];
     if (c.pos + 1 < in.size()) heap.push({in[c.pos + 1], c.input, c.pos + 1});
   }
-}
-
-void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-                std::vector<uint32_t>* out) {
-  out->clear();
-  out->reserve(a.size());
-  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
-                      std::back_inserter(*out));
 }
 
 bool Contains(const std::vector<uint32_t>& a, uint32_t x) {
@@ -220,11 +198,6 @@ bool Intersects(const std::vector<uint32_t>& a,
     }
   }
   return false;
-}
-
-bool IsSubset(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b) {
-  if (a.size() > b.size()) return false;
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
 void InsertSorted(std::vector<uint32_t>* a, uint32_t x) {

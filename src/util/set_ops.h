@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.h"
@@ -27,36 +28,23 @@ void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
 size_t IntersectSize(const std::vector<uint32_t>& a,
                      const std::vector<uint32_t>& b);
 
-/// In-place: a = a ∩ b.
-void IntersectInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
-
 /// out = a ∪ b. `out` is cleared first. Aliasing with inputs is not allowed.
-void Union(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+void Union(std::span<const uint32_t> a, std::span<const uint32_t> b,
            std::vector<uint32_t>* out);
 
-/// In-place: a = a ∪ b (uses a scratch buffer internally).
-void UnionInPlace(std::vector<uint32_t>* a, const std::vector<uint32_t>& b);
-
 /// out = union of all input lists. `inputs` may be empty, in which case
-/// `out` is cleared. Pointers must be non-null. Three or more inputs whose
-/// id span, in 64-bit words, is at most 4x their total length are unioned
-/// through a bitmap over that span (a per-thread buffer that grows to the
-/// largest such span); sparser inputs take a k-way heap merge.
-void UnionMany(const std::vector<const std::vector<uint32_t>*>& inputs,
+/// `out` is cleared; `out` must not alias an input. Three or more inputs
+/// whose id span, in 64-bit words, is at most 4x their total length are
+/// unioned through a bitmap over that span (a per-thread buffer that grows
+/// to the largest such span); sparser inputs take a k-way heap merge.
+void UnionMany(const std::vector<std::span<const uint32_t>>& inputs,
                std::vector<uint32_t>* out);
-
-/// out = a \ b. `out` is cleared first.
-void Difference(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
-                std::vector<uint32_t>* out);
 
 /// True iff x ∈ a (binary search).
 bool Contains(const std::vector<uint32_t>& a, uint32_t x);
 
 /// True iff a ∩ b is non-empty (early-exit merge/gallop).
 bool Intersects(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b);
-
-/// True iff a ⊆ b.
-bool IsSubset(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b);
 
 /// Inserts x into sorted vector a, keeping it sorted; no-op if present.
 void InsertSorted(std::vector<uint32_t>* a, uint32_t x);

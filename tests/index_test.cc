@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/indexed_hypergraph.h"
 #include "core/partition.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
 namespace {
+
+EdgeSet Ids(std::span<const EdgeId> postings) {
+  return EdgeSet(postings.begin(), postings.end());
+}
 
 // Table I of the paper: the data hypergraph of Fig 1b partitions into three
 // hyperedge tables with signatures {A,B}, {A,A,C} and {A,A,B,C}.
@@ -33,9 +39,9 @@ TEST(IndexedHypergraphTest, PaperTableOnePartitions) {
 // in partition 3; v0 -> [e3] in partition 2.
 TEST(IndexedHypergraphTest, PaperTableOneInvertedIndex) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  EXPECT_EQ(idx.Postings({0, 1}, 4), (EdgeSet{0, 1}));
-  EXPECT_EQ(idx.Postings({0, 0, 1, 2}, 4), (EdgeSet{4, 5}));
-  EXPECT_EQ(idx.Postings({0, 0, 2}, 0), (EdgeSet{2}));
+  EXPECT_EQ(Ids(idx.Postings({0, 1}, 4)), (EdgeSet{0, 1}));
+  EXPECT_EQ(Ids(idx.Postings({0, 0, 1, 2}, 4)), (EdgeSet{4, 5}));
+  EXPECT_EQ(Ids(idx.Postings({0, 0, 2}, 0)), (EdgeSet{2}));
   // v0 never occurs in partition 1.
   EXPECT_TRUE(idx.Postings({0, 1}, 0).empty());
   // Unknown signature: empty postings, zero cardinality.
@@ -82,7 +88,7 @@ TEST_P(IndexPropertyTest, Invariants) {
       EXPECT_EQ(idx.PartitionOf(e), p.id());
       // Every member vertex's posting list contains e.
       for (VertexId v : g.edge(e)) {
-        const EdgeSet& postings = p.Postings(v);
+        const std::span<const EdgeId> postings = p.Postings(v);
         EXPECT_TRUE(std::binary_search(postings.begin(), postings.end(), e));
         EXPECT_TRUE(std::is_sorted(postings.begin(), postings.end()));
       }
@@ -91,12 +97,91 @@ TEST_P(IndexPropertyTest, Invariants) {
   }
   EXPECT_EQ(total, num_edges);
   EXPECT_EQ(posting_entries, incidences);
-  // Lightweight index: proportional to incidences, not quadratic.
+  // Lightweight index: per incidence one posting and at most one key and
+  // one offset (12 B), per hyperedge its table entry and its edge-to-table
+  // entry (8 B), per table a header and a signature of at most 2x its
+  // arity (the edge-label key may double the signature's capacity).
+  uint64_t keys = 0;
+  for (const Partition& p : idx.partitions()) keys += p.NumIndexedVertices();
+  const uint64_t tables = idx.partitions().size();
+  EXPECT_GE(idx.IndexBytes(), 4 * (incidences + keys + 1) + 8 * num_edges +
+                                  sizeof(Partition) * tables);
   EXPECT_LE(idx.IndexBytes(),
-            64 * (incidences + num_edges + idx.partitions().size() + 1));
+            12 * incidences + 8 * num_edges + 4 +
+                (sizeof(Partition) + 8 * (g.MaxArity() + 1)) * tables);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexPropertyTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
+// Exact oracle for the inverted index: for every table and every vertex id
+// (and the first ids past the last vertex), Postings(v) is
+// {e in he(v) : PartitionOf(e) = table}, through the table and through the
+// signature lookup, and NumIndexedVertices counts the vertices whose list
+// is non-empty.
+void ExpectExactIndex(const IndexedHypergraph& idx) {
+  const Hypergraph& g = idx.graph();
+  for (const Partition& p : idx.partitions()) {
+    size_t distinct = 0;
+    for (VertexId v = 0; v < g.NumVertices() + 2; ++v) {
+      EdgeSet expect;
+      if (v < g.NumVertices()) {
+        for (EdgeId e : g.incident(v)) {
+          if (idx.PartitionOf(e) == p.id()) expect.push_back(e);
+        }
+      }
+      EXPECT_EQ(Ids(p.Postings(v)), expect)
+          << "table " << p.id() << ", vertex " << v;
+      EXPECT_EQ(Ids(idx.Postings(p.signature(), v)), expect);
+      if (!expect.empty()) ++distinct;
+    }
+    EXPECT_TRUE(p.Postings(kInvalidVertex).empty());
+    EXPECT_EQ(p.NumIndexedVertices(), distinct) << "table " << p.id();
+  }
+}
+
+// Appends an isolated vertex, so the largest id occurs in no table.
+Hypergraph WithIsolatedVertex(Hypergraph h) {
+  h.AddVertex(0);
+  return h;
+}
+
+TEST(IndexedHypergraphTest, PaperIndexMatchesOracle) {
+  IndexedHypergraph idx =
+      IndexedHypergraph::Build(WithIsolatedVertex(PaperDataHypergraph()));
+  ExpectExactIndex(idx);
+  // Table {A,A,C} holds e3={v0,v1,v2} and e4={v3,v5,v6}: v0 is its first
+  // key, v4 falls between two keys, and the isolated v7 is in no table.
+  const Partition* aac = idx.FindPartition({0, 0, 2});
+  ASSERT_NE(aac, nullptr);
+  EXPECT_EQ(aac->NumIndexedVertices(), 6u);
+  EXPECT_EQ(Ids(aac->Postings(0)), (EdgeSet{2}));
+  EXPECT_TRUE(aac->Postings(4).empty());
+  EXPECT_TRUE(aac->Postings(7).empty());
+  EXPECT_EQ(Ids(aac->Postings(6)), (EdgeSet{3}));
+}
+
+class IndexOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexOracleTest, RandomGraph) {
+  ExpectExactIndex(IndexedHypergraph::Build(WithIsolatedVertex(
+      GenerateHypergraph(SmallRandomConfig(GetParam())))));
+}
+
+// Hyperedge labels split a signature into several tables, one per label.
+TEST_P(IndexOracleTest, EdgeLabelledRandomGraph) {
+  const Hypergraph plain = GenerateHypergraph(SmallRandomConfig(GetParam()));
+  Hypergraph h;
+  for (VertexId v = 0; v < plain.NumVertices(); ++v) {
+    h.AddVertex(plain.label(v));
+  }
+  for (EdgeId e = 0; e < plain.NumEdges(); ++e) {
+    ASSERT_TRUE(h.AddEdge(plain.edge(e), e % 3).ok());
+  }
+  ExpectExactIndex(IndexedHypergraph::Build(WithIsolatedVertex(std::move(h))));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexOracleTest,
                          ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace

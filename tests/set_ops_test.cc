@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -39,48 +40,35 @@ TEST(SetOpsTest, IntersectGallopPathMatchesMerge) {
   EXPECT_EQ(out, small);
 }
 
-TEST(SetOpsTest, IntersectSizeAndInPlace) {
+TEST(SetOpsTest, IntersectSize) {
   EXPECT_EQ(IntersectSize({1, 2, 3}, {2, 3, 4}), 2u);
   EXPECT_EQ(IntersectSize({}, {1}), 0u);
-  V a = {1, 2, 3, 9};
-  IntersectInPlace(&a, {2, 9, 11});
-  EXPECT_EQ(a, (V{2, 9}));
 }
 
 TEST(SetOpsTest, UnionBasics) {
   V out;
-  Union({1, 3}, {2, 3, 4}, &out);
+  Union(V{1, 3}, V{2, 3, 4}, &out);
   EXPECT_EQ(out, (V{1, 2, 3, 4}));
-  UnionInPlace(&out, {0, 9});
-  EXPECT_EQ(out, (V{0, 1, 2, 3, 4, 9}));
-  UnionInPlace(&out, {});
-  EXPECT_EQ(out.size(), 6u);
 }
 
 TEST(SetOpsTest, UnionMany) {
   V a = {1, 4}, b = {2, 4, 8}, c = {0, 8};
   V out;
-  UnionMany({&a, &b, &c}, &out);
+  UnionMany({a, b, c}, &out);
   EXPECT_EQ(out, (V{0, 1, 2, 4, 8}));
   UnionMany({}, &out);
   EXPECT_TRUE(out.empty());
-  UnionMany({&a}, &out);
+  UnionMany({a}, &out);
   EXPECT_EQ(out, a);
-  UnionMany({&a, &b}, &out);
+  UnionMany({a, b}, &out);
   EXPECT_EQ(out, (V{1, 2, 4, 8}));
 }
 
-TEST(SetOpsTest, DifferenceAndPredicates) {
-  V out;
-  Difference({1, 2, 3, 4}, {2, 4, 5}, &out);
-  EXPECT_EQ(out, (V{1, 3}));
+TEST(SetOpsTest, Predicates) {
   EXPECT_TRUE(Contains({1, 5, 9}, 5));
   EXPECT_FALSE(Contains({1, 5, 9}, 4));
   EXPECT_TRUE(Intersects({1, 9}, {9, 10}));
   EXPECT_FALSE(Intersects({1, 9}, {2, 10}));
-  EXPECT_TRUE(IsSubset({2, 4}, {1, 2, 3, 4}));
-  EXPECT_FALSE(IsSubset({2, 7}, {1, 2, 3, 4}));
-  EXPECT_TRUE(IsSubset({}, {1}));
 }
 
 TEST(SetOpsTest, InsertSortedAndSortUnique) {
@@ -112,13 +100,11 @@ TEST_P(SetOpsPropertyTest, MatchesStdSet) {
     const V b = sample(rng.NextBounded(100));
 
     std::set<uint32_t> sa(a.begin(), a.end()), sb(b.begin(), b.end());
-    V expect_i, expect_u, expect_d;
+    V expect_i, expect_u;
     std::set_intersection(sa.begin(), sa.end(), sb.begin(), sb.end(),
                           std::back_inserter(expect_i));
     std::set_union(sa.begin(), sa.end(), sb.begin(), sb.end(),
                    std::back_inserter(expect_u));
-    std::set_difference(sa.begin(), sa.end(), sb.begin(), sb.end(),
-                        std::back_inserter(expect_d));
 
     V out;
     Intersect(a, b, &out);
@@ -126,10 +112,7 @@ TEST_P(SetOpsPropertyTest, MatchesStdSet) {
     EXPECT_EQ(IntersectSize(a, b), expect_i.size());
     Union(a, b, &out);
     EXPECT_EQ(out, expect_u);
-    Difference(a, b, &out);
-    EXPECT_EQ(out, expect_d);
     EXPECT_EQ(Intersects(a, b), !expect_i.empty());
-    EXPECT_EQ(IsSubset(a, b), expect_i.size() == a.size());
   }
 }
 
@@ -152,10 +135,9 @@ V UnionFold(const std::vector<V>& lists) {
 }
 
 V UnionManyOf(const std::vector<V>& lists) {
-  std::vector<const V*> ptrs;
-  for (const V& l : lists) ptrs.push_back(&l);
+  std::vector<std::span<const uint32_t>> spans(lists.begin(), lists.end());
   V out = {42};  // must be cleared
-  UnionMany(ptrs, &out);
+  UnionMany(spans, &out);
   return out;
 }
 
