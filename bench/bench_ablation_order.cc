@@ -6,6 +6,7 @@
 // return identical counts (verified); only work differs.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "core/hgmatch.h"
@@ -74,7 +75,10 @@ int main(int argc, char** argv) {
       std::printf("%s\n", counts_agree ? "" : "   COUNT MISMATCH (bug!)");
       std::printf("%-8s |", "");
       for (double c : avg_cand) {
-        std::printf(" %12s", ("(" + HumanCount(static_cast<uint64_t>(c)) + ")").c_str());
+        std::string cell = "(";
+        cell += HumanCount(static_cast<uint64_t>(c));
+        cell += ")";
+        std::printf(" %12s", cell.c_str());
       }
       std::printf("\n");
     }

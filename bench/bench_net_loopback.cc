@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -406,7 +407,9 @@ void CatalogSection() {
     std::vector<NamedGraph> graphs;
     std::vector<std::string> names;
     for (uint32_t g = 0; g < num_graphs; ++g) {
-      names.push_back("g" + std::to_string(g));
+      std::string name = "g";
+      name += std::to_string(g);
+      names.push_back(std::move(name));
       graphs.push_back({names.back(), clique.Clone()});
     }
     ServerOptions server_options;

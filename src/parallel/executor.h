@@ -57,9 +57,14 @@ struct ParallelResult {
 /// dynamic work stealing (Section VI.C): each worker owns a Chase–Lev deque,
 /// schedules LIFO, and steals up to half of a random victim's queue when
 /// idle. This is a thin facade over the shared scheduler core
-/// (parallel/scheduler.h) — a single query runs as a batch of one, so every
-/// deque/steal/deadline behaviour is identical to the service's
-/// (parallel/service.h) by construction. `sink` may be null (count
+/// (parallel/scheduler.h), so every deque/steal/deadline behaviour is
+/// identical to the service's (parallel/service.h) by construction. Each
+/// calling thread keeps one pool alive between calls, built for the
+/// options' shape (num_threads, work_stealing, scan_grain, seed) and
+/// rebuilt when a call asks for another; its workers sleep while idle and
+/// it is joined when the thread exits. The result covers this call alone:
+/// `workers` counts only its tasks, `peak_task_bytes` only its live tasks,
+/// and `stats.seconds` is the call's wall time. `sink` may be null (count
 /// only); when non-null, Emit calls are serialised by the engine, so any
 /// sink works but heavy sinks limit scalability — the experiments count,
 /// matching the paper's metric. `stats.timed_out` is only set when the

@@ -285,7 +285,7 @@ class Scheduler::Impl {
       }
       fire.swap(deferred_completions_);
     }
-    if (notify) idle_cv_.notify_all();
+    if (notify) WakeWorkers();
     FireCompletions(&fire);
     return index;
   }
@@ -302,7 +302,7 @@ class Scheduler::Impl {
       }
       fire.swap(deferred_completions_);
     }
-    idle_cv_.notify_all();
+    WakeWorkers();
     FireCompletions(&fire);
   }
 
@@ -328,12 +328,7 @@ class Scheduler::Impl {
         report.queries[index] = slot.outcome;
       }
     }
-    // Conservation of the spawn counter: SCAN seeds injected by external
-    // submitter threads have no worker to account them to.
-    if (!workers_.empty()) {
-      workers_[0]->report.tasks_spawned += external_spawned_;
-    }
-    for (auto& w : workers_) report.workers.push_back(std::move(w->report));
+    report.workers = WorkerReports();
     report.peak_task_bytes = memory_.peak_bytes();
     report.seconds = wall_.ElapsedSeconds();
     return report;
@@ -341,6 +336,7 @@ class Scheduler::Impl {
 
   bool Cancel(uint32_t query) {
     std::vector<PendingCompletion> fire;
+    bool admitted = false;
     {
       std::unique_lock<std::mutex> lock(admit_mutex_);
       auto it = queries_.find(query);
@@ -366,10 +362,11 @@ class Scheduler::Impl {
         } else {
           RecycleContextLocked(ctx);
         }
-        AdmitLocked(nullptr);
+        admitted = AdmitLocked(nullptr);
       }
       fire.swap(deferred_completions_);
     }
+    if (admitted) WakeWorkers();
     FireCompletions(&fire);
     return true;
   }
@@ -428,6 +425,19 @@ class Scheduler::Impl {
   uint64_t RejectedCount() const {
     return rejected_count_.load(std::memory_order_relaxed);
   }
+
+  std::vector<WorkerReport> WorkerReports() {
+    std::vector<WorkerReport> reports;
+    reports.reserve(workers_.size());
+    for (auto& w : workers_) reports.push_back(w->report);
+    // Conservation of the spawn counter: SCAN seeds injected by external
+    // submitter threads have no worker to account them to.
+    std::lock_guard<std::mutex> lock(admit_mutex_);
+    if (!reports.empty()) reports[0].tasks_spawned += external_spawned_;
+    return reports;
+  }
+
+  uint64_t TakePeakTaskBytes() { return memory_.TakePeak(); }
 
   void WaitIdle() {
     std::unique_lock<std::mutex> lock(finish_mutex_);
@@ -635,17 +645,32 @@ class Scheduler::Impl {
       }
       CompleteQuery(ctx);
       std::vector<PendingCompletion> fire;
+      bool admitted;
       {
         std::lock_guard<std::mutex> lock(admit_mutex_);
         --inflight_;
-        AdmitLocked(w);
+        admitted = AdmitLocked(w);
         QueueCompletionLocked(ctx);
         RecycleContextLocked(ctx);  // frees ctx; must stay the last use
         fire.swap(deferred_completions_);
       }
+      if (admitted) WakeWorkers();
       FireCompletions(&fire);  // this query's hook + any admit-resolved ones
     }
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    // The last live task of the pool: parked peers go from the timed to the
+    // untimed park, or exit once the pool is sealed.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) WakeWorkers();
+  }
+
+  // Bumps the wake epoch and wakes every parked worker (see WorkerLoop).
+  // Called, without admit_mutex_ held, after any path that made work or
+  // ended the run.
+  void WakeWorkers() {
+    {
+      std::lock_guard<std::mutex> lock(idle_mutex_);
+      wake_epoch_.fetch_add(1, std::memory_order_relaxed);
+    }
+    idle_cv_.notify_all();
   }
 
   // ------------------------------------------------------------ admission --
@@ -793,8 +818,11 @@ class Scheduler::Impl {
   // Admits queries in policy order until the window is full or none are
   // left. Callers hold admit_mutex_. `seeder == nullptr` for admissions not
   // performed by a pool worker (external Submit/Cancel/Seal threads); SCAN
-  // ranges go through the injection queue (see Inject()).
-  void AdmitLocked(Worker* seeder) {
+  // ranges go through the injection queue (see Inject()). Returns whether
+  // any range was injected, i.e. whether the caller must wake the pool
+  // once it drops the lock.
+  bool AdmitLocked(Worker* seeder) {
+    bool injected = false;
     const uint32_t window = options_.max_inflight_queries;
     while (queued_count_ > 0 && (window == 0 || inflight_ < window)) {
       QueryContext* ctx = PopNextLocked();
@@ -841,11 +869,13 @@ class Scheduler::Impl {
         const uint64_t hi = std::min<uint64_t>(lo + chunk, total);
         Inject(seeder, Task::NewScan(ctx, static_cast<uint32_t>(lo),
                                      static_cast<uint32_t>(hi)));
+        injected = true;
       }
     }
     if (sealed_ && queued_count_ == 0) {
       all_admitted_.store(true, std::memory_order_release);
     }
+    return injected;
   }
 
   // ------------------------------------------------------------ execution --
@@ -1083,6 +1113,9 @@ class Scheduler::Impl {
   void WorkerLoop(Worker* w) {
     uint32_t idle_rounds = 0;
     while (true) {
+      // Read before looking for work: anything made after this read bumps
+      // the epoch, so the untimed park below cannot miss it.
+      const uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
       // Finish() admits waiting queries before decrementing the global
       // pending count, so pending_ == 0 && all_admitted_ is a stable
       // termination condition.
@@ -1112,12 +1145,18 @@ class Scheduler::Impl {
       } else if (++idle_rounds < 64) {
         std::this_thread::yield();
       } else {
-        // A long-lived service pool can be idle for a while between
-        // submissions; park on the idle condvar instead of burning a core.
-        // The timeout bounds the latency of wakeup paths that do not
-        // notify (e.g. stealable work appearing in a peer's deque).
+        // Park instead of burning a core. With no live task anywhere the
+        // park is untimed: only a path that bumps the epoch can make work
+        // (see WakeWorkers). While peers run tasks it is timed, since
+        // their deque pushes, which this worker could steal, never notify.
         std::unique_lock<std::mutex> lock(idle_mutex_);
-        idle_cv_.wait_for(lock, std::chrono::microseconds(500));
+        if (pending_.load(std::memory_order_acquire) == 0) {
+          idle_cv_.wait(lock, [&] {
+            return wake_epoch_.load(std::memory_order_relaxed) != epoch;
+          });
+        } else {
+          idle_cv_.wait_for(lock, std::chrono::microseconds(500));
+        }
         idle_rounds = 0;
       }
     }
@@ -1181,7 +1220,8 @@ class Scheduler::Impl {
   std::mutex finish_mutex_;              // guards finished publication
   std::condition_variable finish_cv_;    // broadcast on every query finish
   std::mutex idle_mutex_;                // parks idle workers
-  std::condition_variable idle_cv_;      // notified on new admissible work
+  std::condition_variable idle_cv_;      // notified by WakeWorkers
+  std::atomic<uint64_t> wake_epoch_{0};  // bumped under idle_mutex_
 
   // Registry handles (resolved once in the constructor; see obs/metrics.h).
   Counter* metric_submitted_ = nullptr;
@@ -1240,6 +1280,12 @@ size_t Scheduler::LiveContexts() { return impl_->LiveContexts(); }
 size_t Scheduler::RetainedSlots() { return impl_->RetainedSlots(); }
 
 uint64_t Scheduler::RejectedCount() const { return impl_->RejectedCount(); }
+
+std::vector<WorkerReport> Scheduler::WorkerReports() {
+  return impl_->WorkerReports();
+}
+
+uint64_t Scheduler::TakePeakTaskBytes() { return impl_->TakePeakTaskBytes(); }
 
 void Scheduler::WaitIdle() { impl_->WaitIdle(); }
 

@@ -17,7 +17,7 @@ namespace hgmatch {
 /// Options of the shared scheduler core. `parallel` carries the pool shape
 /// (threads, stealing, scan grain, seed) and the *per-query* default
 /// timeout/limit; the remaining fields only matter for multi-query runs and
-/// are no-ops for a batch of one.
+/// are no-ops when one query runs at a time.
 struct SchedulerOptions {
   /// Pool configuration plus per-query default timeout/limit. The per-query
   /// timeout is measured from the query's *admission* (the instant its SCAN
@@ -126,7 +126,19 @@ struct SchedulerReport {
 /// time; each submission is admitted per the admission policy. Cancel()
 /// stops one query; SubmitOptions::completion and TryGetQuery() observe
 /// per-query outcomes as they finish; Seal() + Join() shut the pool down
-/// (a batch is Submit() each plan, then Seal() + Join()).
+/// (a batch is Submit() each plan, then Seal() + Join()). The executor
+/// keeps one long-lived pool per calling thread and runs each call as
+/// Submit() + WaitIdle().
+///
+/// Idle workers park, so a pool that outlives its queries costs no CPU.
+/// A worker that finds no task yields 64 times, then parks on a condition
+/// variable. If no task is live anywhere (the global pending count is 0)
+/// it sleeps untimed until a wake epoch, read before it looked for work,
+/// changes. The epoch is bumped under the park mutex by every path that
+/// can make work or end the run: Submit(), admissions made inside Cancel()
+/// or by a retiring task, Seal(), and the pending count reaching 0. While
+/// peers run tasks the park is timed (500 us) instead, because their deque
+/// pushes, which the parked worker could steal, are never notified.
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do
@@ -211,7 +223,9 @@ class Scheduler {
   /// Declares that no further queries will ever be submitted for the plan
   /// with this uid (QueryPlan::uid): workers lazily drop their cached
   /// per-plan expansion state. Call before freeing a plan whose queries all
-  /// finished; without it, per-worker state grows with distinct plans.
+  /// finished; without it, per-worker state grows with distinct plans. A
+  /// plan that is submitted again after all is still matched correctly;
+  /// the workers just rebuild its state.
   void RetirePlan(uint64_t plan_uid);
 
   /// Diagnostics: number of heavy per-query contexts currently allocated
@@ -229,6 +243,17 @@ class Scheduler {
   /// Blocks until every query submitted so far has finished (the pool may
   /// stay up for more submissions). Thread-safe.
   void WaitIdle();
+
+  /// Per-worker reports accumulated since the pool started, with SCAN
+  /// seeds injected by non-pool threads counted on worker 0 as in Join().
+  /// Call only while no task is live, e.g. after WaitIdle() by the only
+  /// thread that submits, and before Join().
+  std::vector<WorkerReport> WorkerReports();
+
+  /// High-water mark of live task memory since the previous call (or pool
+  /// start); restarts the mark at the bytes live now. Join() reports the
+  /// mark since the last such restart.
+  uint64_t TakePeakTaskBytes();
 
   /// Resolved pool size (`parallel.num_threads`, with 0 mapped to
   /// std::thread::hardware_concurrency()).

@@ -92,6 +92,13 @@ class TaskMemoryTracker {
   }
   uint64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
 
+  /// Returns the high-water mark and restarts it at the live bytes, so the
+  /// next reading covers only what is allocated after this call.
+  uint64_t TakePeak() {
+    return peak_.exchange(current_.load(std::memory_order_relaxed),
+                          std::memory_order_relaxed);
+  }
+
   void Reset() {
     current_.store(0, std::memory_order_relaxed);
     peak_.store(0, std::memory_order_relaxed);

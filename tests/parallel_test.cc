@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "core/hgmatch.h"
 #include "parallel/bfs_executor.h"
@@ -137,6 +140,16 @@ TEST(TaskMemoryTrackerTest, TracksPeak) {
   EXPECT_EQ(t.peak_bytes(), 0u);
 }
 
+TEST(TaskMemoryTrackerTest, TakePeakRestartsAtLiveBytes) {
+  TaskMemoryTracker t;
+  t.OnAlloc(100);
+  t.OnFree(60);
+  EXPECT_EQ(t.TakePeak(), 100u);
+  EXPECT_EQ(t.peak_bytes(), 40u);  // live bytes carry into the next window
+  t.OnAlloc(10);
+  EXPECT_EQ(t.TakePeak(), 50u);
+}
+
 TEST(ParallelExecutorTest, PaperExampleAllThreadCounts) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   Hypergraph q = PaperQueryHypergraph();
@@ -232,6 +245,96 @@ TEST(ParallelExecutorTest, NoStealMeansZeroSteals) {
   for (const WorkerReport& w : r.value().workers) {
     EXPECT_EQ(w.steals, 0u);
   }
+}
+
+// A data graph with a sampled 2-edge query over it, for the cached-pool
+// tests.
+struct SampledCase {
+  IndexedHypergraph index;
+  Hypergraph query;
+  uint64_t expected = 0;  // MatchSequential's count
+};
+
+SampledCase MakeSampledCase(uint64_t seed) {
+  Hypergraph data = GenerateHypergraph(SmallRandomConfig(seed));
+  Rng rng(seed * 11);
+  Result<Hypergraph> sampled =
+      SampleQuery(data, QuerySettings{"t", 2, 2, 100}, &rng);
+  EXPECT_TRUE(sampled.ok());
+  SampledCase c{IndexedHypergraph::Build(std::move(data)),
+                std::move(sampled.value()), 0};
+  c.expected = MatchSequential(c.index, c.query).value().embeddings;
+  return c;
+}
+
+// One thread's pool is reused across calls and rebuilt when the shape
+// changes; every call's result covers that call alone.
+TEST(ParallelExecutorTest, BackToBackCallsReportEachCallAlone) {
+  const SampledCase cases[] = {MakeSampledCase(3), MakeSampledCase(8)};
+  for (uint32_t threads : {1u, 3u, 1u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      for (const SampledCase& c : cases) {
+        ParallelOptions options;
+        options.num_threads = threads;
+        options.scan_grain = 2;
+        Result<ParallelResult> r = MatchParallel(c.index, c.query, options);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.value().stats.embeddings, c.expected)
+            << threads << " threads";
+        ASSERT_EQ(r.value().workers.size(), threads);
+        uint64_t executed = 0, spawned = 0, embeddings = 0;
+        for (const WorkerReport& w : r.value().workers) {
+          executed += w.tasks_executed;
+          spawned += w.tasks_spawned;
+          embeddings += w.stats.embeddings;
+        }
+        EXPECT_EQ(executed, spawned) << threads << " threads";
+        EXPECT_GT(executed, 0u);
+        EXPECT_EQ(embeddings, c.expected);
+        EXPECT_GT(r.value().peak_task_bytes, 0u);
+      }
+    }
+  }
+}
+
+// Each caller thread has its own pool, so concurrent callers neither share
+// workers nor mix their counts.
+TEST(ParallelExecutorTest, ConcurrentCallersAgreeWithSequential) {
+  const SampledCase c = MakeSampledCase(5);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        ParallelOptions options;
+        options.num_threads = 2;
+        Result<ParallelResult> r = MatchParallel(c.index, c.query, options);
+        if (!r.ok() || r.value().stats.embeddings != c.expected) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return double(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         double(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) * 1e-6;
+}
+
+// The pool a call leaves behind parks its workers instead of spinning.
+TEST(ParallelExecutorTest, IdleCachedPoolCostsNoCpu) {
+  const SampledCase c = MakeSampledCase(3);
+  ParallelOptions options;
+  options.num_threads = 3;
+  ASSERT_TRUE(MatchParallel(c.index, c.query, options).ok());
+  const double cpu0 = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(ProcessCpuSeconds() - cpu0, 0.015);
 }
 
 TEST(BfsExecutorTest, MaterialisesMoreThanTaskScheduler) {

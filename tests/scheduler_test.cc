@@ -19,6 +19,7 @@
 #include "parallel/service.h"
 #include "parallel/task.h"
 #include "tests/test_fixtures.h"
+#include "util/timer.h"
 
 namespace hgmatch {
 namespace {
@@ -133,6 +134,33 @@ TEST(SchedulerTest, ZeroAndSingleThreadPools) {
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(single.tickets[i].Wait().stats.embeddings, expected[i]);
   }
+}
+
+// Workers of a pool with no live task sleep untimed; a submission and a
+// Seal must each wake them. A lost wakeup hangs here (or takes the old
+// timed park's rounds), so both must finish far inside their bounds.
+TEST(SchedulerTest, IdlePoolWakesForSubmissionAndSeal) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  Result<QueryPlan> plan = BuildQueryPlan(PaperQueryHypergraph(), idx);
+  ASSERT_TRUE(plan.ok());
+  SchedulerOptions options;
+  options.parallel.num_threads = 3;
+  Scheduler scheduler(idx, options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  Timer run;
+  const uint32_t query = scheduler.Submit(&plan.value());
+  scheduler.WaitIdle();
+  EXPECT_LT(run.ElapsedSeconds(), 0.25);
+  ASSERT_NE(scheduler.TryGetQuery(query), nullptr);
+  EXPECT_EQ(scheduler.TryGetQuery(query)->stats.embeddings, 2u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timer join;
+  scheduler.Seal();
+  const SchedulerReport report = scheduler.Join();
+  EXPECT_LT(join.ElapsedSeconds(), 0.25);
+  EXPECT_EQ(report.workers.size(), 3u);
 }
 
 TEST(SchedulerTest, AdmissionWindowOfOneSerialisesQueries) {
@@ -577,10 +605,13 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
     uint64_t limit = 0;
     QueryStatus expected;
   };
+  // The timeout case needs a query that outlasts its 0.05 s budget by a
+  // wide margin: a 4-edge path (1.86M embeddings) can finish inside it on
+  // two threads, a 5-edge path (27.9M) takes 0.6-1.0 s.
   const std::vector<Case> cases = {
       {1, 0, 0, QueryStatus::kOk},
       {3, 0, 10, QueryStatus::kLimit},
-      {4, 0.05, 0, QueryStatus::kTimeout},
+      {5, 0.05, 0, QueryStatus::kTimeout},
   };
   for (const Case& c : cases) {
     Hypergraph q = PathQuery(c.path_len);
