@@ -1,5 +1,6 @@
 #include "parallel/scheduler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -58,8 +59,7 @@ struct QueryContext {
   uint32_t index = 0;
   QuerySlot* slot = nullptr;  // owning slot (node-stable in the slot map)
   const QueryPlan* plan = nullptr;
-  // The data graph this query runs against — the pool default or the
-  // per-submission graph of the data-graph Submit overload.
+  // The data graph this query runs against, named by its submission.
   const IndexedHypergraph* data = nullptr;
   const EdgeSet* scan_table = nullptr;  // first-step signature table
   EmbeddingSink* sink = nullptr;
@@ -154,9 +154,8 @@ struct QuerySlot {
 // executes a task of plan p spends nothing on p.
 class Scheduler::Impl {
  public:
-  Impl(const IndexedHypergraph* data, const SchedulerOptions& options)
-      : default_data_(data),
-        options_(options),
+  explicit Impl(const SchedulerOptions& options)
+      : options_(options),
         num_threads_(options.parallel.num_threads != 0
                          ? options.parallel.num_threads
                          : std::max(1u, std::thread::hardware_concurrency())) {
@@ -195,30 +194,35 @@ class Scheduler::Impl {
     }
   }
 
+  // The one stop path. Unfinished queries are cancelled through Cancel(),
+  // the latest submission first, so stopping a running query does not
+  // admit a queued one that is about to be cancelled anyway. Once the pool
+  // is idle no task is live anywhere, and the workers exit at the stop
+  // flag.
   ~Impl() {
-    if (joined_) return;
-    // Abandoned while running (e.g. an exception unwound past Join): stop
-    // every unfinished query and drain, so the threads can be joined.
+    std::vector<uint32_t> unfinished;
     {
       std::lock_guard<std::mutex> lock(admit_mutex_);
       for (auto& [index, slot] : queries_) {
         if (!slot.finished.load(std::memory_order_acquire)) {
-          slot.ctx->cancel_requested.store(true, std::memory_order_relaxed);
-          slot.ctx->stop.store(true, std::memory_order_relaxed);
+          unfinished.push_back(index);
         }
       }
     }
-    Seal();
-    Join();
+    std::sort(unfinished.begin(), unfinished.end(), std::greater<>());
+    for (uint32_t index : unfinished) Cancel(index);
+    WaitIdle();
+    stopping_.store(true, std::memory_order_release);
+    WakeWorkers();
+    for (auto& t : threads_) t.join();
   }
 
-  uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph* data,
+  uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph& data,
                   const SubmitOptions& so) {
     // Compiler-stamped plans only: uid 0 would collide with the workers'
     // empty-expander-cache sentinel and alias distinct plans in the
     // uid-keyed expander maps.
     assert(plan->uid != 0 && "submit plans built by BuildQueryPlan");
-    assert(data != nullptr && "a data-less pool needs per-submit data");
     uint32_t index;
     bool notify = false;
     std::vector<PendingCompletion> fire;
@@ -248,9 +252,9 @@ class Scheduler::Impl {
       ctx->completion = so.completion;
       ctx->trace = so.trace;
       ctx->submit_mono = MonotonicSeconds();
-      ctx->data = data;
+      ctx->data = &data;
       const Partition* first =
-          plan->NumSteps() > 0 ? data->FindPartition(plan->steps[0].signature)
+          plan->NumSteps() > 0 ? data.FindPartition(plan->steps[0].signature)
                                : nullptr;
       if (first != nullptr && !first->edges().empty()) {
         ctx->scan_table = &first->edges();
@@ -288,50 +292,6 @@ class Scheduler::Impl {
     if (notify) WakeWorkers();
     FireCompletions(&fire);
     return index;
-  }
-
-  void Seal() {
-    std::vector<PendingCompletion> fire;
-    {
-      std::lock_guard<std::mutex> lock(admit_mutex_);
-      if (sealed_) return;
-      sealed_ = true;
-      AdmitLocked(nullptr);
-      if (queued_count_ == 0) {
-        all_admitted_.store(true, std::memory_order_release);
-      }
-      fire.swap(deferred_completions_);
-    }
-    WakeWorkers();
-    FireCompletions(&fire);
-  }
-
-  SchedulerReport Join() {
-    for (auto& t : threads_) t.join();
-    threads_.clear();
-    joined_ = true;
-
-    SchedulerReport report;
-    {
-      // Sized to the highest *retained* index: batch-style users never
-      // release, so they get the full dense vector; a streaming service
-      // that released every retrieved outcome gets a (near-)empty one
-      // instead of an O(ever-submitted) allocation at shutdown. Released
-      // slots below the highest retained index read default-initialised.
-      std::lock_guard<std::mutex> lock(admit_mutex_);
-      uint32_t dense_size = 0;
-      for (auto& [index, slot] : queries_) {
-        dense_size = std::max(dense_size, index + 1);
-      }
-      report.queries.resize(dense_size);
-      for (auto& [index, slot] : queries_) {
-        report.queries[index] = slot.outcome;
-      }
-    }
-    report.workers = WorkerReports();
-    report.peak_task_bytes = memory_.peak_bytes();
-    report.seconds = wall_.ElapsedSeconds();
-    return report;
   }
 
   bool Cancel(uint32_t query) {
@@ -448,8 +408,6 @@ class Scheduler::Impl {
   }
 
   uint32_t num_threads() const { return num_threads_; }
-
-  const IndexedHypergraph* default_data() const { return default_data_; }
 
  private:
   struct Worker {
@@ -636,8 +594,8 @@ class Scheduler::Impl {
     if (ctx->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task of this query retired: record its finish and publish the
       // outcome, then free the admission slot and seed waiting queries
-      // *before* the global count below can reach zero, so the pool never
-      // shuts down between two admissions.
+      // *before* the global count below can reach zero, so workers never
+      // park untimed between two admissions.
       ctx->finish_seconds = wall_.ElapsedSeconds();
       ctx->last_task_mono = MonotonicSeconds();
       if (ctx->first_task_mono > 0) {
@@ -658,17 +616,18 @@ class Scheduler::Impl {
       FireCompletions(&fire);  // this query's hook + any admit-resolved ones
     }
     // The last live task of the pool: parked peers go from the timed to the
-    // untimed park, or exit once the pool is sealed.
+    // untimed park.
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) WakeWorkers();
   }
 
   // Bumps the wake epoch and wakes every parked worker (see WorkerLoop).
   // Called, without admit_mutex_ held, after any path that made work or
-  // ended the run.
+  // stops the pool. The release bump makes everything written before it
+  // (the stop flag included) visible to a worker that reads the new epoch.
   void WakeWorkers() {
     {
       std::lock_guard<std::mutex> lock(idle_mutex_);
-      wake_epoch_.fetch_add(1, std::memory_order_relaxed);
+      wake_epoch_.fetch_add(1, std::memory_order_release);
     }
     idle_cv_.notify_all();
   }
@@ -817,7 +776,7 @@ class Scheduler::Impl {
 
   // Admits queries in policy order until the window is full or none are
   // left. Callers hold admit_mutex_. `seeder == nullptr` for admissions not
-  // performed by a pool worker (external Submit/Cancel/Seal threads); SCAN
+  // performed by a pool worker (external Submit/Cancel threads); SCAN
   // ranges go through the injection queue (see Inject()). Returns whether
   // any range was injected, i.e. whether the caller must wake the pool
   // once it drops the lock.
@@ -871,9 +830,6 @@ class Scheduler::Impl {
                                      static_cast<uint32_t>(hi)));
         injected = true;
       }
-    }
-    if (sealed_ && queued_count_ == 0) {
-      all_admitted_.store(true, std::memory_order_release);
     }
     return injected;
   }
@@ -1116,13 +1072,8 @@ class Scheduler::Impl {
       // Read before looking for work: anything made after this read bumps
       // the epoch, so the untimed park below cannot miss it.
       const uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
-      // Finish() admits waiting queries before decrementing the global
-      // pending count, so pending_ == 0 && all_admitted_ is a stable
-      // termination condition.
-      if (pending_.load(std::memory_order_acquire) == 0 &&
-          all_admitted_.load(std::memory_order_acquire)) {
-        break;
-      }
+      // Set only once the pool is idle, so no task is left behind.
+      if (stopping_.load(std::memory_order_acquire)) break;
       if (retired_version_.load(std::memory_order_acquire) !=
           w->retire_seen_version) {
         w->retire_seen_version =
@@ -1162,8 +1113,6 @@ class Scheduler::Impl {
     }
   }
 
-  // Pool-default data graph; null for a shared (per-submit data) pool.
-  const IndexedHypergraph* const default_data_;
   const SchedulerOptions options_;
   const uint32_t num_threads_;
   Deadline batch_deadline_;
@@ -1176,10 +1125,8 @@ class Scheduler::Impl {
   uint32_t next_query_index_ = 0;  // admit_mutex_
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  bool joined_ = false;
 
   std::mutex admit_mutex_;
-  bool sealed_ = false;            // guarded by admit_mutex_
   uint32_t inflight_ = 0;          // guarded by admit_mutex_
   size_t queued_count_ = 0;        // entries across the policy structures
   size_t queued_corpses_ = 0;      // of which: already resolved (cancelled)
@@ -1199,7 +1146,7 @@ class Scheduler::Impl {
   std::atomic<int64_t> inject_size_{0};
   // Completion hooks of queries that finalised inside the current
   // admit_mutex_ critical section, awaiting lock-free delivery. Every code
-  // path that can append (Submit, Cancel, Seal, Finish — directly
+  // path that can append (Submit, Cancel, Finish — directly
   // or through AdmitLocked) drains the list into a local vector before
   // releasing the lock and fires it after, so entries never outlive the
   // critical section that produced them. Guarded by admit_mutex_.
@@ -1211,7 +1158,7 @@ class Scheduler::Impl {
   uint64_t retired_base_ = 0;
   std::atomic<uint64_t> retired_version_{0};
   std::atomic<uint64_t> rejected_count_{0};
-  std::atomic<bool> all_admitted_{false};
+  std::atomic<bool> stopping_{false};  // set by the destructor, once idle
   std::atomic<int64_t> pending_{0};
   std::atomic<bool> batch_expired_{false};
   std::atomic<uint64_t> submitted_count_{0};
@@ -1235,35 +1182,16 @@ class Scheduler::Impl {
   TaskMemoryTracker memory_;
 };
 
-Scheduler::Scheduler(const IndexedHypergraph& data,
-                     const SchedulerOptions& options)
-    : impl_(std::make_unique<Impl>(&data, options)) {}
-
 Scheduler::Scheduler(const SchedulerOptions& options)
-    : impl_(std::make_unique<Impl>(nullptr, options)) {}
+    : impl_(std::make_unique<Impl>(options)) {}
 
 Scheduler::~Scheduler() = default;
 
 uint32_t Scheduler::Submit(const QueryPlan* plan,
-                           const SubmitOptions& options) {
-  return impl_->Submit(plan, impl_->default_data(), options);
-}
-
-uint32_t Scheduler::Submit(const QueryPlan* plan,
                            const IndexedHypergraph& data,
                            const SubmitOptions& options) {
-  return impl_->Submit(plan, &data, options);
+  return impl_->Submit(plan, data, options);
 }
-
-uint32_t Scheduler::Submit(const QueryPlan* plan, EmbeddingSink* sink) {
-  SubmitOptions options;
-  options.sink = sink;
-  return impl_->Submit(plan, impl_->default_data(), options);
-}
-
-void Scheduler::Seal() { impl_->Seal(); }
-
-SchedulerReport Scheduler::Join() { return impl_->Join(); }
 
 bool Scheduler::Cancel(uint32_t query) { return impl_->Cancel(query); }
 

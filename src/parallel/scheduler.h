@@ -101,14 +101,6 @@ struct QueryOutcome {
   QuerySpan span;
 };
 
-/// Aggregate outcome of one scheduler run.
-struct SchedulerReport {
-  std::vector<QueryOutcome> queries;  // submission order
-  std::vector<WorkerReport> workers;  // size = pool threads
-  uint64_t peak_task_bytes = 0;       // high-water mark of live task memory
-  double seconds = 0;                 // whole-run wall time
-};
-
 /// The scheduler core shared by the single-query executor
 /// (parallel/executor.h) and the streaming query service
 /// (parallel/service.h): one worker pool where each worker owns a Chase-Lev
@@ -122,76 +114,60 @@ struct SchedulerReport {
 /// deques, so a newly admitted query starts at the next task boundary and
 /// spreads over the pool even with work stealing disabled.
 ///
-/// The pool starts in the constructor. Submit() from any thread at any
-/// time; each submission is admitted per the admission policy. Cancel()
-/// stops one query; SubmitOptions::completion and TryGetQuery() observe
-/// per-query outcomes as they finish; Seal() + Join() shut the pool down
-/// (a batch is Submit() each plan, then Seal() + Join()). The executor
-/// keeps one long-lived pool per calling thread and runs each call as
-/// Submit() + WaitIdle().
+/// One lifecycle: construction starts the pool and destruction stops it.
+/// Submit() from any thread at any time while the pool lives; each
+/// submission carries its own data graph and is admitted per the admission
+/// policy. Cancel() stops one query; SubmitOptions::completion and
+/// TryGetQuery() observe per-query outcomes as they finish; WaitIdle()
+/// waits for everything submitted so far. The destructor cancels every
+/// unfinished query, queued ones included, waits until the pool is idle,
+/// then stops and joins the workers. The executor keeps one long-lived
+/// pool per calling thread, the graph catalog one pool for all its graphs,
+/// and a MatchService of its own one private pool.
 ///
 /// Idle workers park, so a pool that outlives its queries costs no CPU.
 /// A worker that finds no task yields 64 times, then parks on a condition
 /// variable. If no task is live anywhere (the global pending count is 0)
 /// it sleeps untimed until a wake epoch, read before it looked for work,
 /// changes. The epoch is bumped under the park mutex by every path that
-/// can make work or end the run: Submit(), admissions made inside Cancel()
-/// or by a retiring task, Seal(), and the pending count reaching 0. While
-/// peers run tasks the park is timed (500 us) instead, because their deque
-/// pushes, which the parked worker could steal, are never notified.
+/// can make work or stop the pool: Submit(), admissions made inside
+/// Cancel() or by a retiring task, the pending count reaching 0, and the
+/// destructor. While peers run tasks the park is timed (500 us) instead,
+/// because their deque pushes, which the parked worker could steal, are
+/// never notified.
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do
 /// this) and shares per-worker expanders between them.
 class Scheduler {
  public:
-  Scheduler(const IndexedHypergraph& data, const SchedulerOptions& options);
-
-  /// Pool without a default data graph: every Submit must name its data
-  /// through the data-graph overload. This is the shared-pool mode of the
-  /// graph catalog (serve/catalog.h) — many per-graph services multiplex
-  /// one worker pool, each submission carrying its own index.
+  /// Starts the pool. Every submission names its own data graph, so one
+  /// pool can serve many graphs (the graph catalog, serve/catalog.h).
   explicit Scheduler(const SchedulerOptions& options);
 
+  /// Cancels every unfinished query (each completion hook fires once,
+  /// kCancelled unless the query finished first), waits for the pool to
+  /// go idle, then stops and joins the workers. No Submit() may race it.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Registers one query. `plan` must outlive the query and must come from
-  /// BuildQueryPlan/BuildQueryPlanWithOrder (its uid stamps the per-worker
-  /// expander cache; a hand-assembled plan with uid 0 is rejected by
-  /// assertion). `options.sink` may be null (count only). Thread-safe;
-  /// must not be called after Seal(). Returns the query's
-  /// index (also its index into SchedulerReport::queries).
+  /// Registers one query against `data`, which must be the index the plan
+  /// was built against and must outlive the query. `plan` must outlive the
+  /// query and must come from BuildQueryPlan/BuildQueryPlanWithOrder (its
+  /// uid stamps the per-worker expander cache; a hand-assembled plan with
+  /// uid 0 is rejected by assertion). `options.sink` may be null (count
+  /// only). Thread-safe. Returns the query's index.
   ///
   /// `options.completion`, when set, is invoked exactly once at the moment
   /// the query's outcome finalises — whatever the terminal status,
   /// including submissions resolved synchronously inside this call
-  /// (queue-depth rejection) or inside Cancel()/Seal() — after the
-  /// outcome became observable through TryGetQuery() and with no scheduler
-  /// lock held (see SubmitOptions::completion for the full contract).
-  ///
-  /// Requires a construction-time data graph; the data-graph overload
-  /// below works in both modes.
-  uint32_t Submit(const QueryPlan* plan, const SubmitOptions& options);
-
-  /// Submit against an explicit data graph (must match the index the plan
-  /// was built against and outlive the query).
+  /// (queue-depth rejection) or inside Cancel() — after the outcome became
+  /// observable through TryGetQuery() and with no scheduler lock held (see
+  /// SubmitOptions::completion for the full contract).
   uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph& data,
                   const SubmitOptions& options);
-
-  /// Back-compat convenience: Submit with default options and this sink.
-  uint32_t Submit(const QueryPlan* plan, EmbeddingSink* sink = nullptr);
-
-  /// Declares that no further Submit() calls will follow, which arms pool
-  /// termination: workers exit once every admitted query has retired its
-  /// last task and the admission queue is empty.
-  void Seal();
-
-  /// Waits for termination (requires Seal()), joins the workers and
-  /// returns the aggregate report. Call exactly once.
-  SchedulerReport Join();
 
   /// Requests cancellation of one query. A query still waiting for
   /// admission resolves immediately (status kCancelled, zero stats); an
@@ -202,14 +178,12 @@ class Scheduler {
 
   /// The outcome of a finished query; null until it finishes. The pointer
   /// stays valid until the query is Release()d (or for the scheduler's
-  /// lifetime when Release is never called). Thread-safe; may be called
-  /// before, during or after Join().
+  /// lifetime when Release is never called). Thread-safe.
   const QueryOutcome* TryGetQuery(uint32_t query);
 
   /// Recycles a finished query's outcome slot once the caller has copied
   /// everything it needs: after Release the index is permanently invalid
-  /// (indices are never reused) and the query appears default-initialised
-  /// in SchedulerReport::queries. Returns false when the query is unknown,
+  /// (indices are never reused). Returns false when the query is unknown,
   /// already released or not yet finished. Must not race with
   /// TryGetQuery on the same query — the caller
   /// serialises retrieval against release (the service layer does).
@@ -245,14 +219,13 @@ class Scheduler {
   void WaitIdle();
 
   /// Per-worker reports accumulated since the pool started, with SCAN
-  /// seeds injected by non-pool threads counted on worker 0 as in Join().
-  /// Call only while no task is live, e.g. after WaitIdle() by the only
-  /// thread that submits, and before Join().
+  /// seeds injected by non-pool threads counted on worker 0. Call only
+  /// while no task is live, e.g. after WaitIdle() by the only thread that
+  /// submits.
   std::vector<WorkerReport> WorkerReports();
 
   /// High-water mark of live task memory since the previous call (or pool
-  /// start); restarts the mark at the bytes live now. Join() reports the
-  /// mark since the last such restart.
+  /// start); restarts the mark at the bytes live now.
   uint64_t TakePeakTaskBytes();
 
   /// Resolved pool size (`parallel.num_threads`, with 0 mapped to

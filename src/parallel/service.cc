@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <list>
@@ -156,14 +157,18 @@ class ServiceImpl {
   ServiceImpl(const IndexedHypergraph& data, const ServiceOptions& options)
       : data_(data),
         options_(options),
-        owned_(std::make_unique<Scheduler>(data, ToSchedulerOptions(options))),
-        sched_(owned_.get()) {}
+        private_pool_(std::make_unique<Scheduler>(ToSchedulerOptions(options))),
+        sched_(private_pool_.get()),
+        num_threads_(sched_->num_threads()) {}
 
-  // Shared-pool mode: execute on `pool`'s (already running) workers,
-  // carrying data_ per submission. The pool outlives this service.
-  ServiceImpl(const IndexedHypergraph& data, SchedulerPool& pool,
+  // Executes on `pool`'s (already running) workers, carrying data_ per
+  // submission. The pool outlives this service.
+  ServiceImpl(const IndexedHypergraph& data, Scheduler& pool,
               const ServiceOptions& options)
-      : data_(data), options_(options), sched_(&pool.scheduler()) {}
+      : data_(data),
+        options_(options),
+        sched_(&pool),
+        num_threads_(pool.num_threads()) {}
 
   ~ServiceImpl() { Shutdown(); }
 
@@ -223,14 +228,9 @@ class ServiceImpl {
     return tickets;
   }
 
-  void Drain() {
-    // On an owned pool, idling first is a cheap fast-forward; on a shared
-    // pool it would wait on sibling services' queries too, and the
-    // record wait below is sufficient on its own (every record resolves
-    // through a completion hook).
-    if (owned_ != nullptr) sched_->WaitIdle();
-    WaitRecordsResolved();
-  }
+  // Every record resolves through a completion hook, so waiting for the
+  // records is enough; the pool may also run other services' queries.
+  void Drain() { WaitRecordsResolved(); }
 
   // Blocks until every record submitted so far has resolved. The
   // completion hook of the very last query may still be mid-flight on a
@@ -261,69 +261,49 @@ class ServiceImpl {
     std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
     if (shut_down_.load(std::memory_order_acquire)) return report_;
     {
-      // Reject submissions racing with the shutdown *before* sealing the
-      // scheduler: a scheduler submission after Seal() would never be
-      // admitted.
       std::lock_guard<std::mutex> lock(mutex_);
       sealed_ = true;
     }
-    if (owned_ == nullptr) {
-      // Shared pool: the pool keeps running for sibling services, so no
-      // Seal/Join — wait for this service's own records instead (every
-      // one resolves through a completion hook), then for in-flight hook
-      // deliveries to leave the building (Join provides that barrier in
-      // owned mode; here nothing else would).
-      WaitRecordsResolved();
-      {
-        std::unique_lock<std::mutex> lock(resolve_mutex_);
-        resolve_cv_.wait(lock, [this] { return hook_busy_ == 0; });
-      }
+    // Wait for this service's own records (every one resolves through a
+    // completion hook, mirrors re-dispatched meanwhile included), then for
+    // in-flight hook deliveries and cancels to leave the building, so the
+    // pool can stop and the service be destroyed under none of them.
+    WaitRecordsResolved();
+    {
+      std::unique_lock<std::mutex> lock(resolve_mutex_);
+      resolve_cv_.wait(lock, [this] { return hook_busy_ == 0; });
+    }
+    {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Cached plans die with this service while the pool's workers live
-      // on; retire them so the per-worker expander state keyed by their
-      // uids is dropped instead of accreting across service lifetimes.
+      // Cached plans die with this service while a shared pool's workers
+      // live on; retire them so the per-worker expander state keyed by
+      // their uids is dropped instead of accreting across service
+      // lifetimes.
       for (auto& [key, entry] : cache_) sched_->RetirePlan(entry.plan->uid);
       report_.seconds = wall_.ElapsedSeconds();
       FillReportCountersLocked();
-      shut_down_.store(true, std::memory_order_release);
-      return report_;
-    }
-    sched_->Seal();
-    sched_->WaitIdle();
-    std::vector<FiredCompletion> fire;
-    {
-      // Every query has finished and almost every record already resolved
-      // through its completion hook; sweep the stragglers whose hook is
-      // still mid-flight on a worker, so Wait/TryGet after Shutdown are
-      // pure reads and every slot is released *before* Join assembles its
-      // report — a long-lived service then shuts down without
-      // materialising an O(ever-submitted) outcome vector.
-      std::lock_guard<std::mutex> lock(mutex_);
-      std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-      for (auto& rec : records_) ResolveFinishedLocked(rec, &fire);
-    }
-    resolve_cv_.notify_all();
-    FireCompletions(&fire);
-    SchedulerReport sr = sched_->Join();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      report_.workers = std::move(sr.workers);
-      report_.peak_task_bytes = sr.peak_task_bytes;
-      report_.seconds = sr.seconds;
-      FillReportCountersLocked();
+      if (private_pool_ != nullptr) {
+        report_.workers = private_pool_->WorkerReports();
+        report_.peak_task_bytes = private_pool_->TakePeakTaskBytes();
+        private_pool_.reset();
+      }
+      sched_ = nullptr;  // Gauges() reads no pool from here on
     }
     shut_down_.store(true, std::memory_order_release);
     return report_;
   }
 
-  uint32_t num_threads() const { return sched_->num_threads(); }
+  uint32_t num_threads() const { return num_threads_; }
 
   ServiceGauges Gauges() {
     ServiceGauges g;
     g.finished = finished_.load(std::memory_order_acquire);
-    g.live_contexts = sched_->LiveContexts();
-    g.retained_slots = sched_->RetainedSlots();
     g.rejected = rejected_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (sched_ != nullptr) {
+      g.live_contexts = sched_->LiveContexts();
+      g.retained_slots = sched_->RetainedSlots();
+    }
     return g;
   }
 
@@ -358,6 +338,10 @@ class ServiceImpl {
         // flag and cancels on the way out.
         rec->cancel_pending = true;
         return true;
+      } else {
+        // Claimed while the record is unresolved, so Shutdown cannot stop
+        // the pool under the call below.
+        ++hook_busy_;
       }
     }
     if (!fire.empty()) {  // a mirror, resolved above
@@ -369,11 +353,15 @@ class ServiceImpl {
     // synchronously inside this call for queries cancelled while queued,
     // at the next task boundary for in-flight ones. A released slot
     // reports false here (long finished).
-    return sched_->Cancel(rec->sched_index);
+    const bool cancelled = sched_->Cancel(rec->sched_index);
+    std::lock_guard<std::mutex> lock(resolve_mutex_);
+    --hook_busy_;
+    resolve_cv_.notify_all();
+    return cancelled;
   }
 
  private:
-  // Shared tail of both Shutdown modes. Callers hold mutex_.
+  // Callers hold mutex_.
   void FillReportCountersLocked() {
     report_.submitted = submitted_;
     report_.executed = executed_;
@@ -422,7 +410,7 @@ class ServiceImpl {
         ResolveLocked(rec, out, &fire, &redispatch);
       }
       // Claimed in the same critical section that publishes the resolved
-      // flag, so a shared-pool Shutdown observing every record resolved
+      // flag, so a Shutdown observing every record resolved
       // either sees this delivery finished or sees hook_busy_ > 0 — never
       // the gap where it could destroy the service under a live delivery.
       ++hook_busy_;
@@ -434,7 +422,7 @@ class ServiceImpl {
   // wake waiters, fire user hooks, re-dispatch any mirrors the resolution
   // orphaned, then drop the delivery claim taken under resolve_mutex_.
   // Re-dispatch happens under the claim: the orphaned mirrors are
-  // unresolved records, so a shared-pool Shutdown cannot pass
+  // unresolved records, so Shutdown cannot pass
   // WaitRecordsResolved until they resolve, and holding the claim keeps
   // the service alive for the re-dispatch submissions themselves. The
   // final notify happens *under* the lock and is the thread's last touch
@@ -458,12 +446,12 @@ class ServiceImpl {
   // mirrors, and harvests the completion hooks into *fire for lock-free
   // delivery by the caller. Mirrors resolve from the same outcome when it
   // is mirrorable (ok / limit); otherwise they are handed to *redispatch
-  // for independent re-execution once every lock is dropped — unless
-  // redispatch is null (Shutdown's resolve-all sweep and other paths where
-  // re-dispatch is impossible), in which case they fate-share the outcome
-  // as a last resort. Callers hold resolve_mutex_, guarantee
-  // !rec->resolved, and notify resolve_cv_ after releasing the lock.
-  // Recursion depth is one: mirrors have no mirrors.
+  // for independent re-execution once every lock is dropped. Only the
+  // scheduler's completion hook resolves records that can carry mirrors
+  // (pool executions), and it passes the list; every other caller passes
+  // null. Callers hold resolve_mutex_, guarantee !rec->resolved, and
+  // notify resolve_cv_ after releasing the lock. Recursion depth is one:
+  // mirrors have no mirrors.
   void ResolveLocked(const std::shared_ptr<QueryRecord>& rec,
                      const QueryOutcome& out,
                      std::vector<FiredCompletion>* fire,
@@ -497,9 +485,10 @@ class ServiceImpl {
     ReleaseSlotLocked(rec.get());
     fire->push_back({rec, std::move(rec->completion)});
     const bool mirrorable = Mirrorable(rec->outcome.status);
+    assert(rec->mirrors.empty() || redispatch != nullptr);
     for (std::shared_ptr<QueryRecord>& m : rec->mirrors) {
       if (m->resolved.load(std::memory_order_acquire)) continue;
-      if (mirrorable || redispatch == nullptr) {
+      if (mirrorable) {
         ResolveLocked(m, rec->outcome, fire, nullptr);
       } else {
         m->redispatching = true;
@@ -567,27 +556,6 @@ class ServiceImpl {
     }
   }
 
-  // Shutdown path: resolve a straggler record from its finished scheduler
-  // slot (or its canonical record, resolved first — which resolves this
-  // mirror along). Callers hold mutex_ + resolve_mutex_ after
-  // Seal()+WaitIdle(), so every query has finished and every unresolved
-  // record's slot is still retained. The pool is sealed, so a mirror of an
-  // abnormally-ended canonical cannot be re-dispatched here — it keeps the
-  // canonical's outcome (the one remaining, documented fate-share).
-  void ResolveFinishedLocked(const std::shared_ptr<QueryRecord>& rec,
-                             std::vector<FiredCompletion>* fire) {
-    if (rec->resolved.load(std::memory_order_acquire)) return;
-    if (rec->canonical != nullptr) {
-      ResolveFinishedLocked(rec->canonical, fire);
-      if (!rec->resolved.load(std::memory_order_acquire)) {
-        ResolveLocked(rec, rec->canonical->outcome, fire, nullptr);
-      }
-      return;
-    }
-    const QueryOutcome* out = sched_->TryGetQuery(rec->sched_index);
-    if (out != nullptr) ResolveLocked(rec, *out, fire, nullptr);
-  }
-
   // Re-dispatches mirrors orphaned by a canonical that ended with a
   // non-mirrorable outcome (cancelled / timed out): each becomes an
   // independent execution on the shared compiled plan it pinned at
@@ -596,10 +564,9 @@ class ServiceImpl {
   // the structure's canonical, so mirroring resumes without waiting for
   // an external repeat. Callers hold NO lock (this takes mutex_, and a
   // queue-shed submission fires completion hooks synchronously inside
-  // SubmitToPool). A mirror cancelled in the hand-off window is skipped;
-  // when the service sealed in the meantime the pool would never admit
-  // the submission, so the mirror keeps the canonical's outcome (the
-  // documented shutdown fate-share).
+  // SubmitToPool). A mirror cancelled in the hand-off window is skipped.
+  // A sealed service re-dispatches too: the pool accepts submissions
+  // until it is destroyed, and Shutdown waits for these records.
   void RedispatchMirrors(std::vector<std::shared_ptr<QueryRecord>>* list) {
     if (list->empty()) return;
     std::vector<FiredCompletion> fire;
@@ -609,10 +576,6 @@ class ServiceImpl {
         {
           std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
           if (m->resolved.load(std::memory_order_acquire)) continue;
-          if (sealed_) {
-            ResolveLocked(m, m->canonical->outcome, &fire, nullptr);
-            continue;
-          }
           m->canonical.reset();
         }
         // From here the record is an executed submission: move its count
@@ -994,12 +957,13 @@ class ServiceImpl {
 
   const IndexedHypergraph& data_;
   const ServiceOptions options_;
-  // Owned mode: owned_ holds the pool and sched_ points at it. Shared
-  // (SchedulerPool) mode: owned_ is null and sched_ points at the pool's
-  // scheduler, which outlives this service.
-  std::unique_ptr<Scheduler> owned_;
+  // The pool sched_ points at: private_pool_ for a service built without
+  // one, else a shared pool that outlives this service. Shutdown() stops
+  // the private pool and clears sched_ under mutex_.
+  std::unique_ptr<Scheduler> private_pool_;
   Scheduler* sched_ = nullptr;
-  Timer wall_;  // service wall clock (shared-mode report seconds)
+  const uint32_t num_threads_;
+  Timer wall_;  // construction -> Shutdown (report seconds)
 
   std::mutex mutex_;  // cache, records, counters
   std::unordered_map<std::string, CacheEntry> cache_;
@@ -1020,7 +984,7 @@ class ServiceImpl {
   bool sealed_ = false;
 
   // Lock order: mutex_ before resolve_mutex_; scheduler-internal locks are
-  // only ever taken *under* resolve_mutex_ (Release/RetirePlan/TryGet),
+  // only ever taken *under* resolve_mutex_ (Release/RetirePlan),
   // never the other way around — the scheduler fires completion hooks with
   // no lock held.
   // Record resolution + mirror lists park on the shared gate (see
@@ -1030,10 +994,10 @@ class ServiceImpl {
   std::mutex& resolve_mutex_ = gate_->m;
   std::condition_variable& resolve_cv_ = gate_->cv;  // armed by the hook
   std::atomic<uint64_t> finished_{0};  // pool submissions resolved
-  // Pool-worker completion deliveries (notify + user hooks) currently in
-  // flight; a shared-pool Shutdown waits for 0 so destroying the service
-  // afterwards cannot pull state from under a live delivery. Guarded by
-  // resolve_mutex_.
+  // Pool-worker completion deliveries (notify + user hooks) and Cancel()
+  // calls into the pool currently in flight; Shutdown waits for 0 so
+  // stopping the pool or destroying the service afterwards cannot pull
+  // state from under either. Guarded by resolve_mutex_.
   uint64_t hook_busy_ = 0;
   // Service-level rejection count (this service's own shed submissions —
   // the scheduler's pool-wide counter would conflate siblings on a
@@ -1093,7 +1057,7 @@ bool Ticket::Cancel() const {
   return rec_->service->Cancel(rec_);
 }
 
-// ----------------------------------------------------------- SchedulerPool --
+// ------------------------------------------------------------ MatchService --
 
 SchedulerOptions ToSchedulerOptions(const ServiceOptions& o) {
   SchedulerOptions so;
@@ -1106,21 +1070,11 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& o) {
   return so;
 }
 
-SchedulerPool::SchedulerPool(const ServiceOptions& options)
-    : scheduler_(std::make_unique<Scheduler>(ToSchedulerOptions(options))) {}
-
-SchedulerPool::~SchedulerPool() {
-  scheduler_->Seal();
-  scheduler_->Join();
-}
-
-// ------------------------------------------------------------ MatchService --
-
 MatchService::MatchService(const IndexedHypergraph& data,
                            const ServiceOptions& options)
     : impl_(std::make_unique<internal::ServiceImpl>(data, options)) {}
 
-MatchService::MatchService(const IndexedHypergraph& data, SchedulerPool& pool,
+MatchService::MatchService(const IndexedHypergraph& data, Scheduler& pool,
                            const ServiceOptions& options)
     : impl_(std::make_unique<internal::ServiceImpl>(data, pool, options)) {}
 

@@ -77,9 +77,8 @@ struct ServiceOptions {
   /// accepted re-dispatch takes over as canonical, so mirroring resumes
   /// for the structure. Cancelling a mirror resolves only that mirror
   /// (kCancelled) and never disturbs the canonical execution or sibling
-  /// mirrors. The one remaining fate-share is Shutdown(): mirrors still
-  /// attached when the pool seals resolve from their canonical's outcome,
-  /// whatever it is, because nothing can execute any more.
+  /// mirrors. This holds during Shutdown() too: the pool accepts the
+  /// re-dispatch until every record has resolved.
   bool plan_cache = true;
 
   /// Key the plan cache by a canonical labelling of the query hypergraph
@@ -135,9 +134,11 @@ struct ServiceGauges {
 
 /// Aggregate accounting of one service lifetime, returned by Shutdown().
 struct ServiceReport {
-  std::vector<WorkerReport> workers;  // size = pool threads
-  uint64_t peak_task_bytes = 0;       // high-water mark of live task memory
-  double seconds = 0;                 // construction -> Shutdown wall time
+  // Private pool only (empty / 0 on a shared pool): one row per pool
+  // thread, and the high-water mark of live task memory.
+  std::vector<WorkerReport> workers;
+  uint64_t peak_task_bytes = 0;
+  double seconds = 0;  // construction -> Shutdown wall time
 
   uint64_t submitted = 0;        // every Submit() call
   uint64_t executed = 0;         // queries that actually ran on the pool
@@ -222,33 +223,10 @@ struct BatchSubmission {
   SubmitOptions options;
 };
 
-/// The SchedulerOptions a service-owned or shared pool is built from.
+/// The SchedulerOptions a service's private pool, or the graph catalog's
+/// shared pool, is built from: the `parallel` shape, admission policy,
+/// window/queue bounds, task quota and run timeout of `options`.
 SchedulerOptions ToSchedulerOptions(const ServiceOptions& options);
-
-/// A worker pool shared by several MatchServices — the execution
-/// substrate of the graph catalog (serve/catalog.h), where admission
-/// policies are already multi-tenant and one pool serves every hosted
-/// graph: a data-less Scheduler whose submissions each carry their own
-/// index. The pool starts at construction and joins at destruction; every
-/// service bound to it must be shut down (or destroyed) first. The
-/// `parallel` shape, admission policy, window/queue bounds and task quota
-/// of `options` configure the pool; per-service fields (plan cache,
-/// budgets, hooks) are ignored here and read from each service's own
-/// options.
-class SchedulerPool {
- public:
-  explicit SchedulerPool(const ServiceOptions& options);
-  ~SchedulerPool();
-
-  SchedulerPool(const SchedulerPool&) = delete;
-  SchedulerPool& operator=(const SchedulerPool&) = delete;
-
-  Scheduler& scheduler() { return *scheduler_; }
-  uint32_t num_threads() const { return scheduler_->num_threads(); }
-
- private:
-  std::unique_ptr<Scheduler> scheduler_;
-};
 
 /// A long-lived match-query service bound to one indexed data hypergraph:
 /// the streaming front end of the shared scheduler core
@@ -260,7 +238,8 @@ class SchedulerPool {
 /// Ticket::Wait()/TryGet() observe per-query outcomes as they finish;
 /// Ticket::Cancel() stops one query without disturbing the rest; Drain()
 /// waits for everything submitted so far; Shutdown() seals the service,
-/// drains, joins the pool and returns the aggregate report.
+/// drains and returns the aggregate report, stopping the pool when the
+/// service owns it.
 ///
 /// Outcome delivery is completion-driven: the service hangs a completion
 /// hook on every pool submission, and the moment the scheduler finalises a
@@ -279,19 +258,21 @@ class SchedulerPool {
 /// outcome per distinct query structure), not the total ever submitted.
 class MatchService {
  public:
-  /// Starts the worker pool. `data` must outlive the service.
+  /// Starts a private worker pool built from ToSchedulerOptions(options);
+  /// Shutdown() stops it and reports its worker rows. `data` must outlive
+  /// the service.
   MatchService(const IndexedHypergraph& data, const ServiceOptions& options);
 
-  /// Binds the service to a shared pool instead of owning one: queries
-  /// execute on `pool`'s workers, carrying `data` per submission. The
-  /// pool's admission policy/window/queue bounds apply pool-wide; this
-  /// service's `options` still govern its plan cache, default budgets and
-  /// completion hooks (the `parallel` pool-shape fields and admission
-  /// fields of `options` are ignored). `data` and `pool` must outlive the
-  /// service; Shutdown() waits for this service's own queries only and
-  /// leaves the pool running for its siblings (its report then carries
-  /// service counters but no worker rows).
-  MatchService(const IndexedHypergraph& data, SchedulerPool& pool,
+  /// Binds the service to a pool it shares with other services (the graph
+  /// catalog's): queries execute on `pool`'s workers, carrying `data` per
+  /// submission. The pool's admission policy/window/queue bounds apply
+  /// pool-wide; this service's `options` still govern its plan cache,
+  /// default budgets and completion hooks (the `parallel` pool-shape
+  /// fields and admission fields of `options` are ignored). `data` and
+  /// `pool` must outlive the service; Shutdown() waits for this service's
+  /// own queries only and leaves the pool running for its siblings (its
+  /// report then carries service counters but no worker rows).
+  MatchService(const IndexedHypergraph& data, Scheduler& pool,
                const ServiceOptions& options);
 
   /// Shuts down (cancelling nothing: outstanding queries finish first).
@@ -326,8 +307,8 @@ class MatchService {
   void Drain();
 
   /// Seals the service (further Submit calls are rejected), waits for all
-  /// outstanding queries, joins the pool and returns the aggregate report.
-  /// Idempotent: later calls return the same report.
+  /// outstanding queries, stops a private pool and returns the aggregate
+  /// report. Idempotent: later calls return the same report.
   ServiceReport Shutdown();
 
   /// Resolved pool size.
@@ -335,7 +316,7 @@ class MatchService {
 
   /// Live observability snapshot (see ServiceGauges). Thread-safe;
   /// non-const because sampling the scheduler's slot gauges performs its
-  /// amortised sweeps.
+  /// amortised sweeps. After Shutdown() the pool gauges read 0.
   ServiceGauges Gauges();
 
  private:

@@ -65,7 +65,8 @@ GraphCatalog::GraphCatalog(const CatalogOptions& options)
     : options_(options),
       state_(std::make_shared<State>()),
       finished_(std::make_shared<std::atomic<uint64_t>>(0)),
-      pool_(std::make_unique<SchedulerPool>(options.service)) {}
+      pool_(std::make_unique<Scheduler>(
+          ToSchedulerOptions(options.service))) {}
 
 GraphCatalog::~GraphCatalog() { Shutdown(); }
 
@@ -334,10 +335,9 @@ ServiceGauges GraphCatalog::Gauges() {
   ServiceGauges g;
   g.finished = finished_->load(std::memory_order_acquire);
   if (pool_ != nullptr) {
-    Scheduler& sched = pool_->scheduler();
-    g.live_contexts = sched.LiveContexts();
-    g.retained_slots = sched.RetainedSlots();
-    g.rejected = sched.RejectedCount();
+    g.live_contexts = pool_->LiveContexts();
+    g.retained_slots = pool_->RetainedSlots();
+    g.rejected = pool_->RejectedCount();
   }
   return g;
 }
@@ -364,7 +364,7 @@ void GraphCatalog::Shutdown() {
     st->graveyard.clear();
   }
   DestroyEntries(std::move(all));
-  pool_.reset();  // Seal + Join the shared workers
+  pool_.reset();  // stop the shared workers
 }
 
 void GraphCatalog::ReapLocked(

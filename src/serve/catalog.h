@@ -16,9 +16,9 @@ namespace hgmatch {
 /// Configuration of a GraphCatalog.
 struct CatalogOptions {
   /// Pool shape (parallel/admission/window/queue/quota fields build the
-  /// shared SchedulerPool) and per-graph service behaviour (plan cache,
-  /// capacity, default budgets) — every hosted graph's
-  /// MatchService is configured from this one template.
+  /// shared Scheduler through ToSchedulerOptions) and per-graph service
+  /// behaviour (plan cache, capacity, default budgets) — every hosted
+  /// graph's MatchService is configured from this one template.
   ServiceOptions service;
 
   /// Completion hook receiving *catalog-unique* ticket ids (the
@@ -51,8 +51,8 @@ struct CatalogTicket {
 
 /// A registry of named data graphs served from one worker pool — the
 /// serving tier behind `hgmatch serve`. Each loaded graph gets its own
-/// MatchService (plan cache, budgets) bound to the catalog's shared
-/// SchedulerPool, so K graphs cost one set of worker threads, not K.
+/// MatchService (plan cache, budgets) bound to the catalog's one shared
+/// Scheduler, so K graphs cost one set of worker threads, not K.
 /// Submissions route by graph name (empty = the default graph, the first
 /// one loaded), and every accepted submission carries a catalog-unique
 /// ticket id.
@@ -127,7 +127,7 @@ class GraphCatalog {
   /// over hosted graphs.
   ServiceGauges Gauges();
 
-  /// Unloads everything (waiting for in-flight tickets) and joins the
+  /// Unloads everything (waiting for in-flight tickets) and stops the
   /// pool. Idempotent; implied by destruction. No submissions may race
   /// or follow this call.
   void Shutdown();
@@ -152,7 +152,7 @@ class GraphCatalog {
   // hook so a hook mid-flight during teardown touches refcounted memory,
   // never the catalog object.
   std::shared_ptr<std::atomic<uint64_t>> finished_;
-  std::unique_ptr<SchedulerPool> pool_;
+  std::unique_ptr<Scheduler> pool_;
 };
 
 }  // namespace hgmatch

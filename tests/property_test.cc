@@ -6,12 +6,15 @@
 //   * BFS executor == sequential,
 //   * plan order is irrelevant to the result set,
 //   * the service (fresh runs, exact and isomorphic plan-cache hits,
-//     mirrors) == edge-tuple brute force.
+//     mirrors) == edge-tuple brute force,
+//   * catalog routing: queries submitted by graph name to two graphs on one
+//     shared pool == edge-tuple brute force on the named graph.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/canonical.h"
@@ -21,6 +24,7 @@
 #include "parallel/bfs_executor.h"
 #include "parallel/executor.h"
 #include "parallel/service.h"
+#include "serve/catalog.h"
 #include "tests/test_fixtures.h"
 
 namespace hgmatch {
@@ -205,6 +209,101 @@ std::vector<Scenario> MakeScenarios() {
 
 INSTANTIATE_TEST_SUITE_P(RandomHypergraphs, CrossEngineTest,
                          ::testing::ValuesIn(MakeScenarios()));
+
+// Two seeded random labelled hypergraphs served under two names by one
+// GraphCatalog, so both graphs' services share one pool. Random-walk
+// queries sampled from either graph go to both names: a fresh run with a
+// sink, an exact sink-less repeat, a renamed, edge-reordered sink-less
+// repeat and the renamed query with a sink. Every count and embedding set
+// equals the oracle's on the named graph.
+class CatalogRoutingTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CatalogRoutingTest, RoutedQueriesMatchOracleOnTheNamedGraph) {
+  const uint64_t seed = GetParam();
+  const std::string names[2] = {"left", "right"};
+  std::vector<IndexedHypergraph> graphs;
+  graphs.push_back(
+      IndexedHypergraph::Build(GenerateHypergraph(SmallRandomConfig(seed))));
+  graphs.push_back(IndexedHypergraph::Build(
+      GenerateHypergraph(SmallRandomConfig(seed + 100))));
+
+  CatalogOptions options;
+  options.service.parallel.num_threads = 2;
+  options.service.parallel.scan_grain = 4;
+  GraphCatalog catalog(options);
+  for (size_t g = 0; g < 2; ++g) {
+    ASSERT_TRUE(catalog.Load(names[g], graphs[g].graph().Clone()).ok());
+  }
+  auto run = [&](const std::string& name, const Hypergraph& query,
+                 EmbeddingSink* sink) {
+    SubmitOptions so;
+    so.sink = sink;
+    Result<CatalogTicket> t = catalog.Submit(name, query.Clone(), so);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    return t.ok() ? t.value().ticket.Wait() : QueryOutcome{};
+  };
+
+  Rng rng(seed * 131 + 5);
+  for (uint32_t round = 0; round < 4; ++round) {
+    const IndexedHypergraph& source = graphs[round % 2];
+    QuerySettings settings{"t", 2 + round % 3, 2, 100};
+    Result<Hypergraph> sampled = SampleQuery(source.graph(), settings, &rng);
+    ASSERT_TRUE(sampled.ok()) << sampled.status().ToString();
+    const Hypergraph& query = sampled.value();
+    std::vector<EdgeId> natural(query.NumEdges());
+    std::iota(natural.begin(), natural.end(), 0);
+    std::vector<VertexId> perm(query.NumVertices());
+    for (VertexId v = 0; v < query.NumVertices(); ++v) {
+      perm[v] = query.NumVertices() - 1 - v;
+    }
+    std::vector<EdgeId> edge_order = natural;
+    std::rotate(edge_order.begin(), edge_order.begin() + 1, edge_order.end());
+    const Hypergraph renamed = Permuted(query, perm, edge_order);
+
+    for (size_t g = 0; g < 2; ++g) {
+      SCOPED_TRACE("round " + std::to_string(round) + " on " + names[g]);
+      CollectSink oracle_sink;
+      const MatchStats oracle =
+          ReferenceEdgeTupleMatch(graphs[g], query, {}, &oracle_sink);
+      const std::vector<Embedding> expected =
+          NormalizeEmbeddings(oracle_sink.embeddings(), natural);
+
+      CollectSink fresh_sink;
+      const QueryOutcome fresh = run(names[g], query, &fresh_sink);
+      EXPECT_EQ(fresh.status, QueryStatus::kOk);
+      EXPECT_EQ(fresh.stats.embeddings, oracle.embeddings);
+      Result<QueryPlan> plan = BuildQueryPlan(query, graphs[g]);
+      ASSERT_TRUE(plan.ok());
+      EXPECT_EQ(
+          NormalizeEmbeddings(fresh_sink.embeddings(), plan.value().Order()),
+          expected);
+
+      const QueryOutcome repeat = run(names[g], query, nullptr);
+      EXPECT_EQ(repeat.status, QueryStatus::kOk);
+      EXPECT_EQ(repeat.stats.embeddings, oracle.embeddings);
+
+      const QueryOutcome iso = run(names[g], renamed, nullptr);
+      EXPECT_EQ(iso.status, QueryStatus::kOk);
+      EXPECT_EQ(iso.stats.embeddings, oracle.embeddings);
+
+      CollectSink renamed_sink;
+      const QueryOutcome own = run(names[g], renamed, &renamed_sink);
+      EXPECT_EQ(own.status, QueryStatus::kOk);
+      EXPECT_EQ(own.stats.embeddings, oracle.embeddings);
+      Result<QueryPlan> renamed_plan = BuildQueryPlan(renamed, graphs[g]);
+      ASSERT_TRUE(renamed_plan.ok());
+      std::vector<EdgeId> back;
+      for (EdgeId e : renamed_plan.value().Order()) {
+        back.push_back(edge_order[e]);
+      }
+      EXPECT_EQ(NormalizeEmbeddings(renamed_sink.embeddings(), back),
+                expected);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CatalogRoutingTest,
+                         ::testing::Range<uint64_t>(1, 7));
 
 // Denser sweep of the validation path: strict mode (exact bijection check
 // per embedding) must never disagree with Algorithm 5 across many random

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -136,31 +137,30 @@ TEST(SchedulerTest, ZeroAndSingleThreadPools) {
   }
 }
 
-// Workers of a pool with no live task sleep untimed; a submission and a
-// Seal must each wake them. A lost wakeup hangs here (or takes the old
-// timed park's rounds), so both must finish far inside their bounds.
-TEST(SchedulerTest, IdlePoolWakesForSubmissionAndSeal) {
+// Workers of a pool with no live task sleep untimed; a submission and the
+// destructor must each wake them. A lost wakeup hangs here (or takes the
+// old timed park's rounds), so both must finish far inside their bounds.
+TEST(SchedulerTest, IdlePoolWakesForSubmissionAndDestruction) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   Result<QueryPlan> plan = BuildQueryPlan(PaperQueryHypergraph(), idx);
   ASSERT_TRUE(plan.ok());
   SchedulerOptions options;
   options.parallel.num_threads = 3;
-  Scheduler scheduler(idx, options);
+  auto scheduler = std::make_unique<Scheduler>(options);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   Timer run;
-  const uint32_t query = scheduler.Submit(&plan.value());
-  scheduler.WaitIdle();
+  const uint32_t query = scheduler->Submit(&plan.value(), idx, {});
+  scheduler->WaitIdle();
   EXPECT_LT(run.ElapsedSeconds(), 0.25);
-  ASSERT_NE(scheduler.TryGetQuery(query), nullptr);
-  EXPECT_EQ(scheduler.TryGetQuery(query)->stats.embeddings, 2u);
+  ASSERT_NE(scheduler->TryGetQuery(query), nullptr);
+  EXPECT_EQ(scheduler->TryGetQuery(query)->stats.embeddings, 2u);
+  EXPECT_EQ(scheduler->WorkerReports().size(), 3u);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  Timer join;
-  scheduler.Seal();
-  const SchedulerReport report = scheduler.Join();
-  EXPECT_LT(join.ElapsedSeconds(), 0.25);
-  EXPECT_EQ(report.workers.size(), 3u);
+  Timer stop;
+  scheduler.reset();
+  EXPECT_LT(stop.ElapsedSeconds(), 0.25);
 }
 
 TEST(SchedulerTest, AdmissionWindowOfOneSerialisesQueries) {
@@ -309,31 +309,31 @@ TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
   SchedulerOptions options;
   options.parallel.num_threads = 4;
   options.task_quota = kQuota;
-  Scheduler scheduler(idx, options);
+  Scheduler scheduler(options);
   SubmitOptions expensive_options;
   expensive_options.timeout_seconds = 0.3;
   const uint32_t monster =
-      scheduler.Submit(&expensive_plan.value(), expensive_options);
+      scheduler.Submit(&expensive_plan.value(), idx, expensive_options);
   // One cheap query at a time, so the stream's own tasks stay negligible
   // next to the monster's and the peak measures the quota bound.
   std::vector<uint32_t> cheap_ids;
   while (scheduler.TryGetQuery(monster) == nullptr) {
-    cheap_ids.push_back(scheduler.Submit(&cheap_plan.value(), SubmitOptions{}));
+    cheap_ids.push_back(scheduler.Submit(&cheap_plan.value(), idx, {}));
     while (scheduler.TryGetQuery(cheap_ids.back()) == nullptr) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
-  scheduler.Seal();
-  const SchedulerReport report = scheduler.Join();
+  scheduler.WaitIdle();
 
-  EXPECT_TRUE(report.queries[monster].stats.timed_out);
+  EXPECT_TRUE(scheduler.TryGetQuery(monster)->stats.timed_out);
   for (uint32_t id : cheap_ids) {
-    EXPECT_EQ(report.queries[id].status, QueryStatus::kOk) << "query " << id;
-    EXPECT_EQ(report.queries[id].stats.embeddings, cheap_expected);
+    const QueryOutcome* out = scheduler.TryGetQuery(id);
+    EXPECT_EQ(out->status, QueryStatus::kOk) << "query " << id;
+    EXPECT_EQ(out->stats.embeddings, cheap_expected);
   }
   // The largest task this plan spawns is an EXPAND of three hyperedges.
   const uint64_t max_task_bytes = sizeof(Task) + 3 * sizeof(EdgeId);
-  EXPECT_LE(report.peak_task_bytes, 2 * kQuota * max_task_bytes)
+  EXPECT_LE(scheduler.TakePeakTaskBytes(), 2 * kQuota * max_task_bytes)
       << cheap_ids.size() << " admissions";
 }
 
@@ -454,17 +454,17 @@ TEST(SchedulerTest, BatchTimeoutStopsQueriesSubmittedAfterItFired) {
   SchedulerOptions options;
   options.parallel.num_threads = 4;
   options.batch_timeout_seconds = 0.05;
-  Scheduler scheduler(idx, options);
-  const uint32_t first = scheduler.Submit(&plan.value());
+  Scheduler scheduler(options);
+  const uint32_t first = scheduler.Submit(&plan.value(), idx, {});
   scheduler.WaitIdle();  // stopped by the sweep its own workers ran
   ASSERT_EQ(scheduler.TryGetQuery(first)->status, QueryStatus::kTimeout);
 
-  const uint32_t late = scheduler.Submit(&plan.value());
-  scheduler.Seal();
-  const SchedulerReport report = scheduler.Join();
-  EXPECT_EQ(report.queries[late].status, QueryStatus::kTimeout);
-  EXPECT_TRUE(report.queries[late].stats.timed_out);
-  EXPECT_EQ(report.queries[late].stats.embeddings, 0u);
+  const uint32_t late = scheduler.Submit(&plan.value(), idx, {});
+  scheduler.WaitIdle();
+  const QueryOutcome* out = scheduler.TryGetQuery(late);
+  EXPECT_EQ(out->status, QueryStatus::kTimeout);
+  EXPECT_TRUE(out->stats.timed_out);
+  EXPECT_EQ(out->stats.embeddings, 0u);
 }
 
 TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
@@ -478,20 +478,21 @@ TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
   SchedulerOptions options;
   options.parallel.num_threads = 3;
   options.parallel.scan_grain = 1;
-  Scheduler scheduler(idx, options);
-  EXPECT_EQ(scheduler.Submit(&plan.value()), 0u);
-  scheduler.Seal();
-  SchedulerReport report = scheduler.Join();
-  ASSERT_EQ(report.queries.size(), 1u);
-  EXPECT_EQ(report.queries[0].stats.embeddings, 2u);
-  EXPECT_EQ(report.workers.size(), 3u);
+  Scheduler scheduler(options);
+  EXPECT_EQ(scheduler.Submit(&plan.value(), idx, {}), 0u);
+  scheduler.WaitIdle();
+  ASSERT_EQ(scheduler.RetainedSlots(), 1u);
+  const QueryOutcome* out = scheduler.TryGetQuery(0);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->stats.embeddings, 2u);
+  EXPECT_EQ(scheduler.WorkerReports().size(), 3u);
 
   ParallelOptions popts;
   popts.num_threads = 3;
   popts.scan_grain = 1;
   const ParallelResult via_facade =
       ExecutePlanParallel(idx, plan.value(), popts);
-  EXPECT_EQ(via_facade.stats.embeddings, report.queries[0].stats.embeddings);
+  EXPECT_EQ(via_facade.stats.embeddings, out->stats.embeddings);
 }
 
 // A sink whose first Emit blocks until Release(): with an admission window
@@ -539,7 +540,7 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   SchedulerOptions options;
   options.parallel.num_threads = 2;
   options.max_inflight_queries = 2;
-  Scheduler scheduler(idx, options);
+  Scheduler scheduler(options);
 
   constexpr int kWaves = 40;
   constexpr int kPerWave = 50;  // 2000 submissions in total
@@ -548,7 +549,7 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   for (int wave = 0; wave < kWaves; ++wave) {
     std::vector<uint32_t> ids;
     for (int i = 0; i < kPerWave; ++i) {
-      ids.push_back(scheduler.Submit(&plan.value(), SubmitOptions{}));
+      ids.push_back(scheduler.Submit(&plan.value(), idx, {}));
     }
     max_live = std::max(max_live, scheduler.LiveContexts());
     max_slots = std::max(max_slots, scheduler.RetainedSlots());
@@ -567,14 +568,17 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   EXPECT_LE(max_live, static_cast<size_t>(kPerWave) + 4);
   EXPECT_LE(max_slots, static_cast<size_t>(kPerWave) + 4);
 
-  scheduler.Seal();
-  const SchedulerReport report = scheduler.Join();
-  // Workers are joined: every deferred recycle has run, so nothing at all
-  // is retained — and with every slot released, Join's report does not
-  // materialise an O(ever-submitted) outcome vector either.
+  // Once the last finishing worker ran its recycle step, nothing at all is
+  // retained: no heavy context and, with every slot released, no outcome
+  // record of the 2000 submissions either.
+  for (Timer settle; settle.ElapsedSeconds() < 5;) {
+    if (scheduler.LiveContexts() == 0 && scheduler.RetainedSlots() == 0) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(scheduler.LiveContexts(), 0u);
   EXPECT_EQ(scheduler.RetainedSlots(), 0u);
-  EXPECT_EQ(report.queries.size(), 0u);
 }
 
 // ----------------------------------------------- completion-hook contract --
@@ -593,6 +597,14 @@ struct HookProbe {
   std::atomic<QueryStatus> status{QueryStatus::kOk};
   std::atomic<uint64_t> embeddings{0};
 };
+
+// Waits (bounded) until `fires` reaches `n`: a hook fired from the pool
+// runs after WaitIdle() can already have returned.
+void AwaitFires(const std::atomic<int>& fires, int n) {
+  for (Timer wait; fires.load() < n && wait.ElapsedSeconds() < 10;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(20));
@@ -622,25 +634,29 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
     options.parallel.num_threads = 2;
     options.parallel.scan_grain = 4;
     options.task_quota = 64;
-    Scheduler scheduler(idx, options);
     HookProbe probe;
-    SubmitOptions so;
-    so.timeout_seconds = c.timeout > 0 ? c.timeout : -1;
-    if (c.limit != 0) so.limit = c.limit;
-    so.completion = [&](const QueryOutcome& out) {
-      probe.fires.fetch_add(1);
-      probe.status.store(out.status);
-      probe.embeddings.store(out.stats.embeddings);
-      // Retrievable from inside the hook, and no scheduler lock held
-      // (these calls take the admission lock; holding it here deadlocks).
-      const QueryOutcome* got = scheduler.TryGetQuery(0);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(got->status, out.status);
-      (void)scheduler.LiveContexts();
-    };
-    ASSERT_EQ(scheduler.Submit(&plan.value(), so), 0u);
-    scheduler.Seal();
-    scheduler.Join();
+    {
+      Scheduler scheduler(options);
+      SubmitOptions so;
+      so.timeout_seconds = c.timeout > 0 ? c.timeout : -1;
+      if (c.limit != 0) so.limit = c.limit;
+      so.completion = [&](const QueryOutcome& out) {
+        probe.status.store(out.status);
+        probe.embeddings.store(out.stats.embeddings);
+        // Retrievable from inside the hook, and no scheduler lock held
+        // (these calls take the admission lock; holding it here
+        // deadlocks).
+        const QueryOutcome* got = scheduler.TryGetQuery(0);
+        EXPECT_NE(got, nullptr);
+        if (got != nullptr) {
+          EXPECT_EQ(got->status, out.status);
+        }
+        (void)scheduler.LiveContexts();
+        probe.fires.fetch_add(1);  // last: the hook is done with the pool
+      };
+      ASSERT_EQ(scheduler.Submit(&plan.value(), idx, so), 0u);
+      AwaitFires(probe.fires, 1);
+    }  // the destructor joins the workers: no second fire can follow
     EXPECT_EQ(probe.fires.load(), 1)
         << "path=" << c.path_len << " expected "
         << QueryStatusName(c.expected);
@@ -662,12 +678,12 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
-  Scheduler scheduler(idx, options);
+  Scheduler scheduler(options);
 
   GateSink gate;
   SubmitOptions plug_options;
   plug_options.sink = &gate;
-  const uint32_t plug = scheduler.Submit(&plan.value(), plug_options);
+  const uint32_t plug = scheduler.Submit(&plan.value(), idx, plug_options);
   gate.AwaitEntered();  // the plug owns the only admission slot
 
   // Cancelled while queued: the hook fires from inside Cancel(), on this
@@ -679,7 +695,8 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
     cancelled.status.store(out.status);
     (void)scheduler.LiveContexts();  // deadlocks if a lock were held
   };
-  const uint32_t queued = scheduler.Submit(&plan.value(), queued_options);
+  const uint32_t queued =
+      scheduler.Submit(&plan.value(), idx, queued_options);
   EXPECT_EQ(cancelled.fires.load(), 0);  // still waiting: nothing final yet
   EXPECT_TRUE(scheduler.Cancel(queued));
   EXPECT_EQ(cancelled.fires.load(), 1);
@@ -688,7 +705,7 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
 
   // Shed by the queue bound: the hook fires from inside Submit(), before
   // the caller even learns the index.
-  const uint32_t waiting = scheduler.Submit(&plan.value(), SubmitOptions{});
+  const uint32_t waiting = scheduler.Submit(&plan.value(), idx, {});
   HookProbe rejected;
   SubmitOptions shed_options;
   shed_options.completion = [&](const QueryOutcome& out) {
@@ -696,14 +713,13 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
     rejected.status.store(out.status);
     (void)scheduler.LiveContexts();
   };
-  const uint32_t shed = scheduler.Submit(&plan.value(), shed_options);
+  const uint32_t shed = scheduler.Submit(&plan.value(), idx, shed_options);
   EXPECT_EQ(rejected.fires.load(), 1);
   EXPECT_EQ(rejected.status.load(), QueryStatus::kRejected);
   ASSERT_NE(scheduler.TryGetQuery(shed), nullptr);
 
   gate.Release();
-  scheduler.Seal();
-  scheduler.Join();
+  scheduler.WaitIdle();
   EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
   EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kOk);
   // Nothing fired twice, and the plug/waiting queries (no hook) changed
@@ -726,7 +742,7 @@ TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
   options.parallel.num_threads = 4;
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
-  Scheduler scheduler(idx, options);
+  auto scheduler = std::make_unique<Scheduler>(options);
 
   constexpr int kQueries = 48;
   std::vector<std::atomic<int>> fires(kQueries);
@@ -736,18 +752,20 @@ TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
     so.completion = [&fires, i](const QueryOutcome&) {
       fires[i].fetch_add(1);
     };
-    ids.push_back(scheduler.Submit(&plan.value(), so));
-    if (i % 3 == 0) scheduler.Cancel(ids.back());
+    ids.push_back(scheduler->Submit(&plan.value(), idx, so));
+    if (i % 3 == 0) scheduler->Cancel(ids.back());
   }
-  scheduler.Seal();
-  scheduler.Join();
+  scheduler->WaitIdle();
   for (int i = 0; i < kQueries; ++i) {
-    EXPECT_EQ(fires[i].load(), 1) << "query " << i;
-    const QueryOutcome* out = scheduler.TryGetQuery(ids[i]);
+    const QueryOutcome* out = scheduler->TryGetQuery(ids[i]);
     ASSERT_NE(out, nullptr) << "query " << i;
     EXPECT_TRUE(out->status == QueryStatus::kOk ||
                 out->status == QueryStatus::kCancelled)
         << "query " << i << ": " << QueryStatusName(out->status);
+  }
+  scheduler.reset();  // joins the workers: every hook has returned
+  for (int i = 0; i < kQueries; ++i) {
+    EXPECT_EQ(fires[i].load(), 1) << "query " << i;
   }
 }
 
@@ -764,19 +782,19 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
-  Scheduler scheduler(idx, options);
+  Scheduler scheduler(options);
 
   GateSink gate;
   SubmitOptions plug_options;
   plug_options.sink = &gate;
-  const uint32_t plug = scheduler.Submit(&plan.value(), plug_options);
+  const uint32_t plug = scheduler.Submit(&plan.value(), idx, plug_options);
   gate.AwaitEntered();  // the plug now owns the only admission slot
 
-  const uint32_t waiting = scheduler.Submit(&plan.value(), SubmitOptions{});
+  const uint32_t waiting = scheduler.Submit(&plan.value(), idx, {});
   EXPECT_EQ(scheduler.TryGetQuery(waiting), nullptr);  // queued, not shed
 
   // Queue at its bound: the next submission is rejected synchronously.
-  const uint32_t shed = scheduler.Submit(&plan.value(), SubmitOptions{});
+  const uint32_t shed = scheduler.Submit(&plan.value(), idx, {});
   const QueryOutcome* shed_out = scheduler.TryGetQuery(shed);
   ASSERT_NE(shed_out, nullptr);
   EXPECT_EQ(shed_out->status, QueryStatus::kRejected);
@@ -788,20 +806,66 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   // queue; the bound must count the *effective* backlog (now zero), so the
   // next submission queues instead of being shed.
   EXPECT_TRUE(scheduler.Cancel(waiting));
-  const uint32_t after_cancel =
-      scheduler.Submit(&plan.value(), SubmitOptions{});
+  const uint32_t after_cancel = scheduler.Submit(&plan.value(), idx, {});
   EXPECT_EQ(scheduler.TryGetQuery(after_cancel), nullptr);  // queued
   EXPECT_EQ(scheduler.RejectedCount(), 1u);
 
   gate.Release();
-  scheduler.Seal();
-  scheduler.Join();
+  scheduler.WaitIdle();
   // The admitted query and the one admitted after the cancel both finish
   // with exact counts: shedding affects the overflow only.
   EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
   EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kCancelled);
   EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->status, QueryStatus::kOk);
   EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->stats.embeddings, expected);
+}
+
+// The one stop path: destroying a pool that still holds a running query
+// and a query queued behind it cancels both and returns promptly, with
+// each completion hook fired exactly once.
+TEST(SchedulerCallbackTest, DestructionCancelsRunningAndQueuedQueries) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
+  const Hypergraph expensive = PathQuery(5);  // hours at test scale
+  const Hypergraph cheap = PathQuery(1);
+  Result<QueryPlan> expensive_plan = BuildQueryPlan(expensive, idx);
+  Result<QueryPlan> cheap_plan = BuildQueryPlan(cheap, idx);
+  ASSERT_TRUE(expensive_plan.ok());
+  ASSERT_TRUE(cheap_plan.ok());
+
+  SchedulerOptions options;
+  options.parallel.num_threads = 2;
+  options.max_inflight_queries = 1;
+  auto scheduler = std::make_unique<Scheduler>(options);
+
+  HookProbe running;
+  HookProbe queued;
+  auto hook = [](HookProbe* probe) {
+    return [probe](const QueryOutcome& out) {
+      probe->status.store(out.status);
+      probe->fires.fetch_add(1);
+    };
+  };
+  SubmitOptions running_options;
+  running_options.completion = hook(&running);
+  const uint32_t first =
+      scheduler->Submit(&expensive_plan.value(), idx, running_options);
+  SubmitOptions queued_options;
+  queued_options.completion = hook(&queued);
+  const uint32_t second =
+      scheduler->Submit(&cheap_plan.value(), idx, queued_options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(scheduler->TryGetQuery(first), nullptr);   // still running
+  ASSERT_EQ(scheduler->TryGetQuery(second), nullptr);  // still queued
+
+  Timer stop;
+  scheduler.reset();
+  EXPECT_LT(stop.ElapsedSeconds(), 2.0);
+  EXPECT_EQ(queued.fires.load(), 1);
+  EXPECT_EQ(queued.status.load(), QueryStatus::kCancelled);
+  EXPECT_EQ(running.fires.load(), 1);
+  EXPECT_TRUE(running.status.load() == QueryStatus::kCancelled ||
+              running.status.load() == QueryStatus::kOk)
+      << QueryStatusName(running.status.load());
 }
 
 }  // namespace

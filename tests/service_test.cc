@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <map>
@@ -636,6 +637,51 @@ TEST(ServiceTest, CancelledCanonicalRedispatchesLiveMirrors) {
   EXPECT_EQ(report.unique_plans, 2u);
 }
 
+// Mirrors never fate-share, Shutdown() included: a canonical cancelled
+// while Shutdown() waits still re-dispatches its mirror, which runs on the
+// pool and resolves with its own exact count before Shutdown() returns.
+TEST(ServiceTest, CanonicalCancelledDuringShutdownRedispatchesMirror) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  const uint64_t expected =
+      MatchSequential(idx, TwoLabelEdgeQuery()).value().embeddings;
+
+  ServiceOptions options = BaseOptions(2);
+  options.max_inflight_queries = 1;
+  MatchService service(idx, options);
+
+  GateSink gate;
+  SubmitOptions plug_options;
+  plug_options.sink = &gate;
+  Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
+  gate.AwaitEntered();  // the plug holds the only admission slot
+
+  // A sink-less canonical pending behind the plug, and a mirror of it.
+  Ticket canonical = service.Submit(TwoLabelEdgeQuery());
+  Ticket mirror = service.Submit(TwoLabelEdgeQuery());
+  ASSERT_EQ(mirror.TryGet(), nullptr);
+
+  std::thread helper([&] {
+    // Shutdown() has sealed the service and blocks on the three records
+    // by the time this cancel lands.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_TRUE(canonical.Cancel());
+    gate.Release();
+  });
+  const ServiceReport report = service.Shutdown();
+  helper.join();
+
+  EXPECT_EQ(canonical.Wait().status, QueryStatus::kCancelled);
+  EXPECT_EQ(plug.Wait().status, QueryStatus::kOk);
+  const QueryOutcome* out = mirror.TryGet();
+  ASSERT_NE(out, nullptr);  // resolved before Shutdown() returned
+  EXPECT_EQ(out->status, QueryStatus::kOk);
+  EXPECT_FALSE(out->mirrored);  // executed for real, not copied
+  EXPECT_EQ(out->stats.embeddings, expected);
+  EXPECT_EQ(report.redispatched, 1u);
+  EXPECT_EQ(report.mirrored, 0u);
+  EXPECT_EQ(report.executed, 3u);
+}
+
 TEST(ServiceTest, TimedOutCanonicalRedispatchesMirror) {
   // Sized so the post-release remainder of the canonical's work crosses
   // the scheduler's 1024-call deadline-poll stride: the worker then sees
@@ -960,7 +1006,7 @@ TEST(ServiceCallbackTest, HooksFireOnceForEveryResolutionPath) {
   EXPECT_EQ(status_of(shed), (std::pair<int, QueryStatus>{
                                  1, QueryStatus::kRejected}));
   gate.Release();
-  service.Shutdown();  // joins the pool: every hook has fired by now
+  service.Shutdown();  // waits out every hook delivery: all have fired
 
   EXPECT_EQ(submit_hook_fires.load(), 1);
   EXPECT_EQ(submit_hook_embeddings.load(), 2u);
@@ -1040,7 +1086,7 @@ TEST(ServiceCallbackTest, MirrorHooksShareTheCanonicalFinish) {
   EXPECT_EQ(out.status, QueryStatus::kOk);
   EXPECT_TRUE(out.mirrored);
   EXPECT_EQ(canonical.Wait().status, QueryStatus::kOk);
-  service.Shutdown();  // joins the pool: every hook has fired by now
+  service.Shutdown();  // waits out every hook delivery: all have fired
   EXPECT_EQ(canonical_fires.load(), 1);
   EXPECT_EQ(mirror_fires.load(), 1);
   EXPECT_EQ(cancel_fires.load(), 1);
