@@ -61,7 +61,7 @@ Hypergraph RandomRename(const Hypergraph& q, Rng* rng) {
 // times under fresh vertex names each time — the recurring-dashboard
 // pattern where clients regenerate "the same" query with arbitrary ids.
 // Reports the plan-cache hit rate and the planning time the cache skips,
-// across cache modes, and emits BENCH_plancache.json.
+// with the cache off and on.
 void RenamedRepeatAblation(const Dataset& d,
                            const std::vector<Hypergraph>& batch,
                            uint32_t threads) {
@@ -83,17 +83,13 @@ void RenamedRepeatAblation(const Dataset& d,
   struct Cell {
     const char* mode;
     bool cache;
-    bool isomorphism;
     ServiceReport r;
   };
-  Cell cells[] = {{"no-cache", false, false, {}},
-                  {"exact-key", true, false, {}},
-                  {"isomorphic", true, true, {}}};
+  Cell cells[] = {{"no-cache", false, {}}, {"isomorphic", true, {}}};
   for (Cell& cell : cells) {
     ServiceOptions options;
     options.parallel.num_threads = threads;
     options.plan_cache = cell.cache;
-    options.plan_cache_isomorphism = cell.isomorphism;
     cell.r = RunBatch(d.index, renamed, options).report;
   }
 
@@ -113,45 +109,6 @@ void RenamedRepeatAblation(const Dataset& d,
                 hit_rate * 100,
                 static_cast<unsigned long long>(r.mirrored));
   }
-
-  std::FILE* json = std::fopen("BENCH_plancache.json", "w");
-  if (json == nullptr) {
-    std::printf("  (could not write BENCH_plancache.json)\n");
-    return;
-  }
-  const ServiceReport& iso = cells[2].r;
-  std::fprintf(json, "{\n  \"bench\": \"plan_cache_renamed_repeats\",\n");
-  std::fprintf(json, "  \"dataset\": \"%s\",\n  \"copies\": %zu,\n",
-               d.name.c_str(), kRenamedCopies);
-  std::fprintf(json, "  \"plan_seconds_per_query\": %.9f,\n",
-               plan_per_query);
-  std::fprintf(json, "  \"cells\": [\n");
-  for (size_t i = 0; i < 3; ++i) {
-    const ServiceReport& r = cells[i].r;
-    std::fprintf(
-        json,
-        "    {\"mode\": \"%s\", \"seconds\": %.6f, \"unique_plans\": %llu, "
-        "\"plan_cache_hits\": %llu, \"isomorphic_hits\": %llu, "
-        "\"executed\": %llu, \"mirrored\": %llu}%s\n",
-        cells[i].mode, r.seconds,
-        static_cast<unsigned long long>(r.unique_plans),
-        static_cast<unsigned long long>(r.plan_cache_hits),
-        static_cast<unsigned long long>(r.plan_cache_isomorphic_hits),
-        static_cast<unsigned long long>(r.executed),
-        static_cast<unsigned long long>(r.mirrored), i + 1 < 3 ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  // The acceptance facts: every renamed repeat registers a cache hit, and
-  // planning ran once — the other copies skipped it entirely.
-  std::fprintf(json, "  \"renamed_repeat_hit_rate\": %.3f,\n",
-               static_cast<double>(iso.plan_cache_hits) /
-                   (kRenamedCopies - 1));
-  std::fprintf(json, "  \"planning_skipped\": %s,\n",
-               iso.unique_plans == 1 ? "true" : "false");
-  std::fprintf(json, "  \"planning_seconds_saved\": %.9f\n}\n",
-               plan_per_query * static_cast<double>(iso.plan_cache_hits));
-  std::fclose(json);
-  std::printf("  wrote BENCH_plancache.json\n");
 }
 
 }  // namespace
@@ -272,7 +229,7 @@ int main(int argc, char** argv) {
 
     // Plan-cache ablation on renamed repeats: the isomorphism-aware key
     // should register every byte-distinct rename as a hit and compile
-    // exactly one plan; the exact key and no-cache modes replan each copy.
+    // exactly one plan; with the cache off every copy is planned.
     RenamedRepeatAblation(d, batch, max_threads);
     std::printf("\n");
   }

@@ -13,14 +13,12 @@
 // matching — is the bottleneck. A fourth section floods one connection
 // with 10k tiny queries under {per-query SUBMIT, BATCH_SUBMIT} x {raw,
 // compressed} and reports bytes/query and q/s per cell — the wire-economy
-// numbers behind the batched/compressed framing — and writes them to
-// BENCH_net.json for machine consumption. A fifth section exercises the
-// graph catalog: round-robin routing over 1 vs 4 hosted graphs, with
-// per-query counts cross-checked across both cells, written to
-// BENCH_catalog.json. A sixth section reruns the 10k-query flood under
-// {metrics on (the default), metrics compiled in but disabled, metrics +
-// per-query tracing} and reports each cell's q/s overhead against the
-// disabled baseline — the observability tax, written to BENCH_obs.json.
+// numbers behind the batched/compressed framing. A fifth section exercises
+// the graph catalog: round-robin routing over 1 vs 4 hosted graphs, with
+// per-query counts cross-checked across both cells. A sixth section reruns
+// the 10k-query flood under {metrics on (the default), metrics compiled in
+// but disabled, metrics + per-query tracing} and reports each cell's q/s
+// overhead against the disabled baseline — the observability tax.
 
 #include <algorithm>
 #include <atomic>
@@ -340,38 +338,6 @@ void FloodSection() {
     std::printf("bytes/query reduction (batch+lzss vs submit/raw): %.2fx\n",
                 base / best);
   }
-
-  std::FILE* json = std::fopen("BENCH_net.json", "w");
-  if (json == nullptr) {
-    std::printf("(could not write BENCH_net.json)\n");
-    return;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"net_loopback_flood\",\n");
-  std::fprintf(json, "  \"queries\": %zu,\n  \"cells\": [\n", kFlood);
-  for (size_t i = 0; i < 4; ++i) {
-    const FloodCell& cell = cells[i];
-    std::fprintf(
-        json,
-        "    {\"mode\": \"%s\", \"batch\": %s, \"compressed\": %s, "
-        "\"seconds\": %.6f, \"qps\": %.1f, \"bytes_sent\": %llu, "
-        "\"frames_sent\": %llu, \"bytes_received\": %llu, "
-        "\"frames_received\": %llu, \"bytes_per_query\": %.2f}%s\n",
-        cell.batch ? "batch" : "submit", cell.batch ? "true" : "false",
-        cell.compressed ? "true" : "false", cell.seconds,
-        cell.seconds > 0
-            ? static_cast<double>(cell.queries) / cell.seconds
-            : 0,
-        static_cast<unsigned long long>(cell.transfer.bytes_sent),
-        static_cast<unsigned long long>(cell.transfer.frames_sent),
-        static_cast<unsigned long long>(cell.transfer.bytes_received),
-        static_cast<unsigned long long>(cell.transfer.frames_received),
-        FloodBytesPerQuery(cell), i + 1 < 4 ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"bytes_per_query_reduction\": %.3f\n}\n",
-               best > 0 ? base / best : 0);
-  std::fclose(json);
-  std::printf("wrote BENCH_net.json\n");
 }
 
 // Catalog section: G hosted graphs on one pool vs the same load on a
@@ -462,30 +428,6 @@ void CatalogSection() {
                   static_cast<unsigned long long>(per_query));
     }
   }
-
-  std::FILE* json = std::fopen("BENCH_catalog.json", "w");
-  if (json == nullptr) {
-    std::printf("(could not write BENCH_catalog.json)\n");
-    return;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"net_loopback_catalog\",\n");
-  std::fprintf(json, "  \"cells\": [\n");
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CatalogCell& cell = cells[i];
-    std::fprintf(json,
-                 "    {\"label\": \"%s\", \"queries\": %zu, "
-                 "\"embeddings\": %llu, \"seconds\": %.6f, \"qps\": %.1f}%s\n",
-                 cell.label.c_str(), cell.queries,
-                 static_cast<unsigned long long>(cell.embeddings),
-                 cell.seconds,
-                 cell.seconds > 0
-                     ? static_cast<double>(cell.queries) / cell.seconds
-                     : 0,
-                 i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_catalog.json\n");
 }
 
 // Observability-tax section: the 10k tiny-query flood of FloodSection
@@ -586,29 +528,6 @@ void ObsSection() {
     std::printf("%-12s %8.4fs  %9.1f q/s  %+6.2f%% vs metrics/off\n",
                 cell.mode, cell.seconds, qps, overhead);
   }
-
-  std::FILE* json = std::fopen("BENCH_obs.json", "w");
-  if (json == nullptr) {
-    std::printf("(could not write BENCH_obs.json)\n");
-    return;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"net_loopback_obs\",\n");
-  std::fprintf(json, "  \"queries\": %zu,\n  \"cells\": [\n", kFlood);
-  for (size_t i = 0; i < 3; ++i) {
-    const ObsCell& cell = cells[i];
-    const double qps = cell.seconds > 0 ? kFlood / cell.seconds : 0;
-    std::fprintf(json,
-                 "    {\"mode\": \"%s\", \"metrics\": %s, \"trace\": %s, "
-                 "\"seconds\": %.6f, \"qps\": %.1f, "
-                 "\"overhead_pct_vs_disabled\": %.3f}%s\n",
-                 cell.mode, cell.metrics ? "true" : "false",
-                 cell.trace ? "true" : "false", cell.seconds, qps,
-                 base_qps > 0 ? (base_qps - qps) / base_qps * 100.0 : 0,
-                 i + 1 < 3 ? "," : "");
-  }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("wrote BENCH_obs.json\n");
 }
 
 int Main(int argc, char** argv) {

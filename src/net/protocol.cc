@@ -245,7 +245,6 @@ std::string EncodeStats(const WireStats& stats) {
   AppendValue<uint64_t>(stats.inflight, &payload);
   AppendValue<uint64_t>(stats.service_finished, &payload);
   AppendValue<uint64_t>(stats.service_live_contexts, &payload);
-  AppendValue<uint64_t>(stats.service_retained_slots, &payload);
   AppendValue<uint32_t>(static_cast<uint32_t>(stats.io_threads.size()),
                         &payload);
   for (const WireIoThreadStats& t : stats.io_threads) {
@@ -286,7 +285,6 @@ Result<WireStats> DecodeStats(std::string_view payload) {
   stats.inflight = r.ReadValue<uint64_t>();
   stats.service_finished = r.ReadValue<uint64_t>();
   stats.service_live_contexts = r.ReadValue<uint64_t>();
-  stats.service_retained_slots = r.ReadValue<uint64_t>();
   const uint32_t threads = r.ReadValue<uint32_t>();
   if (!r.ok()) return Status::Corruption("malformed STATS frame");
   // 6 u64 counters per row; the bound keeps a corrupt count from turning

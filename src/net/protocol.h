@@ -16,7 +16,7 @@ namespace hgmatch {
 /// net/client.h speaks it): a stream of length-prefixed binary frames,
 /// little-endian, no padding:
 ///
-///   [u32 magic "HGN2"] [u8 type] [u32 payload bytes] [payload...]
+///   [u32 magic "HGN3"] [u8 type] [u32 payload bytes] [payload...]
 ///
 /// The magic doubles as the protocol version — an incompatible revision
 /// bumps the trailing digit and old peers fail fast on the first frame.
@@ -82,7 +82,7 @@ namespace hgmatch {
 ///                               plus the current graph list (every
 ///                               catalog verb answers with one, so a
 ///                               client always sees the post-verb state).
-inline constexpr uint32_t kWireMagic = 0x324e'4748;  // "HGN2"
+inline constexpr uint32_t kWireMagic = 0x334e'4748;  // "HGN3"
 
 /// Upper bound on a frame payload (a ~16 MiB query hypergraph is far
 /// beyond any sane pattern; real limits come from the data graph side).
@@ -224,9 +224,8 @@ struct WireStats {
   uint64_t inflight = 0;                // queries awaiting their outcome
 
   // Live service/scheduler gauges (see MatchService::Gauges()).
-  uint64_t service_finished = 0;        // outcomes finalised since start
-  uint64_t service_live_contexts = 0;   // queries with live execution state
-  uint64_t service_retained_slots = 0;  // outcome slots awaiting retrieval
+  uint64_t service_finished = 0;       // outcomes finalised since start
+  uint64_t service_live_contexts = 0;  // queries with live execution state
 
   std::vector<WireIoThreadStats> io_threads;  // one row per IO thread
 

@@ -194,7 +194,6 @@ class MatchServer::Impl {
     const ServiceGauges gauges = catalog_.Gauges();
     s.service_finished = gauges.finished;
     s.service_live_contexts = gauges.live_contexts;
-    s.service_retained_slots = gauges.retained_slots;
     s.graphs = GraphRows();
     s.monotonic_seconds = MonotonicSeconds();
     if (start_mono_ > 0) s.uptime_seconds = s.monotonic_seconds - start_mono_;

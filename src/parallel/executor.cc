@@ -59,7 +59,8 @@ WorkerReport Since(const WorkerReport& after, const WorkerReport& before) {
 // shared scheduler core (parallel/scheduler.h): all worker-pool, deque,
 // steal and deadline logic lives there. Only this thread submits to its
 // pool, so one query runs on it at a time, and the worker counters taken
-// before and after the call differ by exactly this call's work.
+// before and after the call differ by exactly this call's work. The
+// completion hook copies the stats; WaitIdle returns after it has.
 ParallelResult ExecutePlanParallel(const IndexedHypergraph& data,
                                    const QueryPlan& plan,
                                    const ParallelOptions& options,
@@ -72,12 +73,12 @@ ParallelResult ExecutePlanParallel(const IndexedHypergraph& data,
       options.timeout_seconds > 0 ? options.timeout_seconds : 0;
   submit.limit = options.limit;
   submit.sink = sink;
-  const uint32_t query = pool.Submit(&plan, data, submit);
-  pool.WaitIdle();
-
   ParallelResult result;
-  result.stats = pool.TryGetQuery(query)->stats;
-  pool.Release(query);
+  submit.completion = [&result](const QueryOutcome& out) {
+    result.stats = out.stats;
+  };
+  pool.Submit(&plan, data, submit);
+  pool.WaitIdle();
   pool.RetirePlan(plan.uid);
   result.workers = pool.WorkerReports();
   for (size_t i = 0; i < result.workers.size(); ++i) {

@@ -39,8 +39,6 @@ const char* QueryStatusName(QueryStatus status) {
 
 namespace {
 
-struct QuerySlot;
-
 // Shared per-query state. Tasks are tagged with their context (Task::owner),
 // so counters, limits and deadlines stay exact per query even while tasks of
 // different queries mix in the same deques.
@@ -57,7 +55,6 @@ struct QuerySlot;
 // is assembled.
 struct QueryContext {
   uint32_t index = 0;
-  QuerySlot* slot = nullptr;  // owning slot (node-stable in the slot map)
   const QueryPlan* plan = nullptr;
   // The data graph this query runs against, named by its submission.
   const IndexedHypergraph* data = nullptr;
@@ -84,11 +81,14 @@ struct QueryContext {
   bool seeded = false;
   // True while a policy waiting-queue entry points at this context; such a
   // context must stay allocated until the entry is popped even if the query
-  // already resolved (cancelled/rejected while waiting). admit_mutex_.
+  // already resolved (cancelled while waiting). admit_mutex_.
   bool in_pending_queue = false;
-  // Shed by the max_queued_queries bound; set before CompleteQuery on the
-  // rejection path (same thread), read only by CompleteQuery.
+  // Shed by the max_queued_queries bound; set before FinishQueryLocked on
+  // the rejection path (same thread), read only by FinishQueryLocked.
   bool rejected = false;
+  // The outcome is final and its hook queued. A finished context stays
+  // allocated only as a corpse (in_pending_queue). admit_mutex_.
+  bool finished = false;
 
   // Span/metric stamps on the process-monotonic clock (obs/trace.h).
   // submit/admit are published to the workers with the same fences as
@@ -106,8 +106,8 @@ struct QueryContext {
 
   // Per-query completion hook (SubmitOptions::completion). Moved out of the
   // context into the deferred-fire list the moment the outcome is
-  // published, which is what makes the exactly-once guarantee structural:
-  // a query completes once, and the hook can only be taken once.
+  // assembled, which is what makes the exactly-once guarantee structural:
+  // a query finishes once, and the hook can only be taken once.
   std::function<void(const QueryOutcome&)> completion;
 
   std::atomic<uint64_t> emitted{0};
@@ -129,22 +129,6 @@ struct QueryContext {
   std::atomic<uint64_t> candidates_sum{0};
   std::atomic<uint64_t> filtered_sum{0};
   std::atomic<uint64_t> expansions_sum{0};
-};
-
-// One submission's bookkeeping slot: the slim outcome record plus (until
-// the query finishes) the heavy execution context. Slots live in a
-// node-based map keyed by submission index, so references are stable while
-// the map grows and individual slots can be erased by Release() — the
-// retention contract of a long-lived streaming service: heavy state is
-// O(in-flight) automatically, slim records are O(not-yet-released).
-struct QuerySlot {
-  std::unique_ptr<QueryContext> ctx;  // reset the moment the query finishes
-  QueryOutcome outcome;               // assembled by CompleteQuery
-  std::atomic<bool> finished{false};
-  // Release() arrived while a pending-queue entry still held ctx (a query
-  // cancelled/rejected while waiting): erase the slot when that entry is
-  // reaped. Guarded by admit_mutex_.
-  bool release_on_reap = false;
 };
 
 }  // namespace
@@ -203,10 +187,8 @@ class Scheduler::Impl {
     std::vector<uint32_t> unfinished;
     {
       std::lock_guard<std::mutex> lock(admit_mutex_);
-      for (auto& [index, slot] : queries_) {
-        if (!slot.finished.load(std::memory_order_acquire)) {
-          unfinished.push_back(index);
-        }
+      for (auto& [index, ctx] : queries_) {
+        if (!ctx->finished) unfinished.push_back(index);
       }
     }
     std::sort(unfinished.begin(), unfinished.end(), std::greater<>());
@@ -229,10 +211,8 @@ class Scheduler::Impl {
     {
       std::lock_guard<std::mutex> lock(admit_mutex_);
       index = next_query_index_++;
-      QuerySlot& slot = queries_[index];
       auto ctx = std::make_unique<QueryContext>();
       ctx->index = index;
-      ctx->slot = &slot;
       ctx->plan = plan;
       ctx->sink = so.sink;
       ctx->tenant_id = so.tenant_id;
@@ -260,7 +240,7 @@ class Scheduler::Impl {
         ctx->scan_table = &first->edges();
       }
       QueryContext* raw = ctx.get();
-      slot.ctx = std::move(ctx);
+      queries_.emplace(index, std::move(ctx));
       submitted_count_.fetch_add(1, std::memory_order_relaxed);
       metric_submitted_->Add();
 
@@ -268,8 +248,8 @@ class Scheduler::Impl {
       // the admission window is full (AdmitLocked drains it otherwise), so
       // "window full and the queue at its bound" means this submission
       // could only wait — shed it instead of queueing, before it costs any
-      // queue memory. Resolved synchronously:
-      // the caller observes kRejected from the returned index immediately.
+      // queue memory. Resolved synchronously: its hook reports kRejected
+      // before this call returns.
       const uint32_t window = options_.max_inflight_queries;
       if (options_.max_queued_queries != 0 &&
           window != 0 && inflight_ >= window &&
@@ -279,9 +259,7 @@ class Scheduler::Impl {
         raw->admit_seconds = raw->finish_seconds = wall_.ElapsedSeconds();
         rejected_count_.fetch_add(1, std::memory_order_relaxed);
         metric_rejected_->Add();
-        CompleteQuery(raw);
-        QueueCompletionLocked(raw);
-        RecycleContextLocked(raw);
+        FinishQueryLocked(raw);
       } else {
         EnqueuePendingLocked(raw);
         AdmitLocked(nullptr);
@@ -300,59 +278,24 @@ class Scheduler::Impl {
     {
       std::unique_lock<std::mutex> lock(admit_mutex_);
       auto it = queries_.find(query);
-      if (it == queries_.end()) return false;  // released: long finished
-      QuerySlot& slot = it->second;
-      if (slot.finished.load(std::memory_order_acquire)) return false;
-      QueryContext* ctx = slot.ctx.get();
+      if (it == queries_.end()) return false;  // finished and recycled
+      QueryContext* ctx = it->second.get();
+      if (ctx->finished) return false;  // a corpse awaiting its queue pop
       ctx->cancel_requested.store(true, std::memory_order_relaxed);
       ctx->stop.store(true, std::memory_order_relaxed);
       if (!ctx->seeded) {
         // Still waiting for admission: resolve it right here rather than
         // when the window would eventually have reached it. Its queue entry
-        // stays behind and is skipped (already finished) when popped.
+        // stays behind as a corpse and is skipped when popped.
         ctx->admit_index = admit_seq_++;
         ctx->admit_seconds = ctx->finish_seconds = wall_.ElapsedSeconds();
-        CompleteQuery(ctx);
-        QueueCompletionLocked(ctx);
-        if (ctx->in_pending_queue) {
-          // Its queue entry is now a corpse: it still occupies the policy
-          // structure until popped, but must no longer count against the
-          // max_queued_queries backpressure bound.
-          ++queued_corpses_;
-        } else {
-          RecycleContextLocked(ctx);
-        }
+        FinishQueryLocked(ctx);
         admitted = AdmitLocked(nullptr);
       }
       fire.swap(deferred_completions_);
     }
     if (admitted) WakeWorkers();
     FireCompletions(&fire);
-    return true;
-  }
-
-  const QueryOutcome* TryGetQuery(uint32_t query) {
-    QuerySlot* slot = SlotFor(query);
-    if (slot == nullptr) return nullptr;
-    if (!slot->finished.load(std::memory_order_acquire)) return nullptr;
-    return &slot->outcome;
-  }
-
-  bool Release(uint32_t query) {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    auto it = queries_.find(query);
-    if (it == queries_.end()) return false;
-    if (!it->second.finished.load(std::memory_order_acquire)) return false;
-    if (it->second.ctx != nullptr) {
-      // The heavy context is still referenced — by a pending-queue corpse
-      // (query cancelled/rejected while waiting) or by the worker that is
-      // mid-way through its finish path; the slot follows the context out
-      // when it is reaped.
-      if (it->second.release_on_reap) return false;  // already released
-      it->second.release_on_reap = true;
-      return true;
-    }
-    queries_.erase(it);
     return true;
   }
 
@@ -371,13 +314,6 @@ class Scheduler::Impl {
   }
 
   size_t LiveContexts() {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    size_t live = 0;
-    for (auto& [index, slot] : queries_) live += slot.ctx != nullptr;
-    return live;
-  }
-
-  size_t RetainedSlots() {
     std::lock_guard<std::mutex> lock(admit_mutex_);
     return queries_.size();
   }
@@ -402,7 +338,7 @@ class Scheduler::Impl {
   void WaitIdle() {
     std::unique_lock<std::mutex> lock(finish_mutex_);
     finish_cv_.wait(lock, [this] {
-      return finished_count_.load(std::memory_order_acquire) ==
+      return finished_count_ ==
              submitted_count_.load(std::memory_order_acquire);
     });
   }
@@ -442,13 +378,6 @@ class Scheduler::Impl {
 
   static QueryContext* Ctx(Task* t) {
     return static_cast<QueryContext*>(t->owner);
-  }
-
-  QuerySlot* SlotFor(uint32_t query) {
-    // The slot map grows under admit_mutex_; slots are node-stable.
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    auto it = queries_.find(query);
-    return it == queries_.end() ? nullptr : &it->second;
   }
 
   Expander* ExpanderFor(Worker* w, QueryContext* ctx) {
@@ -496,12 +425,15 @@ class Scheduler::Impl {
     w->deque.Push(t);
   }
 
-  // Assembles the final outcome of a finished query and publishes it into
-  // the query's slim slot. The caller guarantees single-writer access
-  // (either the worker that retired the query's last task, or a thread
-  // holding admit_mutex_ for a query that never seeded).
-  void CompleteQuery(QueryContext* ctx) {
-    QueryOutcome& out = ctx->slot->outcome;
+  // Finalises a query: assembles its outcome, marks it finished, queues
+  // its completion hook with the outcome for lock-free delivery, and frees
+  // the context — unless a pending-queue entry still points at it (a query
+  // cancelled while waiting), which leaves a corpse for PopNextLocked to
+  // reap. Callers hold admit_mutex_ and are the query's only finisher: the
+  // worker that retired its last task, or a thread resolving a query that
+  // never seeded. Invalidates ctx unless it became a corpse.
+  void FinishQueryLocked(QueryContext* ctx) {
+    QueryOutcome out;
     out.stats.embeddings = ctx->embeddings_sum.load(std::memory_order_relaxed);
     out.stats.candidates = ctx->candidates_sum.load(std::memory_order_relaxed);
     out.stats.filtered = ctx->filtered_sum.load(std::memory_order_relaxed);
@@ -537,54 +469,41 @@ class Scheduler::Impl {
       out.span.first_task_seconds = ctx->first_task_mono;
       out.span.last_task_seconds = ctx->last_task_mono;
     }
-    {
-      std::lock_guard<std::mutex> lock(finish_mutex_);
-      ctx->slot->finished.store(true, std::memory_order_release);
-      // Count strictly after the flag, so WaitIdle returns only once every
-      // outcome is retrievable; under finish_mutex_ so its predicate cannot
-      // miss the wakeup.
-      finished_count_.fetch_add(1, std::memory_order_release);
+    ctx->finished = true;
+    deferred_completions_.push_back(
+        {std::move(ctx->completion), std::move(out)});
+    if (ctx->in_pending_queue) {
+      // The corpse still occupies the policy structure until popped, but
+      // no longer counts against the max_queued_queries bound.
+      ++queued_corpses_;
+    } else {
+      queries_.erase(ctx->index);
     }
-    finish_cv_.notify_all();
   }
 
-  // One completion hook ready to fire, detached from its (possibly already
-  // recycled) context: the hook plus a snapshot of the outcome it reports.
-  // The snapshot makes firing independent of slot lifetime — a Release()
-  // racing the fire cannot pull the outcome out from under the callback.
+  // One finished query's hook (empty when it was submitted without one)
+  // and the outcome it reports.
   struct PendingCompletion {
     std::function<void(const QueryOutcome&)> fn;
     QueryOutcome outcome;
   };
 
-  // Detaches a completed query's hook into the deferred-fire list. Callers
-  // hold admit_mutex_ and call this after CompleteQuery published the
-  // outcome (so hooks always observe a retrievable outcome) and before the
-  // context is recycled. Moving the hook out of the context is the
-  // exactly-once mechanism: the second taker finds it empty.
-  void QueueCompletionLocked(QueryContext* ctx) {
-    if (!ctx->completion) return;
-    deferred_completions_.push_back(
-        {std::move(ctx->completion), ctx->slot->outcome});
-  }
-
-  // Invokes hooks harvested from deferred_completions_. Callers must NOT
-  // hold any scheduler lock: the hook contract promises lock-free delivery
-  // so hooks can re-enter the read-side API (TryGetQuery, LiveContexts).
-  static void FireCompletions(std::vector<PendingCompletion>* fire) {
-    for (PendingCompletion& p : *fire) p.fn(p.outcome);
+  // Invokes the hooks harvested from deferred_completions_, then counts
+  // their queries finished for WaitIdle: a query counts only once its hook
+  // has returned, so whatever a hook wrote is visible to WaitIdle's caller.
+  // Callers hold no scheduler lock, so hooks may call back into the
+  // read-side API (LiveContexts, RejectedCount).
+  void FireCompletions(std::vector<PendingCompletion>* fire) {
+    if (fire->empty()) return;
+    for (PendingCompletion& p : *fire) {
+      if (p.fn) p.fn(p.outcome);
+    }
+    {
+      std::lock_guard<std::mutex> lock(finish_mutex_);
+      finished_count_ += fire->size();
+    }
+    finish_cv_.notify_all();
     fire->clear();
-  }
-
-  // Frees the heavy context of a finished query (bounded retention: heavy
-  // state lives exactly as long as the query). Callers hold admit_mutex_
-  // and guarantee the query finished and no pending-queue entry points at
-  // the context. Invalidates ctx.
-  void RecycleContextLocked(QueryContext* ctx) {
-    QuerySlot* slot = ctx->slot;
-    const uint32_t index = ctx->index;
-    slot->ctx.reset();
-    if (slot->release_on_reap) queries_.erase(index);
   }
 
   void Finish(Worker* w, Task* t) {
@@ -592,8 +511,8 @@ class Scheduler::Impl {
     memory_.OnFree(t->SizeBytes());
     Task::Free(t);
     if (ctx->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last task of this query retired: record its finish and publish the
-      // outcome, then free the admission slot and seed waiting queries
+      // Last task of this query retired: record its finish and finalise
+      // the outcome, then free the admission slot and seed waiting queries
       // *before* the global count below can reach zero, so workers never
       // park untimed between two admissions.
       ctx->finish_seconds = wall_.ElapsedSeconds();
@@ -601,15 +520,13 @@ class Scheduler::Impl {
       if (ctx->first_task_mono > 0) {
         metric_run_->Observe(ctx->last_task_mono - ctx->first_task_mono);
       }
-      CompleteQuery(ctx);
       std::vector<PendingCompletion> fire;
       bool admitted;
       {
         std::lock_guard<std::mutex> lock(admit_mutex_);
         --inflight_;
+        FinishQueryLocked(ctx);  // frees ctx; must stay the last use
         admitted = AdmitLocked(w);
-        QueueCompletionLocked(ctx);
-        RecycleContextLocked(ctx);  // frees ctx; must stay the last use
         fire.swap(deferred_completions_);
       }
       if (admitted) WakeWorkers();
@@ -696,7 +613,7 @@ class Scheduler::Impl {
           if (best == nullptr) return nullptr;  // queued_count_ says otherwise
           ctx = best->queue.front();
           best->queue.pop_front();
-          if (!ctx->slot->finished.load(std::memory_order_acquire)) {
+          if (!ctx->finished) {
             // Charge the tenant only for queries that actually advance, by
             // the query's admission cost (cost-aware WFQ: the service sets
             // cost to the plan's measured task count; 1 when unknown).
@@ -730,12 +647,11 @@ class Scheduler::Impl {
       if (ctx == nullptr) return nullptr;  // unreachable: switch is exhaustive
       --queued_count_;
       ctx->in_pending_queue = false;
-      if (!ctx->slot->finished.load(std::memory_order_acquire)) return ctx;
+      if (!ctx->finished) return ctx;
       // Reap a corpse: the query resolved (cancelled while waiting) before
-      // being popped; its heavy context was kept alive only for this
-      // pointer.
+      // being popped; its context was kept alive only for this pointer.
       --queued_corpses_;
-      RecycleContextLocked(ctx);
+      queries_.erase(ctx->index);
     }
     return nullptr;
   }
@@ -805,17 +721,13 @@ class Scheduler::Impl {
           ctx->work_dropped.store(true, std::memory_order_relaxed);
         }
         ctx->finish_seconds = ctx->admit_seconds;
-        CompleteQuery(ctx);
-        QueueCompletionLocked(ctx);
-        RecycleContextLocked(ctx);
+        FinishQueryLocked(ctx);
         continue;
       }
       if (ctx->scan_table == nullptr) {
         // Nothing matches the first step: done at admission.
         ctx->finish_seconds = ctx->admit_seconds;
-        CompleteQuery(ctx);
-        QueueCompletionLocked(ctx);
-        RecycleContextLocked(ctx);
+        FinishQueryLocked(ctx);
         continue;
       }
       ctx->seeded = true;
@@ -848,10 +760,10 @@ class Scheduler::Impl {
       // queries_ grows under admit_mutex_, so the once-per-run sweep over
       // it takes the lock.
       std::lock_guard<std::mutex> lock(admit_mutex_);
-      for (auto& [index, slot] : queries_) {
-        if (slot.finished.load(std::memory_order_acquire)) continue;
-        slot.ctx->timeout_fired.store(true, std::memory_order_relaxed);
-        slot.ctx->stop.store(true, std::memory_order_relaxed);
+      for (auto& [index, ctx] : queries_) {
+        if (ctx->finished) continue;
+        ctx->timeout_fired.store(true, std::memory_order_relaxed);
+        ctx->stop.store(true, std::memory_order_relaxed);
       }
     }
   }
@@ -1118,10 +1030,10 @@ class Scheduler::Impl {
   Deadline batch_deadline_;
   Timer wall_;
 
-  // Slot map of every not-yet-released submission, keyed by submission
-  // index (indices are never reused). Node-based so slot references stay
-  // valid while it grows and shrinks. Guarded by admit_mutex_.
-  std::unordered_map<uint32_t, QuerySlot> queries_;
+  // The context of every unfinished query (and of every corpse), keyed by
+  // submission index; indices are never reused. A finished query leaves
+  // nothing behind. Guarded by admit_mutex_.
+  std::unordered_map<uint32_t, std::unique_ptr<QueryContext>> queries_;
   uint32_t next_query_index_ = 0;  // admit_mutex_
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
@@ -1144,7 +1056,7 @@ class Scheduler::Impl {
   double global_vtime_ = 0;                              // admit_mutex_
   std::deque<Task*> inject_;  // mid-run SCAN seeds, guarded by admit_mutex_
   std::atomic<int64_t> inject_size_{0};
-  // Completion hooks of queries that finalised inside the current
+  // Completion hooks of queries that finished inside the current
   // admit_mutex_ critical section, awaiting lock-free delivery. Every code
   // path that can append (Submit, Cancel, Finish — directly
   // or through AdmitLocked) drains the list into a local vector before
@@ -1162,10 +1074,10 @@ class Scheduler::Impl {
   std::atomic<int64_t> pending_{0};
   std::atomic<bool> batch_expired_{false};
   std::atomic<uint64_t> submitted_count_{0};
-  std::atomic<uint64_t> finished_count_{0};
+  uint64_t finished_count_ = 0;  // queries whose hook returned; finish_mutex_
 
-  std::mutex finish_mutex_;              // guards finished publication
-  std::condition_variable finish_cv_;    // broadcast on every query finish
+  std::mutex finish_mutex_;
+  std::condition_variable finish_cv_;    // broadcast by FireCompletions
   std::mutex idle_mutex_;                // parks idle workers
   std::condition_variable idle_cv_;      // notified by WakeWorkers
   std::atomic<uint64_t> wake_epoch_{0};  // bumped under idle_mutex_
@@ -1195,17 +1107,9 @@ uint32_t Scheduler::Submit(const QueryPlan* plan,
 
 bool Scheduler::Cancel(uint32_t query) { return impl_->Cancel(query); }
 
-const QueryOutcome* Scheduler::TryGetQuery(uint32_t query) {
-  return impl_->TryGetQuery(query);
-}
-
-bool Scheduler::Release(uint32_t query) { return impl_->Release(query); }
-
 void Scheduler::RetirePlan(uint64_t plan_uid) { impl_->RetirePlan(plan_uid); }
 
 size_t Scheduler::LiveContexts() { return impl_->LiveContexts(); }
-
-size_t Scheduler::RetainedSlots() { return impl_->RetainedSlots(); }
 
 uint64_t Scheduler::RejectedCount() const { return impl_->RejectedCount(); }
 

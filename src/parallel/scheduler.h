@@ -117,13 +117,18 @@ struct QueryOutcome {
 /// One lifecycle: construction starts the pool and destruction stops it.
 /// Submit() from any thread at any time while the pool lives; each
 /// submission carries its own data graph and is admitted per the admission
-/// policy. Cancel() stops one query; SubmitOptions::completion and
-/// TryGetQuery() observe per-query outcomes as they finish; WaitIdle()
-/// waits for everything submitted so far. The destructor cancels every
+/// policy. Cancel() stops one query; WaitIdle() waits for everything
+/// submitted so far. The destructor cancels every
 /// unfinished query, queued ones included, waits until the pool is idle,
 /// then stops and joins the workers. The executor keeps one long-lived
 /// pool per calling thread, the graph catalog one pool for all its graphs,
 /// and a MatchService of its own one private pool.
+///
+/// One outcome channel: a query's outcome is reported only through its
+/// completion hook (SubmitOptions::completion), exactly once. The
+/// scheduler keeps nothing of a finished query, so a query costs it
+/// nothing once its hook has run, whether or not anyone looks at the
+/// outcome. A caller that wants the outcome copies it in the hook.
 ///
 /// Idle workers park, so a pool that outlives its queries costs no CPU.
 /// A worker that finds no task yields 64 times, then parks on a condition
@@ -163,9 +168,9 @@ class Scheduler {
   /// `options.completion`, when set, is invoked exactly once at the moment
   /// the query's outcome finalises — whatever the terminal status,
   /// including submissions resolved synchronously inside this call
-  /// (queue-depth rejection) or inside Cancel() — after the outcome became
-  /// observable through TryGetQuery() and with no scheduler lock held (see
-  /// SubmitOptions::completion for the full contract).
+  /// (queue-depth rejection) or inside Cancel() — with no scheduler lock
+  /// held (see SubmitOptions::completion for the full contract). It is the
+  /// only way to learn the outcome.
   uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph& data,
                   const SubmitOptions& options);
 
@@ -176,24 +181,6 @@ class Scheduler {
   /// Thread-safe.
   bool Cancel(uint32_t query);
 
-  /// The outcome of a finished query; null until it finishes. The pointer
-  /// stays valid until the query is Release()d (or for the scheduler's
-  /// lifetime when Release is never called). Thread-safe.
-  const QueryOutcome* TryGetQuery(uint32_t query);
-
-  /// Recycles a finished query's outcome slot once the caller has copied
-  /// everything it needs: after Release the index is permanently invalid
-  /// (indices are never reused). Returns false when the query is unknown,
-  /// already released or not yet finished. Must not race with
-  /// TryGetQuery on the same query — the caller
-  /// serialises retrieval against release (the service layer does).
-  ///
-  /// The *heavy* per-query state (task context, deadline, atomics) is
-  /// recycled automatically the moment a query finishes, independent of
-  /// Release; Release additionally drops the slim outcome record, keeping a
-  /// long-lived streaming scheduler O(in-flight), not O(ever-submitted).
-  bool Release(uint32_t query);
-
   /// Declares that no further queries will ever be submitted for the plan
   /// with this uid (QueryPlan::uid): workers lazily drop their cached
   /// per-plan expansion state. Call before freeing a plan whose queries all
@@ -202,20 +189,20 @@ class Scheduler {
   /// the workers just rebuild its state.
   void RetirePlan(uint64_t plan_uid);
 
-  /// Diagnostics: number of heavy per-query contexts currently allocated
+  /// Diagnostics: number of per-query contexts currently allocated
   /// (in-flight + waiting queries). Bounded by the admission window plus
-  /// the waiting queue at any instant.
+  /// the waiting queue at any instant; 0 once WaitIdle() returned with no
+  /// submission racing it.
   size_t LiveContexts();
-
-  /// Diagnostics: number of (slim) per-query outcome slots retained, i.e.
-  /// submissions not yet Release()d.
-  size_t RetainedSlots();
 
   /// Total submissions shed by the max_queued_queries bound so far.
   uint64_t RejectedCount() const;
 
-  /// Blocks until every query submitted so far has finished (the pool may
-  /// stay up for more submissions). Thread-safe.
+  /// Blocks until every query submitted so far has finished and its
+  /// completion hook has returned (a query without a hook counts at the
+  /// point its hook would have run), so everything a hook wrote is visible
+  /// to the caller. The pool stays up for more submissions. Thread-safe;
+  /// must not be called from inside a hook.
   void WaitIdle();
 
   /// Per-worker reports accumulated since the pool started, with SCAN

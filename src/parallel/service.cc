@@ -86,13 +86,13 @@ struct ResolveGate {
 //  * failed:    plan_status not-ok — failed planning or submitted after
 //               Shutdown; resolved immediately.
 // Resolution is eager and completion-driven: the scheduler's per-query
-// completion hook resolves an executed record the moment its query
-// finalises (mirrors resolve in the same step as their canonical), after
-// which the record is the slim, self-contained outcome store — the
-// scheduler slot behind it is released (and, for plan-cache-off
-// submissions, the compiled plan retired and freed), so a record costs the
-// scheduler nothing once its query finished, whether or not anyone ever
-// retrieves the outcome.
+// completion hook, its only outcome channel, resolves an executed record
+// the moment its query finalises (mirrors resolve in the same step as
+// their canonical), after which the record is the slim, self-contained
+// outcome store. The scheduler keeps nothing of a finished query, and a
+// plan-cache-off submission's compiled plan is retired and freed at
+// resolution, so a record costs the scheduler nothing once its query
+// finished, whether or not anyone ever retrieves the outcome.
 struct QueryRecord {
   ServiceImpl* service = nullptr;
   // Pin on the service's resolve gate; lets Ticket reads outlive the
@@ -109,7 +109,7 @@ struct QueryRecord {
   std::unique_ptr<QueryPlan> owned_plan;
   // Cost tracker of this record's plan-cache entry: latest measured task
   // count of a completed run of the plan (0 = not yet measured). Written at
-  // resolution, read at later submissions for cost-aware WFQ charging.
+  // resolution, read at later submissions for the weighted-fair charge.
   std::shared_ptr<std::atomic<uint64_t>> plan_cost;
   // In-flight-submission refcount of this record's plan-cache entry (the
   // LRU eviction guard); decremented exactly once, at resolution. Null
@@ -145,8 +145,6 @@ struct QueryRecord {
   // completion hooks never wait on anything but the one real execution.
   // Guarded by resolve_mutex_.
   std::vector<std::shared_ptr<QueryRecord>> mirrors;
-
-  bool released = false;  // scheduler slot handed back; resolve_mutex_
 
   std::atomic<bool> resolved{false};
   QueryOutcome outcome;  // valid once `resolved`
@@ -300,10 +298,7 @@ class ServiceImpl {
     g.finished = finished_.load(std::memory_order_acquire);
     g.rejected = rejected_.load(std::memory_order_acquire);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (sched_ != nullptr) {
-      g.live_contexts = sched_->LiveContexts();
-      g.retained_slots = sched_->RetainedSlots();
-    }
+    if (sched_ != nullptr) g.live_contexts = sched_->LiveContexts();
     return g;
   }
 
@@ -351,8 +346,8 @@ class ServiceImpl {
     }
     // Resolution arrives through the scheduler's completion hook —
     // synchronously inside this call for queries cancelled while queued,
-    // at the next task boundary for in-flight ones. A released slot
-    // reports false here (long finished).
+    // at the next task boundary for in-flight ones. A query that already
+    // finished reports false here.
     const bool cancelled = sched_->Cancel(rec->sched_index);
     std::lock_guard<std::mutex> lock(resolve_mutex_);
     --hook_busy_;
@@ -397,9 +392,10 @@ class ServiceImpl {
 
   // The scheduler-level completion hook attached to every pool submission,
   // and the heart of completion-driven delivery: the moment the scheduler
-  // finalises the query, the record resolves (slot released, mirrors
-  // resolved along), every Ticket::Wait is woken, and the user hooks fire
-  // — all on the thread that finalised the outcome.
+  // finalises the query, the record resolves (mirrors resolved along), the
+  // submission counts in Gauges().finished, every Ticket::Wait is woken,
+  // and the user hooks fire — all on the thread that finalised the
+  // outcome.
   void OnSchedulerComplete(const std::shared_ptr<QueryRecord>& rec,
                            const QueryOutcome& out) {
     std::vector<FiredCompletion> fire;
@@ -409,6 +405,7 @@ class ServiceImpl {
       if (!rec->resolved.load(std::memory_order_acquire)) {
         ResolveLocked(rec, out, &fire, &redispatch);
       }
+      finished_.fetch_add(1, std::memory_order_release);
       // Claimed in the same critical section that publishes the resolved
       // flag, so a Shutdown observing every record resolved
       // either sees this delivery finished or sees hook_busy_ > 0 — never
@@ -439,10 +436,10 @@ class ServiceImpl {
     resolve_cv_.notify_all();
   }
 
-  // Stores `out` as the record's final outcome, releases whatever the
-  // record still pins (its scheduler slot and, for plan-cache-off
-  // submissions, the compiled plan), feeds the measured task count back
-  // into the plan-cache cost tracker (cost-aware WFQ), settles attached
+  // Stores `out` as the record's final outcome, retires and frees the
+  // compiled plan of a plan-cache-off submission (it served exactly this
+  // record), feeds the measured task count back into the plan-cache cost
+  // tracker (the weighted-fair charge), settles attached
   // mirrors, and harvests the completion hooks into *fire for lock-free
   // delivery by the caller. Mirrors resolve from the same outcome when it
   // is mirrorable (ok / limit); otherwise they are handed to *redispatch
@@ -482,7 +479,11 @@ class ServiceImpl {
       rejected_.fetch_add(1, std::memory_order_acq_rel);
     }
     rec->resolved.store(true, std::memory_order_release);
-    ReleaseSlotLocked(rec.get());
+    if (rec->owned_plan != nullptr) {
+      sched_->RetirePlan(rec->owned_plan->uid);
+      rec->owned_plan.reset();
+      rec->owned_query = Hypergraph();
+    }
     fire->push_back({rec, std::move(rec->completion)});
     const bool mirrorable = Mirrorable(rec->outcome.status);
     assert(rec->mirrors.empty() || redispatch != nullptr);
@@ -496,34 +497,10 @@ class ServiceImpl {
       }
     }
     rec->mirrors.clear();
-    if (rec->sched_index != kNotScheduled) {
-      // Counts pool submissions for Gauges().finished. A record whose
-      // scheduler index is not attached yet is counted by
-      // AttachSchedIndex.
-      finished_.fetch_add(1, std::memory_order_release);
-    }
   }
 
-  // Releases the resolved record's scheduler slot and, for plan-cache-off
-  // submissions, retires + frees the plan that served exactly this query.
-  // Callers hold resolve_mutex_.
-  void ReleaseSlotLocked(QueryRecord* rec) {
-    if (rec->released || rec->sched_index == kNotScheduled) return;
-    rec->released = true;
-    sched_->Release(rec->sched_index);
-    if (rec->owned_plan != nullptr) {
-      sched_->RetirePlan(rec->owned_plan->uid);
-      rec->owned_plan.reset();
-      rec->owned_query = Hypergraph();
-    }
-  }
-
-  // Publishes the scheduler index of a just-submitted record, and finishes
-  // any slot release the completion hook had to skip because it ran before
-  // the index was known: a query can finalise on the pool (or synchronously
-  // inside Submit, on the rejection path) before Submit's caller regains
-  // control, and ResolveLocked then finds kNotScheduled. The catch-up also
-  // counts the record in Gauges().finished.
+  // Publishes the scheduler index of a just-submitted record, the target
+  // of Ticket::Cancel.
   void AttachSchedIndex(const std::shared_ptr<QueryRecord>& rec,
                         uint32_t index) {
     bool cancel = false;
@@ -534,10 +511,6 @@ class ServiceImpl {
       // Cancel() that arrived while it had no scheduler index.
       rec->redispatching = false;
       cancel = rec->cancel_pending;
-      if (rec->resolved.load(std::memory_order_acquire) && !rec->released) {
-        ReleaseSlotLocked(rec.get());
-        finished_.fetch_add(1, std::memory_order_release);
-      }
     }
     if (cancel) sched_->Cancel(index);
   }
@@ -625,12 +598,11 @@ class ServiceImpl {
     // The cached plan itself (the entry is its owner, so evicting the
     // entry frees it).
     std::unique_ptr<QueryPlan> owned;
-    // Exact structural key of the query the plan was compiled from. Under
-    // the isomorphism-aware cache key, a hit whose own exact key differs
-    // is an *isomorphic* hit (renamed vertices / reordered hyperedges):
-    // counts transfer unchanged, but embedding tuples would follow this
-    // query's edge numbering, so sink-ful isomorphic repeats compile
-    // their own plan.
+    // Exact structural key of the query the plan was compiled from. A hit
+    // whose own exact key differs is an *isomorphic* hit (renamed
+    // vertices / reordered hyperedges): counts transfer unchanged, but
+    // embedding tuples would follow this query's edge numbering, so
+    // sink-ful isomorphic repeats compile their own plan.
     std::string exact_key;
     // Source of mirrored outcomes; replaced when the original ends
     // unusably and a later accepted run takes over.
@@ -640,7 +612,7 @@ class ServiceImpl {
     // be submitted, even after `canonical` moves on.
     std::shared_ptr<QueryRecord> plan_owner;
     // Latest measured task count of a completed run of this plan (0 = not
-    // yet measured); the cost-aware WFQ charge of later submissions.
+    // yet measured); the weighted-fair charge of later submissions.
     std::shared_ptr<std::atomic<uint64_t>> cost;
     // In-flight submissions of this plan (eviction guard: only idle —
     // live == 0 — entries may be evicted). Atomic because records
@@ -655,8 +627,8 @@ class ServiceImpl {
   };
 
   // The scheduler-bound SubmitOptions of one pool submission: the user's
-  // parameters, the cost-aware WFQ charge (charge this admission by the
-  // plan's last measured task count; first-seen plans keep the flat 1),
+  // parameters, the weighted-fair charge (this admission costs the plan's
+  // last measured task count; first-seen plans keep the flat 1),
   // and the service's internal completion hook in place of the user's —
   // the user hooks fire at service-level resolution, inside that hook.
   SubmitOptions SchedulerSubmit(
@@ -668,7 +640,7 @@ class ServiceImpl {
     // this service.
     effective.timeout_seconds = EffectiveTimeout(so);
     effective.limit = EffectiveLimit(so);
-    if (plan_cost != nullptr && options_.cost_aware_wfq &&
+    if (plan_cost != nullptr &&
         options_.admission == AdmissionPolicy::kWeightedFair) {
       const uint64_t measured = plan_cost->load(std::memory_order_relaxed);
       if (measured > 0) effective.cost = static_cast<double>(measured);
@@ -735,14 +707,9 @@ class ServiceImpl {
     // insert it, the key is already taken.
     bool uncacheable_hit = false;
     if (options_.plan_cache) {
-      if (options_.plan_cache_isomorphism) {
-        CanonicalKey ck = CanonicalQueryKey(query);
-        key = std::move(ck.key);
-        exact_key = std::move(ck.exact);
-      } else {
-        exact_key = ExactQueryKey(query);
-        key = 'X' + exact_key;
-      }
+      CanonicalKey ck = CanonicalQueryKey(query);
+      key = std::move(ck.key);
+      exact_key = std::move(ck.exact);
       auto it = cache_.find(key);
       if (it != cache_.end()) {
         CacheEntry& entry = it->second;
@@ -890,7 +857,7 @@ class ServiceImpl {
           rec->owned_plan = std::move(compiled_owner);
         } else {
           // Resolved synchronously inside Submit (shed by the queue
-          // bound): the slot was already released, so retire the plan
+          // bound): the record has already resolved, so retire the plan
           // right here instead of parking it on the record.
           sched_->RetirePlan(compiled_owner->uid);
           compiled_owner.reset();
@@ -984,7 +951,7 @@ class ServiceImpl {
   bool sealed_ = false;
 
   // Lock order: mutex_ before resolve_mutex_; scheduler-internal locks are
-  // only ever taken *under* resolve_mutex_ (Release/RetirePlan),
+  // only ever taken *under* resolve_mutex_ (RetirePlan),
   // never the other way around — the scheduler fires completion hooks with
   // no lock held.
   // Record resolution + mirror lists park on the shared gate (see
@@ -993,7 +960,7 @@ class ServiceImpl {
   const std::shared_ptr<ResolveGate> gate_ = std::make_shared<ResolveGate>();
   std::mutex& resolve_mutex_ = gate_->m;
   std::condition_variable& resolve_cv_ = gate_->cv;  // armed by the hook
-  std::atomic<uint64_t> finished_{0};  // pool submissions resolved
+  std::atomic<uint64_t> finished_{0};  // pool submissions whose hook ran
   // Pool-worker completion deliveries (notify + user hooks) and Cancel()
   // calls into the pool currently in flight; Shutdown waits for 0 so
   // stopping the pool or destroying the service afterwards cannot pull

@@ -79,26 +79,23 @@ struct ServiceOptions {
   /// (kCancelled) and never disturbs the canonical execution or sibling
   /// mirrors. This holds during Shutdown() too: the pool accepts the
   /// re-dispatch until every record has resolved.
+  ///
+  /// The cache is keyed by a canonical labelling of the query hypergraph
+  /// (core/canonical.h), so isomorphic repeats — renamed vertices,
+  /// reordered hyperedges — also hit it and skip planning. Counts are
+  /// isomorphism-invariant, so such repeats mirror exactly like exact
+  /// ones; sink-ful isomorphic repeats compile a private plan (the
+  /// embedding tuples must follow the submitted query's own edge
+  /// numbering). Queries above the canonicaliser's size cutoff (or
+  /// exhausting its search budget) fall back to the exact key.
+  ///
+  /// Under AdmissionPolicy::kWeightedFair the cache also prices
+  /// admissions: each one charges its tenant by the measured task count of
+  /// the previous completed run of the same plan instead of a flat 1 unit,
+  /// so tenant shares hold in *work* units when query sizes are
+  /// heterogeneous. First-seen plans, and every query of a cache-off
+  /// service, charge 1.
   bool plan_cache = true;
-
-  /// Key the plan cache by a canonical labelling of the query hypergraph
-  /// (core/canonical.h) instead of its exact structure, so isomorphic
-  /// repeats — renamed vertices, reordered hyperedges — also hit the cache
-  /// and skip planning. Counts are isomorphism-invariant, so such repeats
-  /// mirror exactly like exact ones; sink-ful isomorphic repeats compile a
-  /// private plan (the embedding tuples must follow the submitted query's
-  /// own edge numbering). Queries above the canonicaliser's size cutoff
-  /// (or exhausting its search budget) fall back to the exact key. No
-  /// effect without plan_cache.
-  bool plan_cache_isomorphism = true;
-
-  /// Cost-aware weighted-fair charging: under AdmissionPolicy::kWeightedFair
-  /// each admission charges its tenant by the measured task count of the
-  /// previous completed run of the same plan (tracked through the plan
-  /// cache) instead of a flat 1 unit, so tenant shares hold in *work* units
-  /// when query sizes are heterogeneous. First-seen plans charge 1. No
-  /// effect without plan_cache or under other admission policies.
-  bool cost_aware_wfq = true;
 
   /// Service-wide completion hook: invoked exactly once per submission —
   /// with its Ticket::id() and final outcome — at the moment the outcome
@@ -122,14 +119,12 @@ struct ServiceOptions {
 };
 
 /// Live observability gauges of a running service, cheap enough to sample
-/// on every stats request (a few atomic loads plus the scheduler's
-/// amortised slot sweeps). The wire front end folds these into its
-/// kStatsReply snapshot.
+/// on every stats request (a few atomic loads and one scheduler lock). The
+/// wire front end folds these into its kStatsReply snapshot.
 struct ServiceGauges {
-  uint64_t finished = 0;        // outcomes finalised since construction
-  uint64_t live_contexts = 0;   // queries whose execution state is live
-  uint64_t retained_slots = 0;  // finished outcome slots not yet released
-  uint64_t rejected = 0;        // shed by the max_queued_queries bound
+  uint64_t finished = 0;       // outcomes finalised since construction
+  uint64_t live_contexts = 0;  // queries whose execution state is live
+  uint64_t rejected = 0;       // shed by the max_queued_queries bound
 };
 
 /// Aggregate accounting of one service lifetime, returned by Shutdown().
@@ -242,17 +237,17 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& options);
 /// service owns it.
 ///
 /// Outcome delivery is completion-driven: the service hangs a completion
-/// hook on every pool submission, and the moment the scheduler finalises a
-/// query the hook copies the outcome into the ticket record, releases the
-/// scheduler slot, resolves any mirrors attached to the record, wakes every
-/// Ticket::Wait, and fires the user-visible completion hooks (per-submit
-/// SubmitOptions::completion, then ServiceOptions::on_query_complete) —
-/// exactly once per submission, on the thread that finalised the outcome.
+/// hook on every pool submission (the scheduler's only outcome channel),
+/// and the moment the scheduler finalises a query the hook copies the
+/// outcome into the ticket record, resolves any mirrors attached to the
+/// record, wakes every Ticket::Wait, and fires the user-visible completion
+/// hooks (per-submit SubmitOptions::completion, then
+/// ServiceOptions::on_query_complete) — exactly once per submission, on
+/// the thread that finalised the outcome.
 ///
-/// Retention is bounded for a long-lived service: a query's heavy
-/// execution state is recycled the moment it finishes, its scheduler slot
-/// is recycled at that same instant (the completion hook resolves the
-/// record eagerly — outcomes need not be retrieved for memory to stay
+/// Retention is bounded for a long-lived service: the scheduler keeps
+/// nothing of a query once it finishes, the completion hook resolves the
+/// record eagerly (outcomes need not be retrieved for memory to stay
 /// bounded), and resolved ticket records are swept opportunistically, so
 /// memory tracks in-flight work plus the plan cache (one plan + canonical
 /// outcome per distinct query structure), not the total ever submitted.
@@ -314,9 +309,8 @@ class MatchService {
   /// Resolved pool size.
   uint32_t num_threads() const;
 
-  /// Live observability snapshot (see ServiceGauges). Thread-safe;
-  /// non-const because sampling the scheduler's slot gauges performs its
-  /// amortised sweeps. After Shutdown() the pool gauges read 0.
+  /// Live observability snapshot (see ServiceGauges). Thread-safe. After
+  /// Shutdown() the pool gauges read 0.
   ServiceGauges Gauges();
 
  private:

@@ -98,10 +98,11 @@ struct SubmitOptions {
   /// Completion hook: invoked exactly once when this query's outcome
   /// finalises, whatever the terminal status (ok, timeout, limit,
   /// cancelled, rejected — and, through the service layer, plan-error and
-  /// mirrored resolutions). Fired strictly *after* the outcome is
-  /// retrievable (TryGet-style reads from inside the hook observe it) and
-  /// never while an engine lock is held, so the hook may call back into
-  /// the engine's read-side API. It runs on whichever thread finalised the
+  /// mirrored resolutions). The scheduler reports outcomes through this
+  /// hook only; the service additionally stores it in the ticket, where
+  /// Ticket::TryGet from inside the hook observes it. Never fired while an
+  /// engine lock is held, so the hook may call back into the engine's
+  /// read-side API. It runs on whichever thread finalised the
   /// outcome: a pool worker for queries that execute, or the caller of
   /// Submit()/Cancel() for synchronously resolved ones (rejections,
   /// cancelled-while-queued, plan errors) — in the latter case before that

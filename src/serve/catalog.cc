@@ -336,7 +336,6 @@ ServiceGauges GraphCatalog::Gauges() {
   g.finished = finished_->load(std::memory_order_acquire);
   if (pool_ != nullptr) {
     g.live_contexts = pool_->LiveContexts();
-    g.retained_slots = pool_->RetainedSlots();
     g.rejected = pool_->RejectedCount();
   }
   return g;

@@ -123,8 +123,7 @@ class GraphCatalog {
   uint32_t num_threads() const;
 
   /// Aggregated service gauges: finished across all graphs, live
-  /// contexts / retained slots from the shared pool, rejected summed
-  /// over hosted graphs.
+  /// contexts and rejections from the shared pool.
   ServiceGauges Gauges();
 
   /// Unloads everything (waiting for in-flight tickets) and stops the

@@ -132,7 +132,6 @@ TEST(ProtocolTest, StatsFrameRoundTripsIoThreadRows) {
   stats.inflight = 5;
   stats.service_finished = 95;
   stats.service_live_contexts = 3;
-  stats.service_retained_slots = 2;
   for (uint64_t i = 0; i < 2; ++i) {
     WireIoThreadStats row;
     row.connections = i + 1;
@@ -149,7 +148,6 @@ TEST(ProtocolTest, StatsFrameRoundTripsIoThreadRows) {
   EXPECT_EQ(decoded.value().rate_limited, 6u);
   EXPECT_EQ(decoded.value().service_finished, 95u);
   EXPECT_EQ(decoded.value().service_live_contexts, 3u);
-  EXPECT_EQ(decoded.value().service_retained_slots, 2u);
   ASSERT_EQ(decoded.value().io_threads.size(), 2u);
   EXPECT_EQ(decoded.value().io_threads[1].frames_in, 20u);
   EXPECT_EQ(decoded.value().io_threads[1].bytes_out, 2002u);
@@ -446,8 +444,8 @@ TEST(ProtocolTest, FrameReaderRejectsMalformedHeaders) {
     EXPECT_FALSE(reader.Next(&frame).ok());
   }
   {
-    FrameReader reader;  // the previous protocol revision's "HGN1" magic
-    std::string header = "HGN1";
+    FrameReader reader;  // the previous protocol revision's "HGN2" magic
+    std::string header = "HGN2";
     header.push_back(static_cast<char>(FrameType::kPing));
     header.append(4, '\0');
     reader.Feed(header.data(), header.size());
@@ -1246,11 +1244,11 @@ TEST(NetTest, FramesBeforeHelloGetOneErrorAndClose) {
     ExpectErrorFrameThenEof(conn);
   }
 
-  // A HELLO under the previous revision's "HGN1" magic is no HELLO at all.
+  // A HELLO under the previous revision's "HGN2" magic is no HELLO at all.
   RawConn old_peer;
   ASSERT_TRUE(old_peer.Connect(server.port()));
   std::string old_hello = HelloFrame();
-  old_hello.replace(0, 4, "HGN1");
+  old_hello.replace(0, 4, "HGN2");
   ASSERT_TRUE(old_peer.Send(old_hello));
   old_peer.HalfClose();
   ExpectErrorFrameThenEof(old_peer);

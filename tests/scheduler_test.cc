@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -69,6 +70,45 @@ std::vector<Hypergraph> DistinctQueries() {
   }
   return queries;
 }
+
+// Records the outcome of every query submitted through it, from the
+// completion hook: the scheduler's only outcome channel. Every submission
+// to the scheduler must go through Submit(), because indices are handed out
+// 0, 1, 2, ... in submission order and a hook can fire before Submit()
+// returns (a rejection fires it inside the call). Declare the log before
+// the scheduler: the scheduler's destructor can still fire hooks.
+class OutcomeLog {
+ public:
+  // Submits with `so`; its own hook, if any, runs after the outcome is
+  // recorded.
+  uint32_t Submit(Scheduler& scheduler, const QueryPlan* plan,
+                  const IndexedHypergraph& data, SubmitOptions so = {}) {
+    const uint32_t expected = next_++;
+    so.completion = [this, expected, hook = std::move(so.completion)](
+                        const QueryOutcome& out) {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        outcomes_.emplace(expected, out);
+      }
+      if (hook) hook(out);
+    };
+    const uint32_t index = scheduler.Submit(plan, data, so);
+    EXPECT_EQ(index, expected);
+    return index;
+  }
+
+  // The recorded outcome; null until the query's hook has run.
+  const QueryOutcome* Get(uint32_t query) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = outcomes_.find(query);
+    return it == outcomes_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  uint32_t next_ = 0;
+  std::mutex mutex_;
+  std::map<uint32_t, QueryOutcome> outcomes_;  // node-stable
+};
 
 std::vector<uint64_t> SequentialCounts(const IndexedHypergraph& idx,
                                        const std::vector<Hypergraph>& queries) {
@@ -146,15 +186,16 @@ TEST(SchedulerTest, IdlePoolWakesForSubmissionAndDestruction) {
   ASSERT_TRUE(plan.ok());
   SchedulerOptions options;
   options.parallel.num_threads = 3;
+  OutcomeLog log;
   auto scheduler = std::make_unique<Scheduler>(options);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   Timer run;
-  const uint32_t query = scheduler->Submit(&plan.value(), idx, {});
+  const uint32_t query = log.Submit(*scheduler, &plan.value(), idx);
   scheduler->WaitIdle();
   EXPECT_LT(run.ElapsedSeconds(), 0.25);
-  ASSERT_NE(scheduler->TryGetQuery(query), nullptr);
-  EXPECT_EQ(scheduler->TryGetQuery(query)->stats.embeddings, 2u);
+  ASSERT_NE(log.Get(query), nullptr);
+  EXPECT_EQ(log.Get(query)->stats.embeddings, 2u);
   EXPECT_EQ(scheduler->WorkerReports().size(), 3u);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -309,25 +350,26 @@ TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
   SchedulerOptions options;
   options.parallel.num_threads = 4;
   options.task_quota = kQuota;
+  OutcomeLog log;
   Scheduler scheduler(options);
   SubmitOptions expensive_options;
   expensive_options.timeout_seconds = 0.3;
-  const uint32_t monster =
-      scheduler.Submit(&expensive_plan.value(), idx, expensive_options);
+  const uint32_t monster = log.Submit(scheduler, &expensive_plan.value(), idx,
+                                      expensive_options);
   // One cheap query at a time, so the stream's own tasks stay negligible
   // next to the monster's and the peak measures the quota bound.
   std::vector<uint32_t> cheap_ids;
-  while (scheduler.TryGetQuery(monster) == nullptr) {
-    cheap_ids.push_back(scheduler.Submit(&cheap_plan.value(), idx, {}));
-    while (scheduler.TryGetQuery(cheap_ids.back()) == nullptr) {
+  while (log.Get(monster) == nullptr) {
+    cheap_ids.push_back(log.Submit(scheduler, &cheap_plan.value(), idx));
+    while (log.Get(cheap_ids.back()) == nullptr) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
   scheduler.WaitIdle();
 
-  EXPECT_TRUE(scheduler.TryGetQuery(monster)->stats.timed_out);
+  EXPECT_TRUE(log.Get(monster)->stats.timed_out);
   for (uint32_t id : cheap_ids) {
-    const QueryOutcome* out = scheduler.TryGetQuery(id);
+    const QueryOutcome* out = log.Get(id);
     EXPECT_EQ(out->status, QueryStatus::kOk) << "query " << id;
     EXPECT_EQ(out->stats.embeddings, cheap_expected);
   }
@@ -454,14 +496,15 @@ TEST(SchedulerTest, BatchTimeoutStopsQueriesSubmittedAfterItFired) {
   SchedulerOptions options;
   options.parallel.num_threads = 4;
   options.batch_timeout_seconds = 0.05;
+  OutcomeLog log;
   Scheduler scheduler(options);
-  const uint32_t first = scheduler.Submit(&plan.value(), idx, {});
+  const uint32_t first = log.Submit(scheduler, &plan.value(), idx);
   scheduler.WaitIdle();  // stopped by the sweep its own workers ran
-  ASSERT_EQ(scheduler.TryGetQuery(first)->status, QueryStatus::kTimeout);
+  ASSERT_EQ(log.Get(first)->status, QueryStatus::kTimeout);
 
-  const uint32_t late = scheduler.Submit(&plan.value(), idx, {});
+  const uint32_t late = log.Submit(scheduler, &plan.value(), idx);
   scheduler.WaitIdle();
-  const QueryOutcome* out = scheduler.TryGetQuery(late);
+  const QueryOutcome* out = log.Get(late);
   EXPECT_EQ(out->status, QueryStatus::kTimeout);
   EXPECT_TRUE(out->stats.timed_out);
   EXPECT_EQ(out->stats.embeddings, 0u);
@@ -478,11 +521,11 @@ TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
   SchedulerOptions options;
   options.parallel.num_threads = 3;
   options.parallel.scan_grain = 1;
+  OutcomeLog log;
   Scheduler scheduler(options);
-  EXPECT_EQ(scheduler.Submit(&plan.value(), idx, {}), 0u);
+  EXPECT_EQ(log.Submit(scheduler, &plan.value(), idx), 0u);
   scheduler.WaitIdle();
-  ASSERT_EQ(scheduler.RetainedSlots(), 1u);
-  const QueryOutcome* out = scheduler.TryGetQuery(0);
+  const QueryOutcome* out = log.Get(0);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->stats.embeddings, 2u);
   EXPECT_EQ(scheduler.WorkerReports().size(), 3u);
@@ -529,9 +572,9 @@ class GateSink : public EmbeddingSink {
 
 TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   // Bounded retention: thousands of queries stream through a tiny window;
-  // the heavy context table must track in-flight work and Release() must
-  // recycle the slim slots, so neither structure grows with the total ever
-  // submitted (the months-long-service guarantee).
+  // the context table must track in-flight work and keep nothing of a
+  // finished query, so it never grows with the total ever submitted (the
+  // months-long-service guarantee).
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(6));
   const Hypergraph query = PathQuery(1);
   Result<QueryPlan> plan = BuildQueryPlan(query, idx);
@@ -540,56 +583,42 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   SchedulerOptions options;
   options.parallel.num_threads = 2;
   options.max_inflight_queries = 2;
+  OutcomeLog log;
   Scheduler scheduler(options);
 
   constexpr int kWaves = 40;
   constexpr int kPerWave = 50;  // 2000 submissions in total
   size_t max_live = 0;
-  size_t max_slots = 0;
   for (int wave = 0; wave < kWaves; ++wave) {
     std::vector<uint32_t> ids;
     for (int i = 0; i < kPerWave; ++i) {
-      ids.push_back(scheduler.Submit(&plan.value(), idx, {}));
+      ids.push_back(log.Submit(scheduler, &plan.value(), idx));
     }
     max_live = std::max(max_live, scheduler.LiveContexts());
-    max_slots = std::max(max_slots, scheduler.RetainedSlots());
     scheduler.WaitIdle();
+    // A context is freed before its query's hook runs, and WaitIdle
+    // returns only after every hook: nothing of the wave is left.
+    EXPECT_EQ(scheduler.LiveContexts(), 0u) << "wave " << wave;
     for (uint32_t id : ids) {
-      const QueryOutcome* out = scheduler.TryGetQuery(id);
+      const QueryOutcome* out = log.Get(id);
       ASSERT_NE(out, nullptr);
       EXPECT_EQ(out->status, QueryStatus::kOk);
-      EXPECT_TRUE(scheduler.Release(id));
-      EXPECT_FALSE(scheduler.Release(id));  // released slots are gone
     }
   }
-  // Bounded by one wave (what was genuinely outstanding) plus a few slots
-  // whose finishing worker had not yet run its recycle step when sampled —
-  // never by the 2000 submissions that passed through.
-  EXPECT_LE(max_live, static_cast<size_t>(kPerWave) + 4);
-  EXPECT_LE(max_slots, static_cast<size_t>(kPerWave) + 4);
-
-  // Once the last finishing worker ran its recycle step, nothing at all is
-  // retained: no heavy context and, with every slot released, no outcome
-  // record of the 2000 submissions either.
-  for (Timer settle; settle.ElapsedSeconds() < 5;) {
-    if (scheduler.LiveContexts() == 0 && scheduler.RetainedSlots() == 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(scheduler.LiveContexts(), 0u);
-  EXPECT_EQ(scheduler.RetainedSlots(), 0u);
+  // Bounded by one wave (what was genuinely outstanding), never by the
+  // 2000 submissions that passed through.
+  EXPECT_LE(max_live, static_cast<size_t>(kPerWave));
 }
 
 // ----------------------------------------------- completion-hook contract --
 //
 // The contract of SubmitOptions::completion: exactly once per query, for
-// every terminal status, after the outcome is retrievable, never under a
-// scheduler lock. The lock clause is asserted by re-entering the scheduler
-// from inside the hook (TryGetQuery/LiveContexts take the admission lock):
-// a hook invoked with that non-recursive mutex held deadlocks on the spot
-// and fails the suite through its CTest TIMEOUT — the try-lock assertion,
-// in structural form.
+// every terminal status, never under a scheduler lock, and before WaitIdle
+// returns. The lock clause is asserted by re-entering the scheduler from
+// inside the hook (LiveContexts takes the admission lock): a hook invoked
+// with that non-recursive mutex held deadlocks on the spot and fails the
+// suite through its CTest TIMEOUT — the try-lock assertion, in structural
+// form.
 
 // Hook bookkeeping shared by the contract tests.
 struct HookProbe {
@@ -598,12 +627,32 @@ struct HookProbe {
   std::atomic<uint64_t> embeddings{0};
 };
 
-// Waits (bounded) until `fires` reaches `n`: a hook fired from the pool
-// runs after WaitIdle() can already have returned.
-void AwaitFires(const std::atomic<int>& fires, int n) {
-  for (Timer wait; fires.load() < n && wait.ElapsedSeconds() < 10;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+TEST(SchedulerCallbackTest, WaitIdleReturnsAfterEveryHook) {
+  // A query counts as finished for WaitIdle only once its hook returned,
+  // so whatever a hook wrote (the executor copies the outcome there) is
+  // visible right after WaitIdle, with no further wait. The hook sleeps,
+  // so a count taken before it ran would let WaitIdle return early.
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  Result<QueryPlan> plan = BuildQueryPlan(PaperQueryHypergraph(), idx);
+  ASSERT_TRUE(plan.ok());
+
+  std::atomic<bool> hook_done{false};
+  SchedulerOptions options;
+  options.parallel.num_threads = 2;
+  Scheduler scheduler(options);
+  SubmitOptions so;
+  so.completion = [&hook_done](const QueryOutcome&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    hook_done.store(true);
+  };
+  scheduler.Submit(&plan.value(), idx, so);
+  scheduler.WaitIdle();
+  EXPECT_TRUE(hook_done.load());
+
+  // A query without a hook counts too, and leaves nothing behind.
+  scheduler.Submit(&plan.value(), idx, {});
+  scheduler.WaitIdle();
+  EXPECT_EQ(scheduler.LiveContexts(), 0u);
 }
 
 TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
@@ -635,6 +684,7 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
     options.parallel.scan_grain = 4;
     options.task_quota = 64;
     HookProbe probe;
+    OutcomeLog log;
     {
       Scheduler scheduler(options);
       SubmitOptions so;
@@ -643,10 +693,10 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
       so.completion = [&](const QueryOutcome& out) {
         probe.status.store(out.status);
         probe.embeddings.store(out.stats.embeddings);
-        // Retrievable from inside the hook, and no scheduler lock held
-        // (these calls take the admission lock; holding it here
-        // deadlocks).
-        const QueryOutcome* got = scheduler.TryGetQuery(0);
+        // Recorded by the log's hook before this one ran, and no
+        // scheduler lock held (LiveContexts takes the admission lock;
+        // holding it here deadlocks).
+        const QueryOutcome* got = log.Get(0);
         EXPECT_NE(got, nullptr);
         if (got != nullptr) {
           EXPECT_EQ(got->status, out.status);
@@ -654,8 +704,9 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
         (void)scheduler.LiveContexts();
         probe.fires.fetch_add(1);  // last: the hook is done with the pool
       };
-      ASSERT_EQ(scheduler.Submit(&plan.value(), idx, so), 0u);
-      AwaitFires(probe.fires, 1);
+      ASSERT_EQ(log.Submit(scheduler, &plan.value(), idx, so), 0u);
+      scheduler.WaitIdle();
+      EXPECT_EQ(probe.fires.load(), 1);
     }  // the destructor joins the workers: no second fire can follow
     EXPECT_EQ(probe.fires.load(), 1)
         << "path=" << c.path_len << " expected "
@@ -678,12 +729,14 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
+  OutcomeLog log;
   Scheduler scheduler(options);
 
   GateSink gate;
   SubmitOptions plug_options;
   plug_options.sink = &gate;
-  const uint32_t plug = scheduler.Submit(&plan.value(), idx, plug_options);
+  const uint32_t plug =
+      log.Submit(scheduler, &plan.value(), idx, plug_options);
   gate.AwaitEntered();  // the plug owns the only admission slot
 
   // Cancelled while queued: the hook fires from inside Cancel(), on this
@@ -696,16 +749,16 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
     (void)scheduler.LiveContexts();  // deadlocks if a lock were held
   };
   const uint32_t queued =
-      scheduler.Submit(&plan.value(), idx, queued_options);
+      log.Submit(scheduler, &plan.value(), idx, queued_options);
   EXPECT_EQ(cancelled.fires.load(), 0);  // still waiting: nothing final yet
   EXPECT_TRUE(scheduler.Cancel(queued));
   EXPECT_EQ(cancelled.fires.load(), 1);
   EXPECT_EQ(cancelled.status.load(), QueryStatus::kCancelled);
-  ASSERT_NE(scheduler.TryGetQuery(queued), nullptr);
+  ASSERT_NE(log.Get(queued), nullptr);
 
   // Shed by the queue bound: the hook fires from inside Submit(), before
   // the caller even learns the index.
-  const uint32_t waiting = scheduler.Submit(&plan.value(), idx, {});
+  const uint32_t waiting = log.Submit(scheduler, &plan.value(), idx);
   HookProbe rejected;
   SubmitOptions shed_options;
   shed_options.completion = [&](const QueryOutcome& out) {
@@ -713,15 +766,16 @@ TEST(SchedulerCallbackTest, CancelledAndRejectedFireOnceSynchronously) {
     rejected.status.store(out.status);
     (void)scheduler.LiveContexts();
   };
-  const uint32_t shed = scheduler.Submit(&plan.value(), idx, shed_options);
+  const uint32_t shed =
+      log.Submit(scheduler, &plan.value(), idx, shed_options);
   EXPECT_EQ(rejected.fires.load(), 1);
   EXPECT_EQ(rejected.status.load(), QueryStatus::kRejected);
-  ASSERT_NE(scheduler.TryGetQuery(shed), nullptr);
+  ASSERT_NE(log.Get(shed), nullptr);
 
   gate.Release();
   scheduler.WaitIdle();
-  EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kOk);
+  EXPECT_EQ(log.Get(plug)->status, QueryStatus::kOk);
+  EXPECT_EQ(log.Get(waiting)->status, QueryStatus::kOk);
   // Nothing fired twice, and the plug/waiting queries (no hook) changed
   // nothing.
   EXPECT_EQ(cancelled.fires.load(), 1);
@@ -742,6 +796,7 @@ TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
   options.parallel.num_threads = 4;
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
+  OutcomeLog log;
   auto scheduler = std::make_unique<Scheduler>(options);
 
   constexpr int kQueries = 48;
@@ -752,12 +807,12 @@ TEST(SchedulerCallbackTest, ExactlyOnceUnderChurnWithCancels) {
     so.completion = [&fires, i](const QueryOutcome&) {
       fires[i].fetch_add(1);
     };
-    ids.push_back(scheduler->Submit(&plan.value(), idx, so));
+    ids.push_back(log.Submit(*scheduler, &plan.value(), idx, so));
     if (i % 3 == 0) scheduler->Cancel(ids.back());
   }
   scheduler->WaitIdle();
   for (int i = 0; i < kQueries; ++i) {
-    const QueryOutcome* out = scheduler->TryGetQuery(ids[i]);
+    const QueryOutcome* out = log.Get(ids[i]);
     ASSERT_NE(out, nullptr) << "query " << i;
     EXPECT_TRUE(out->status == QueryStatus::kOk ||
                 out->status == QueryStatus::kCancelled)
@@ -782,20 +837,22 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   options.parallel.scan_grain = 1;
   options.max_inflight_queries = 1;
   options.max_queued_queries = 1;
+  OutcomeLog log;
   Scheduler scheduler(options);
 
   GateSink gate;
   SubmitOptions plug_options;
   plug_options.sink = &gate;
-  const uint32_t plug = scheduler.Submit(&plan.value(), idx, plug_options);
+  const uint32_t plug =
+      log.Submit(scheduler, &plan.value(), idx, plug_options);
   gate.AwaitEntered();  // the plug now owns the only admission slot
 
-  const uint32_t waiting = scheduler.Submit(&plan.value(), idx, {});
-  EXPECT_EQ(scheduler.TryGetQuery(waiting), nullptr);  // queued, not shed
+  const uint32_t waiting = log.Submit(scheduler, &plan.value(), idx);
+  EXPECT_EQ(log.Get(waiting), nullptr);  // queued, not shed
 
   // Queue at its bound: the next submission is rejected synchronously.
-  const uint32_t shed = scheduler.Submit(&plan.value(), idx, {});
-  const QueryOutcome* shed_out = scheduler.TryGetQuery(shed);
+  const uint32_t shed = log.Submit(scheduler, &plan.value(), idx);
+  const QueryOutcome* shed_out = log.Get(shed);
   ASSERT_NE(shed_out, nullptr);
   EXPECT_EQ(shed_out->status, QueryStatus::kRejected);
   EXPECT_EQ(shed_out->stats.embeddings, 0u);
@@ -806,18 +863,18 @@ TEST(SchedulerTest, QueueDepthBoundShedsOnlyTheOverflow) {
   // queue; the bound must count the *effective* backlog (now zero), so the
   // next submission queues instead of being shed.
   EXPECT_TRUE(scheduler.Cancel(waiting));
-  const uint32_t after_cancel = scheduler.Submit(&plan.value(), idx, {});
-  EXPECT_EQ(scheduler.TryGetQuery(after_cancel), nullptr);  // queued
+  const uint32_t after_cancel = log.Submit(scheduler, &plan.value(), idx);
+  EXPECT_EQ(log.Get(after_cancel), nullptr);  // queued
   EXPECT_EQ(scheduler.RejectedCount(), 1u);
 
   gate.Release();
   scheduler.WaitIdle();
   // The admitted query and the one admitted after the cancel both finish
   // with exact counts: shedding affects the overflow only.
-  EXPECT_EQ(scheduler.TryGetQuery(plug)->status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.TryGetQuery(waiting)->status, QueryStatus::kCancelled);
-  EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->status, QueryStatus::kOk);
-  EXPECT_EQ(scheduler.TryGetQuery(after_cancel)->stats.embeddings, expected);
+  EXPECT_EQ(log.Get(plug)->status, QueryStatus::kOk);
+  EXPECT_EQ(log.Get(waiting)->status, QueryStatus::kCancelled);
+  EXPECT_EQ(log.Get(after_cancel)->status, QueryStatus::kOk);
+  EXPECT_EQ(log.Get(after_cancel)->stats.embeddings, expected);
 }
 
 // The one stop path: destroying a pool that still holds a running query
@@ -835,6 +892,7 @@ TEST(SchedulerCallbackTest, DestructionCancelsRunningAndQueuedQueries) {
   SchedulerOptions options;
   options.parallel.num_threads = 2;
   options.max_inflight_queries = 1;
+  OutcomeLog log;
   auto scheduler = std::make_unique<Scheduler>(options);
 
   HookProbe running;
@@ -847,15 +905,15 @@ TEST(SchedulerCallbackTest, DestructionCancelsRunningAndQueuedQueries) {
   };
   SubmitOptions running_options;
   running_options.completion = hook(&running);
-  const uint32_t first =
-      scheduler->Submit(&expensive_plan.value(), idx, running_options);
+  const uint32_t first = log.Submit(*scheduler, &expensive_plan.value(), idx,
+                                    running_options);
   SubmitOptions queued_options;
   queued_options.completion = hook(&queued);
   const uint32_t second =
-      scheduler->Submit(&cheap_plan.value(), idx, queued_options);
+      log.Submit(*scheduler, &cheap_plan.value(), idx, queued_options);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  ASSERT_EQ(scheduler->TryGetQuery(first), nullptr);   // still running
-  ASSERT_EQ(scheduler->TryGetQuery(second), nullptr);  // still queued
+  ASSERT_EQ(log.Get(first), nullptr);   // still running
+  ASSERT_EQ(log.Get(second), nullptr);  // still queued
 
   Timer stop;
   scheduler.reset();

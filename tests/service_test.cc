@@ -793,33 +793,6 @@ TEST(ServiceTest, IsomorphicRepeatHitsPlanCacheAndMirrors) {
   EXPECT_EQ(report.unique_plans, 2u);  // paper shape + the near-miss
 }
 
-TEST(ServiceTest, IsomorphismDisabledFallsBackToExactMatching) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
-  ServiceOptions options = BaseOptions(2);
-  options.plan_cache_isomorphism = false;
-  MatchService service(idx, options);
-
-  Ticket first = service.Submit(PaperQueryHypergraph());
-  EXPECT_EQ(first.Wait().stats.embeddings, 2u);
-  // An exact repeat still mirrors …
-  Ticket repeat = service.Submit(PaperQueryHypergraph());
-  EXPECT_TRUE(repeat.Wait().mirrored);
-  // … but a renamed copy does not: exact keys see the rename.
-  Hypergraph renamed;
-  const Label A = 0, B = 1, C = 2;
-  for (Label l : {A, C, A, A, B}) renamed.AddVertex(l);
-  (void)renamed.AddEdge({2, 4});
-  (void)renamed.AddEdge({3, 1, 2});
-  (void)renamed.AddEdge({1, 3, 0, 4});
-  Ticket other = service.Submit(std::move(renamed));
-  EXPECT_FALSE(other.Wait().mirrored);
-
-  const ServiceReport report = service.Shutdown();
-  EXPECT_EQ(report.plan_cache_hits, 1u);
-  EXPECT_EQ(report.plan_cache_isomorphic_hits, 0u);
-  EXPECT_EQ(report.unique_plans, 2u);
-}
-
 TEST(ServiceTest, CostAwareWfqHoldsSharesUnderHeterogeneousQuerySizes) {
   // The 3:1 guarantee, in *work* units: tenant A (weight 3) floods heavy
   // queries while tenant B (weight 1) floods cheap ones. With cost-aware
@@ -832,7 +805,7 @@ TEST(ServiceTest, CostAwareWfqHoldsSharesUnderHeterogeneousQuerySizes) {
   ServiceOptions options = BaseOptions(2);
   options.admission = AdmissionPolicy::kWeightedFair;
   options.max_inflight_queries = 1;
-  // plan_cache + cost_aware_wfq stay at their defaults (both on).
+  // plan_cache stays at its default (on), which prices admissions.
   MatchService service(idx, options);
 
   // Teach the plan cache each plan's measured task count.

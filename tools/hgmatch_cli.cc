@@ -695,11 +695,9 @@ void PrintWireStats(const WireStats& s) {
               static_cast<unsigned long long>(s.cancelled_by_disconnect));
   std::printf("  inflight                 %llu\n",
               static_cast<unsigned long long>(s.inflight));
-  std::printf("  service: finished %llu, live contexts %llu, "
-              "retained slots %llu\n",
+  std::printf("  service: finished %llu, live contexts %llu\n",
               static_cast<unsigned long long>(s.service_finished),
-              static_cast<unsigned long long>(s.service_live_contexts),
-              static_cast<unsigned long long>(s.service_retained_slots));
+              static_cast<unsigned long long>(s.service_live_contexts));
   for (size_t i = 0; i < s.io_threads.size(); ++i) {
     const WireIoThreadStats& t = s.io_threads[i];
     std::printf("  io[%zu]: conns %llu, frames in/out %llu/%llu, "
@@ -778,8 +776,6 @@ void PrintWireStatsJson(const WireStats& s) {
               static_cast<unsigned long long>(s.service_finished));
   std::printf(",\"service_live_contexts\":%llu",
               static_cast<unsigned long long>(s.service_live_contexts));
-  std::printf(",\"service_retained_slots\":%llu",
-              static_cast<unsigned long long>(s.service_retained_slots));
   std::printf(",\"uptime_seconds\":%.6f", s.uptime_seconds);
   std::printf(",\"monotonic_seconds\":%.6f", s.monotonic_seconds);
   std::printf(",\"io_threads\":[");
