@@ -1,6 +1,7 @@
 // Microbenchmarks of HGMatch's core per-embedding operations: index build,
 // plan compilation, candidate generation (Algorithm 4), validation
-// (Algorithm 5) and one full expansion, on a mid-size profile dataset.
+// (Algorithm 5) and one full expansion, on a mid-size profile dataset; and
+// the parallel engine's cost per task against the sequential engine's.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,7 @@
 #include "core/hgmatch.h"
 #include "gen/dataset_profiles.h"
 #include "gen/query_gen.h"
+#include "parallel/executor.h"
 
 namespace hgmatch {
 namespace {
@@ -143,6 +145,65 @@ void BM_FullQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullQuery);
+
+// One AR query with many cheap tasks, like hgbench's enum-par: of 64
+// sampled q3 queries on AR at 1/64, whose posting lists hold about one
+// hyperedge each, the one with the most expansions.
+struct TaskFixture {
+  TaskFixture()
+      : data(IndexedHypergraph::Build(
+            FindDatasetProfile("AR")->Generate(1.0 / 64))) {
+    for (Hypergraph& q : SampleQueries(data.graph(), kQ3, 64, 11)) {
+      const MatchStats s = MatchSequential(data, q).value();
+      if (s.expansions > expansions) {
+        expansions = s.expansions;
+        query = std::move(q);
+      }
+    }
+  }
+
+  IndexedHypergraph data;
+  Hypergraph query;
+  uint64_t expansions = 0;
+};
+
+TaskFixture& GetTaskFixture() {
+  static TaskFixture* f = new TaskFixture();
+  return *f;
+}
+
+// Per-task cost: the query through MatchSequential (threads = 0) or through
+// MatchParallel on the calling thread's cached pool. ns_per_task divides
+// the time per query by its expansions, the EXPAND tasks of the parallel
+// run plus one, so the rows read against each other: the 1-thread row less
+// the sequential row is the scheduler's own cost per task.
+void BM_PerTask(benchmark::State& state) {
+  TaskFixture& f = GetTaskFixture();
+  const uint32_t threads = static_cast<uint32_t>(state.range(0));
+  ParallelOptions options;
+  options.num_threads = threads;
+  uint64_t embeddings = 0;
+  for (auto _ : state) {
+    if (threads == 0) {
+      embeddings = MatchSequential(f.data, f.query).value().embeddings;
+    } else {
+      embeddings =
+          MatchParallel(f.data, f.query, options).value().stats.embeddings;
+    }
+    benchmark::DoNotOptimize(embeddings);
+  }
+  state.counters["tasks"] = static_cast<double>(f.expansions);
+  state.counters["ns_per_task"] = benchmark::Counter(
+      static_cast<double>(f.expansions) * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PerTask)
+    ->ArgName("threads")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(3)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace hgmatch

@@ -19,16 +19,22 @@ IndexedHypergraph IndexedHypergraph::Build(Hypergraph graph) {
   // Assign every hyperedge to its signature's table, counting each table's
   // hyperedges and incidences.
   out.edge_partition_.resize(h.NumEdges());
+  out.signature_slots_.assign(1, {0, kInvalidPartition});
   std::vector<uint32_t> num_edges, num_postings;
   for (EdgeId e = 0; e < h.NumEdges(); ++e) {
     Signature s = SignatureKeyOf(h, e);
-    auto [it, inserted] = out.by_signature_.try_emplace(
-        s, static_cast<PartitionId>(out.partitions_.size()));
-    const PartitionId p = it->second;
-    if (inserted) {
+    const uint64_t hash = HashSignature(s);
+    SignatureSlot& slot = out.signature_slots_[out.SlotOf(s, hash)];
+    PartitionId p = slot.id;
+    if (p == kInvalidPartition) {
+      p = static_cast<PartitionId>(out.partitions_.size());
+      slot = {static_cast<uint32_t>(hash >> 32), p};
       out.partitions_.push_back(Partition(p, std::move(s)));
       num_edges.push_back(0);
       num_postings.push_back(0);
+      if (2 * out.partitions_.size() > out.signature_slots_.size()) {
+        out.GrowSignatureSlots();
+      }
     }
     out.edge_partition_[e] = p;
     ++num_edges[p];
@@ -95,10 +101,30 @@ IndexedHypergraph IndexedHypergraph::Build(Hypergraph graph) {
   return out;
 }
 
+size_t IndexedHypergraph::SlotOf(const Signature& s, uint64_t hash) const {
+  const size_t mask = signature_slots_.size() - 1;
+  const uint32_t high = static_cast<uint32_t>(hash >> 32);
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const SignatureSlot& slot = signature_slots_[i];
+    if (slot.id == kInvalidPartition ||
+        (slot.hash_high == high && partitions_[slot.id].signature() == s)) {
+      return i;
+    }
+  }
+}
+
+void IndexedHypergraph::GrowSignatureSlots() {
+  signature_slots_.assign(2 * signature_slots_.size(), {0, kInvalidPartition});
+  for (const Partition& t : partitions_) {
+    const uint64_t hash = HashSignature(t.signature());
+    signature_slots_[SlotOf(t.signature(), hash)] = {
+        static_cast<uint32_t>(hash >> 32), t.id()};
+  }
+}
+
 const Partition* IndexedHypergraph::FindPartition(const Signature& s) const {
-  auto it = by_signature_.find(s);
-  if (it == by_signature_.end()) return nullptr;
-  return &partitions_[it->second];
+  const PartitionId p = signature_slots_[SlotOf(s, HashSignature(s))].id;
+  return p == kInvalidPartition ? nullptr : &partitions_[p];
 }
 
 size_t IndexedHypergraph::Cardinality(const Signature& s) const {
@@ -118,7 +144,8 @@ uint64_t IndexedHypergraph::IndexBytes() const {
                    edge_partition_.capacity() * sizeof(PartitionId) +
                    keys_.capacity() * sizeof(VertexId) +
                    offsets_.capacity() * sizeof(uint32_t) +
-                   postings_.capacity() * sizeof(EdgeId);
+                   postings_.capacity() * sizeof(EdgeId) +
+                   signature_slots_.capacity() * sizeof(SignatureSlot);
   for (const Partition& p : partitions_) {
     bytes += p.signature().capacity() * sizeof(Label) +
              p.edges().capacity() * sizeof(EdgeId);

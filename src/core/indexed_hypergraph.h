@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/hypergraph.h"
@@ -60,16 +59,32 @@ class IndexedHypergraph {
 
   /// Bytes held by the hyperedge tables and their inverted indexes (Exp-1
   /// metric): the capacity of every array, the table headers with their
-  /// signatures, and the edge-to-table map. The signature-to-table hash
-  /// map is not counted.
+  /// signatures, the edge-to-table map and the signature lookup table.
   uint64_t IndexBytes() const;
 
  private:
+  // One slot of the signature lookup table: the high half of the key's
+  // hash, which skips most key comparisons, and the table's id
+  // (kInvalidPartition in an empty slot).
+  struct SignatureSlot {
+    uint32_t hash_high;
+    PartitionId id;
+  };
+
   IndexedHypergraph() = default;
+
+  // The slot holding the table of `s`, whose hash is `hash`, or the empty
+  // slot where it would go.
+  size_t SlotOf(const Signature& s, uint64_t hash) const;
+  // Doubles the lookup table and re-inserts every table.
+  void GrowSignatureSlots();
 
   Hypergraph graph_;
   std::vector<Partition> partitions_;
-  std::unordered_map<Signature, PartitionId, SignatureHash> by_signature_;
+  // Signature -> table: open addressing with linear probing over a
+  // power-of-two array at most half full. Keys are compared against
+  // partitions_[id].signature(), so no signature is stored twice.
+  std::vector<SignatureSlot> signature_slots_;
   std::vector<PartitionId> edge_partition_;
   // The inverted index of every table, table after table: distinct
   // vertices ascending within a table, the start of each one's list in

@@ -39,6 +39,14 @@ const char* QueryStatusName(QueryStatus status) {
 
 namespace {
 
+// Cache-line size for the alignment of write-hot shared fields.
+constexpr size_t kCacheLine = 64;
+
+// One worker's share of a query's counters, on a cache line of its own.
+struct alignas(kCacheLine) StatSlot {
+  MatchStats stats;
+};
+
 // Shared per-query state. Tasks are tagged with their context (Task::owner),
 // so counters, limits and deadlines stay exact per query even while tasks of
 // different queries mix in the same deques.
@@ -48,11 +56,16 @@ namespace {
 // query's SCAN tasks: the injection queue, whose mutex orders the writes
 // before any reader.
 //
-// The stat sums are flushed once per task (Impl::FlushTaskStats), not once
-// per counter event, so the atomics are off the per-candidate hot path; the
-// sums are complete exactly when the query's last task retires (every flush
-// happens-before that task's pending decrement), which is when the outcome
-// is assembled.
+// Counters go into `slots`, one per worker, each written only by its own
+// worker with plain adds once per task (Impl::FlushTaskStats). They are
+// exact when the query's last task retires: every slot write happens
+// before its worker's release decrement of `pending`, and the acq_rel
+// decrement that reads 1 synchronises with all of them. A query that never
+// seeds has all-zero slots.
+//
+// The fields written per task or per embedding (`pending`, `emitted` with
+// the sink mutex) and the stop flag read per child each have a cache line
+// of their own, away from the read-only fields every worker reads per task.
 struct QueryContext {
   uint32_t index = 0;
   const QueryPlan* plan = nullptr;
@@ -60,7 +73,6 @@ struct QueryContext {
   const IndexedHypergraph* data = nullptr;
   const EdgeSet* scan_table = nullptr;  // first-step signature table
   EmbeddingSink* sink = nullptr;
-  std::mutex sink_mutex;
 
   // Effective per-query budgets and admission parameters, resolved against
   // the engine-wide defaults at Submit().
@@ -110,9 +122,12 @@ struct QueryContext {
   // a query finishes once, and the hook can only be taken once.
   std::function<void(const QueryOutcome&)> completion;
 
-  std::atomic<uint64_t> emitted{0};
-  std::atomic<int64_t> pending{0};
-  std::atomic<bool> stop{false};
+  std::vector<StatSlot> slots;  // one per worker, sized at Submit()
+
+  alignas(kCacheLine) std::atomic<int64_t> pending{0};
+  alignas(kCacheLine) std::atomic<uint64_t> emitted{0};
+  std::mutex sink_mutex;
+  alignas(kCacheLine) std::atomic<bool> stop{false};
   // Why two flags instead of a single timed_out: a deadline may fire while
   // the query's final tasks are mid-execution and still complete all their
   // counts. The query is only *reported* timed out when the deadline fired
@@ -123,12 +138,6 @@ struct QueryContext {
   std::atomic<bool> limit_hit{false};
   std::atomic<bool> cancel_requested{false};
   std::atomic<bool> first_task_claimed{false};
-
-  // Per-task stat flushes; summed into the outcome when the query finishes.
-  std::atomic<uint64_t> embeddings_sum{0};
-  std::atomic<uint64_t> candidates_sum{0};
-  std::atomic<uint64_t> filtered_sum{0};
-  std::atomic<uint64_t> expansions_sum{0};
 };
 
 }  // namespace
@@ -233,6 +242,7 @@ class Scheduler::Impl {
       ctx->trace = so.trace;
       ctx->submit_mono = MonotonicSeconds();
       ctx->data = &data;
+      ctx->slots.resize(num_threads_);
       const Partition* first =
           plan->NumSteps() > 0 ? data.FindPartition(plan->steps[0].signature)
                                : nullptr;
@@ -355,9 +365,8 @@ class Scheduler::Impl {
     std::vector<EdgeId> embedding;      // SINK copy buffer
     std::vector<std::vector<EdgeId>> valid_at;  // Expand() output per depth
     std::vector<EdgeId> inline_prefix;  // quota-path partial embedding
-    // Stats of the task currently executing; flushed into the owning
-    // query's atomic sums when the task retires (so the per-candidate hot
-    // path stays free of atomics).
+    // Stats of the task currently executing; flushed into this worker's
+    // slot of the owning query when the task retires (FlushTaskStats).
     MatchStats task_stats;
     // Sparse per-plan expanders with a one-entry cache that skips the hash
     // lookup on the common task runs of one plan (LIFO scheduling keeps
@@ -420,7 +429,6 @@ class Scheduler::Impl {
   void Spawn(Worker* w, Task* t) {
     memory_.OnAlloc(t->SizeBytes());
     Ctx(t)->pending.fetch_add(1, std::memory_order_acq_rel);
-    pending_.fetch_add(1, std::memory_order_acq_rel);
     ++w->report.tasks_spawned;
     w->deque.Push(t);
   }
@@ -434,10 +442,7 @@ class Scheduler::Impl {
   // never seeded. Invalidates ctx unless it became a corpse.
   void FinishQueryLocked(QueryContext* ctx) {
     QueryOutcome out;
-    out.stats.embeddings = ctx->embeddings_sum.load(std::memory_order_relaxed);
-    out.stats.candidates = ctx->candidates_sum.load(std::memory_order_relaxed);
-    out.stats.filtered = ctx->filtered_sum.load(std::memory_order_relaxed);
-    out.stats.expansions = ctx->expansions_sum.load(std::memory_order_relaxed);
+    for (const StatSlot& slot : ctx->slots) out.stats += slot.stats;
     out.stats.limit_hit = ctx->limit_hit.load(std::memory_order_relaxed);
     out.stats.timed_out =
         ctx->timeout_fired.load(std::memory_order_relaxed) &&
@@ -512,29 +517,28 @@ class Scheduler::Impl {
     Task::Free(t);
     if (ctx->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task of this query retired: record its finish and finalise
-      // the outcome, then free the admission slot and seed waiting queries
-      // *before* the global count below can reach zero, so workers never
-      // park untimed between two admissions.
+      // the outcome, then free the admission slot and seed waiting
+      // queries. A worker that parks untimed on the in-flight count's
+      // transient 0 in between is woken below, with the new seeds.
       ctx->finish_seconds = wall_.ElapsedSeconds();
       ctx->last_task_mono = MonotonicSeconds();
       if (ctx->first_task_mono > 0) {
         metric_run_->Observe(ctx->last_task_mono - ctx->first_task_mono);
       }
       std::vector<PendingCompletion> fire;
-      bool admitted;
+      bool wake;
       {
         std::lock_guard<std::mutex> lock(admit_mutex_);
-        --inflight_;
+        inflight_.fetch_sub(1, std::memory_order_relaxed);
         FinishQueryLocked(ctx);  // frees ctx; must stay the last use
-        admitted = AdmitLocked(w);
+        // Wake the pool for new seeds, or, when this was the last query in
+        // flight, so parked peers go from the timed to the untimed park.
+        wake = AdmitLocked(w) || inflight_.load(std::memory_order_relaxed) == 0;
         fire.swap(deferred_completions_);
       }
-      if (admitted) WakeWorkers();
+      if (wake) WakeWorkers();
       FireCompletions(&fire);  // this query's hook + any admit-resolved ones
     }
-    // The last live task of the pool: parked peers go from the timed to the
-    // untimed park.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) WakeWorkers();
   }
 
   // Bumps the wake epoch and wakes every parked worker (see WorkerLoop).
@@ -668,7 +672,6 @@ class Scheduler::Impl {
   void Inject(Worker* seeder, Task* t) {
     memory_.OnAlloc(t->SizeBytes());
     Ctx(t)->pending.fetch_add(1, std::memory_order_acq_rel);
-    pending_.fetch_add(1, std::memory_order_acq_rel);
     if (seeder != nullptr) {
       ++seeder->report.tasks_spawned;
     } else {
@@ -731,7 +734,7 @@ class Scheduler::Impl {
         continue;
       }
       ctx->seeded = true;
-      ++inflight_;
+      inflight_.fetch_add(1, std::memory_order_relaxed);
       const uint64_t total = ctx->scan_table->size();
       const uint64_t chunk = (total + num_threads_ - 1) / num_threads_;
       for (uint32_t w = 0; w < num_threads_; ++w) {
@@ -905,25 +908,14 @@ class Scheduler::Impl {
     PollDeadlines(w, ctx);
   }
 
-  // Adds the just-executed task's counters to the owning query's sums (for
-  // the per-query outcome) and the worker's report (for load-balance
-  // accounting). Runs once per task, before Finish() decrements pending, so
-  // the sums are complete when the last task retires.
+  // Adds the just-executed task's counters to this worker's slot of the
+  // owning query (for the per-query outcome) and to the worker's report
+  // (for load-balance accounting): plain adds, since no other thread writes
+  // either. Runs once per task, before Finish() decrements pending, so the
+  // slots are complete when the last task retires.
   void FlushTaskStats(Worker* w, QueryContext* ctx) {
-    const MatchStats& s = w->task_stats;
-    if (s.embeddings != 0) {
-      ctx->embeddings_sum.fetch_add(s.embeddings, std::memory_order_relaxed);
-    }
-    if (s.candidates != 0) {
-      ctx->candidates_sum.fetch_add(s.candidates, std::memory_order_relaxed);
-    }
-    if (s.filtered != 0) {
-      ctx->filtered_sum.fetch_add(s.filtered, std::memory_order_relaxed);
-    }
-    if (s.expansions != 0) {
-      ctx->expansions_sum.fetch_add(s.expansions, std::memory_order_relaxed);
-    }
-    w->report.stats += s;
+    ctx->slots[w->id].stats += w->task_stats;
+    w->report.stats += w->task_stats;
   }
 
   void Execute(Worker* w, Task* t) {
@@ -1008,12 +1000,13 @@ class Scheduler::Impl {
       } else if (++idle_rounds < 64) {
         std::this_thread::yield();
       } else {
-        // Park instead of burning a core. With no live task anywhere the
-        // park is untimed: only a path that bumps the epoch can make work
-        // (see WakeWorkers). While peers run tasks it is timed, since
-        // their deque pushes, which this worker could steal, never notify.
+        // Park instead of burning a core. With no query in flight no task
+        // is live anywhere, and the park is untimed: only a path that bumps
+        // the epoch can make work (see WakeWorkers). While a query is in
+        // flight it is timed, since deque pushes, which this worker could
+        // steal, never notify.
         std::unique_lock<std::mutex> lock(idle_mutex_);
-        if (pending_.load(std::memory_order_acquire) == 0) {
+        if (inflight_.load(std::memory_order_acquire) == 0) {
           idle_cv_.wait(lock, [&] {
             return wake_epoch_.load(std::memory_order_relaxed) != epoch;
           });
@@ -1038,8 +1031,19 @@ class Scheduler::Impl {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex admit_mutex_;
-  uint32_t inflight_ = 0;          // guarded by admit_mutex_
+  // Read by every worker on every loop iteration (or park) and written at
+  // most a few times per query, so they share a cache line of their own,
+  // apart from everything written per task.
+  alignas(kCacheLine) std::atomic<bool> stopping_{false};  // set once idle
+  std::atomic<uint64_t> wake_epoch_{0};  // bumped under idle_mutex_
+  // Version of the retire log below, the lock-free signal to reap it.
+  std::atomic<uint64_t> retired_version_{0};
+  std::atomic<int64_t> inject_size_{0};  // entries in inject_
+  // Queries seeded and not yet finished. Modified under admit_mutex_, read
+  // lock-free by parking workers: no task is live exactly when it is 0.
+  std::atomic<uint32_t> inflight_{0};
+
+  alignas(kCacheLine) std::mutex admit_mutex_;
   size_t queued_count_ = 0;        // entries across the policy structures
   size_t queued_corpses_ = 0;      // of which: already resolved (cancelled)
   uint64_t admit_seq_ = 0;         // guarded by admit_mutex_
@@ -1055,7 +1059,6 @@ class Scheduler::Impl {
   size_t last_tenant_sweep_size_ = 0;                    // admit_mutex_
   double global_vtime_ = 0;                              // admit_mutex_
   std::deque<Task*> inject_;  // mid-run SCAN seeds, guarded by admit_mutex_
-  std::atomic<int64_t> inject_size_{0};
   // Completion hooks of queries that finished inside the current
   // admit_mutex_ critical section, awaiting lock-free delivery. Every code
   // path that can append (Submit, Cancel, Finish — directly
@@ -1065,13 +1068,11 @@ class Scheduler::Impl {
   std::vector<PendingCompletion> deferred_completions_;
   // Retire log of plan uids whose cached per-worker state is obsolete;
   // workers consume it lazily (ReapRetiredPlans). Trimmed to the slowest
-  // worker. Guarded by admit_mutex_; the version is the lock-free signal.
+  // worker. Guarded by admit_mutex_; retired_version_ is the lock-free
+  // signal.
   std::deque<uint64_t> retired_plans_;
   uint64_t retired_base_ = 0;
-  std::atomic<uint64_t> retired_version_{0};
   std::atomic<uint64_t> rejected_count_{0};
-  std::atomic<bool> stopping_{false};  // set by the destructor, once idle
-  std::atomic<int64_t> pending_{0};
   std::atomic<bool> batch_expired_{false};
   std::atomic<uint64_t> submitted_count_{0};
   uint64_t finished_count_ = 0;  // queries whose hook returned; finish_mutex_
@@ -1080,7 +1081,6 @@ class Scheduler::Impl {
   std::condition_variable finish_cv_;    // broadcast by FireCompletions
   std::mutex idle_mutex_;                // parks idle workers
   std::condition_variable idle_cv_;      // notified by WakeWorkers
-  std::atomic<uint64_t> wake_epoch_{0};  // bumped under idle_mutex_
 
   // Registry handles (resolved once in the constructor; see obs/metrics.h).
   Counter* metric_submitted_ = nullptr;

@@ -132,14 +132,14 @@ struct QueryOutcome {
 ///
 /// Idle workers park, so a pool that outlives its queries costs no CPU.
 /// A worker that finds no task yields 64 times, then parks on a condition
-/// variable. If no task is live anywhere (the global pending count is 0)
-/// it sleeps untimed until a wake epoch, read before it looked for work,
-/// changes. The epoch is bumped under the park mutex by every path that
-/// can make work or stop the pool: Submit(), admissions made inside
-/// Cancel() or by a retiring task, the pending count reaching 0, and the
-/// destructor. While peers run tasks the park is timed (500 us) instead,
-/// because their deque pushes, which the parked worker could steal, are
-/// never notified.
+/// variable. If no query is in flight (none seeded and unfinished), no
+/// task is live anywhere, and it sleeps untimed until a wake epoch, read
+/// before it looked for work, changes. The epoch is bumped under the park
+/// mutex by every path that can make work or stop the pool: Submit(),
+/// admissions made inside Cancel() or by a retiring task, the last
+/// in-flight query finishing, and the destructor. While a query is in
+/// flight the park is timed (500 us) instead, because deque pushes, which
+/// the parked worker could steal, are never notified.
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do

@@ -71,8 +71,10 @@ struct Task {
 
 /// Tracks live task bytes and their high-water mark across all workers;
 /// the peak realises the left-hand side of the Theorem VI.1 memory bound,
-/// which Exp-5 (Fig 11) compares against BFS materialisation.
-class TaskMemoryTracker {
+/// which Exp-5 (Fig 11) compares against BFS materialisation. Both counters
+/// are written on every task allocation and free, so the tracker takes a
+/// cache line of its own.
+class alignas(64) TaskMemoryTracker {
  public:
   void OnAlloc(size_t bytes) {
     const uint64_t now =

@@ -100,15 +100,17 @@ TEST_P(IndexPropertyTest, Invariants) {
   // Lightweight index: per incidence one posting and at most one key and
   // one offset (12 B), per hyperedge its table entry and its edge-to-table
   // entry (8 B), per table a header and a signature of at most 2x its
-  // arity (the edge-label key may double the signature's capacity).
+  // arity (the edge-label key may double the signature's capacity), and
+  // the signature lookup table: 8 B slots, a power of two at most half full
+  // (2 to 4 per table, or 1 slot with no table).
   uint64_t keys = 0;
   for (const Partition& p : idx.partitions()) keys += p.NumIndexedVertices();
   const uint64_t tables = idx.partitions().size();
   EXPECT_GE(idx.IndexBytes(), 4 * (incidences + keys + 1) + 8 * num_edges +
-                                  sizeof(Partition) * tables);
+                                  (sizeof(Partition) + 16) * tables);
   EXPECT_LE(idx.IndexBytes(),
-            12 * incidences + 8 * num_edges + 4 +
-                (sizeof(Partition) + 8 * (g.MaxArity() + 1)) * tables);
+            12 * incidences + 8 * num_edges + 4 + 8 +
+                (sizeof(Partition) + 8 * (g.MaxArity() + 1) + 32) * tables);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexPropertyTest,

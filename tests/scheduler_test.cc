@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -536,6 +537,103 @@ TEST(SchedulerTest, DirectCoreBatchOfOneMatchesExecutor) {
   const ParallelResult via_facade =
       ExecutePlanParallel(idx, plan.value(), popts);
   EXPECT_EQ(via_facade.stats.embeddings, out->stats.embeddings);
+}
+
+// Star query: `k` label-0 edges {0, i} sharing vertex 0.
+Hypergraph StarQuery(uint32_t k) {
+  Hypergraph q;
+  q.AddVertices(k + 1, 0);
+  for (VertexId v = 1; v <= k; ++v) (void)q.AddEdge({0, v});
+  return q;
+}
+
+// Cycle query of `k` label-0 edges {0,1}, {1,2}, ..., {k-1,0}.
+Hypergraph CycleQuery(uint32_t k) {
+  Hypergraph q;
+  q.AddVertices(k, 0);
+  for (VertexId v = 0; v < k; ++v) (void)q.AddEdge({v, (v + 1) % k});
+  return q;
+}
+
+// Band graph: label-0 vertices 0..m-1 with a hyperedge {i, j} whenever
+// 0 < j - i <= width. Unlike a clique, it gives queries with the same
+// number of vertices different counts.
+Hypergraph BandData(uint32_t m, uint32_t width) {
+  Hypergraph h;
+  h.AddVertices(m, 0);
+  for (VertexId i = 0; i < m; ++i) {
+    for (VertexId j = i + 1; j < m && j - i <= width; ++j) {
+      (void)h.AddEdge({i, j});
+    }
+  }
+  return h;
+}
+
+// Each worker adds its tasks' counters to its own slot of the query, and
+// the slots are summed when the last task retires. Many queries with
+// distinct counts running at once on one stealing pool, one hyperedge per
+// SCAN task, mix every query's tasks over every worker, so a slot that is
+// not summed or a count added to another query's slots shows as a wrong
+// Fig 9 counter.
+TEST(SchedulerTest, ConcurrentQueriesKeepExactFig9Counters) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(BandData(16, 4));
+  std::vector<Hypergraph> queries;
+  for (uint32_t k : {1u, 2u, 3u, 4u}) queries.push_back(PathQuery(k));
+  queries.push_back(StarQuery(3));
+  queries.push_back(StarQuery(4));
+  queries.push_back(CycleQuery(3));
+  queries.push_back(CycleQuery(4));
+  std::vector<QueryPlan> plans;
+  std::vector<MatchStats> expected;
+  for (const Hypergraph& q : queries) {
+    Result<QueryPlan> plan = BuildQueryPlan(q, idx);
+    Result<MatchStats> seq = MatchSequential(idx, q);
+    ASSERT_TRUE(plan.ok() && seq.ok());
+    // The parallel engine scans the first table without an Expand call, so
+    // its counters lack the step-0 call's: one expansion, and every
+    // hyperedge of the table as a candidate that passes the filter.
+    MatchStats want = seq.value();
+    const uint64_t scanned =
+        idx.FindPartition(plan.value().steps[0].signature)->size();
+    want.candidates -= scanned;
+    want.filtered -= scanned;
+    want.expansions -= 1;
+    expected.push_back(want);
+    plans.push_back(std::move(plan).value());
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      ASSERT_NE(expected[i].embeddings, expected[j].embeddings)
+          << "queries " << i << " and " << j;
+    }
+  }
+
+  for (uint64_t quota : {uint64_t{0}, uint64_t{2}}) {
+    for (uint32_t window : {0u, 2u}) {
+      SchedulerOptions options;
+      options.parallel.num_threads = 4;
+      options.parallel.work_stealing = true;
+      options.parallel.scan_grain = 1;
+      options.task_quota = quota;
+      options.max_inflight_queries = window;
+      OutcomeLog log;
+      Scheduler scheduler(options);
+      for (const QueryPlan& plan : plans) log.Submit(scheduler, &plan, idx);
+      scheduler.WaitIdle();
+      const std::string config = "quota=" + std::to_string(quota) +
+                                 " window=" + std::to_string(window);
+      for (uint32_t i = 0; i < plans.size(); ++i) {
+        SCOPED_TRACE(config + " query " + std::to_string(i));
+        const QueryOutcome* out = log.Get(i);
+        ASSERT_NE(out, nullptr);
+        EXPECT_EQ(out->status, QueryStatus::kOk);
+        EXPECT_EQ(out->stats.embeddings, expected[i].embeddings);
+        EXPECT_EQ(out->stats.candidates, expected[i].candidates);
+        EXPECT_EQ(out->stats.filtered, expected[i].filtered);
+        EXPECT_EQ(out->stats.expansions, expected[i].expansions);
+      }
+    }
+  }
 }
 
 // A sink whose first Emit blocks until Release(): with an admission window
