@@ -117,7 +117,6 @@ void DeliveryLatencySection() {
 
   ServiceOptions service_options;
   service_options.parallel.num_threads = 2;
-  service_options.task_quota = 64;
   service_options.plan_cache = true;  // one plan, reused every round
   SubmitOptions submit;
   submit.timeout_seconds = 0.003;

@@ -25,10 +25,10 @@ namespace hgmatch {
 /// Submit() registers a callback that files the reply into a ready map,
 /// and WaitOutcome(id) parks on a condition variable until that id's
 /// outcome (or a connection failure) arrives — outcomes of other ids wait
-/// in the map for their own waits, exactly like the historical
-/// frame-pumping client. A submission shed by server backpressure or rate
-/// limiting surfaces as a normal outcome with QueryStatus::kRejected (the
-/// shed reason lands in WireOutcome::reject_reason).
+/// in the map for their own waits. A submission shed by server
+/// backpressure or rate limiting surfaces as a normal outcome with
+/// QueryStatus::kRejected (the shed reason lands in
+/// WireOutcome::reject_reason).
 class MatchClient {
  public:
   MatchClient() = default;

@@ -1320,8 +1320,8 @@ class MatchServer::Impl {
 
   const ServerOptions options_;
   GraphCatalog catalog_;
-  // Graphs waiting for Start(): either the historical borrowed index
-  // (single-graph constructor) or a list of owned graphs to index.
+  // Graphs waiting for Start(): either the borrowed index of the
+  // single-graph constructor or a list of owned graphs to index.
   const IndexedHypergraph* shared_data_ = nullptr;
   std::vector<NamedGraph> preload_;
 

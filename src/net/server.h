@@ -158,8 +158,7 @@ struct NamedGraph {
 class MatchServer {
  public:
   /// Serves `data` as the single catalog graph "default". `data` must
-  /// outlive the server. The historical single-graph constructor; no
-  /// copy, no re-index.
+  /// outlive the server; it is borrowed, not copied or re-indexed.
   MatchServer(const IndexedHypergraph& data, const ServerOptions& options);
 
   /// Serves `graphs` (indexed at Start(); the first is the default).

@@ -362,9 +362,8 @@ class Scheduler::Impl {
     uint32_t id;
     WorkStealingDeque<Task*> deque;
     Rng rng;
-    std::vector<EdgeId> embedding;      // SINK copy buffer
-    std::vector<std::vector<EdgeId>> valid_at;  // Expand() output per depth
-    std::vector<EdgeId> inline_prefix;  // quota-path partial embedding
+    std::vector<EdgeId> embedding;  // SINK copy buffer
+    std::vector<EdgeId> valid;      // Expand() output of the running task
     // Stats of the task currently executing; flushed into this worker's
     // slot of the owning query when the task retires (FlushTaskStats).
     MatchStats task_stats;
@@ -417,13 +416,6 @@ class Scheduler::Impl {
       }
     }
     w->retire_seen = end;
-  }
-
-  // Grows the per-depth buffers up front so no reference into valid_at is
-  // ever invalidated by a deeper (inline) expansion resizing the vector.
-  void EnsureDepthBuffers(Worker* w, uint32_t steps) {
-    if (w->valid_at.size() < steps) w->valid_at.resize(steps);
-    if (w->inline_prefix.size() < steps) w->inline_prefix.resize(steps);
   }
 
   void Spawn(Worker* w, Task* t) {
@@ -794,65 +786,18 @@ class Scheduler::Impl {
   }
 
   // Handles one child hyperedge `c` extending `prefix` (already validated):
-  // emit if complete, queue the EXPAND task, or — when the query is over
-  // its task quota — expand depth-first inline so its deque share stays
-  // bounded (the work still happens, it just cannot bury other queries'
-  // tasks under millions of queued expansions).
+  // emit if complete, else queue its EXPAND task.
   void ProcessChild(Worker* w, QueryContext* ctx, const EdgeId* prefix,
                     uint32_t prefix_len, EdgeId c) {
     if (prefix_len + 1 == ctx->plan->NumSteps()) {
       EmitEmbedding(w, ctx, prefix, prefix_len, c);
-    } else if (options_.task_quota != 0 &&
-               ctx->pending.load(std::memory_order_relaxed) >=
-                   static_cast<int64_t>(options_.task_quota)) {
-      for (uint32_t i = 0; i < prefix_len; ++i) w->inline_prefix[i] = prefix[i];
-      w->inline_prefix[prefix_len] = c;
-      ExpandInline(w, ctx, prefix_len + 1);
     } else {
       Spawn(w, Task::NewExpand(ctx, prefix, prefix_len, c));
     }
   }
 
-  // Whether a running SCAN or EXPAND task stops at its next child and
-  // queues the remaining children as one continuation task. Only under a
-  // task quota, whose inline expansions can keep a worker inside one task
-  // for a long time: while a newly admitted query's seeds wait in the
-  // injection queue, the worker ends its task at the next child and takes
-  // them (WorkerLoop pops the injection queue first). The continuation
-  // replaces the task it came from, so the query's queued-task count, and
-  // with it the quota's memory bound, does not grow.
-  bool YieldToAdmission() const {
-    return options_.task_quota != 0 &&
-           inject_size_.load(std::memory_order_relaxed) != 0;
-  }
-
-  // Depth-first expansion of w->inline_prefix[0..len) without queueing
-  // tasks. Recursion depth is bounded by the plan length; each depth owns
-  // its valid buffer (EnsureDepthBuffers ran before any reference is held).
-  void ExpandInline(Worker* w, QueryContext* ctx, uint32_t len) {
-    std::vector<EdgeId>& valid = w->valid_at[len];
-    ExpanderFor(w, ctx)->Expand(w->inline_prefix.data(), len, &valid,
-                                &w->task_stats);
-    const uint32_t steps = ctx->plan->NumSteps();
-    size_t i = 0;
-    for (; i < valid.size(); ++i) {
-      if (ctx->stop.load(std::memory_order_relaxed)) break;
-      if (len + 1 == steps) {
-        EmitEmbedding(w, ctx, w->inline_prefix.data(), len, valid[i]);
-      } else {
-        w->inline_prefix[len] = valid[i];
-        ExpandInline(w, ctx, len + 1);
-      }
-    }
-    if (i < valid.size()) {
-      ctx->work_dropped.store(true, std::memory_order_relaxed);
-    }
-    PollDeadlines(w, ctx);
-  }
-
   void ExecuteScan(Worker* w, Task* t) {
     QueryContext* ctx = Ctx(t);
-    EnsureDepthBuffers(w, ctx->plan->NumSteps());
     // Range splitting: push the upper half back (thieves take the oldest,
     // i.e. the largest, ranges first) until the range is small enough.
     // scan_grain clamps to >= 1: at grain 0 a 1-element range would split
@@ -870,10 +815,6 @@ class Scheduler::Impl {
     uint32_t i = lo;
     for (; i < hi; ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
-      if (i > lo && YieldToAdmission()) {
-        Spawn(w, Task::NewScan(ctx, i, hi));
-        return;
-      }
       ProcessChild(w, ctx, nullptr, 0, (*ctx->scan_table)[i]);
       PollDeadlines(w, ctx);
     }
@@ -882,24 +823,11 @@ class Scheduler::Impl {
 
   void ExecuteExpand(Worker* w, Task* t) {
     QueryContext* ctx = Ctx(t);
-    EnsureDepthBuffers(w, ctx->plan->NumSteps());
-    std::vector<EdgeId>& valid = w->valid_at[t->depth];
-    // A continuation (first child > 0) re-derives children its original
-    // task already counted, so its Expand counters are discarded.
-    const uint32_t first = t->scan_lo;
-    MatchStats recount;
-    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid,
-                                first == 0 ? &w->task_stats : &recount);
-    size_t i = first;
+    std::vector<EdgeId>& valid = w->valid;
+    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid, &w->task_stats);
+    size_t i = 0;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
-      if (i > first && YieldToAdmission()) {
-        Task* rest = Task::NewExpand(ctx, t->edges, t->depth - 1,
-                                     t->edges[t->depth - 1]);
-        rest->scan_lo = static_cast<uint32_t>(i);
-        Spawn(w, rest);
-        return;
-      }
       ProcessChild(w, ctx, t->edges, t->depth, valid[i]);
     }
     if (i < valid.size()) {

@@ -50,16 +50,6 @@ struct SchedulerOptions {
   /// (load shedding — the caller may retry once the backlog drains).
   /// 0 = unbounded.
   uint32_t max_queued_queries = 0;
-
-  /// Per-query fairness quota: when a query already has at least this many
-  /// live (queued or executing) tasks, new expansions of that query are run
-  /// inline depth-first instead of being queued, so one expensive query
-  /// cannot flood the deques and starve the rest of a batch. A task that
-  /// expands inline ends at its next child while a newly admitted query
-  /// waits to be seeded, and queues its remaining children as one
-  /// continuation task, so admissions are not held up and the quota still
-  /// bounds the query's queued tasks. 0 = off.
-  uint64_t task_quota = 0;
 };
 
 /// Outcome of one submitted query. `stats` is exactly comparable to a

@@ -1032,7 +1032,6 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& o) {
   so.admission = o.admission;
   so.max_inflight_queries = o.max_inflight_queries;
   so.max_queued_queries = o.max_queued_queries;
-  so.task_quota = o.task_quota;
   so.batch_timeout_seconds = o.run_timeout_seconds;
   return so;
 }

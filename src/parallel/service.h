@@ -41,16 +41,12 @@ struct ServiceOptions {
   /// shedding path (callers retry once the backlog drains). 0 = unbounded.
   uint32_t max_queued_queries = 0;
 
-  /// Per-query fairness quota on live tasks (see SchedulerOptions).
-  uint64_t task_quota = 0;
-
   /// Upper bound on distinct compiled plans retained by the plan cache;
-  /// 0 = unbounded (the historical behaviour). When an insertion pushes
-  /// the cache past the bound, the least-recently-used entries with no
-  /// in-flight submissions are evicted (plan retired and freed; the
-  /// structure re-compiles on its next appearance). Entries with live
-  /// submissions are never evicted, so the cache may transiently exceed
-  /// the bound under heavy concurrency.
+  /// 0 = unbounded. When an insertion pushes the cache past the bound, the
+  /// least-recently-used entries with no in-flight submissions are evicted
+  /// (plan retired and freed; the structure re-compiles on its next
+  /// appearance). Entries with live submissions are never evicted, so the
+  /// cache may transiently exceed the bound under heavy concurrency.
   size_t plan_cache_capacity = 0;
 
   /// Whole-service wall-clock budget in seconds, armed at construction;
@@ -220,7 +216,7 @@ struct BatchSubmission {
 
 /// The SchedulerOptions a service's private pool, or the graph catalog's
 /// shared pool, is built from: the `parallel` shape, admission policy,
-/// window/queue bounds, task quota and run timeout of `options`.
+/// window/queue bounds and run timeout of `options`.
 SchedulerOptions ToSchedulerOptions(const ServiceOptions& options);
 
 /// A long-lived match-query service bound to one indexed data hypergraph:

@@ -48,8 +48,9 @@ enum class QueryStatus : uint8_t {
 const char* QueryStatusName(QueryStatus status);
 
 /// Per-query submission parameters. Defaults inherit the engine-wide
-/// configuration, so `Submit(plan)` behaves exactly as before this struct
-/// existed.
+/// configuration: a default-constructed SubmitOptions runs the query under
+/// the pool's ParallelOptions timeout and limit, at tenant 0, priority 0,
+/// weight 1 and cost 1, with no sink and no hook.
 struct SubmitOptions {
   /// Inherit the engine-wide ParallelOptions::limit.
   static constexpr uint64_t kInheritLimit = ~uint64_t{0};
@@ -80,7 +81,7 @@ struct SubmitOptions {
   /// proportionally more of their tenant's share. Must be finite and > 0
   /// (anything else falls back to 1). The service layer sets this to the
   /// measured task count of the previous run of the same plan (cost-aware
-  /// WFQ); 1 — the flat historical charge — for first-seen plans.
+  /// WFQ), and to 1 for first-seen plans.
   double cost = 1.0;
 
   /// Record an end-to-end QuerySpan for this query: monotonic

@@ -30,10 +30,8 @@ struct Task {
   void* owner;        // scheduler query context (opaque to this header)
   Kind kind;
   uint32_t depth;     // EXPAND: matched hyperedges; SCAN: unused (0)
-  uint32_t scan_lo;   // SCAN: range [scan_lo, scan_hi) into the scan table;
-                      // EXPAND: index of the first child to process (> 0
-                      // only for a continuation of a yielded task)
-  uint32_t scan_hi;
+  uint32_t scan_lo;   // SCAN: range [scan_lo, scan_hi) into the scan table
+  uint32_t scan_hi;   // (EXPAND: both unused, 0)
   EdgeId edges[];     // EXPAND: the partial embedding (depth entries)
 
   /// Bytes of the allocation backing this task.

@@ -15,7 +15,7 @@ namespace hgmatch {
 
 /// Configuration of a GraphCatalog.
 struct CatalogOptions {
-  /// Pool shape (parallel/admission/window/queue/quota fields build the
+  /// Pool shape (parallel/admission/window/queue/timeout fields build the
   /// shared Scheduler through ToSchedulerOptions) and per-graph service
   /// behaviour (plan cache, capacity, default budgets) — every hosted
   /// graph's MatchService is configured from this one template.
@@ -79,9 +79,9 @@ class GraphCatalog {
   Status Load(const std::string& name, Hypergraph data);
 
   /// Load() over an externally owned index (no copy, no re-index); the
-  /// caller guarantees `index` outlives the catalog. The back-compat
-  /// path of the wire server, whose historical constructor borrows the
-  /// caller's IndexedHypergraph.
+  /// caller guarantees `index` outlives the catalog. The wire server's
+  /// single-graph constructor serves its borrowed IndexedHypergraph
+  /// through this.
   Status LoadShared(const std::string& name, const IndexedHypergraph& index);
 
   /// Removes `name` from the catalog. New submissions to it are rejected

@@ -777,7 +777,6 @@ TEST(NetTest, CancelOverTheWireStopsAnInFlightQuery) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -810,7 +809,6 @@ TEST(NetTest, CancelOfMirroredDuplicateResolvesWhileCanonicalStillRuns) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;  // plan_cache stays on (default)
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -839,7 +837,6 @@ TEST(NetTest, ConnectionDropCancelsItsInFlightQueries) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1033,7 +1030,6 @@ TEST(NetTest, BackpressureRejectsOverflowAndAdmittedQueriesStayExact) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   options.service.max_inflight_queries = 1;
   options.service.max_queued_queries = 1;
   options.service.plan_cache = false;  // repeats must not mirror past the queue
@@ -1117,7 +1113,6 @@ TEST(NetTest, DeliversRedispatchedMirrorOutcomes) {
       MatchSequential(idx, PathQuery(4)).value().embeddings;
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;  // plan_cache stays on (default)
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1801,7 +1796,6 @@ TEST(AsyncClientTest, ConnectionDropFailsEveryPendingCallback) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1843,7 +1837,6 @@ TEST(AsyncClientTest, CancelAfterSubmitResolvesTheCallbackExactlyOnce) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -1885,7 +1878,6 @@ TEST(AsyncClientTest, InflightWindowBlocksSubmitUntilASlotFrees) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
   ServerOptions options = LoopbackOptions(2);
   options.service.parallel.scan_grain = 64;
-  options.service.task_quota = 64;
   MatchServer server(idx, options);
   ASSERT_TRUE(server.Start().ok());
 

@@ -1,7 +1,8 @@
 // Edge-path coverage of the shared scheduler core (parallel/scheduler.h)
-// through its two facades: admission window, per-query task quota, timeouts
-// measured from admission, limit overshoot bounds, degenerate pool sizes,
-// fairness under an expensive query, and input-order determinism.
+// through its two facades: admission window, timeouts measured from
+// admission, limit overshoot bounds, the live task memory bound, degenerate
+// pool sizes, fairness under an expensive query, and input-order
+// determinism.
 
 #include "parallel/scheduler.h"
 
@@ -133,21 +134,18 @@ TEST(SchedulerTest, DeterministicInputOrderAcrossConfigurations) {
 
   for (uint32_t threads : {1u, 4u}) {
     for (uint32_t window : {0u, 1u, 2u}) {
-      for (uint64_t quota : {uint64_t{0}, uint64_t{2}}) {
-        ServiceOptions options;
-        options.parallel.num_threads = threads;
-        options.parallel.scan_grain = 1;
-        options.max_inflight_queries = window;
-        options.task_quota = quota;
-        const BatchRun r = RunBatch(idx, queries, options);
-        ASSERT_EQ(r.tickets.size(), queries.size());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
-              << "query " << i << " threads=" << threads
-              << " window=" << window << " quota=" << quota;
-        }
-        EXPECT_EQ(Completed(r), queries.size());
+      ServiceOptions options;
+      options.parallel.num_threads = threads;
+      options.parallel.scan_grain = 1;
+      options.max_inflight_queries = window;
+      const BatchRun r = RunBatch(idx, queries, options);
+      ASSERT_EQ(r.tickets.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
+            << "query " << i << " threads=" << threads
+            << " window=" << window;
       }
+      EXPECT_EQ(Completed(r), queries.size());
     }
   }
 }
@@ -166,11 +164,10 @@ TEST(SchedulerTest, ZeroAndSingleThreadPools) {
     EXPECT_EQ(auto_pool.tickets[i].Wait().stats.embeddings, expected[i]);
   }
 
-  // A single worker still honours admission windows and quotas.
+  // A single worker still honours admission windows.
   ServiceOptions one;
   one.parallel.num_threads = 1;
   one.max_inflight_queries = 1;
-  one.task_quota = 1;
   const BatchRun single = RunBatch(idx, queries, one);
   EXPECT_EQ(single.report.workers.size(), 1u);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -295,7 +292,6 @@ TEST(SchedulerTest, FairnessCheapQueryCompletesUnderExpensiveLoad) {
   options.parallel.num_threads = 4;
   options.parallel.timeout_seconds = 0.25;  // only the expensive one hits it
   options.max_inflight_queries = 2;
-  options.task_quota = 64;
   const BatchRun r = RunBatch(idx, queries, options);
 
   // The cheap query is admitted alongside the expensive one and completes
@@ -313,31 +309,15 @@ TEST(SchedulerTest, FairnessCheapQueryCompletesUnderExpensiveLoad) {
   EXPECT_EQ(Completed(r), 1u);
 }
 
-TEST(SchedulerTest, TaskQuotaKeepsCountsExact) {
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(14));
-  std::vector<Hypergraph> queries;
-  queries.push_back(PathQuery(3));
-  queries.push_back(PathQuery(2));
-
-  const std::vector<uint64_t> expected = SequentialCounts(idx, queries);
-  for (uint64_t quota : {uint64_t{1}, uint64_t{8}}) {
-    ServiceOptions options;
-    options.parallel.num_threads = 4;
-    options.task_quota = quota;
-    const BatchRun r = RunBatch(idx, queries, options);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(r.tickets[i].Wait().stats.embeddings, expected[i])
-          << "query " << i << " quota=" << quota;
-    }
-  }
-}
-
-TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
-  // A quota-inlining query yields to each new admission by handing its
-  // remaining children back as one continuation task, so a steady stream of
-  // admissions (a serving load) must not lift its queued-task count above
-  // the quota: live task memory stays within two quotas' worth of tasks.
-  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(40));
+TEST(SchedulerTest, TaskMemoryStaysBoundedUnderAdmissionStream) {
+  // No per-query cap bounds an expensive query's tasks: each worker expands
+  // depth-first (LIFO) and spawns only the children of the task it runs,
+  // so live task memory stays within the P*S1 form of the work-stealing
+  // space bound (threads x plan steps x largest Expand output x largest
+  // task), even while a steady stream of admissions (a serving load) keeps
+  // seeding new queries next to it.
+  constexpr uint32_t kVertices = 40;
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(kVertices));
   const Hypergraph expensive = PathQuery(4);
   const Hypergraph cheap = PathQuery(1);
   Result<QueryPlan> expensive_plan = BuildQueryPlan(expensive, idx);
@@ -347,10 +327,8 @@ TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
   const uint64_t cheap_expected =
       MatchSequential(idx, cheap).value().embeddings;
 
-  constexpr uint64_t kQuota = 64;
   SchedulerOptions options;
   options.parallel.num_threads = 4;
-  options.task_quota = kQuota;
   OutcomeLog log;
   Scheduler scheduler(options);
   SubmitOptions expensive_options;
@@ -358,7 +336,7 @@ TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
   const uint32_t monster = log.Submit(scheduler, &expensive_plan.value(), idx,
                                       expensive_options);
   // One cheap query at a time, so the stream's own tasks stay negligible
-  // next to the monster's and the peak measures the quota bound.
+  // next to the monster's.
   std::vector<uint32_t> cheap_ids;
   while (log.Get(monster) == nullptr) {
     cheap_ids.push_back(log.Submit(scheduler, &cheap_plan.value(), idx));
@@ -374,9 +352,16 @@ TEST(SchedulerTest, TaskQuotaBoundsTaskMemoryUnderAdmissionStream) {
     EXPECT_EQ(out->status, QueryStatus::kOk) << "query " << id;
     EXPECT_EQ(out->stats.embeddings, cheap_expected);
   }
-  // The largest task this plan spawns is an EXPAND of three hyperedges.
+  // A path step extends hyperedge {i, j} by a pair through i or j: at most
+  // 2 * (kVertices - 2) children per Expand (the scan grain, 64, is below
+  // that). The largest task this plan spawns is an EXPAND of three
+  // hyperedges.
+  const uint64_t max_children = 2 * (kVertices - 2);
   const uint64_t max_task_bytes = sizeof(Task) + 3 * sizeof(EdgeId);
-  EXPECT_LE(scheduler.TakePeakTaskBytes(), 2 * kQuota * max_task_bytes)
+  const uint64_t bound = uint64_t{options.parallel.num_threads} *
+                         expensive_plan.value().NumSteps() * max_children *
+                         max_task_bytes;
+  EXPECT_LE(scheduler.TakePeakTaskBytes(), bound)
       << cheap_ids.size() << " admissions";
 }
 
@@ -476,7 +461,6 @@ TEST(SchedulerTest, BatchTimeoutStopsStragglersAndKeepsFinishedExact) {
   ServiceOptions options;
   options.parallel.num_threads = 4;
   options.run_timeout_seconds = 0.08;
-  options.task_quota = 64;  // keep the straggler from burying the cheap one
   const BatchRun r = RunBatch(idx, queries, options);
 
   EXPECT_TRUE(r.tickets[0].Wait().stats.timed_out);
@@ -608,30 +592,26 @@ TEST(SchedulerTest, ConcurrentQueriesKeepExactFig9Counters) {
     }
   }
 
-  for (uint64_t quota : {uint64_t{0}, uint64_t{2}}) {
-    for (uint32_t window : {0u, 2u}) {
-      SchedulerOptions options;
-      options.parallel.num_threads = 4;
-      options.parallel.work_stealing = true;
-      options.parallel.scan_grain = 1;
-      options.task_quota = quota;
-      options.max_inflight_queries = window;
-      OutcomeLog log;
-      Scheduler scheduler(options);
-      for (const QueryPlan& plan : plans) log.Submit(scheduler, &plan, idx);
-      scheduler.WaitIdle();
-      const std::string config = "quota=" + std::to_string(quota) +
-                                 " window=" + std::to_string(window);
-      for (uint32_t i = 0; i < plans.size(); ++i) {
-        SCOPED_TRACE(config + " query " + std::to_string(i));
-        const QueryOutcome* out = log.Get(i);
-        ASSERT_NE(out, nullptr);
-        EXPECT_EQ(out->status, QueryStatus::kOk);
-        EXPECT_EQ(out->stats.embeddings, expected[i].embeddings);
-        EXPECT_EQ(out->stats.candidates, expected[i].candidates);
-        EXPECT_EQ(out->stats.filtered, expected[i].filtered);
-        EXPECT_EQ(out->stats.expansions, expected[i].expansions);
-      }
+  for (uint32_t window : {0u, 2u}) {
+    SchedulerOptions options;
+    options.parallel.num_threads = 4;
+    options.parallel.work_stealing = true;
+    options.parallel.scan_grain = 1;
+    options.max_inflight_queries = window;
+    OutcomeLog log;
+    Scheduler scheduler(options);
+    for (const QueryPlan& plan : plans) log.Submit(scheduler, &plan, idx);
+    scheduler.WaitIdle();
+    const std::string config = "window=" + std::to_string(window);
+    for (uint32_t i = 0; i < plans.size(); ++i) {
+      SCOPED_TRACE(config + " query " + std::to_string(i));
+      const QueryOutcome* out = log.Get(i);
+      ASSERT_NE(out, nullptr);
+      EXPECT_EQ(out->status, QueryStatus::kOk);
+      EXPECT_EQ(out->stats.embeddings, expected[i].embeddings);
+      EXPECT_EQ(out->stats.candidates, expected[i].candidates);
+      EXPECT_EQ(out->stats.filtered, expected[i].filtered);
+      EXPECT_EQ(out->stats.expansions, expected[i].expansions);
     }
   }
 }
@@ -780,7 +760,6 @@ TEST(SchedulerCallbackTest, OkLimitAndTimeoutFireOnceFromThePool) {
     SchedulerOptions options;
     options.parallel.num_threads = 2;
     options.parallel.scan_grain = 4;
-    options.task_quota = 64;
     HookProbe probe;
     OutcomeLog log;
     {

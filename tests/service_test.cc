@@ -217,9 +217,7 @@ TEST(ServiceTest, CancelInFlightQueryStopsItAndSparesTheRest) {
   const uint64_t cheap_expected =
       MatchSequential(idx, PathQuery(1)).value().embeddings;
 
-  ServiceOptions options = BaseOptions(4);
-  options.task_quota = 64;  // the monster cannot bury later queries
-  MatchService service(idx, options);
+  MatchService service(idx, BaseOptions(4));
 
   Ticket monster = service.Submit(PathQuery(4));  // far beyond test scale
   std::this_thread::sleep_for(std::chrono::milliseconds(30));

@@ -6,8 +6,8 @@
 //   hgmatch sample <data> <num-edges> [count]
 //   hgmatch match <data> <query> [threads] [limit]
 //   hgmatch batch <data> <queryset> [threads] [limit] [--max-inflight=N]
-//                 [--task-quota=N] [--timeout=S] [--batch-timeout=S]
-//                 [--no-plan-cache] [--policy=fifo|priority|wfq]
+//                 [--timeout=S] [--batch-timeout=S] [--no-plan-cache]
+//                 [--policy=fifo|priority|wfq]
 //   hgmatch serve [<data>] [--graph NAME=PATH]...
 //                 [--port=N] [--host=H] [--threads=N] [flags...]
 //   hgmatch query --connect=HOST:PORT <queryset> [--limit=N] [--batch]
@@ -77,7 +77,6 @@ int Usage() {
                "  hgmatch match <data> <query> [threads] [limit]\n"
                "  hgmatch batch <data> <queryset> [threads] [limit]\n"
                "    [--max-inflight=N]   admission window (0 = all at once)\n"
-               "    [--task-quota=N]     per-query live-task fairness cap\n"
                "    [--timeout=S]        per-query timeout, from admission\n"
                "    [--batch-timeout=S]  whole-batch timeout\n"
                "    [--no-plan-cache]    plan every query independently\n"
@@ -95,8 +94,8 @@ int Usage() {
                "    [--host=H]           listen address (default 127.0.0.1)\n"
                "    [--port=N]           listen port (0 = ephemeral)\n"
                "    [--port-file=PATH]   write the bound port to PATH\n"
-               "    [--threads=N] [--max-inflight=N] [--task-quota=N]\n"
-               "    [--timeout=S] [--policy=P] as for batch\n"
+               "    [--threads=N] [--max-inflight=N] [--timeout=S]\n"
+               "    [--policy=P]         as for batch\n"
                "    [--max-queued=N]     backpressure: reject submissions\n"
                "                         beyond N waiting queries\n"
                "    [--no-plan-cache]    no cross-submission plan reuse\n"
@@ -166,32 +165,28 @@ bool ParseSeconds(const char* payload, double* out) {
 }
 
 // Parses one of the scheduling flags shared by `batch` and `serve`
-// (--max-inflight/--task-quota/--timeout/--policy). Returns 1 when the
+// (--max-inflight/--timeout/--policy) into `options`. Returns 1 when the
 // flag was consumed, 0 when `arg` is none of them, -1 on a bad value (the
 // caller reports it).
-int ParseSchedulingFlag(const char* arg, uint32_t* max_inflight,
-                        uint64_t* task_quota, double* timeout_seconds,
-                        AdmissionPolicy* admission) {
+int ParseSchedulingFlag(const char* arg, ServiceOptions* options) {
   uint64_t count = 0;
   if (std::strncmp(arg, "--max-inflight=", 15) == 0) {
     if (!ParseCount(arg + 15, &count) || count > 1u << 20) return -1;
-    *max_inflight = static_cast<uint32_t>(count);
+    options->max_inflight_queries = static_cast<uint32_t>(count);
     return 1;
   }
-  if (std::strncmp(arg, "--task-quota=", 13) == 0) {
-    return ParseCount(arg + 13, task_quota) ? 1 : -1;
-  }
   if (std::strncmp(arg, "--timeout=", 10) == 0) {
-    return ParseSeconds(arg + 10, timeout_seconds) ? 1 : -1;
+    const bool ok = ParseSeconds(arg + 10, &options->parallel.timeout_seconds);
+    return ok ? 1 : -1;
   }
   if (std::strncmp(arg, "--policy=", 9) == 0) {
     const char* policy = arg + 9;
     if (std::strcmp(policy, "fifo") == 0) {
-      *admission = AdmissionPolicy::kFifo;
+      options->admission = AdmissionPolicy::kFifo;
     } else if (std::strcmp(policy, "priority") == 0) {
-      *admission = AdmissionPolicy::kPriority;
+      options->admission = AdmissionPolicy::kPriority;
     } else if (std::strcmp(policy, "wfq") == 0) {
-      *admission = AdmissionPolicy::kWeightedFair;
+      options->admission = AdmissionPolicy::kWeightedFair;
     } else {
       return -1;
     }
@@ -384,9 +379,7 @@ int CmdBatch(int argc, char** argv) {
   int positional = 0;
   for (int a = 4; a < argc; ++a) {
     const char* arg = argv[a];
-    const int scheduling = ParseSchedulingFlag(
-        arg, &options.max_inflight_queries, &options.task_quota,
-        &options.parallel.timeout_seconds, &options.admission);
+    const int scheduling = ParseSchedulingFlag(arg, &options);
     if (scheduling < 0) {
       std::fprintf(stderr, "bad value '%s'\n", arg);
       return 2;
@@ -521,11 +514,7 @@ int CmdServe(int argc, char** argv) {
   for (; a < argc; ++a) {
     const char* arg = argv[a];
     uint64_t count = 0;
-    const int scheduling = ParseSchedulingFlag(
-        arg, &options.service.max_inflight_queries,
-        &options.service.task_quota,
-        &options.service.parallel.timeout_seconds,
-        &options.service.admission);
+    const int scheduling = ParseSchedulingFlag(arg, &options.service);
     if (scheduling < 0) {
       std::fprintf(stderr, "bad value '%s'\n", arg);
       return 2;
