@@ -20,7 +20,7 @@ void PrintEmbedding(const Hypergraph& kb, const Embedding& m) {
   std::printf("  {");
   for (size_t i = 0; i < m.size(); ++i) {
     if (i) std::printf("} & {");
-    const VertexSet& fact = kb.edge(m[i]);
+    const std::span<const VertexId> fact = kb.edge(m[i]);
     for (size_t j = 0; j < fact.size(); ++j) {
       if (j) std::printf(", ");
       std::printf("%s#%u", KbTypeName(kb.label(fact[j])), fact[j]);

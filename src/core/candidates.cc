@@ -95,7 +95,7 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
     bool first = true;
     for (size_t a = 0; a < s.adjacent_prev.size(); ++a) {
       const auto& ap = s.adjacent_prev[a];
-      const VertexSet& fe = h.edge(embedding[ap.step]);
+      const std::span<const VertexId> fe = h.edge(embedding[ap.step]);
       for (size_t k = 0; k < ap.shared.size(); ++k) {
         const PlanStep::SharedVertexInfo info = s.shared_info[a][k];
         incident_scratch_.clear();

@@ -204,7 +204,7 @@ std::string ExactQueryKey(const Hypergraph& q) {
     append(&l, sizeof(l));
   }
   for (EdgeId e = 0; e < q.NumEdges(); ++e) {
-    const VertexSet& vs = q.edge(e);
+    const std::span<const VertexId> vs = q.edge(e);
     const uint64_t arity = vs.size();
     append(&arity, sizeof(arity));
     append(vs.data(), vs.size() * sizeof(VertexId));

@@ -144,13 +144,12 @@ void CompileStep(const Hypergraph& query, const std::vector<EdgeId>& order,
   step->query_edge = eq;
   step->signature = SignatureKeyOf(query, eq);
 
-  const VertexSet& eq_vertices = query.edge(eq);
+  const std::span<const VertexId> eq_vertices = query.edge(eq);
 
   // Partition previous steps into adjacent / non-adjacent (Obs V.2, V.3).
   for (uint32_t j = 0; j < i; ++j) {
-    const VertexSet& prev = query.edge(order[j]);
     std::vector<VertexId> shared;
-    Intersect(prev, eq_vertices, &shared);
+    Intersect(query.edge(order[j]), eq_vertices, &shared);
     if (shared.empty()) {
       step->nonadjacent_prev.push_back(j);
     } else {
@@ -177,7 +176,7 @@ void CompileStep(const Hypergraph& query, const std::vector<EdgeId>& order,
   // |V(q')| after this step (Obs V.5).
   VertexSet all;
   for (uint32_t j = 0; j <= i; ++j) {
-    const VertexSet& e = query.edge(order[j]);
+    const std::span<const VertexId> e = query.edge(order[j]);
     all.insert(all.end(), e.begin(), e.end());
   }
   SortUnique(&all);

@@ -117,7 +117,7 @@ struct VertexSearch {
       // vertex; hyperedge labels must agree as well (footnote 2).
       bool found = false;
       for (EdgeId de : data->incident(image[0])) {
-        if (data->edge(de) == image &&
+        if (std::ranges::equal(data->edge(de), image) &&
             data->edge_label(de) == query->edge_label(e)) {
           found = true;
           break;

@@ -18,7 +18,8 @@ Signature SignatureKeyOf(const Hypergraph& h, EdgeId e) {
   return s;
 }
 
-Signature SignatureOfVertices(const Hypergraph& h, const VertexSet& vertices) {
+Signature SignatureOfVertices(const Hypergraph& h,
+                              std::span<const VertexId> vertices) {
   Signature s;
   s.reserve(vertices.size());
   for (VertexId v : vertices) s.push_back(h.label(v));

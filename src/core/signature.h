@@ -2,6 +2,7 @@
 #define HGMATCH_CORE_SIGNATURE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +33,8 @@ Signature SignatureKeyOf(const Hypergraph& h, EdgeId e);
 inline constexpr Label kEdgeLabelKeyBit = 0x80000000u;
 
 /// Signature of an explicit vertex set of h.
-Signature SignatureOfVertices(const Hypergraph& h, const VertexSet& vertices);
+Signature SignatureOfVertices(const Hypergraph& h,
+                              std::span<const VertexId> vertices);
 
 /// 64-bit hash of a canonical signature, for use as hash-map key.
 uint64_t HashSignature(const Signature& s);

@@ -23,9 +23,9 @@ bool WalkEdges(const Hypergraph& data, uint32_t k, Rng* rng,
     // Pick a random collected hyperedge, then a random vertex in it, then a
     // random incident hyperedge of that vertex.
     const EdgeId from = (*out)[rng->NextBounded(out->size())];
-    const VertexSet& members = data.edge(from);
+    const std::span<const VertexId> members = data.edge(from);
     const VertexId v = members[rng->NextBounded(members.size())];
-    const EdgeSet& incident = data.incident(v);
+    const IncidentEdges incident = data.incident(v);
     const EdgeId next =
         incident[rng->NextBounded(incident.size())];
     if (Contains(collected, next)) {
@@ -45,7 +45,7 @@ Hypergraph ExtractQuery(const Hypergraph& data,
                         const std::vector<EdgeId>& edges) {
   VertexSet vertices;
   for (EdgeId e : edges) {
-    const VertexSet& members = data.edge(e);
+    const std::span<const VertexId> members = data.edge(e);
     vertices.insert(vertices.end(), members.begin(), members.end());
   }
   SortUnique(&vertices);
@@ -58,7 +58,7 @@ Hypergraph ExtractQuery(const Hypergraph& data,
   for (EdgeId e : edges) {
     VertexSet members;
     for (VertexId v : data.edge(e)) members.push_back(remap[v]);
-    (void)q.AddEdge(std::move(members));
+    (void)q.AddEdge(members);
   }
   return q;
 }
@@ -78,7 +78,7 @@ Result<Hypergraph> SampleQuery(const Hypergraph& data,
     if (!WalkEdges(data, settings.num_edges, rng, &edges)) continue;
     VertexSet vertices;
     for (EdgeId e : edges) {
-      const VertexSet& members = data.edge(e);
+      const std::span<const VertexId> members = data.edge(e);
       vertices.insert(vertices.end(), members.begin(), members.end());
     }
     SortUnique(&vertices);

@@ -62,11 +62,13 @@ Result<Hypergraph> DecodeHypergraphV1From(Reader& r) {
   const uint64_t num_edges = r.template ReadValue<uint64_t>();
   const uint64_t num_incidences = r.template ReadValue<uint64_t>();
   if (!r.ok()) return Status::Corruption("truncated header");
-  // Every vertex costs one Label and every incidence one VertexId, so a
-  // header whose counts exceed the bytes at hand is corrupt; checking here
-  // stops a hostile header from driving the AddVertex loop below through
-  // billions of iterations (the wire front end decodes untrusted bytes).
+  // Every vertex costs one Label, every hyperedge an arity, a label and at
+  // least one VertexId, and every incidence one VertexId, so a header whose
+  // counts exceed the bytes at hand is corrupt; checking here stops a
+  // hostile header from driving the loops below through billions of
+  // iterations (the wire front end decodes untrusted bytes).
   if (num_vertices > r.remaining() / sizeof(Label) ||
+      num_edges > r.remaining() / (2 * sizeof(uint32_t) + sizeof(VertexId)) ||
       num_incidences > r.remaining() / sizeof(VertexId)) {
     return Status::Corruption("section counts exceed image size");
   }
@@ -201,7 +203,6 @@ Result<Hypergraph> DecodeHypergraphV2From(Reader& r) {
       return Status::Corruption("bad hyperedge record");
     }
     members.clear();
-    members.reserve(arity);
     uint64_t id = 0;
     for (uint64_t k = 0; k < arity; ++k) {
       // Sorted ascending on write, so ids travel as first + deltas.
@@ -212,9 +213,8 @@ Result<Hypergraph> DecodeHypergraphV2From(Reader& r) {
       members.push_back(static_cast<VertexId>(id));
     }
     incidences += arity;
-    Result<EdgeId> added = h.AddEdge(std::move(members), edge_label);
+    Result<EdgeId> added = h.AddEdge(members, edge_label);
     if (!added.ok()) return added.status();
-    members = VertexSet();
   }
   if (incidences != num_incidences) {
     return Status::Corruption("incidence count mismatch");
@@ -249,7 +249,7 @@ void EncodeHypergraphTo(const Hypergraph& h, Sink& out) {
   put(h.NumIncidences());
   for (VertexId v = 0; v < h.NumVertices(); ++v) put(h.label(v));
   for (EdgeId e = 0; e < h.NumEdges(); ++e) {
-    const VertexSet& members = h.edge(e);
+    const std::span<const VertexId> members = h.edge(e);
     put(static_cast<uint32_t>(members.size()));
     put(h.edge_label(e));
     out.Append(members.data(), members.size() * sizeof(VertexId));
@@ -317,7 +317,7 @@ void EncodeHypergraphCompressedTo(const Hypergraph& h, Sink& out) {
   };
   for (VertexId v = 0; v < h.NumVertices(); ++v) put_varint(h.label(v));
   for (EdgeId e = 0; e < h.NumEdges(); ++e) {
-    const VertexSet& members = h.edge(e);
+    const std::span<const VertexId> members = h.edge(e);
     put_varint(members.size());
     put_varint(h.edge_label(e));
     for (size_t k = 0; k < members.size(); ++k) {

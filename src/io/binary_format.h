@@ -32,6 +32,14 @@ namespace hgmatch {
 /// chunk's raw size before validation can fail. Both little-endian, no
 /// alignment padding; corruption is detected by size mismatches rather
 /// than UB. Readers accept either magic — v1 files keep loading forever.
+///
+/// Decoding reads the labels into AddVertex, then each hyperedge into
+/// one scratch buffer reused for every record, which AddEdge copies onto
+/// the end of the graph's flat hyperedge arrays after its duplicate
+/// check. Nothing is reserved from the header counts, so memory grows
+/// only with the records actually decoded; v1 also rejects, before any
+/// loop, a header whose counts need more bytes than the image holds. The
+/// incidence lists are left to the graph's first incident() read.
 inline constexpr uint32_t kBinaryMagic = 0x31'4d'47'48;    // "HGM1"
 inline constexpr uint32_t kBinaryMagicV2 = 0x32'4d'47'48;  // "HGM2"
 

@@ -81,7 +81,7 @@ Result<Hypergraph> ParseHypergraph(const std::string& text) {
   Hypergraph h;
   for (Label l : labels) h.AddVertex(l);
   for (auto& [members, edge_label] : edges) {
-    Result<EdgeId> added = h.AddEdge(std::move(members), edge_label);
+    Result<EdgeId> added = h.AddEdge(members, edge_label);
     if (!added.ok()) return added.status();
   }
   return h;

@@ -803,8 +803,8 @@ class Scheduler::Impl {
     // scan_grain clamps to >= 1: at grain 0 a 1-element range would split
     // into an identical copy of itself forever.
     const uint32_t grain = std::max(1u, options_.parallel.scan_grain);
-    uint32_t lo = t->scan_lo;
-    uint32_t hi = t->scan_hi;
+    uint32_t lo = t->scan_lo();
+    uint32_t hi = t->scan_hi();
     while (hi - lo > grain) {
       const uint32_t mid = lo + (hi - lo) / 2;
       Spawn(w, Task::NewScan(ctx, mid, hi));

@@ -17,7 +17,7 @@ namespace hgmatch {
 /// T_SINK that is scheduled immediately after being spawned (LIFO order).
 ///
 /// Tasks are heap-allocated with a flexible trailing array so a task is one
-/// contiguous allocation of 24 + 4*depth bytes — "a task contains only a
+/// contiguous allocation of 16 + 4*depth bytes — "a task contains only a
 /// partial embedding and a pointer to the function defining its execution
 /// logic" (Section VI.B Remark); here the kind tag plays the role of the
 /// function pointer, and `owner` tags the task with the scheduler-internal
@@ -30,23 +30,27 @@ struct Task {
   void* owner;        // scheduler query context (opaque to this header)
   Kind kind;
   uint32_t depth;     // EXPAND: matched hyperedges; SCAN: unused (0)
-  uint32_t scan_lo;   // SCAN: range [scan_lo, scan_hi) into the scan table
-  uint32_t scan_hi;   // (EXPAND: both unused, 0)
-  EdgeId edges[];     // EXPAND: the partial embedding (depth entries)
+  EdgeId edges[];     // EXPAND: the partial embedding (depth entries);
+                      // SCAN: the range [edges[0], edges[1]) into the
+                      // scan table
+
+  /// SCAN: the range of scan-table positions this task covers.
+  uint32_t scan_lo() const { return edges[0]; }
+  uint32_t scan_hi() const { return edges[1]; }
 
   /// Bytes of the allocation backing this task.
   size_t SizeBytes() const {
-    return sizeof(Task) + sizeof(EdgeId) * depth;
+    return sizeof(Task) + sizeof(EdgeId) * (kind == Kind::kScan ? 2 : depth);
   }
 
   static Task* NewScan(void* owner, uint32_t lo, uint32_t hi) {
-    Task* t = static_cast<Task*>(::malloc(sizeof(Task)));
+    Task* t = static_cast<Task*>(::malloc(sizeof(Task) + 2 * sizeof(EdgeId)));
     if (t == nullptr) ::abort();  // allocation failure is not recoverable
     t->owner = owner;
     t->kind = Kind::kScan;
     t->depth = 0;
-    t->scan_lo = lo;
-    t->scan_hi = hi;
+    t->edges[0] = lo;
+    t->edges[1] = hi;
     return t;
   }
 
@@ -58,7 +62,6 @@ struct Task {
     t->owner = owner;
     t->kind = Kind::kExpand;
     t->depth = prefix_len + 1;
-    t->scan_lo = t->scan_hi = 0;
     for (uint32_t i = 0; i < prefix_len; ++i) t->edges[i] = prefix[i];
     t->edges[prefix_len] = next;
     return t;
@@ -66,6 +69,7 @@ struct Task {
 
   static void Free(Task* t) { ::free(t); }
 };
+static_assert(sizeof(Task) == 16, "EXPAND allocations carry no unused bytes");
 
 /// Tracks live task bytes and their high-water mark across all workers;
 /// the peak realises the left-hand side of the Theorem VI.1 memory bound,

@@ -15,8 +15,8 @@ constexpr size_t kGallopRatio = 32;
 
 // Galloping intersection: for each element of the small list, locate it in
 // the large list via exponential + binary search, advancing a frontier.
-void IntersectGallop(const std::vector<uint32_t>& small,
-                     const std::vector<uint32_t>& large,
+void IntersectGallop(std::span<const uint32_t> small,
+                     std::span<const uint32_t> large,
                      std::vector<uint32_t>* out) {
   size_t lo = 0;
   for (uint32_t x : small) {
@@ -39,8 +39,7 @@ void IntersectGallop(const std::vector<uint32_t>& small,
   }
 }
 
-void IntersectMerge(const std::vector<uint32_t>& a,
-                    const std::vector<uint32_t>& b,
+void IntersectMerge(std::span<const uint32_t> a, std::span<const uint32_t> b,
                     std::vector<uint32_t>* out) {
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -93,12 +92,12 @@ void UnionBitmap(const std::vector<std::span<const uint32_t>>& inputs,
 
 }  // namespace
 
-void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+void Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
                std::vector<uint32_t>* out) {
   out->clear();
   if (a.empty() || b.empty()) return;
-  const auto& small = a.size() <= b.size() ? a : b;
-  const auto& large = a.size() <= b.size() ? b : a;
+  const std::span<const uint32_t> small = a.size() <= b.size() ? a : b;
+  const std::span<const uint32_t> large = a.size() <= b.size() ? b : a;
   out->reserve(small.size());
   if (large.size() / (small.size() + 1) >= kGallopRatio) {
     IntersectGallop(small, large, out);
@@ -107,8 +106,7 @@ void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
   }
 }
 
-size_t IntersectSize(const std::vector<uint32_t>& a,
-                     const std::vector<uint32_t>& b) {
+size_t IntersectSize(std::span<const uint32_t> a, std::span<const uint32_t> b) {
   size_t i = 0, j = 0, n = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -181,12 +179,11 @@ void UnionMany(const std::vector<std::span<const uint32_t>>& inputs,
   }
 }
 
-bool Contains(const std::vector<uint32_t>& a, uint32_t x) {
+bool Contains(std::span<const uint32_t> a, uint32_t x) {
   return std::binary_search(a.begin(), a.end(), x);
 }
 
-bool Intersects(const std::vector<uint32_t>& a,
-                const std::vector<uint32_t>& b) {
+bool Intersects(std::span<const uint32_t> a, std::span<const uint32_t> b) {
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {

@@ -10,7 +10,8 @@
 
 namespace hgmatch {
 
-/// Sorted-set algebra on duplicate-free ascending uint32 vectors.
+/// Sorted-set algebra on duplicate-free ascending uint32 lists (vectors or
+/// views into flat arrays).
 ///
 /// These kernels are the workhorse of HGMatch's candidate generation
 /// (Algorithm 4): posting lists of the inverted hyperedge index are unioned
@@ -21,12 +22,11 @@ namespace hgmatch {
 /// bitmap union selected when many inputs fall in a dense id span.
 
 /// out = a ∩ b. `out` is cleared first. Aliasing with inputs is not allowed.
-void Intersect(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b,
+void Intersect(std::span<const uint32_t> a, std::span<const uint32_t> b,
                std::vector<uint32_t>* out);
 
 /// Returns |a ∩ b| without materialising the intersection.
-size_t IntersectSize(const std::vector<uint32_t>& a,
-                     const std::vector<uint32_t>& b);
+size_t IntersectSize(std::span<const uint32_t> a, std::span<const uint32_t> b);
 
 /// out = a ∪ b. `out` is cleared first. Aliasing with inputs is not allowed.
 void Union(std::span<const uint32_t> a, std::span<const uint32_t> b,
@@ -41,10 +41,10 @@ void UnionMany(const std::vector<std::span<const uint32_t>>& inputs,
                std::vector<uint32_t>* out);
 
 /// True iff x ∈ a (binary search).
-bool Contains(const std::vector<uint32_t>& a, uint32_t x);
+bool Contains(std::span<const uint32_t> a, uint32_t x);
 
 /// True iff a ∩ b is non-empty (early-exit merge/gallop).
-bool Intersects(const std::vector<uint32_t>& a, const std::vector<uint32_t>& b);
+bool Intersects(std::span<const uint32_t> a, std::span<const uint32_t> b);
 
 /// Inserts x into sorted vector a, keeping it sorted; no-op if present.
 void InsertSorted(std::vector<uint32_t>* a, uint32_t x);

@@ -1,10 +1,13 @@
 // Tests of the LZSS codec (io/compress.h), the varint layer (io/byte_io.h),
 // and the v2 compressed on-disk hypergraph format built on both
-// (io/binary_format.h).
+// (io/binary_format.h), with the hostile-header checks of v1 beside v2's.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <string>
 
@@ -13,6 +16,21 @@
 #include "io/byte_io.h"
 #include "io/compress.h"
 #include "tests/test_fixtures.h"
+
+// The largest single operator new request since the last reset, so a test
+// can check that decoding never sizes an allocation from a header's counts.
+std::atomic<size_t> largest_new_request{0};
+
+void* operator new(size_t bytes) {
+  size_t seen = largest_new_request.load(std::memory_order_relaxed);
+  while (bytes > seen && !largest_new_request.compare_exchange_weak(
+                             seen, bytes, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace hgmatch {
 namespace {
@@ -267,6 +285,43 @@ TEST(BinaryV2Test, HostileHeaderCountsAreBoundedByInput)
   AppendValue<uint64_t>(0, &bad);           // incidences
   Result<Hypergraph> r = DecodeHypergraphBinary(bad.data(), bad.size());
   EXPECT_FALSE(r.ok());
+}
+
+TEST(BinaryFormatTest, HostileHeaderCountsFailWithoutLargeAllocations) {
+  // v1 and v2 images whose headers claim 2^40 hyperedges (and 2^40 or 2
+  // vertices) over a body of two labels and one hyperedge {0}. Each must
+  // fail as corrupt, and no allocation may be sized from the claims.
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  for (const uint64_t num_vertices : {kHuge, uint64_t{2}}) {
+    std::string v1;
+    AppendValue<uint32_t>(kBinaryMagic, &v1);
+    for (const uint64_t count : {num_vertices, kHuge, kHuge}) {
+      AppendValue<uint64_t>(count, &v1);
+    }
+    for (const uint32_t word : {0u, 0u, 1u, 0u, 0u}) {  // labels, {0}
+      AppendValue<uint32_t>(word, &v1);
+    }
+    std::string v2;
+    AppendValue<uint32_t>(kBinaryMagicV2, &v2);
+    for (const uint64_t count : {num_vertices, kHuge, kHuge}) {
+      AppendValue<uint64_t>(count, &v2);
+    }
+    const std::string body("\0\0\1\0\0", 5);  // varints: labels, {0}
+    AppendValue<uint32_t>(static_cast<uint32_t>(body.size()), &v2);  // raw
+    AppendValue<uint32_t>(static_cast<uint32_t>(body.size()), &v2);  // kept
+    AppendValue<uint8_t>(0, &v2);                                    // raw
+    v2 += body;
+    for (const std::string* image : {&v1, &v2}) {
+      largest_new_request.store(0);
+      const Result<Hypergraph> r =
+          DecodeHypergraphBinary(image->data(), image->size());
+      const size_t largest = largest_new_request.load();
+      EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+          << (image == &v1 ? "v1" : "v2") << " |V| " << num_vertices;
+      EXPECT_LT(largest, size_t{1} << 16)
+          << (image == &v1 ? "v1" : "v2") << " |V| " << num_vertices;
+    }
+  }
 }
 
 TEST(BinaryV2Test, ChunkDeclaringOversizeRawIsRejected) {

@@ -176,7 +176,8 @@ TEST(EdgeLabelTest, TextFormatRoundTripsLabels) {
   ASSERT_EQ(parsed.value().NumEdges(), kb.data.NumEdges());
   for (EdgeId e = 0; e < kb.data.NumEdges(); ++e) {
     EXPECT_EQ(parsed.value().edge_label(e), kb.data.edge_label(e));
-    EXPECT_EQ(parsed.value().edge(e), kb.data.edge(e));
+    EXPECT_TRUE(std::ranges::equal(parsed.value().edge(e), kb.data.edge(e)))
+        << "edge " << e;
   }
   // Malformed labelled edges are rejected.
   EXPECT_FALSE(ParseHypergraph("v 0 0\nel x 0\n").ok());

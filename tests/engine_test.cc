@@ -167,9 +167,9 @@ Hypergraph DisjointUnion(const Hypergraph& a, const Hypergraph& b) {
   }
   const VertexId shift = static_cast<VertexId>(a.NumVertices());
   for (EdgeId e = 0; e < b.NumEdges(); ++e) {
-    VertexSet vs = b.edge(e);
+    VertexSet vs(b.edge(e).begin(), b.edge(e).end());
     for (VertexId& v : vs) v += shift;
-    EXPECT_TRUE(q.AddEdge(std::move(vs), b.edge_label(e)).ok());
+    EXPECT_TRUE(q.AddEdge(vs, b.edge_label(e)).ok());
   }
   return q;
 }

@@ -23,7 +23,7 @@ TEST(GeneratorTest, Deterministic) {
   Hypergraph b = GenerateHypergraph(c);
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
   for (EdgeId e = 0; e < a.NumEdges(); ++e) {
-    EXPECT_EQ(a.edge(e), b.edge(e));
+    EXPECT_TRUE(std::ranges::equal(a.edge(e), b.edge(e))) << "edge " << e;
   }
   for (VertexId v = 0; v < a.NumVertices(); ++v) {
     EXPECT_EQ(a.label(v), b.label(v));
@@ -204,7 +204,7 @@ TEST(IoTest, RoundTrip) {
     EXPECT_EQ(g.label(v), h.label(v));
   }
   for (EdgeId e = 0; e < h.NumEdges(); ++e) {
-    EXPECT_EQ(g.edge(e), h.edge(e));
+    EXPECT_TRUE(std::ranges::equal(g.edge(e), h.edge(e))) << "edge " << e;
   }
 }
 

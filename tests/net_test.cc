@@ -64,7 +64,8 @@ TEST(ProtocolTest, SubmitFrameRoundTripsOptionsAndQuery) {
   EXPECT_EQ(decoded.value().limit, 42u);
   EXPECT_EQ(decoded.value().query.NumVertices(), 5u);
   EXPECT_EQ(decoded.value().query.NumEdges(), 3u);
-  EXPECT_EQ(decoded.value().query.edge(2), PaperQueryHypergraph().edge(2));
+  EXPECT_TRUE(std::ranges::equal(decoded.value().query.edge(2),
+                                 PaperQueryHypergraph().edge(2)));
 }
 
 TEST(ProtocolTest, OutcomeFrameRoundTripsFullStats) {

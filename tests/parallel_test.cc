@@ -110,9 +110,9 @@ TEST(TaskTest, LayoutAndAccounting) {
   Task* scan = Task::NewScan(&owner_tag, 3, 17);
   EXPECT_EQ(scan->kind, Task::Kind::kScan);
   EXPECT_EQ(scan->owner, &owner_tag);
-  EXPECT_EQ(scan->scan_lo, 3u);
-  EXPECT_EQ(scan->scan_hi, 17u);
-  EXPECT_EQ(scan->SizeBytes(), sizeof(Task));
+  EXPECT_EQ(scan->scan_lo(), 3u);
+  EXPECT_EQ(scan->scan_hi(), 17u);
+  EXPECT_EQ(scan->SizeBytes(), sizeof(Task) + 2 * sizeof(EdgeId));
   Task::Free(scan);
 
   const EdgeId prefix[] = {7, 9};

@@ -15,15 +15,15 @@ using V = std::vector<uint32_t>;
 
 TEST(SetOpsTest, IntersectBasics) {
   V out;
-  Intersect({1, 3, 5, 7}, {3, 4, 5, 6}, &out);
+  Intersect(V{1, 3, 5, 7}, V{3, 4, 5, 6}, &out);
   EXPECT_EQ(out, (V{3, 5}));
-  Intersect({}, {1, 2}, &out);
+  Intersect(V{}, V{1, 2}, &out);
   EXPECT_TRUE(out.empty());
-  Intersect({1, 2}, {}, &out);
+  Intersect(V{1, 2}, V{}, &out);
   EXPECT_TRUE(out.empty());
-  Intersect({1, 2, 3}, {1, 2, 3}, &out);
+  Intersect(V{1, 2, 3}, V{1, 2, 3}, &out);
   EXPECT_EQ(out, (V{1, 2, 3}));
-  Intersect({1, 2}, {3, 4}, &out);
+  Intersect(V{1, 2}, V{3, 4}, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -41,8 +41,8 @@ TEST(SetOpsTest, IntersectGallopPathMatchesMerge) {
 }
 
 TEST(SetOpsTest, IntersectSize) {
-  EXPECT_EQ(IntersectSize({1, 2, 3}, {2, 3, 4}), 2u);
-  EXPECT_EQ(IntersectSize({}, {1}), 0u);
+  EXPECT_EQ(IntersectSize(V{1, 2, 3}, V{2, 3, 4}), 2u);
+  EXPECT_EQ(IntersectSize(V{}, V{1}), 0u);
 }
 
 TEST(SetOpsTest, UnionBasics) {
@@ -65,10 +65,10 @@ TEST(SetOpsTest, UnionMany) {
 }
 
 TEST(SetOpsTest, Predicates) {
-  EXPECT_TRUE(Contains({1, 5, 9}, 5));
-  EXPECT_FALSE(Contains({1, 5, 9}, 4));
-  EXPECT_TRUE(Intersects({1, 9}, {9, 10}));
-  EXPECT_FALSE(Intersects({1, 9}, {2, 10}));
+  EXPECT_TRUE(Contains(V{1, 5, 9}, 5));
+  EXPECT_FALSE(Contains(V{1, 5, 9}, 4));
+  EXPECT_TRUE(Intersects(V{1, 9}, V{9, 10}));
+  EXPECT_FALSE(Intersects(V{1, 9}, V{2, 10}));
 }
 
 TEST(SetOpsTest, InsertSortedAndSortUnique) {
