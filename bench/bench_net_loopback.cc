@@ -11,9 +11,10 @@
 // (io_threads 1/2/4) over a fixed budget of tiny queries, so the aggregate
 // q/s scaling of the epoll front end is measured where framing — not
 // matching — is the bottleneck. A fourth section floods one connection
-// with 10k tiny queries under {per-query SUBMIT, BATCH_SUBMIT} x {raw,
-// compressed} and reports bytes/query and q/s per cell — the wire-economy
-// numbers behind the batched/compressed framing. A fifth section exercises
+// with 10k tiny queries under {per-query Submit (a one-entry SUBMIT frame
+// each), SubmitBatch (many entries per SUBMIT frame)} x {raw, compressed}
+// and reports bytes/query and q/s per cell — the wire-economy numbers
+// behind the many-entry and compressed framing. A fifth section exercises
 // the graph catalog: round-robin routing over 1 vs 4 hosted graphs, with
 // per-query counts cross-checked across both cells. A sixth section reruns
 // the 10k-query flood under {metrics on (the default), metrics compiled in
@@ -265,9 +266,9 @@ bool RunFloodCell(const IndexedHypergraph& index, const Hypergraph& tiny,
 
 // Small-query flood: 10k single-edge queries against a 16-clique, where
 // virtually all the cost is framing. The headline number is bytes/query
-// of BATCH_SUBMIT+compression against per-query raw SUBMIT (the v1 wire
-// protocol): batching amortises the 9-byte header and the repeated
-// submit-option block across the frame, and LZSS then collapses the
+// of SubmitBatch+compression against per-query raw Submit, one entry per
+// SUBMIT frame: many entries per frame amortise the 9-byte header and the
+// repeated submit-option block across the frame, and LZSS then collapses the
 // near-identical serialized queries, so the product of the two is the
 // reduction a small-query-heavy deployment should expect. queries/s is a
 // loopback number: the wire is free and client, IO thread and workers
@@ -289,12 +290,12 @@ void FloodSection() {
 
   constexpr size_t kFlood = 10000;
   FloodCell cells[4];
-  cells[0].mode = "submit/raw";
-  cells[1].mode = "submit/lzss";
+  cells[0].mode = "Submit/raw";
+  cells[1].mode = "Submit/lzss";
   cells[1].compressed = true;
-  cells[2].mode = "batch/raw";
+  cells[2].mode = "SubmitBatch/raw";
   cells[2].batch = true;
-  cells[3].mode = "batch/lzss";
+  cells[3].mode = "SubmitBatch/lzss";
   cells[3].batch = true;
   cells[3].compressed = true;
   std::printf("-- small-query flood (%zu single-edge queries, 1 conn) --\n",
@@ -319,7 +320,7 @@ void FloodSection() {
       return;
     }
     std::printf(
-        "%-12s %8.4fs  %9.1f q/s  sent %8llu B /%6llu f  "
+        "%-16s %8.4fs  %9.1f q/s  sent %8llu B /%6llu f  "
         "recv %8llu B /%6llu f  %6.1f B/query\n",
         cell.mode, cell.seconds,
         cell.seconds > 0
@@ -334,8 +335,9 @@ void FloodSection() {
   const double base = FloodBytesPerQuery(cells[0]);
   const double best = FloodBytesPerQuery(cells[3]);
   if (best > 0) {
-    std::printf("bytes/query reduction (batch+lzss vs submit/raw): %.2fx\n",
-                base / best);
+    std::printf(
+        "bytes/query reduction (SubmitBatch/lzss vs Submit/raw): %.2fx\n",
+        base / best);
   }
 }
 

@@ -18,7 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -139,59 +139,6 @@ Status AsyncMatchClient::SendFrameNegotiated(FrameType type,
   return SendEncoded(frame);
 }
 
-Result<uint64_t> AsyncMatchClient::Submit(const std::string& graph,
-                                          const Hypergraph& query,
-                                          const SubmitOptions& options,
-                                          OutcomeCallback callback) {
-  uint64_t id;
-  {
-    std::unique_lock<std::mutex> lock(state_mutex_);
-    if (fd_ < 0) return Status::InvalidArgument("not connected");
-    if (options_.max_inflight > 0) {
-      cv_.wait(lock, [this] {
-        return pending_.size() < options_.max_inflight || !failure_.ok() ||
-               closed_;
-      });
-    }
-    if (!failure_.ok()) return failure_;
-    if (closed_) return Status::InvalidArgument("client closed");
-    id = next_request_id_++;
-    pending_.emplace(id, std::move(callback));
-  }
-  WireSubmit submit;
-  submit.request_id = id;
-  submit.tenant_id = options.tenant_id;
-  submit.priority = options.priority;
-  submit.weight = options.weight;
-  submit.timeout_seconds = options.timeout_seconds;
-  submit.limit = options.limit;
-  submit.graph = graph;
-  const std::string payload = EncodeSubmit(submit, query);
-  if (payload.size() > kMaxWirePayload) {
-    // Fail just this request locally: sending it would make the server
-    // error-close the connection, killing every pipelined sibling.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    pending_.erase(id);
-    cv_.notify_all();
-    return Status::InvalidArgument(
-        "query exceeds the wire payload bound (" +
-        std::to_string(payload.size()) + " > " +
-        std::to_string(kMaxWirePayload) + " bytes)");
-  }
-  const Status sent = SendFrameNegotiated(FrameType::kSubmit, payload);
-  if (!sent.ok()) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    if (pending_.erase(id) == 1) {
-      cv_.notify_all();
-      return sent;
-    }
-    // The reader tore the connection down between our send and this
-    // cleanup and already owns the callback: it fires with the failure,
-    // so the request counts as accepted (exactly-once holds).
-  }
-  return id;
-}
-
 Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
     const std::string& graph, const std::vector<const Hypergraph*>& queries,
     const SubmitOptions& options, OutcomeCallback callback) {
@@ -199,12 +146,10 @@ Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (fd_ < 0) return Status::InvalidArgument("not connected");
   }
-  std::vector<uint64_t> ids;
-  ids.reserve(queries.size());
 
   // Pre-encode every entry with a placeholder request id; ids are only
   // assigned under the window wait below, chunk by chunk, and the id is
-  // the first 8 bytes of the SUBMIT payload — patched in place (the graph
+  // the first 8 bytes of the SUBMIT entry — patched in place (the graph
   // name sits after the fixed fields, so the id offset is unaffected).
   WireSubmit fields;
   fields.request_id = 0;
@@ -218,70 +163,75 @@ Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
   entries.reserve(queries.size());
   for (const Hypergraph* query : queries) {
     entries.push_back(EncodeSubmit(fields, *query));
-    if (entries.back().size() > kMaxWirePayload) {
+    // Fail locally an entry that cannot travel even alone, framing
+    // included: sending it would make the server error-close the
+    // connection, killing every pipelined sibling.
+    if (FittingEntries({&entries.back(), 1}) == 0) {
       return Status::InvalidArgument(
-          "batch entry exceeds the wire payload bound (" +
-          std::to_string(entries.back().size()) + " > " +
+          "query exceeds the wire payload bound (" +
+          std::to_string(entries.back().size()) + " bytes plus framing > " +
           std::to_string(kMaxWirePayload) + " bytes)");
     }
   }
 
   // Chunk by the frame payload bound and the in-flight window, then ship
-  // each chunk as one kBatchSubmit frame. Chunks are capped at half the
-  // window so the next chunk is admitted while the previous one drains —
-  // a full-window chunk would stall until pending hits zero between
-  // frames, serialising the flood.
+  // each chunk as one kSubmit frame. Chunks are capped at half the window
+  // so the next chunk is admitted while the previous one drains — a
+  // full-window chunk would stall until pending hits zero between frames,
+  // serialising the flood.
   const size_t chunk_cap =
       options_.max_inflight > 0
           ? std::max<size_t>(1, options_.max_inflight / 2)
-          : 0;
-  size_t begin = 0;
-  while (begin < entries.size()) {
-    size_t end = begin;
-    size_t chunk_bytes = 10;  // count varint
-    while (end < entries.size()) {
-      const size_t entry_bytes = entries[end].size() + 10;
-      if (end > begin && chunk_bytes + entry_bytes > kMaxWirePayload) break;
-      if (chunk_cap > 0 && end - begin >= chunk_cap) break;
-      chunk_bytes += entry_bytes;
-      ++end;
-    }
-    const size_t chunk = end - begin;
-    std::vector<std::string> frame_entries(
-        std::make_move_iterator(entries.begin() + begin),
-        std::make_move_iterator(entries.begin() + end));
+          : SIZE_MAX;
+  std::vector<uint64_t> ids;
+  ids.reserve(entries.size());
+  Status stopped;  // why the call ended before its last chunk, if it did
+  std::span<std::string> rest(entries);
+  while (!rest.empty()) {
+    const std::span<std::string> chunk =
+        rest.first(FittingEntries(rest, chunk_cap));
+    rest = rest.subspan(chunk.size());
     {
       std::unique_lock<std::mutex> lock(state_mutex_);
       if (options_.max_inflight > 0) {
-        cv_.wait(lock, [this, chunk] {
-          return pending_.size() + chunk <= options_.max_inflight ||
+        cv_.wait(lock, [this, n = chunk.size()] {
+          return pending_.size() + n <= options_.max_inflight ||
                  !failure_.ok() || closed_;
         });
       }
-      if (!failure_.ok()) return failure_;
-      if (closed_) return Status::InvalidArgument("client closed");
-      for (std::string& entry : frame_entries) {
+      if (!failure_.ok() || closed_) {
+        stopped = failure_.ok() ? Status::InvalidArgument("client closed")
+                                : failure_;
+        break;
+      }
+      for (std::string& entry : chunk) {
         const uint64_t id = next_request_id_++;
         std::memcpy(entry.data(), &id, sizeof(id));
-        pending_.emplace(id, callback);
         ids.push_back(id);
+        // The last entry takes the callback itself; the others copy it.
+        pending_.emplace(id, ids.size() == entries.size()
+                                 ? std::move(callback)
+                                 : callback);
       }
     }
-    const Status sent = SendFrameNegotiated(
-        FrameType::kBatchSubmit, EncodeBatchPayload(frame_entries));
-    if (!sent.ok()) {
-      // Un-register what the reader has not already claimed; claimed ones
-      // fire through the failure path (exactly-once, as in Submit). Ids of
-      // chunks already sent stay accepted — their callbacks still fire.
+    stopped = SendFrameNegotiated(FrameType::kSubmit, EncodeEntryList(chunk));
+    if (!stopped.ok()) {
+      // Withdraw the chunk's entries the reader has not claimed; claimed
+      // ones fire through the failure path and so count as accepted.
       std::lock_guard<std::mutex> lock(state_mutex_);
-      for (size_t i = ids.size() - chunk; i < ids.size(); ++i) {
-        pending_.erase(ids[i]);
+      size_t accepted = ids.size() - chunk.size();
+      for (size_t i = accepted; i < ids.size(); ++i) {
+        if (pending_.erase(ids[i]) == 0) ids[accepted++] = ids[i];
       }
+      ids.resize(accepted);
       cv_.notify_all();
-      return sent;
+      break;
     }
-    begin = end;
   }
+  // A call cut short by a connection failure returns the ids it got
+  // accepted (their callbacks fire with the failure); with none, it fails
+  // and no callback fires.
+  if (ids.empty() && !stopped.ok()) return stopped;
   return ids;
 }
 
@@ -471,18 +421,7 @@ bool AsyncMatchClient::HandleServerFrame(FrameType type,
                                          std::string& payload) {
   switch (type) {
     case FrameType::kOutcome: {
-      Result<WireOutcome> outcome =
-          DecodeOutcome(payload, (features_ & kFeatureTrace) != 0);
-      if (!outcome.ok()) {
-        FailAll(outcome.status());
-        return false;
-      }
-      FinishOne(std::move(outcome).value());
-      return true;
-    }
-    case FrameType::kBatchOutcome: {
-      Result<std::vector<std::string_view>> entries =
-          DecodeBatchPayload(payload);
+      Result<std::vector<std::string_view>> entries = DecodeEntryList(payload);
       if (!entries.ok()) {
         FailAll(entries.status());
         return false;
@@ -586,12 +525,6 @@ bool AsyncMatchClient::connected() const { return false; }
 Status AsyncMatchClient::SendFrame(FrameType, const std::string&) {
   return Status::Internal("hgmatch net requires POSIX sockets");
 }
-Result<uint64_t> AsyncMatchClient::Submit(const std::string&,
-                                          const Hypergraph&,
-                                          const SubmitOptions&,
-                                          OutcomeCallback) {
-  return Status::Internal("hgmatch net requires POSIX sockets");
-}
 Result<std::vector<uint64_t>> AsyncMatchClient::SubmitBatch(
     const std::string&, const std::vector<const Hypergraph*>&,
     const SubmitOptions&, OutcomeCallback) {
@@ -641,5 +574,15 @@ void AsyncMatchClient::FinishOne(WireOutcome) {}
 void AsyncMatchClient::FailAll(const Status&) {}
 
 #endif  // HGMATCH_HAVE_SOCKETS
+
+Result<uint64_t> AsyncMatchClient::Submit(const std::string& graph,
+                                          const Hypergraph& query,
+                                          const SubmitOptions& options,
+                                          OutcomeCallback callback) {
+  Result<std::vector<uint64_t>> ids =
+      SubmitBatch(graph, {&query}, options, std::move(callback));
+  if (!ids.ok()) return ids.status();
+  return ids.value().front();
+}
 
 }  // namespace hgmatch

@@ -36,8 +36,8 @@ struct AsyncClientOptions {
 
 /// Wire-level transfer counters of one client connection, for bytes/query
 /// accounting (bench_net_loopback, `hgmatch query --connect` framing
-/// stats). Frames count wire frames as sent/received — a kBatchSubmit or
-/// kCompressed wrapper is one frame however many submissions it carries.
+/// stats). Frames count wire frames as sent/received — a kSubmit, kOutcome
+/// or kCompressed frame is one frame however many entries it carries.
 struct ClientTransferStats {
   uint64_t frames_sent = 0;
   uint64_t bytes_sent = 0;
@@ -103,7 +103,8 @@ class AsyncMatchClient {
   bool connected() const;
 
   /// Sends one query and registers `callback` for its reply; returns the
-  /// connection-unique request id. Blocks only when the in-flight window
+  /// connection-unique request id. A SubmitBatch() of one: a kSubmit frame
+  /// with one entry. Blocks only when the in-flight window
   /// (AsyncClientOptions::max_inflight) is full. `options.sink` is
   /// ignored (embeddings do not cross the wire; counts and stats do).
   Result<uint64_t> Submit(const Hypergraph& query,
@@ -120,12 +121,15 @@ class AsyncMatchClient {
                           OutcomeCallback callback);
 
   /// Submits many queries sharing one options/callback pair, coalescing
-  /// them into kBatchSubmit frames — one syscall and one server admission
-  /// pass per chunk instead of per query. Entries are chunked by the
-  /// in-flight window and the frame payload bound; each chunk blocks
-  /// until the window has room for all of it. Returns the request ids in
-  /// input order; the callback fires exactly once per id, as with
-  /// Submit().
+  /// them into kSubmit frames — one syscall and one server admission pass
+  /// per chunk instead of per query. This is the client's one submission
+  /// path. Entries are chunked by the in-flight window and the frame
+  /// payload bound; each chunk blocks until the window has room for all
+  /// of it. A query whose entry cannot fit a frame even alone fails the
+  /// call before anything is sent. Returns the request ids in input
+  /// order; the callback fires exactly once per id. A connection failure
+  /// mid-call ends it early: it returns the ids accepted so far (their
+  /// callbacks fire with the failure), or the failure when none was.
   Result<std::vector<uint64_t>> SubmitBatch(
       const std::vector<const Hypergraph*>& queries,
       const SubmitOptions& options, OutcomeCallback callback) {

@@ -20,16 +20,7 @@ Result<uint64_t> MatchClient::Submit(const Hypergraph& query,
 Result<uint64_t> MatchClient::SubmitTo(const std::string& graph,
                                        const Hypergraph& query,
                                        const SubmitOptions& options) {
-  return async_.Submit(graph, query, options,
-                       [this](const AsyncOutcome& result) {
-                         std::lock_guard<std::mutex> lock(mutex_);
-                         if (result.transport.ok()) {
-                           ready_.emplace(result.request_id, result.wire);
-                         } else if (failure_.ok()) {
-                           failure_ = result.transport;
-                         }
-                         cv_.notify_all();
-                       });
+  return async_.Submit(graph, query, options, file_outcome_);
 }
 
 Result<std::vector<uint64_t>> MatchClient::SubmitBatch(
@@ -42,17 +33,7 @@ Result<std::vector<uint64_t>> MatchClient::SubmitBatchTo(
     const std::string& graph,
     const std::vector<const Hypergraph*>& queries,
     const SubmitOptions& options) {
-  return async_.SubmitBatch(graph, queries, options,
-                            [this](const AsyncOutcome& result) {
-                              std::lock_guard<std::mutex> lock(mutex_);
-                              if (result.transport.ok()) {
-                                ready_.emplace(result.request_id,
-                                               result.wire);
-                              } else if (failure_.ok()) {
-                                failure_ = result.transport;
-                              }
-                              cv_.notify_all();
-                            });
+  return async_.SubmitBatch(graph, queries, options, file_outcome_);
 }
 
 Result<WireOutcome> MatchClient::WaitOutcome(uint64_t request_id) {

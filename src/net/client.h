@@ -60,8 +60,8 @@ class MatchClient {
                             const SubmitOptions& options = {});
 
   /// Sends many queries sharing one options block, coalesced into
-  /// kBatchSubmit frames. Returns the request ids in input order;
-  /// wait for each with WaitOutcome() as usual.
+  /// kSubmit frames (Submit() sends a frame of one). Returns the request
+  /// ids in input order; wait for each with WaitOutcome() as usual.
   Result<std::vector<uint64_t>> SubmitBatch(
       const std::vector<const Hypergraph*>& queries,
       const SubmitOptions& options = {});
@@ -115,6 +115,18 @@ class MatchClient {
   std::condition_variable cv_;
   std::unordered_map<uint64_t, WireOutcome> ready_;  // out-of-order arrivals
   Status failure_;  // sticky first transport/server failure
+
+  // Every submission's callback: files the reply into ready_ (or records
+  // the transport failure) and wakes the waiters.
+  const OutcomeCallback file_outcome_ = [this](const AsyncOutcome& result) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (result.transport.ok()) {
+      ready_.emplace(result.request_id, result.wire);
+    } else if (failure_.ok()) {
+      failure_ = result.transport;
+    }
+    cv_.notify_all();
+  };
 
   // Declared last: destroyed first, so the reader thread joins (and every
   // callback into the members above returns) before they die.

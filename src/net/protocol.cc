@@ -10,9 +10,16 @@ namespace hgmatch {
 
 namespace {
 
+// Types below kRejected are the retired HGN3 single-entry frames.
 bool ValidFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kSubmit) &&
+  return type >= static_cast<uint8_t>(FrameType::kRejected) &&
          type <= static_cast<uint8_t>(FrameType::kCatalogReply);
+}
+
+size_t VarintBytes(uint64_t value) {
+  size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
 }
 
 // Length-prefixed string: varint byte count, then the bytes.
@@ -383,7 +390,7 @@ Result<uint32_t> DecodeFeatures(std::string_view payload) {
   return features;
 }
 
-std::string EncodeBatchPayload(const std::vector<std::string>& entries) {
+std::string EncodeEntryList(std::span<const std::string> entries) {
   size_t total = 10;
   for (const std::string& e : entries) total += e.size() + 10;
   std::string payload;
@@ -396,29 +403,43 @@ std::string EncodeBatchPayload(const std::vector<std::string>& entries) {
   return payload;
 }
 
-Result<std::vector<std::string_view>> DecodeBatchPayload(
+Result<std::vector<std::string_view>> DecodeEntryList(
     std::string_view payload) {
   ByteReader r(payload);
   const uint64_t count = ReadVarint(r);
   // Every entry costs at least its one-byte length prefix, so a count
   // beyond the remaining bytes is corrupt before anything is reserved.
   if (!r.ok() || count > r.remaining()) {
-    return Status::Corruption("malformed batch frame");
+    return Status::Corruption("malformed entry list");
   }
   std::vector<std::string_view> entries;
   entries.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     const uint64_t bytes = ReadVarint(r);
     if (!r.ok() || bytes > r.remaining()) {
-      return Status::Corruption("malformed batch frame");
+      return Status::Corruption("malformed entry list");
     }
     entries.push_back(r.rest().substr(0, bytes));
     r.Skip(bytes);
   }
   if (!r.ok() || r.remaining() != 0) {
-    return Status::Corruption("malformed batch frame");
+    return Status::Corruption("malformed entry list");
   }
   return entries;
+}
+
+size_t FittingEntries(std::span<const std::string> entries,
+                      size_t max_entries) {
+  size_t count = 0;
+  size_t bytes = 0;  // length prefixes + entries so far
+  for (const std::string& e : entries) {
+    if (count == max_entries) break;
+    const size_t next = bytes + VarintBytes(e.size()) + e.size();
+    if (VarintBytes(count + 1) + next > kMaxWirePayload) break;
+    bytes = next;
+    ++count;
+  }
+  return count;
 }
 
 void AppendFrameMaybeCompressed(FrameType type, std::string_view payload,

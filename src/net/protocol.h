@@ -2,6 +2,7 @@
 #define HGMATCH_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,7 +17,7 @@ namespace hgmatch {
 /// net/client.h speaks it): a stream of length-prefixed binary frames,
 /// little-endian, no padding:
 ///
-///   [u32 magic "HGN3"] [u8 type] [u32 payload bytes] [payload...]
+///   [u32 magic "HGN4"] [u8 type] [u32 payload bytes] [payload...]
 ///
 /// The magic doubles as the protocol version — an incompatible revision
 /// bumps the trailing digit and old peers fail fast on the first frame.
@@ -28,10 +29,18 @@ namespace hgmatch {
 /// connection, cancelling that connection's in-flight queries.
 ///
 /// Frame payloads:
-///   kSubmit     client->server  WireSubmit (options, target graph name +
-///                               inline query hypergraph in the
-///                               io/binary_format image)
-///   kOutcome    server->client  WireOutcome (full QueryOutcome/MatchStats)
+///   kSubmit     client->server  an entry list (EncodeEntryList) of
+///                               WireSubmit entries (options, target graph
+///                               name + inline query hypergraph in the
+///                               io/binary_format image). One query is a
+///                               list of one; a list is admitted by the
+///                               service in one pass per run of entries
+///                               naming the same graph.
+///   kOutcome    server->client  an entry list of WireOutcome entries
+///                               (full QueryOutcome/MatchStats): outcomes
+///                               ready in the same reactor pass coalesce
+///                               into as few frames as the payload bound
+///                               allows.
 ///   kRejected   server->client  WireRejected (u64 request id + u8 reason):
 ///                               the submission was shed at the server edge
 ///                               — by queue-depth backpressure
@@ -56,14 +65,6 @@ namespace hgmatch {
 ///                               request). Only features granted here may
 ///                               appear on the wire afterwards, in either
 ///                               direction.
-///   kBatchSubmit client->server [varint count][varint bytes, SUBMIT
-///                               payload]... — many submissions in one
-///                               frame/syscall, admitted by the service in
-///                               one pass.
-///   kBatchOutcome server->client same framing over OUTCOME payloads:
-///                               outcomes ready in the same reactor tick
-///                               coalesce into one frame (a lone outcome
-///                               travels as a plain kOutcome).
 ///   kCompressed either way      [u8 inner type][varint raw bytes][LZSS
 ///                               stream] — a whole frame payload
 ///                               compressed (io/compress.h), opt-in per
@@ -82,7 +83,10 @@ namespace hgmatch {
 ///                               plus the current graph list (every
 ///                               catalog verb answers with one, so a
 ///                               client always sees the post-verb state).
-inline constexpr uint32_t kWireMagic = 0x334e'4748;  // "HGN3"
+///
+/// Types 1 and 2 are retired: HGN3 used them for single-entry SUBMIT and
+/// OUTCOME frames beside the list frames, which now carry every query.
+inline constexpr uint32_t kWireMagic = 0x344e'4748;  // "HGN4"
 
 /// Upper bound on a frame payload (a ~16 MiB query hypergraph is far
 /// beyond any sane pattern; real limits come from the data graph side).
@@ -92,8 +96,6 @@ inline constexpr uint32_t kMaxWirePayload = 16u << 20;
 inline constexpr size_t kWireHeaderBytes = 4 + 1 + 4;
 
 enum class FrameType : uint8_t {
-  kSubmit = 1,
-  kOutcome = 2,
   kRejected = 3,
   kCancel = 4,
   kPing = 5,
@@ -104,8 +106,8 @@ enum class FrameType : uint8_t {
   kShutdown = 10,
   kHello = 11,
   kHelloReply = 12,
-  kBatchSubmit = 13,
-  kBatchOutcome = 14,
+  kSubmit = 13,
+  kOutcome = 14,
   kCompressed = 15,
   kLoadGraph = 16,
   kUnloadGraph = 17,
@@ -128,9 +130,10 @@ inline constexpr uint32_t kFeatureTrace = 1u << 1;
 /// win and the CPU spent is pure loss.
 inline constexpr size_t kCompressThresholdBytes = 64;
 
-/// One query submission as it crosses the wire: the client-chosen request
-/// id (scopes the reply; unique per connection), the SubmitOptions fields
-/// that make sense remotely (no sink), and the query itself.
+/// One query submission as it crosses the wire (one kSubmit entry): the
+/// client-chosen request id (scopes the reply; unique per connection), the
+/// SubmitOptions fields that make sense remotely (no sink), and the query
+/// itself.
 struct WireSubmit {
   uint64_t request_id = 0;
   uint32_t tenant_id = 0;
@@ -164,8 +167,9 @@ struct WireRejected {
   RejectReason reason = RejectReason::kQueueFull;
 };
 
-/// One finished query's reply: the request id plus the full QueryOutcome
-/// (status, exact MatchStats, admission timestamps and sequence number).
+/// One finished query's reply (one kOutcome entry): the request id plus
+/// the full QueryOutcome (status, exact MatchStats, admission timestamps
+/// and sequence number).
 /// `reject_reason` is client-side bookkeeping — kRejected travels as its
 /// own frame type; clients fold it into a synthetic outcome and record the
 /// reason here.
@@ -269,9 +273,8 @@ Result<WireSubmit> DecodeSubmit(std::string_view payload);
 /// with_trace selects the trace-negotiated OUTCOME layout, which appends
 /// the query's QuerySpan (enabled flag, then six stamps when enabled)
 /// after the fixed fields. It must match on both ends: pass true exactly
-/// when the connection was granted kFeatureTrace (batch entries inherit
-/// the connection's flag). With with_trace=true and an untraced outcome
-/// the section is a single 0 byte.
+/// when the connection was granted kFeatureTrace. With with_trace=true and
+/// an untraced outcome the section is a single 0 byte.
 std::string EncodeOutcome(const WireOutcome& outcome,
                           bool with_trace = false);
 Result<WireOutcome> DecodeOutcome(std::string_view payload,
@@ -302,13 +305,19 @@ Result<WireCatalogReply> DecodeCatalogReply(std::string_view payload);
 std::string EncodeFeatures(uint32_t features);
 Result<uint32_t> DecodeFeatures(std::string_view payload);
 
-/// kBatchSubmit / kBatchOutcome payloads share one shape: a varint entry
-/// count, then per entry a varint byte length and that many bytes of the
-/// inner (SUBMIT / OUTCOME) payload. Encode takes the pre-encoded inner
-/// payloads; Decode returns views into `payload`, which must outlive them.
-std::string EncodeBatchPayload(const std::vector<std::string>& entries);
-Result<std::vector<std::string_view>> DecodeBatchPayload(
+/// kSubmit / kOutcome payloads share one shape, the entry list: a varint
+/// entry count, then per entry a varint byte length and that many bytes of
+/// one encoded WireSubmit / WireOutcome. Encode takes the pre-encoded
+/// entries; Decode returns views into `payload`, which must outlive them.
+std::string EncodeEntryList(std::span<const std::string> entries);
+Result<std::vector<std::string_view>> DecodeEntryList(
     std::string_view payload);
+
+/// How many leading entries of `entries` (at most `max_entries`) fit one
+/// entry list within kMaxWirePayload, count and length prefixes included.
+/// 0 means the first entry cannot travel even alone.
+size_t FittingEntries(std::span<const std::string> entries,
+                      size_t max_entries = SIZE_MAX);
 
 /// Appends `payload` as a frame of `type` — wrapped in kCompressed when
 /// `compress` is set, the payload clears kCompressThresholdBytes, and the

@@ -17,10 +17,11 @@
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -248,9 +249,9 @@ class MatchServer::Impl {
     bool hello = false;
     // Feature bits granted to this peer by the kHello exchange.
     uint32_t features = 0;
-    // Encoded OUTCOME payloads earned this reactor pass, coalesced into one
-    // frame per pass (FlushBatchReplies).
-    std::vector<std::string> batch_replies;
+    // Encoded OUTCOME entries earned this reactor pass, coalesced into
+    // kOutcome frames once per pass (FlushReplies).
+    std::vector<std::string> replies;
   };
 
   // Where a finished ticket's reply goes: the connection that submitted it
@@ -570,7 +571,7 @@ class MatchServer::Impl {
   }
 
   // SendFrame for reply types a negotiated peer may receive compressed
-  // (outcomes, batch outcomes, stats). PONG stays raw — it is a latency
+  // (outcomes, stats, catalog replies). PONG stays raw — it is a latency
   // probe — and kError stays raw so even a peer with a broken codec can
   // read its eviction notice.
   void SendFrameNegotiated(IoThread* t, Conn* conn, FrameType type,
@@ -586,22 +587,23 @@ class MatchServer::Impl {
     t->st_frames_out.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // Coalesces the outcome payloads a peer earned this pass into one frame:
-  // a lone reply goes out as a plain kOutcome, several as one
-  // kBatchOutcome. Runs before every output flush, so replies are never
-  // pinned behind an idle wait.
-  void FlushBatchReplies(IoThread* t, Conn* conn) {
-    if (conn->batch_replies.empty()) return;
-    metric_batch_replies_->Observe(
-        static_cast<double>(conn->batch_replies.size()));
-    if (conn->batch_replies.size() == 1) {
+  // Sends the outcome entries a peer earned this pass as kOutcome frames,
+  // as few as the payload bound allows: one pass can earn more than a
+  // frame holds (a large kSubmit whose entries all resolve inline). Runs
+  // before every output flush, so replies are never pinned behind an idle
+  // wait.
+  void FlushReplies(IoThread* t, Conn* conn) {
+    if (conn->replies.empty()) return;
+    metric_batch_replies_->Observe(static_cast<double>(conn->replies.size()));
+    std::span<const std::string> rest(conn->replies);
+    while (!rest.empty()) {
+      // An outcome entry is ~150 bytes, so every frame takes at least one.
+      const size_t n = std::max<size_t>(1, FittingEntries(rest));
       SendFrameNegotiated(t, conn, FrameType::kOutcome,
-                          conn->batch_replies.front());
-    } else {
-      SendFrameNegotiated(t, conn, FrameType::kBatchOutcome,
-                          EncodeBatchPayload(conn->batch_replies));
+                          EncodeEntryList(rest.first(n)));
+      rest = rest.subspan(n);
     }
-    conn->batch_replies.clear();
+    conn->replies.clear();
   }
 
   // Cancels and orphans every in-flight query of a dying connection and
@@ -638,7 +640,7 @@ class MatchServer::Impl {
         wire.outcome.span.deliver_seconds = MonotonicSeconds();
         RecordSlowQuery(wire.outcome.span, request_id, tenant_id, graph);
       }
-      conn->batch_replies.push_back(
+      conn->replies.push_back(
           EncodeOutcome(wire, (conn->features & kFeatureTrace) != 0));
     }
   }
@@ -685,7 +687,7 @@ class MatchServer::Impl {
   }
 
   // A submission naming a graph the catalog doesn't host: answered with a
-  // typed kRejected frame so the connection (and the rest of a batch)
+  // typed kRejected frame so the connection (and the rest of its frame)
   // survives.
   void RejectUnknownGraph(IoThread* t, Conn* conn, uint64_t request_id) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -698,7 +700,7 @@ class MatchServer::Impl {
     if (conn->draining) return;
     // Replies earned before the offending frame still go out, ahead of
     // the error notice.
-    FlushBatchReplies(t, conn);
+    FlushReplies(t, conn);
     SendFrame(t, conn, FrameType::kError, message);
     CancelConnQueries(t, conn);
     conn->draining = true;
@@ -723,8 +725,8 @@ class MatchServer::Impl {
     return so;
   }
 
-  // Post-submit bookkeeping shared by kSubmit and kBatchSubmit: answer
-  // inline if already resolved, else register for completion wakeup.
+  // Post-submit bookkeeping of one admitted entry: answer inline if
+  // already resolved, else register for completion wakeup.
   void TrackTicket(IoThread* t, Conn* conn, uint64_t request_id,
                    CatalogTicket ct, uint32_t tenant_id,
                    const std::string& graph) {
@@ -756,6 +758,74 @@ class MatchServer::Impl {
     conn->inflight.emplace(request_id, std::move(ct));
   }
 
+  // A request id of `submits` already in flight on the connection or
+  // repeated within the frame.
+  static std::optional<uint64_t> DuplicateRequestId(
+      const Conn* conn, const std::vector<WireSubmit>& submits) {
+    for (const WireSubmit& ws : submits) {
+      if (conn->inflight.count(ws.request_id) != 0) return ws.request_id;
+    }
+    if (submits.size() < 2) return std::nullopt;
+    std::vector<uint64_t> ids;
+    ids.reserve(submits.size());
+    for (const WireSubmit& ws : submits) ids.push_back(ws.request_id);
+    std::sort(ids.begin(), ids.end());
+    const auto dup = std::adjacent_find(ids.begin(), ids.end());
+    if (dup == ids.end()) return std::nullopt;
+    return *dup;
+  }
+
+  // Admits one frame's decoded entries. The rate limiter sits at the very
+  // edge and counts entries, however framed: an over-limit tenant is
+  // answered before its query touches planning or admission. The
+  // survivors go to the catalog in one call per run of consecutive entries
+  // naming the same graph, so a one-graph frame (every one-entry frame
+  // among them) is one admission pass.
+  void AdmitSubmits(IoThread* t, Conn* conn,
+                    std::vector<WireSubmit>& submits) {
+    size_t kept = 0;
+    for (WireSubmit& ws : submits) {
+      if (options_.max_submits_per_sec > 0 && !AllowSubmit(ws.tenant_id)) {
+        rate_limited_.fetch_add(1, std::memory_order_relaxed);
+        t->st_rejects.fetch_add(1, std::memory_order_relaxed);
+        SendFrame(t, conn, FrameType::kRejected,
+                  EncodeRejected({ws.request_id, RejectReason::kRateLimited}));
+        continue;
+      }
+      if (&ws != &submits[kept]) submits[kept] = std::move(ws);
+      ++kept;
+    }
+    for (size_t begin = 0; begin < kept;) {
+      const std::string& graph = submits[begin].graph;
+      size_t end = begin + 1;
+      while (end < kept && submits[end].graph == graph) ++end;
+      std::vector<BatchSubmission> run;
+      run.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        run.push_back({std::move(submits[i].query),
+                       SubmitOptionsFor(conn, submits[i])});
+      }
+      Result<std::vector<CatalogTicket>> tickets =
+          catalog_.Submit(graph, std::move(run));
+      if (!tickets.ok()) {
+        // Unknown/unloading graph: a typed reject on a healthy
+        // connection, not a protocol error — the client may simply be
+        // racing an unload and can re-route.
+        for (size_t i = begin; i < end; ++i) {
+          RejectUnknownGraph(t, conn, submits[i].request_id);
+        }
+      } else {
+        submitted_.fetch_add(end - begin, std::memory_order_relaxed);
+        for (size_t i = begin; i < end; ++i) {
+          TrackTicket(t, conn, submits[i].request_id,
+                      std::move(tickets.value()[i - begin]),
+                      submits[i].tenant_id, graph);
+        }
+      }
+      begin = end;
+    }
+  }
+
   // Connection teardown is signalled through conn->draining, never by a
   // return value.
   void HandleFrame(IoThread* t, Conn* conn, FrameReader::Frame& frame) {
@@ -766,39 +836,32 @@ class MatchServer::Impl {
     }
     switch (frame.type) {
       case FrameType::kSubmit: {
-        Result<WireSubmit> submit = DecodeSubmit(frame.payload);
-        if (!submit.ok()) {
-          ProtocolError(t, conn, submit.status().message());
+        Result<std::vector<std::string_view>> entries =
+            DecodeEntryList(frame.payload);
+        if (!entries.ok()) {
+          ProtocolError(t, conn, entries.status().message());
           return;
         }
-        WireSubmit& ws = submit.value();
-        if (conn->inflight.count(ws.request_id) != 0) {
-          ProtocolError(t, conn, "duplicate request id " +
-                                     std::to_string(ws.request_id));
+        // Decode and validate every entry before admitting any of it: a
+        // malformed entry or a reused request id poisons the frame and the
+        // connection.
+        std::vector<WireSubmit> submits;
+        submits.reserve(entries.value().size());
+        for (const std::string_view entry : entries.value()) {
+          Result<WireSubmit> submit = DecodeSubmit(entry);
+          if (!submit.ok()) {
+            ProtocolError(t, conn, submit.status().message());
+            return;
+          }
+          submits.push_back(std::move(submit).value());
+        }
+        if (const std::optional<uint64_t> id =
+                DuplicateRequestId(conn, submits)) {
+          ProtocolError(t, conn, "duplicate request id " + std::to_string(*id));
           return;
         }
-        // The rate limiter sits at the very edge: an over-limit tenant is
-        // answered before its query touches planning or admission.
-        if (options_.max_submits_per_sec > 0 && !AllowSubmit(ws.tenant_id)) {
-          rate_limited_.fetch_add(1, std::memory_order_relaxed);
-          t->st_rejects.fetch_add(1, std::memory_order_relaxed);
-          SendFrame(t, conn, FrameType::kRejected,
-                    EncodeRejected(
-                        {ws.request_id, RejectReason::kRateLimited}));
-          return;
-        }
-        Result<CatalogTicket> ct = catalog_.Submit(
-            ws.graph, std::move(ws.query), SubmitOptionsFor(conn, ws));
-        if (!ct.ok()) {
-          // Unknown/unloading graph: a typed reject on a healthy
-          // connection, not a protocol error — the client may simply be
-          // racing an unload and can re-route.
-          RejectUnknownGraph(t, conn, ws.request_id);
-          return;
-        }
-        submitted_.fetch_add(1, std::memory_order_relaxed);
-        TrackTicket(t, conn, ws.request_id, std::move(ct).value(),
-                    ws.tenant_id, ws.graph);
+        metric_batch_submits_->Observe(static_cast<double>(submits.size()));
+        AdmitSubmits(t, conn, submits);
         return;
       }
       case FrameType::kHello: {
@@ -836,79 +899,6 @@ class MatchServer::Impl {
         // One level only: DecodeCompressedFrame rejects a nested
         // kCompressed inner type, so this recursion terminates.
         HandleFrame(t, conn, inner);
-        return;
-      }
-      case FrameType::kBatchSubmit: {
-        Result<std::vector<std::string_view>> entries =
-            DecodeBatchPayload(frame.payload);
-        if (!entries.ok()) {
-          ProtocolError(t, conn, entries.status().message());
-          return;
-        }
-        // Decode and validate the whole batch before admitting any of it:
-        // a malformed entry poisons the frame, exactly as a malformed
-        // kSubmit poisons the connection.
-        std::vector<WireSubmit> submits;
-        submits.reserve(entries.value().size());
-        std::unordered_set<uint64_t> batch_ids;
-        batch_ids.reserve(entries.value().size());
-        for (const std::string_view entry : entries.value()) {
-          Result<WireSubmit> submit = DecodeSubmit(entry);
-          if (!submit.ok()) {
-            ProtocolError(t, conn, submit.status().message());
-            return;
-          }
-          const uint64_t id = submit.value().request_id;
-          if (conn->inflight.count(id) != 0 || !batch_ids.insert(id).second) {
-            ProtocolError(t, conn,
-                          "duplicate request id " + std::to_string(id));
-            return;
-          }
-          submits.push_back(std::move(submit).value());
-        }
-        // Rate-limit per entry (the limiter counts submissions, however
-        // framed), then admit the survivors per target graph — one
-        // service pass per graph named in the batch (the common batch
-        // names one graph and keeps the single-pass admission).
-        metric_batch_submits_->Observe(static_cast<double>(submits.size()));
-        std::vector<std::string> graph_order;
-        std::unordered_map<std::string, std::vector<BatchSubmission>> batch;
-        std::unordered_map<std::string, std::vector<uint64_t>> request_ids;
-        std::unordered_map<std::string, std::vector<uint32_t>> tenant_ids;
-        for (WireSubmit& ws : submits) {
-          if (options_.max_submits_per_sec > 0 &&
-              !AllowSubmit(ws.tenant_id)) {
-            rate_limited_.fetch_add(1, std::memory_order_relaxed);
-            t->st_rejects.fetch_add(1, std::memory_order_relaxed);
-            SendFrame(t, conn, FrameType::kRejected,
-                      EncodeRejected(
-                          {ws.request_id, RejectReason::kRateLimited}));
-            continue;
-          }
-          if (batch.find(ws.graph) == batch.end()) {
-            graph_order.push_back(ws.graph);
-          }
-          request_ids[ws.graph].push_back(ws.request_id);
-          tenant_ids[ws.graph].push_back(ws.tenant_id);
-          batch[ws.graph].push_back(
-              {std::move(ws.query), SubmitOptionsFor(conn, ws)});
-        }
-        for (const std::string& graph : graph_order) {
-          std::vector<uint64_t>& ids = request_ids[graph];
-          std::vector<uint32_t>& tenants = tenant_ids[graph];
-          Result<std::vector<CatalogTicket>> tickets =
-              catalog_.SubmitBatch(graph, std::move(batch[graph]));
-          if (!tickets.ok()) {
-            for (const uint64_t id : ids) RejectUnknownGraph(t, conn, id);
-            continue;
-          }
-          submitted_.fetch_add(tickets.value().size(),
-                               std::memory_order_relaxed);
-          for (size_t i = 0; i < tickets.value().size(); ++i) {
-            TrackTicket(t, conn, ids[i], std::move(tickets.value()[i]),
-                        tenants[i], graph);
-          }
-        }
         return;
       }
       case FrameType::kCancel: {
@@ -1222,7 +1212,7 @@ class MatchServer::Impl {
       DeliverReady(t);
       for (auto& conn : t->conns) {
         if (conn->dead) continue;
-        FlushBatchReplies(t, conn.get());
+        FlushReplies(t, conn.get());
         if (conn->out_sent < conn->outbuf.size()) {
           FlushConn(t, conn.get());
         }

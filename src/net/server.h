@@ -138,15 +138,19 @@ struct NamedGraph {
 ///  - Whole-server counters (connection count, submitted/completed/...)
 ///    are atomics; per-IO-thread stats rows are atomics owned by one
 ///    writer each. The per-tenant rate limiter is a shared
-///    mutex-protected map — the only state every SUBMIT path touches.
+///    mutex-protected map — the only shared state the SUBMIT path touches.
 ///
-/// Per connection the server keeps a table of in-flight tickets keyed by
-/// the client's request id. Outcome delivery is completion-driven: the
-/// hook enqueues each finished ticket id on the owning thread's ready
-/// list and wakes its loop, so outcomes are delivered the moment they
-/// finalise — coalesced into one kBatchOutcome frame when several finish
-/// in the same reactor pass — in completion order (clients pipeline
-/// submissions and match replies by id). A submission shed by queue-depth
+/// Every kSubmit frame carries a list of entries (one query is a list of
+/// one); the server decodes and validates them all, rate-limits each, and
+/// admits the rest in one catalog call per run of entries naming the same
+/// graph. Per connection the server keeps a table of in-flight tickets
+/// keyed by the client's request id. Outcome delivery is
+/// completion-driven: the hook enqueues each finished ticket id on the
+/// owning thread's ready list and wakes its loop, so outcomes are
+/// delivered the moment they finalise — the outcomes of one reactor pass
+/// coalesced into kOutcome frames cut to the payload bound — in
+/// completion order (clients pipeline submissions and match replies by
+/// id). A submission shed by queue-depth
 /// backpressure or the per-tenant rate limiter comes back immediately as
 /// kRejected with its reason. A connection that drops — cleanly or not —
 /// has all its in-flight queries cancelled: abandoned work never outlives

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <list>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -171,58 +172,30 @@ class ServiceImpl {
   ~ServiceImpl() { Shutdown(); }
 
   Ticket Submit(Hypergraph query, const SubmitOptions& so) {
-    auto rec = std::make_shared<QueryRecord>();
-    rec->owned_query = std::move(query);
-    return SubmitRecord(std::move(rec), nullptr, so);
+    Admission one{std::make_shared<QueryRecord>(), nullptr, &so};
+    one.rec->owned_query = std::move(query);
+    Admit({&one, 1});
+    return Ticket(std::move(one.rec));
   }
 
   Ticket SubmitBorrowed(const Hypergraph& query, const SubmitOptions& so) {
-    return SubmitRecord(std::make_shared<QueryRecord>(), &query, so);
+    Admission one{std::make_shared<QueryRecord>(), &query, &so};
+    Admit({&one, 1});
+    return Ticket(std::move(one.rec));
   }
 
-  // One admission pass for the whole batch: everything SubmitRecord does
-  // per query happens here once per *batch* (lock acquisition, record
-  // sweep, wake + hook delivery), with the per-entry body unchanged —
-  // ids, cache/mirror behaviour and hook ordering match N Submit() calls.
   std::vector<Ticket> SubmitBatch(std::vector<BatchSubmission> batch) {
-    std::vector<std::shared_ptr<QueryRecord>> recs;
-    recs.reserve(batch.size());
+    std::vector<Admission> admissions;
+    admissions.reserve(batch.size());
     for (BatchSubmission& b : batch) {
-      auto rec = std::make_shared<QueryRecord>();
-      rec->owned_query = std::move(b.query);
-      rec->service = this;
-      rec->gate = gate_;
-      rec->completion = b.options.completion;
-      recs.push_back(std::move(rec));
+      admissions.push_back({std::make_shared<QueryRecord>(), nullptr,
+                            &b.options});
+      admissions.back().rec->owned_query = std::move(b.query);
     }
-    std::vector<FiredCompletion> fire;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      SweepResolvedRecordsLocked();
-      for (size_t i = 0; i < recs.size(); ++i) {
-        const std::shared_ptr<QueryRecord>& rec = recs[i];
-        rec->id = submitted_++;
-        if (sealed_) {
-          rec->plan_status = Status::InvalidArgument("service is shut down");
-          ++plan_errors_;
-          QueryOutcome out;
-          out.status = QueryStatus::kPlanError;
-          ResolveNow(rec, out, &fire);
-          records_.push_back(rec);
-        } else {
-          SubmitOpenLocked(rec, rec->owned_query, batch[i].options, &fire);
-        }
-      }
-    }
-    if (!fire.empty()) {
-      resolve_cv_.notify_all();
-      FireCompletions(&fire);
-    }
+    Admit(admissions);
     std::vector<Ticket> tickets;
-    tickets.reserve(recs.size());
-    for (std::shared_ptr<QueryRecord>& rec : recs) {
-      tickets.push_back(Ticket(std::move(rec)));
-    }
+    tickets.reserve(admissions.size());
+    for (Admission& a : admissions) tickets.push_back(Ticket(std::move(a.rec)));
     return tickets;
   }
 
@@ -659,30 +632,45 @@ class ServiceImpl {
                                          SchedulerSubmit(so, rec, plan_cost)));
   }
 
-  // `borrowed` is null for owning submits (the query then lives in
-  // rec->owned_query).
-  Ticket SubmitRecord(std::shared_ptr<QueryRecord> rec,
-                      const Hypergraph* borrowed, const SubmitOptions& so) {
-    const Hypergraph& query =
-        borrowed != nullptr ? *borrowed : rec->owned_query;
-    rec->service = this;
-    rec->gate = gate_;
-    rec->completion = so.completion;
+  // One submission on its way in: its record, the query when borrowed
+  // (null for owning submits, whose query lives in rec->owned_query) and
+  // its options.
+  struct Admission {
+    std::shared_ptr<QueryRecord> rec;
+    const Hypergraph* borrowed;
+    const SubmitOptions* options;
+  };
 
+  // The one locked submission body, behind Submit, SubmitBorrowed and
+  // SubmitBatch: one lock acquisition, one record sweep and one wake +
+  // hook delivery for all of `batch`, with the per-entry body applied in
+  // order — so ids, cache/mirror behaviour and hook ordering match one
+  // Submit() per entry.
+  void Admit(std::span<Admission> batch) {
+    for (Admission& a : batch) {
+      a.rec->service = this;
+      a.rec->gate = gate_;
+      a.rec->completion = a.options->completion;
+    }
     std::vector<FiredCompletion> fire;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       SweepResolvedRecordsLocked();
-      rec->id = submitted_++;
-      if (sealed_) {
-        rec->plan_status = Status::InvalidArgument("service is shut down");
-        ++plan_errors_;
-        QueryOutcome out;
-        out.status = QueryStatus::kPlanError;
-        ResolveNow(rec, out, &fire);
-        records_.push_back(rec);
-      } else {
-        SubmitOpenLocked(rec, query, so, &fire);
+      for (Admission& a : batch) {
+        const std::shared_ptr<QueryRecord>& rec = a.rec;
+        rec->id = submitted_++;
+        if (sealed_) {
+          rec->plan_status = Status::InvalidArgument("service is shut down");
+          ++plan_errors_;
+          QueryOutcome out;
+          out.status = QueryStatus::kPlanError;
+          ResolveNow(rec, out, &fire);
+          records_.push_back(rec);
+        } else {
+          SubmitOpenLocked(
+              rec, a.borrowed != nullptr ? *a.borrowed : rec->owned_query,
+              *a.options, &fire);
+        }
       }
     }
     // Synchronously resolved submissions (rejections, plan errors, mirrors
@@ -692,10 +680,9 @@ class ServiceImpl {
       resolve_cv_.notify_all();
       FireCompletions(&fire);
     }
-    return Ticket(std::move(rec));
   }
 
-  // The not-sealed body of SubmitRecord. Callers hold mutex_.
+  // The not-sealed per-entry body of Admit. Callers hold mutex_.
   void SubmitOpenLocked(const std::shared_ptr<QueryRecord>& rec,
                         const Hypergraph& query, const SubmitOptions& so,
                         std::vector<FiredCompletion>* fire) {

@@ -285,9 +285,9 @@ class MatchService {
                         const SubmitOptions& options = {});
 
   /// Submits every entry under ONE admission pass: the internal lock is
-  /// taken once for the whole batch, so N tiny queries (the wire front
-  /// end's BATCH_SUBMIT frames) cost one lock round-trip and one record
-  /// sweep instead of N. Semantically identical to calling Submit() once
+  /// taken once for the whole batch, so N tiny queries (the entries of one
+  /// wire kSubmit frame) cost one lock round-trip and one record sweep
+  /// instead of N. Semantically identical to calling Submit() once
   /// per entry in order — same ids, same per-entry plan cache/mirror/
   /// rejection behaviour, same completion hooks. Returns one ticket per
   /// entry, in input order. Thread-safe.

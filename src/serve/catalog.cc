@@ -264,21 +264,7 @@ void GraphCatalog::Unpin(const std::shared_ptr<Entry>& entry) {
   state_->cv.notify_all();
 }
 
-Result<CatalogTicket> GraphCatalog::Submit(const std::string& name,
-                                           Hypergraph query,
-                                           const SubmitOptions& options) {
-  Status error;
-  std::shared_ptr<Entry> entry = FindPinnedForSubmit(name, 1, &error);
-  if (entry == nullptr) return error;
-  Ticket ticket = entry->service->Submit(std::move(query), options);
-  CatalogTicket ct;
-  ct.unique_id = entry->id_base + ticket.id();
-  ct.ticket = std::move(ticket);
-  Unpin(entry);
-  return ct;
-}
-
-Result<std::vector<CatalogTicket>> GraphCatalog::SubmitBatch(
+Result<std::vector<CatalogTicket>> GraphCatalog::Submit(
     const std::string& name, std::vector<BatchSubmission> batch) {
   Status error;
   std::shared_ptr<Entry> entry =

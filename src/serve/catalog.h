@@ -103,15 +103,11 @@ class GraphCatalog {
 
   size_t NumGraphs();
 
-  /// Routes one submission to `name` (empty = default graph). Fails with
-  /// NotFound when the graph is unknown or unloading — no ticket is
-  /// created, so the caller can relay a typed rejection instead of a
-  /// dead connection.
-  Result<CatalogTicket> Submit(const std::string& name, Hypergraph query,
-                               const SubmitOptions& options);
-
-  /// One admission pass for a whole batch against one graph.
-  Result<std::vector<CatalogTicket>> SubmitBatch(
+  /// Routes `batch` to `name` (empty = default graph) in one admission
+  /// pass; one ticket per entry, in input order. Fails with NotFound when
+  /// the graph is unknown or unloading — no ticket is created, so the
+  /// caller can relay a typed rejection instead of a dead connection.
+  Result<std::vector<CatalogTicket>> Submit(
       const std::string& name, std::vector<BatchSubmission> batch);
 
   /// Cancels through the owning graph, pinned against a racing unload

@@ -44,6 +44,18 @@ Hypergraph PairCliqueData(uint32_t m) {
   return h;
 }
 
+// One query through the catalog's one submit entry point.
+Result<CatalogTicket> SubmitOne(GraphCatalog& catalog, const std::string& name,
+                                Hypergraph query,
+                                const SubmitOptions& options) {
+  std::vector<BatchSubmission> batch;
+  batch.push_back({std::move(query), options});
+  Result<std::vector<CatalogTicket>> tickets =
+      catalog.Submit(name, std::move(batch));
+  if (!tickets.ok()) return tickets.status();
+  return std::move(tickets.value().front());
+}
+
 Hypergraph PathQuery(uint32_t k) {
   Hypergraph q;
   q.AddVertices(k + 1, 0);
@@ -104,9 +116,11 @@ TEST(CatalogTest, SubmitRoutesByNameAndMatchesSequential) {
   ASSERT_NE(want_small.value().embeddings, want_big.value().embeddings);
 
   // Named routes hit their graph; the empty name is the default.
-  Result<CatalogTicket> to_small = catalog.Submit("small", query.Clone(), {});
-  Result<CatalogTicket> to_big = catalog.Submit("big", query.Clone(), {});
-  Result<CatalogTicket> to_default = catalog.Submit("", query.Clone(), {});
+  Result<CatalogTicket> to_small =
+      SubmitOne(catalog, "small", query.Clone(), {});
+  Result<CatalogTicket> to_big = SubmitOne(catalog, "big", query.Clone(), {});
+  Result<CatalogTicket> to_default =
+      SubmitOne(catalog, "", query.Clone(), {});
   ASSERT_TRUE(to_small.ok());
   ASSERT_TRUE(to_big.ok());
   ASSERT_TRUE(to_default.ok());
@@ -122,7 +136,8 @@ TEST(CatalogTest, SubmitRoutesByNameAndMatchesSequential) {
 
   // Unknown graphs fail the submit itself — no ticket, caller relays a
   // typed rejection.
-  Result<CatalogTicket> unknown = catalog.Submit("nope", query.Clone(), {});
+  Result<CatalogTicket> unknown =
+      SubmitOne(catalog, "nope", query.Clone(), {});
   EXPECT_FALSE(unknown.ok());
 
   std::vector<CatalogGraphInfo> rows = catalog.List();
@@ -139,7 +154,7 @@ TEST(CatalogTest, SubmitBatchRoutesWholeGroupAndRejectsUnknown) {
   std::vector<BatchSubmission> batch;
   for (uint32_t k : {1u, 2u}) batch.push_back({PathQuery(k), {}});
   Result<std::vector<CatalogTicket>> tickets =
-      catalog.SubmitBatch("g", std::move(batch));
+      catalog.Submit("g", std::move(batch));
   ASSERT_TRUE(tickets.ok());
   ASSERT_EQ(tickets.value().size(), 2u);
   for (uint32_t i = 0; i < 2; ++i) {
@@ -151,7 +166,7 @@ TEST(CatalogTest, SubmitBatchRoutesWholeGroupAndRejectsUnknown) {
 
   std::vector<BatchSubmission> missing;
   missing.push_back({PathQuery(1), {}});
-  EXPECT_FALSE(catalog.SubmitBatch("nope", std::move(missing)).ok());
+  EXPECT_FALSE(catalog.Submit("nope", std::move(missing)).ok());
 }
 
 TEST(CatalogTest, CompletionHookFiresOncePerUniqueId) {
@@ -168,8 +183,8 @@ TEST(CatalogTest, CompletionHookFiresOncePerUniqueId) {
 
   std::set<uint64_t> expected;
   for (int i = 0; i < 3; ++i) {
-    Result<CatalogTicket> ta = catalog.Submit("a", PathQuery(1), {});
-    Result<CatalogTicket> tb = catalog.Submit("b", PathQuery(1), {});
+    Result<CatalogTicket> ta = SubmitOne(catalog, "a", PathQuery(1), {});
+    Result<CatalogTicket> tb = SubmitOne(catalog, "b", PathQuery(1), {});
     ASSERT_TRUE(ta.ok());
     ASSERT_TRUE(tb.ok());
     expected.insert(ta.value().unique_id);
@@ -196,7 +211,7 @@ TEST(CatalogTest, UnloadWaitsForInflightTickets) {
   Result<MatchStats> want = MatchSequential(idx, PathQuery(4));
   ASSERT_TRUE(want.ok());
 
-  Result<CatalogTicket> t = catalog.Submit("g", PathQuery(4), {});
+  Result<CatalogTicket> t = SubmitOne(catalog, "g", PathQuery(4), {});
   ASSERT_TRUE(t.ok());
 
   std::atomic<bool> unloaded{false};
@@ -209,7 +224,7 @@ TEST(CatalogTest, UnloadWaitsForInflightTickets) {
   while (catalog.Has("g")) {
     std::this_thread::yield();
   }
-  EXPECT_FALSE(catalog.Submit("g", PathQuery(1), {}).ok());
+  EXPECT_FALSE(SubmitOne(catalog, "g", PathQuery(1), {}).ok());
 
   // The in-flight ticket still resolves exactly.
   EXPECT_EQ(t.value().ticket.Wait().stats.embeddings,
@@ -222,13 +237,13 @@ TEST(CatalogTest, UnloadWaitsForInflightTickets) {
 TEST(CatalogTest, DeferredUnloadReapsAfterDrain) {
   GraphCatalog catalog(SmallPool());
   ASSERT_TRUE(catalog.Load("g", PairCliqueData(7)).ok());
-  Result<CatalogTicket> t = catalog.Submit("g", PathQuery(3), {});
+  Result<CatalogTicket> t = SubmitOne(catalog, "g", PathQuery(3), {});
   ASSERT_TRUE(t.ok());
 
   // wait=false returns immediately; the graph is already unreachable.
   ASSERT_TRUE(catalog.Unload("g", /*wait=*/false).ok());
   EXPECT_FALSE(catalog.Has("g"));
-  EXPECT_FALSE(catalog.Submit("g", PathQuery(1), {}).ok());
+  EXPECT_FALSE(SubmitOne(catalog, "g", PathQuery(1), {}).ok());
 
   const QueryOutcome& out = t.value().ticket.Wait();
   EXPECT_EQ(out.status, QueryStatus::kOk);
@@ -247,7 +262,7 @@ TEST(CatalogTest, TicketWaitSurvivesUnloadDestroyingTheService) {
   for (int round = 0; round < 40; ++round) {
     GraphCatalog catalog(SmallPool());
     ASSERT_TRUE(catalog.Load("g", PairCliqueData(6)).ok());
-    Result<CatalogTicket> t = catalog.Submit("g", PathQuery(2), {});
+    Result<CatalogTicket> t = SubmitOne(catalog, "g", PathQuery(2), {});
     ASSERT_TRUE(t.ok());
 
     // Two waiters widen the window: both park on the gate, and the unload
@@ -298,7 +313,8 @@ TEST(CatalogTest, ConcurrentLoadUnloadRacingSubmitsStaysExact) {
   for (int s = 0; s < 3; ++s) {
     submitters.emplace_back([&] {
       while (!stop.load()) {
-        Result<CatalogTicket> t = catalog.Submit("flappy", PathQuery(2), {});
+        Result<CatalogTicket> t =
+            SubmitOne(catalog, "flappy", PathQuery(2), {});
         if (!t.ok()) {
           refused.fetch_add(1);
           std::this_thread::yield();
@@ -324,7 +340,7 @@ TEST(CatalogTest, ConcurrentLoadUnloadRacingSubmitsStaysExact) {
 TEST(CatalogTest, CancelThroughCatalogResolvesTicket) {
   GraphCatalog catalog(SmallPool());
   ASSERT_TRUE(catalog.Load("g", PairCliqueData(10)).ok());
-  Result<CatalogTicket> t = catalog.Submit("g", PathQuery(5), {});
+  Result<CatalogTicket> t = SubmitOne(catalog, "g", PathQuery(5), {});
   ASSERT_TRUE(t.ok());
   catalog.Cancel(t.value());  // false when it already finished — both fine
   const QueryOutcome& out = t.value().ticket.Wait();
@@ -336,7 +352,7 @@ TEST(CatalogTest, ShutdownSealsSubmissions) {
   GraphCatalog catalog(SmallPool());
   ASSERT_TRUE(catalog.Load("g", PaperDataHypergraph()).ok());
   catalog.Shutdown();
-  EXPECT_FALSE(catalog.Submit("g", PathQuery(1), {}).ok());
+  EXPECT_FALSE(SubmitOne(catalog, "g", PathQuery(1), {}).ok());
   EXPECT_FALSE(catalog.Load("h", PaperDataHypergraph()).ok());
   catalog.Shutdown();  // idempotent
 }

@@ -190,7 +190,7 @@ if(UNIX)
   run_cli("query 2: embeddings 2 in [0-9.]+s  \\[ok\\] \\(mirrored\\)" query
           --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq)
   # The same queryset through batching + negotiated compression: one
-  # BATCH_SUBMIT frame, identical counts, and the framing-stats line
+  # three-entry SUBMIT frame, identical counts, and the framing-stats line
   # reports the granted features.
   run_cli("remote: 3 queries \\(3 completed, 0 rejected\\), embeddings 6 in"
           query --connect=127.0.0.1:${SERVE_PORT} ${WORK_DIR}/queries.hgq

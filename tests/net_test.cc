@@ -15,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -444,24 +446,26 @@ TEST(ProtocolTest, FrameReaderRejectsMalformedHeaders) {
     FrameReader::Frame frame;
     EXPECT_FALSE(reader.Next(&frame).ok());
   }
-  {
-    FrameReader reader;  // the previous protocol revision's "HGN2" magic
-    std::string header = "HGN2";
+  for (const char* magic : {"HGN2", "HGN3"}) {
+    FrameReader reader;  // earlier protocol revisions' magics
+    std::string header = magic;
     header.push_back(static_cast<char>(FrameType::kPing));
     header.append(4, '\0');
     reader.Feed(header.data(), header.size());
     FrameReader::Frame frame;
-    EXPECT_FALSE(reader.Next(&frame).ok());
+    EXPECT_FALSE(reader.Next(&frame).ok()) << magic;
   }
-  {
-    FrameReader reader;  // unknown frame type
+  // Unknown frame types, among them 1 and 2: the single-entry SUBMIT and
+  // OUTCOME of HGN3, retired since every submission is a list.
+  for (const uint8_t type : {uint8_t{0}, uint8_t{1}, uint8_t{2}, uint8_t{99}}) {
+    FrameReader reader;
     std::string header;
     header.append(reinterpret_cast<const char*>(&kWireMagic), 4);
-    header.push_back(99);
+    header.push_back(static_cast<char>(type));
     header.append(4, '\0');
     reader.Feed(header.data(), header.size());
     FrameReader::Frame frame;
-    EXPECT_FALSE(reader.Next(&frame).ok());
+    EXPECT_FALSE(reader.Next(&frame).ok()) << int{type};
   }
   {
     FrameReader reader;  // oversized payload announcement
@@ -502,14 +506,14 @@ TEST(ProtocolTest, FeaturesFrameRoundTrips) {
   EXPECT_FALSE(DecodeFeatures("abcde").ok());  // trailing byte
 }
 
-TEST(ProtocolTest, BatchPayloadRoundTripsEntriesInOrder) {
+TEST(ProtocolTest, EntryListRoundTripsEntriesInOrder) {
   WireSubmit submit;
   submit.request_id = 5;
   submit.query = PaperQueryHypergraph();
   const std::vector<std::string> entries = {EncodeSubmit(submit), "",
                                             std::string(300, 'x'), "tail"};
-  const std::string payload = EncodeBatchPayload(entries);
-  Result<std::vector<std::string_view>> decoded = DecodeBatchPayload(payload);
+  const std::string payload = EncodeEntryList(entries);
+  Result<std::vector<std::string_view>> decoded = DecodeEntryList(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded.value().size(), entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
@@ -521,27 +525,52 @@ TEST(ProtocolTest, BatchPayloadRoundTripsEntriesInOrder) {
   EXPECT_EQ(back.value().request_id, 5u);
 }
 
-TEST(ProtocolTest, BatchPayloadRejectsHostileCountsAndTruncation) {
+TEST(ProtocolTest, EntryListRejectsHostileCountsAndTruncation) {
   // A count far beyond the payload is corruption, not a reserve request.
   std::string hostile;
   AppendVarint(uint64_t{1} << 40, &hostile);
-  EXPECT_FALSE(DecodeBatchPayload(hostile).ok());
+  EXPECT_FALSE(DecodeEntryList(hostile).ok());
 
   // An entry length past the remaining bytes is corruption.
   std::string overrun;
   AppendVarint(1, &overrun);       // one entry...
   AppendVarint(1000, &overrun);    // ...claiming 1000 bytes
   overrun.append("short");
-  EXPECT_FALSE(DecodeBatchPayload(overrun).ok());
+  EXPECT_FALSE(DecodeEntryList(overrun).ok());
 
   // Every strict prefix of a valid payload fails cleanly.
-  const std::string good =
-      EncodeBatchPayload({std::string(40, 'a'), std::string(9, 'b')});
+  const std::string good = EncodeEntryList(
+      std::vector<std::string>{std::string(40, 'a'), std::string(9, 'b')});
   for (size_t cut = 0; cut < good.size(); ++cut) {
-    EXPECT_FALSE(DecodeBatchPayload(good.substr(0, cut)).ok()) << cut;
+    EXPECT_FALSE(DecodeEntryList(good.substr(0, cut)).ok()) << cut;
   }
   // Trailing junk too.
-  EXPECT_FALSE(DecodeBatchPayload(good + "x").ok());
+  EXPECT_FALSE(DecodeEntryList(good + "x").ok());
+}
+
+TEST(ProtocolTest, FittingEntriesCountsTheListFraming) {
+  // One entry travels alone iff count byte + 4-byte length varint + entry
+  // stay within the bound.
+  const std::vector<std::string> largest{
+      std::string(kMaxWirePayload - 5, 'x')};
+  EXPECT_EQ(FittingEntries(largest), 1u);
+  EXPECT_EQ(EncodeEntryList(largest).size(), kMaxWirePayload);
+  for (const uint32_t bytes : {kMaxWirePayload - 4, kMaxWirePayload - 2,
+                               kMaxWirePayload}) {
+    EXPECT_EQ(FittingEntries(std::vector<std::string>{std::string(bytes, 'x')}),
+              0u)
+        << bytes;
+  }
+
+  // Many entries stop where the next one would cross the bound, and the
+  // cap on the count holds.
+  const std::vector<std::string> many(5, std::string(kMaxWirePayload / 4, 'y'));
+  const size_t fit = FittingEntries(many);
+  EXPECT_EQ(fit, 3u);
+  EXPECT_LE(EncodeEntryList(std::span(many).first(fit)).size(),
+            kMaxWirePayload);
+  EXPECT_EQ(FittingEntries(many, 2), 2u);
+  EXPECT_EQ(FittingEntries(std::vector<std::string>{}), 0u);
 }
 
 TEST(ProtocolTest, CompressedFrameRoundTripsAndSkipsSmallPayloads) {
@@ -887,6 +916,14 @@ class RawConn {
            static_cast<ssize_t>(bytes.size());
   }
   void HalfClose() { ::shutdown(fd_, SHUT_WR); }
+  // Blocks for the next bytes and appends them; false on EOF or error.
+  bool ReadSome(std::string* out) {
+    char buffer[4096];
+    const ssize_t got = ::read(fd_, buffer, sizeof(buffer));
+    if (got <= 0) return false;
+    out->append(buffer, static_cast<size_t>(got));
+    return true;
+  }
   // Reads until EOF; returns everything received.
   std::string ReadAll() {
     std::string all;
@@ -907,6 +944,15 @@ std::string HelloFrame(uint32_t features = 0) {
   std::string frame;
   AppendFrame(FrameType::kHello, EncodeFeatures(features), &frame);
   return frame;
+}
+
+// A kSubmit payload carrying `submits` as its entries, in order.
+std::string SubmitPayload(const std::vector<const WireSubmit*>& submits) {
+  std::vector<std::string> entries;
+  for (const WireSubmit* submit : submits) {
+    entries.push_back(EncodeSubmit(*submit));
+  }
+  return EncodeEntryList(entries);
 }
 
 // Reads until the server closes and requires exactly one kError frame —
@@ -1013,9 +1059,12 @@ TEST(NetTest, UndecodablePayloadCancelsConnectionQueries) {
     submit.request_id = 1;
     submit.query = PathQuery(4);
     std::string stream = HelloFrame();
-    AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &stream);
-    // ...followed by a syntactically valid frame with an undecodable body.
-    AppendFrame(FrameType::kSubmit, "definitely not a hypergraph", &stream);
+    AppendFrame(FrameType::kSubmit, SubmitPayload({&submit}), &stream);
+    // ...followed by a syntactically valid frame with an undecodable entry.
+    AppendFrame(FrameType::kSubmit,
+                EncodeEntryList(
+                    std::vector<std::string>{"definitely not a hypergraph"}),
+                &stream);
     ASSERT_TRUE(conn.Send(stream));
   }
   ExpectErrorFrameThenEof(conn, /*after_hello=*/true);
@@ -1222,11 +1271,14 @@ TEST(NetTest, FramesBeforeHelloGetOneErrorAndClose) {
   WireSubmit submit;
   submit.request_id = 1;
   submit.query = PaperQueryHypergraph();
+  WireSubmit second;
+  second.request_id = 2;
+  second.query = PaperQueryHypergraph();
   std::vector<std::pair<FrameType, std::string>> firsts = {
-      {FrameType::kSubmit, EncodeSubmit(submit)},
+      {FrameType::kSubmit, SubmitPayload({&submit})},
       {FrameType::kStats, ""},
       {FrameType::kPing, "ping"},
-      {FrameType::kBatchSubmit, EncodeBatchPayload({EncodeSubmit(submit)})},
+      {FrameType::kSubmit, SubmitPayload({&submit, &second})},
       {FrameType::kListGraphs, ""},
   };
   for (const auto& [type, payload] : firsts) {
@@ -1240,14 +1292,18 @@ TEST(NetTest, FramesBeforeHelloGetOneErrorAndClose) {
     ExpectErrorFrameThenEof(conn);
   }
 
-  // A HELLO under the previous revision's "HGN2" magic is no HELLO at all.
-  RawConn old_peer;
-  ASSERT_TRUE(old_peer.Connect(server.port()));
-  std::string old_hello = HelloFrame();
-  old_hello.replace(0, 4, "HGN2");
-  ASSERT_TRUE(old_peer.Send(old_hello));
-  old_peer.HalfClose();
-  ExpectErrorFrameThenEof(old_peer);
+  // A HELLO under an earlier revision's magic — "HGN3" is the previous
+  // one — is no HELLO at all.
+  for (const char* magic : {"HGN2", "HGN3"}) {
+    SCOPED_TRACE(magic);
+    RawConn old_peer;
+    ASSERT_TRUE(old_peer.Connect(server.port()));
+    std::string old_hello = HelloFrame();
+    old_hello.replace(0, 4, magic);
+    ASSERT_TRUE(old_peer.Send(old_hello));
+    old_peer.HalfClose();
+    ExpectErrorFrameThenEof(old_peer);
+  }
 
   // Nothing was submitted, and a client that opens with HELLO is served.
   MatchClient client;
@@ -1260,7 +1316,7 @@ TEST(NetTest, FramesBeforeHelloGetOneErrorAndClose) {
   server.Stop();
 }
 
-TEST(NetTest, DuplicateRequestIdsInsideABatchCloseTheConnection) {
+TEST(NetTest, DuplicateRequestIdsInsideAFrameCloseTheConnection) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   MatchServer server(idx, LoopbackOptions(1));
   ASSERT_TRUE(server.Start().ok());
@@ -1271,9 +1327,7 @@ TEST(NetTest, DuplicateRequestIdsInsideABatchCloseTheConnection) {
   submit.request_id = 9;  // twice in one frame
   submit.query = PaperQueryHypergraph();
   std::string stream = HelloFrame();
-  AppendFrame(FrameType::kBatchSubmit,
-              EncodeBatchPayload({EncodeSubmit(submit), EncodeSubmit(submit)}),
-              &stream);
+  AppendFrame(FrameType::kSubmit, SubmitPayload({&submit, &submit}), &stream);
   ASSERT_TRUE(conn.Send(stream));
 
   // The reply must be the HELLO grant followed by kError-and-close; no
@@ -1286,6 +1340,105 @@ TEST(NetTest, DuplicateRequestIdsInsideABatchCloseTheConnection) {
   EXPECT_EQ(frame.type, FrameType::kHelloReply);
   ASSERT_TRUE(reader.Next(&frame).value());
   EXPECT_EQ(frame.type, FrameType::kError);
+  server.Stop();
+}
+
+TEST(NetTest, ClientFailsAnEntryTooLargeForAFrameAndKeepsTheConnection) {
+  // An entry that fits kMaxWirePayload on its own but not with the list's
+  // count and length prefixes must fail locally: sent, it would make the
+  // server error-close the connection and fail every pipelined sibling.
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  MatchServer server(idx, LoopbackOptions(1));
+  ASSERT_TRUE(server.Start().ok());
+  MatchClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  const Hypergraph query = PaperQueryHypergraph();
+  WireSubmit fields;
+  const size_t target = kMaxWirePayload - 2;
+  fields.graph.assign(target - EncodeSubmit(fields, query).size(), 'g');
+  // The longer name also lengthens its varint prefix; trim by the excess.
+  fields.graph.resize(fields.graph.size() -
+                      (EncodeSubmit(fields, query).size() - target));
+  ASSERT_EQ(EncodeSubmit(fields, query).size(), target);
+
+  Result<std::vector<uint64_t>> ids = client.SubmitBatchTo(fields.graph,
+                                                           {&query});
+  ASSERT_FALSE(ids.ok());
+  EXPECT_EQ(ids.status().code(), StatusCode::kInvalidArgument);
+
+  Result<uint64_t> id = client.Submit(query);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  Result<WireOutcome> reply = client.WaitOutcome(id.value());
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply.value().outcome.stats.embeddings,
+            MatchSequential(idx, query).value().embeddings);
+  server.Stop();
+}
+
+TEST(NetTest, OutcomesOfOnePassSplitIntoFramesWithinTheBound) {
+  // One kSubmit frame of repeats of a query whose canonical has finished:
+  // every entry mirrors inline in one reactor pass, earning more traced
+  // outcomes than one frame may carry. The server must cut them into
+  // frames within kMaxWirePayload, or the client's reader rejects the
+  // oversized frame and fails every callback.
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(4));
+  MatchServer server(idx, LoopbackOptions(2));
+  ASSERT_TRUE(server.Start().ok());
+
+  Hypergraph query;  // a 3-ary edge: the pair clique has none
+  query.AddVertices(3, 0);
+  (void)query.AddEdge({0, 1, 2});
+  ASSERT_EQ(MatchSequential(idx, query).value().embeddings, 0u);
+
+  AsyncClientOptions copts;
+  copts.max_inflight = 0;
+  copts.request_features = kFeatureTrace;
+  AsyncMatchClient client(copts);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t fired = 0;
+  size_t good = 0;
+  auto on_outcome = [&](const AsyncOutcome& out) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++fired;
+    if (out.transport.ok() && out.wire.outcome.status == QueryStatus::kOk &&
+        out.wire.outcome.stats.embeddings == 0) {
+      ++good;
+    }
+    cv.notify_all();
+  };
+  // The canonical runs first and finishes.
+  ASSERT_TRUE(client.Submit(query, {}, on_outcome).ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return fired == 1; });
+    ASSERT_EQ(good, 1u);
+  }
+
+  // Enough repeats that their outcomes overflow one frame, few enough that
+  // their submissions fit one.
+  WireOutcome traced;
+  traced.outcome.span.enabled = true;
+  const size_t outcome_entry = EncodeOutcome(traced, true).size() + 1;
+  const size_t count = kMaxWirePayload / outcome_entry + 64;
+  const size_t submit_entry = EncodeSubmit(WireSubmit{}, query).size() + 1;
+  ASSERT_LT(count * submit_entry + 4, kMaxWirePayload);
+  const std::vector<const Hypergraph*> repeats(count, &query);
+  Result<std::vector<uint64_t>> ids =
+      client.SubmitBatch(repeats, {}, on_outcome);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_EQ(ids.value().size(), count);
+  EXPECT_EQ(client.TransferStats().frames_sent, 3u);  // HELLO + 2 SUBMITs
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return fired == count + 1; });
+    EXPECT_EQ(good, count + 1);
+  }
+  EXPECT_GE(client.TransferStats().frames_received, 3u);  // + HELLO reply
+  client.Close();
   server.Stop();
 }
 
@@ -1368,14 +1521,15 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     corpus.push_back(s);
   }
   {
+    // A one-entry SUBMIT, the shape of every single query.
     WireSubmit submit;
     submit.request_id = 1;
     submit.query = PaperQueryHypergraph();
     std::string s;
-    AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &s);
+    AppendFrame(FrameType::kSubmit, SubmitPayload({&submit}), &s);
     pre_hello.push_back(s);
     s = HelloFrame();
-    AppendFrame(FrameType::kSubmit, EncodeSubmit(submit), &s);
+    AppendFrame(FrameType::kSubmit, SubmitPayload({&submit}), &s);
     corpus.push_back(s);
   }
   {
@@ -1403,7 +1557,8 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     corpus.push_back(s);
   }
   {
-    // HELLO then a two-entry batch: the batch path.
+    // HELLO then a three-entry SUBMIT naming two graphs, one of them
+    // unknown: the per-entry loop and the same-graph runs.
     std::string s = HelloFrame(kFeatureCompression);
     WireSubmit a;
     a.request_id = 11;
@@ -1411,17 +1566,29 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
     WireSubmit b;
     b.request_id = 12;
     b.query = PaperQueryHypergraph();
-    AppendFrame(FrameType::kBatchSubmit,
-                EncodeBatchPayload({EncodeSubmit(a), EncodeSubmit(b)}), &s);
+    WireSubmit c;
+    c.request_id = 14;
+    c.graph = "nope";
+    c.query = PaperQueryHypergraph();
+    AppendFrame(FrameType::kSubmit, SubmitPayload({&a, &b, &c}), &s);
     corpus.push_back(s);
   }
   {
-    // HELLO then a compressed SUBMIT wrapper: the kCompressed unwrap path.
+    // HELLO then compressed SUBMIT wrappers of one and of two entries: the
+    // kCompressed unwrap path into the one submission decoder.
     std::string s = HelloFrame(kFeatureCompression);
     WireSubmit submit;
     submit.request_id = 13;
     submit.query = PaperQueryHypergraph();
-    AppendFrameMaybeCompressed(FrameType::kSubmit, EncodeSubmit(submit),
+    AppendFrameMaybeCompressed(FrameType::kSubmit, SubmitPayload({&submit}),
+                               /*compress=*/true, &s);
+    corpus.push_back(s);
+    WireSubmit other;
+    other.request_id = 15;
+    other.query = PaperQueryHypergraph();
+    s = HelloFrame(kFeatureCompression);
+    AppendFrameMaybeCompressed(FrameType::kSubmit,
+                               SubmitPayload({&submit, &other}),
                                /*compress=*/true, &s);
     corpus.push_back(s);
   }
@@ -1467,7 +1634,6 @@ void FuzzMutatedFramesAgainstServer(uint32_t io_threads) {
         case FrameType::kPong:
         case FrameType::kStatsReply:
         case FrameType::kHelloReply:
-        case FrameType::kBatchOutcome:
         case FrameType::kCompressed:
         case FrameType::kCatalogReply:
           break;  // legal replies to a mutant that stayed well-formed
@@ -2067,6 +2233,94 @@ TEST(NetCatalogTest, UnknownGraphRejectsWithoutClosingConnection) {
   ASSERT_TRUE(ok_id.ok());
   EXPECT_EQ(client.WaitOutcome(ok_id.value()).value().outcome.status,
             QueryStatus::kOk);
+  server.Stop();
+}
+
+TEST(NetCatalogTest, OneFrameRoutesEachEntryToItsOwnGraph) {
+  // One raw kSubmit frame naming graphs a, b, a and an unknown graph:
+  // each known entry answers with its own graph's count, the unknown one
+  // with a typed reject, and the connection stays open.
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"a", PaperDataHypergraph()});
+  graphs.push_back({"b", PairCliqueData(6)});
+  MatchServer server(std::move(graphs), LoopbackOptions(2));
+  ASSERT_TRUE(server.Start().ok());
+
+  const Hypergraph query = PathQuery(2);
+  const uint64_t want_a =
+      MatchSequential(IndexedHypergraph::Build(PaperDataHypergraph()), query)
+          .value()
+          .embeddings;
+  const uint64_t want_b =
+      MatchSequential(IndexedHypergraph::Build(PairCliqueData(6)), query)
+          .value()
+          .embeddings;
+  ASSERT_NE(want_a, want_b);
+
+  const std::vector<std::string> names = {"a", "b", "a", "nope"};
+  std::vector<WireSubmit> submits(names.size());
+  std::vector<const WireSubmit*> entries;
+  for (size_t i = 0; i < names.size(); ++i) {
+    submits[i].request_id = i + 1;
+    submits[i].graph = names[i];
+    submits[i].query = query.Clone();
+    entries.push_back(&submits[i]);
+  }
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(server.port()));
+  std::string stream = HelloFrame();
+  AppendFrame(FrameType::kSubmit, SubmitPayload(entries), &stream);
+  ASSERT_TRUE(conn.Send(stream));
+
+  // Collect one answer per entry, then prove the connection is open.
+  std::unordered_map<uint64_t, uint64_t> embeddings;
+  std::unordered_map<uint64_t, RejectReason> rejects;
+  FrameReader reader;
+  FrameReader::Frame frame;
+  bool pong = false;
+  bool pinged = false;
+  while (!pong) {
+    std::string bytes;
+    ASSERT_TRUE(conn.ReadSome(&bytes)) << "server closed the connection";
+    reader.Feed(bytes.data(), bytes.size());
+    while (true) {
+      Result<bool> next = reader.Next(&frame);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!next.value()) break;
+      if (frame.type == FrameType::kOutcome) {
+        Result<std::vector<std::string_view>> list =
+            DecodeEntryList(frame.payload);
+        ASSERT_TRUE(list.ok());
+        for (const std::string_view entry : list.value()) {
+          Result<WireOutcome> outcome = DecodeOutcome(entry);
+          ASSERT_TRUE(outcome.ok());
+          EXPECT_EQ(outcome.value().outcome.status, QueryStatus::kOk);
+          embeddings[outcome.value().request_id] =
+              outcome.value().outcome.stats.embeddings;
+        }
+      } else if (frame.type == FrameType::kRejected) {
+        Result<WireRejected> rejected = DecodeRejected(frame.payload);
+        ASSERT_TRUE(rejected.ok());
+        rejects[rejected.value().request_id] = rejected.value().reason;
+      } else if (frame.type == FrameType::kPong) {
+        pong = true;
+      } else {
+        ASSERT_EQ(frame.type, FrameType::kHelloReply);
+      }
+    }
+    if (!pinged && embeddings.size() + rejects.size() == names.size()) {
+      std::string ping;
+      AppendFrame(FrameType::kPing, "still-open", &ping);
+      ASSERT_TRUE(conn.Send(ping));
+      pinged = true;
+    }
+  }
+  ASSERT_EQ(embeddings.size(), 3u);
+  EXPECT_EQ(embeddings[1], want_a);
+  EXPECT_EQ(embeddings[2], want_b);
+  EXPECT_EQ(embeddings[3], want_a);
+  ASSERT_EQ(rejects.size(), 1u);
+  EXPECT_EQ(rejects[4], RejectReason::kUnknownGraph);
   server.Stop();
 }
 

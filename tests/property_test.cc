@@ -236,11 +236,12 @@ TEST_P(CatalogRoutingTest, RoutedQueriesMatchOracleOnTheNamedGraph) {
   }
   auto run = [&](const std::string& name, const Hypergraph& query,
                  EmbeddingSink* sink) {
-    SubmitOptions so;
-    so.sink = sink;
-    Result<CatalogTicket> t = catalog.Submit(name, query.Clone(), so);
+    std::vector<BatchSubmission> one;
+    one.push_back({query.Clone(), {}});
+    one.back().options.sink = sink;
+    Result<std::vector<CatalogTicket>> t = catalog.Submit(name, std::move(one));
     EXPECT_TRUE(t.ok()) << t.status().ToString();
-    return t.ok() ? t.value().ticket.Wait() : QueryOutcome{};
+    return t.ok() ? t.value().front().ticket.Wait() : QueryOutcome{};
   };
 
   Rng rng(seed * 131 + 5);

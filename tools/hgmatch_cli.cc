@@ -117,7 +117,7 @@ int Usage() {
                "  hgmatch query --connect=HOST:PORT [<queryset>]\n"
                "    [--limit=N]          per-query embedding limit\n"
                "    [--batch]            send the queryset coalesced in\n"
-               "                         BATCH_SUBMIT frames (shared\n"
+               "                         many-entry SUBMIT frames (shared\n"
                "                         options; per-query headers are\n"
                "                         ignored)\n"
                "    [--compress]         negotiate frame compression\n"
@@ -984,9 +984,10 @@ int CmdQuery(int argc, char** argv) {
   std::vector<uint64_t> ids;
   ids.reserve(entries.value().size());
   if (use_batch) {
-    // Batch mode coalesces the whole set into kBatchSubmit frames. The
-    // set shares one options block, so per-query '# tenant=' style
-    // headers are ignored here — use per-query mode when they matter.
+    // Batch mode coalesces the whole set into many-entry kSubmit frames
+    // (per-query mode sends one entry per frame). The set shares one
+    // options block, so per-query '# tenant=' style headers are ignored
+    // here — use per-query mode when they matter.
     SubmitOptions so;
     if (limit != SubmitOptions::kInheritLimit) so.limit = limit;
     std::vector<const Hypergraph*> queries;
