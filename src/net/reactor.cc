@@ -132,11 +132,17 @@ void EventLoop::Remove(int fd) {
 }
 
 void EventLoop::Post(std::function<void()> task) {
+  bool first = false;
   {
     std::lock_guard<std::mutex> lock(task_mutex_);
+    first = tasks_.empty();
     tasks_.push_back(std::move(task));
   }
-  Wake();
+  // Only the post that makes the queue non-empty writes the pipe. Wait
+  // drains the pipe before it takes the queue, so a post that found the
+  // queue non-empty rides a byte that is still unread or a swap that is
+  // still to come.
+  if (first) Wake();
 }
 
 void EventLoop::Wake() {
@@ -184,6 +190,9 @@ int EventLoop::Wait(int timeout_ms, std::vector<Event>* out) {
     out->push_back({fds[i].fd, events});
   }
 #endif
+  // The drain comes before the swap: a byte written after it belongs to
+  // a post the swap takes or to one that finds the queue empty again, and
+  // neither loses its wake.
   if (woken) {
     char drain[64];
     while (::read(wake_pipe_[0], drain, sizeof(drain)) > 0) {

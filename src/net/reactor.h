@@ -58,8 +58,12 @@ class EventLoop {
   /// Deregisters `fd`; the caller still owns and closes it.
   void Remove(int fd);
 
-  /// Enqueues `task` to run on the loop thread inside the next Wait();
-  /// wakes the loop. Thread-safe.
+  /// Enqueues `task` to run on the loop thread inside the next Wait(), in
+  /// post order. Thread-safe. The wake is coalesced: only the post that
+  /// finds the queue empty writes the wake pipe, so a burst of N posts
+  /// (say, the outcomes of one frame's entries) costs one pipe write, not
+  /// N. No wake is lost, because Wait() drains the pipe before it takes
+  /// the queue.
   void Post(std::function<void()> task);
 
   /// Wakes a Wait() blocked in the poller. Thread-safe; a full pipe is as

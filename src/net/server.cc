@@ -58,12 +58,12 @@ class MatchServer::Impl {
  public:
   Impl(const IndexedHypergraph& data, const ServerOptions& options)
       : options_(Normalize(options)),
-        catalog_(CatalogOptionsFor(options_, this)),
+        catalog_(options_.service),
         shared_data_(&data) {}
 
   Impl(std::vector<NamedGraph> graphs, const ServerOptions& options)
       : options_(Normalize(options)),
-        catalog_(CatalogOptionsFor(options_, this)),
+        catalog_(options_.service),
         preload_(std::move(graphs)) {}
 
   ~Impl() { Stop(); }
@@ -172,8 +172,8 @@ class MatchServer::Impl {
     CloseListen();
     CloseMetrics();
     // The loops cancelled whatever was still in flight on exit; those
-    // queries resolve asynchronously and their completion hooks touch the
-    // loops' wake pipes. Shut the catalog down *before* the loops are
+    // queries resolve asynchronously and their completion hooks post into
+    // the stopped loops. Shut the catalog down *before* the loops are
     // destroyed so no straggler hook can write into a recycled descriptor
     // (Shutdown blocks until every outcome resolved and every hook
     // returned; it is idempotent, so the destructor chain repeating it is
@@ -228,6 +228,10 @@ class MatchServer::Impl {
  private:
   struct Conn {
     int fd = -1;
+    // Never reused on its IO thread: a posted outcome names its connection
+    // by fd and serial, so an outcome for a dropped connection whose fd was
+    // recycled finds another serial and is skipped.
+    uint64_t serial = 0;
     FrameReader reader;
     std::string outbuf;
     size_t out_sent = 0;  // prefix of outbuf already on the wire
@@ -254,29 +258,10 @@ class MatchServer::Impl {
     std::vector<std::string> replies;
   };
 
-  // Where a finished ticket's reply goes: the connection that submitted it
-  // and the client-chosen request id scoping the reply. Tenant and graph
-  // ride along so the slow-query ring can attribute the entry without a
-  // second lookup.
-  struct Route {
-    Conn* conn = nullptr;
-    uint64_t request_id = 0;
-    uint32_t tenant_id = 0;
-    std::string graph;  // as submitted; empty = the default graph
-  };
-
-  // One completion-hook notification: the finished ticket plus the moment
-  // the hook enqueued it, so DeliverReady can histogram the hook-to-
-  // delivery latency.
-  struct ReadyItem {
-    uint64_t ticket_id = 0;
-    double enqueued_seconds = 0;
-  };
-
   // One reactor thread: an event loop plus every piece of protocol state
   // of the connections pinned to it. Everything except `loop` (internally
-  // synchronised), the ready list (mutex) and the stats row (atomics,
-  // single writer) is touched by the owning thread only.
+  // synchronised) and the stats row (atomics, single writer) is touched by
+  // the owning thread only.
   struct IoThread {
     uint32_t index = 0;
     EventLoop loop;
@@ -285,13 +270,7 @@ class MatchServer::Impl {
     // Loop-thread-only state.
     std::vector<std::unique_ptr<Conn>> conns;
     std::unordered_map<int, Conn*> by_fd;
-    std::unordered_map<uint64_t, Route> routes;  // ticket id -> reply route
-    std::vector<ReadyItem> ready_drain;  // reusable swap target
-
-    // Ticket ids whose outcomes finalised, pushed by the completion hook
-    // from pool threads, drained by the owning loop.
-    std::mutex ready_mutex;
-    std::vector<ReadyItem> ready;
+    uint64_t last_serial = 0;  // Conn::serial of the latest adoption
 
     // Per-thread stats row (kStatsReply): one writer, racing readers.
     std::atomic<uint64_t> st_connections{0};
@@ -313,23 +292,6 @@ class MatchServer::Impl {
     return options;
   }
 
-  // Installs the completion hook that drives outcome delivery: each
-  // finished catalog-unique ticket id is routed to the IO thread owning
-  // its connection and that loop is woken. The hook body is deliberately
-  // tiny — it runs on a pool worker inside the query's finish path. (The
-  // catalog chains any hook already set on options.service before this
-  // one.)
-  static CatalogOptions CatalogOptionsFor(const ServerOptions& options,
-                                          Impl* self) {
-    CatalogOptions catalog;
-    catalog.service = options.service;
-    catalog.on_query_complete = [self](uint64_t unique_id,
-                                       const QueryOutcome&) {
-      self->OnQueryComplete(unique_id);
-    };
-    return catalog;
-  }
-
   // Catalog snapshot as wire rows (kStatsReply / kCatalogReply).
   std::vector<WireGraphStats> GraphRows() {
     std::vector<WireGraphStats> rows;
@@ -343,38 +305,6 @@ class MatchServer::Impl {
       rows.push_back(std::move(row));
     }
     return rows;
-  }
-
-  // Routes one finished ticket to the loop owning its connection. A
-  // ticket with no registry entry was answered inline at submit/cancel
-  // time, or belonged to a connection that died — either way nobody is
-  // waiting for it and the service has already recycled its state.
-  void OnQueryComplete(uint64_t ticket_id) {
-    IoThread* target = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(registry_mutex_);
-      auto it = registry_.find(ticket_id);
-      if (it != registry_.end()) {
-        target = it->second;
-        registry_.erase(it);
-      }
-    }
-    if (target == nullptr) return;
-    {
-      std::lock_guard<std::mutex> lock(target->ready_mutex);
-      target->ready.push_back({ticket_id, MonotonicSeconds()});
-    }
-    target->loop.Wake();
-  }
-
-  void Register(uint64_t ticket_id, IoThread* t) {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    registry_[ticket_id] = t;
-  }
-
-  void Unregister(uint64_t ticket_id) {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    registry_.erase(ticket_id);
   }
 
   // Edge rate limiter: one token per SUBMIT, refilled at
@@ -589,7 +519,7 @@ class MatchServer::Impl {
 
   // Sends the outcome entries a peer earned this pass as kOutcome frames,
   // as few as the payload bound allows: one pass can earn more than a
-  // frame holds (a large kSubmit whose entries all resolve inline). Runs
+  // frame holds (a large kSubmit whose entries all resolve in Submit). Runs
   // before every output flush, so replies are never pinned behind an idle
   // wait.
   void FlushReplies(IoThread* t, Conn* conn) {
@@ -606,21 +536,34 @@ class MatchServer::Impl {
     conn->replies.clear();
   }
 
-  // Cancels and orphans every in-flight query of a dying connection and
-  // forgets their delivery routes. Registry entries go first so a
-  // synchronously-resolving Cancel's completion hook finds nothing to
-  // wake; an id the hook already pushed is skipped by the route check.
-  void CancelConnQueries(IoThread* t, Conn* conn) {
+  // Cancels and forgets every in-flight query of a dying connection. Their
+  // outcomes still arrive as posted tasks, find no in-flight entry and are
+  // skipped. Only the queries the cancel stopped count as cancelled; one
+  // that had already finished is simply not delivered.
+  void CancelConnQueries(Conn* conn) {
     if (conn->inflight.empty()) return;
-    cancelled_by_disconnect_.fetch_add(conn->inflight.size(),
-                                       std::memory_order_relaxed);
     inflight_.fetch_sub(conn->inflight.size(), std::memory_order_relaxed);
-    for (auto& [id, ct] : conn->inflight) {
-      Unregister(ct.unique_id);
-      t->routes.erase(ct.unique_id);
-      catalog_.Cancel(ct);
-    }
+    uint64_t cancelled = 0;
+    for (auto& [id, ct] : conn->inflight) cancelled += catalog_.Cancel(ct);
+    cancelled_by_disconnect_.fetch_add(cancelled, std::memory_order_relaxed);
     conn->inflight.clear();
+  }
+
+  // Runs on the loop thread for every outcome a completion hook posted:
+  // delivers it when its connection — same fd, same serial — still waits
+  // for the request id. A dropped connection, a recycled fd and an id its
+  // connection already cancelled away are all skipped here.
+  void DeliverPosted(IoThread* t, int fd, uint64_t serial,
+                     uint64_t request_id, const QueryOutcome& outcome,
+                     uint32_t tenant_id, const std::string& graph,
+                     double posted_seconds) {
+    auto lookup = t->by_fd.find(fd);
+    if (lookup == t->by_fd.end() || lookup->second->serial != serial) return;
+    Conn* conn = lookup->second;
+    if (conn->inflight.erase(request_id) == 0) return;
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
+    metric_delivery_->Observe(MonotonicSeconds() - posted_seconds);
+    DeliverOutcome(t, conn, request_id, outcome, tenant_id, graph);
   }
 
   // Queues one finished query's reply on its connection. Tenant and graph
@@ -702,14 +645,15 @@ class MatchServer::Impl {
     // the error notice.
     FlushReplies(t, conn);
     SendFrame(t, conn, FrameType::kError, message);
-    CancelConnQueries(t, conn);
+    CancelConnQueries(conn);
     conn->draining = true;
   }
 
   // Extracts the remotely-settable SubmitOptions fields of one decoded
-  // submission (hostile floats are clamped to the server defaults).
-  SubmitOptions SubmitOptionsFor(const Conn* conn,
-                                 const WireSubmit& ws) const {
+  // submission (hostile floats are clamped to the server defaults) and
+  // hangs the hook that delivers its outcome.
+  SubmitOptions SubmitOptionsFor(IoThread* t, const Conn* conn,
+                                 const WireSubmit& ws) {
     SubmitOptions so;
     so.tenant_id = ws.tenant_id;
     so.priority = ws.priority;
@@ -722,40 +666,21 @@ class MatchServer::Impl {
     // not the peer asked to see them).
     so.trace = (conn->features & kFeatureTrace) != 0 ||
                options_.slow_query_ms > 0;
+    // The hook runs on whichever thread finalised the outcome — a pool
+    // worker, or this loop inside Submit/Cancel for shed, plan-error,
+    // mirrored and cancelled-while-queued queries — and only posts it to
+    // the owning loop. The loop runs the task after this frame's entries
+    // are in conn->inflight, so every outcome takes the same path.
+    so.completion = [this, t, fd = conn->fd, serial = conn->serial,
+                     request_id = ws.request_id, tenant_id = ws.tenant_id,
+                     graph = ws.graph](const QueryOutcome& outcome) {
+      t->loop.Post([this, t, fd, serial, request_id, outcome, tenant_id,
+                    graph, posted = MonotonicSeconds()] {
+        DeliverPosted(t, fd, serial, request_id, outcome, tenant_id, graph,
+                      posted);
+      });
+    };
     return so;
-  }
-
-  // Post-submit bookkeeping of one admitted entry: answer inline if
-  // already resolved, else register for completion wakeup.
-  void TrackTicket(IoThread* t, Conn* conn, uint64_t request_id,
-                   CatalogTicket ct, uint32_t tenant_id,
-                   const std::string& graph) {
-    // Backpressure sheds, planning errors and mirrors of completed
-    // canonicals resolve synchronously — and a fast query may already
-    // have finished between Submit and here: answer inline.
-    const QueryOutcome* done = ct.ticket.TryGet();
-    if (done != nullptr) {
-      DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
-      return;
-    }
-    // Register, then probe again: a query that finished between the first
-    // TryGet and the registration ran its completion hook against an empty
-    // registry — nobody will wake us for it, so the second probe (ordered
-    // after the hook's lookup by the registry mutex) must answer it
-    // inline. A hook that instead runs after the registration finds the
-    // entry and the ready sweep delivers normally; if both paths fire, the
-    // inline answer erases the route and the sweep skips the stale id.
-    Register(ct.unique_id, t);
-    t->routes[ct.unique_id] = {conn, request_id, tenant_id, graph};
-    done = ct.ticket.TryGet();
-    if (done != nullptr) {
-      Unregister(ct.unique_id);
-      t->routes.erase(ct.unique_id);
-      DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
-      return;
-    }
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    conn->inflight.emplace(request_id, std::move(ct));
   }
 
   // A request id of `submits` already in flight on the connection or
@@ -803,7 +728,7 @@ class MatchServer::Impl {
       run.reserve(end - begin);
       for (size_t i = begin; i < end; ++i) {
         run.push_back({std::move(submits[i].query),
-                       SubmitOptionsFor(conn, submits[i])});
+                       SubmitOptionsFor(t, conn, submits[i])});
       }
       Result<std::vector<CatalogTicket>> tickets =
           catalog_.Submit(graph, std::move(run));
@@ -816,10 +741,10 @@ class MatchServer::Impl {
         }
       } else {
         submitted_.fetch_add(end - begin, std::memory_order_relaxed);
+        inflight_.fetch_add(end - begin, std::memory_order_relaxed);
         for (size_t i = begin; i < end; ++i) {
-          TrackTicket(t, conn, submits[i].request_id,
-                      std::move(tickets.value()[i - begin]),
-                      submits[i].tenant_id, graph);
+          conn->inflight.emplace(submits[i].request_id,
+                                 std::move(tickets.value()[i - begin]));
         }
       }
       begin = end;
@@ -908,30 +833,9 @@ class MatchServer::Impl {
           return;
         }
         auto it = conn->inflight.find(id.value());
-        // Unknown ids are ignored: the cancel raced the outcome.
-        if (it != conn->inflight.end()) {
-          catalog_.Cancel(it->second);
-          // A synchronously resolved cancel (queued query, mirror of a
-          // running canonical) is ready right now: answer inline and drop
-          // its route so the ready-list sweep cannot answer it again. An
-          // unresolved cancel stays registered — the query stops at its
-          // next task boundary and delivers through the hook as usual.
-          const QueryOutcome* done = it->second.ticket.TryGet();
-          if (done != nullptr) {
-            Unregister(it->second.unique_id);
-            uint32_t tenant_id = 0;
-            std::string graph;
-            auto route = t->routes.find(it->second.unique_id);
-            if (route != t->routes.end()) {
-              tenant_id = route->second.tenant_id;
-              graph = std::move(route->second.graph);
-              t->routes.erase(route);
-            }
-            DeliverOutcome(t, conn, it->first, *done, tenant_id, graph);
-            inflight_.fetch_sub(1, std::memory_order_relaxed);
-            conn->inflight.erase(it);
-          }
-        }
+        // Unknown ids are ignored: the cancel raced the outcome. A
+        // cancelled query delivers through its hook like any other.
+        if (it != conn->inflight.end()) catalog_.Cancel(it->second);
         return;
       }
       case FrameType::kLoadGraph: {
@@ -1116,6 +1020,7 @@ class MatchServer::Impl {
   void AdoptConn(IoThread* t, int fd) {
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
+    conn->serial = ++t->last_serial;
     conn->interest = EventLoop::kReadable;
     if (!t->loop.Add(fd, conn->interest).ok()) {
       ::close(fd);
@@ -1129,46 +1034,13 @@ class MatchServer::Impl {
 
   void DropConnAt(IoThread* t, size_t i) {
     Conn* conn = t->conns[i].get();
-    CancelConnQueries(t, conn);
+    CancelConnQueries(conn);
     t->loop.Remove(conn->fd);
     ::close(conn->fd);
     t->by_fd.erase(conn->fd);
     t->conns.erase(t->conns.begin() + i);
     connections_.fetch_sub(1, std::memory_order_relaxed);
     t->st_connections.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  // Completion-driven delivery: drains the ready list the completion hook
-  // filled and answers exactly those tickets — O(finished), never a scan
-  // of all pending tickets. Ids without a route were answered inline at
-  // submit/cancel time or belonged to a dropped connection; skipping them
-  // is the whole cleanup.
-  void DeliverReady(IoThread* t) {
-    {
-      std::lock_guard<std::mutex> lock(t->ready_mutex);
-      if (t->ready.empty()) return;
-      t->ready_drain.swap(t->ready);
-    }
-    for (const ReadyItem& item : t->ready_drain) {
-      auto route = t->routes.find(item.ticket_id);
-      if (route == t->routes.end()) continue;
-      Conn* conn = route->second.conn;
-      const uint64_t request_id = route->second.request_id;
-      const uint32_t tenant_id = route->second.tenant_id;
-      std::string graph = std::move(route->second.graph);
-      t->routes.erase(route);
-      auto it = conn->inflight.find(request_id);
-      if (it == conn->inflight.end()) continue;
-      // The hook fires strictly after the outcome is retrievable, so this
-      // TryGet cannot miss.
-      const QueryOutcome* done = it->second.ticket.TryGet();
-      if (done == nullptr) continue;
-      metric_delivery_->Observe(MonotonicSeconds() - item.enqueued_seconds);
-      DeliverOutcome(t, conn, request_id, *done, tenant_id, graph);
-      inflight_.fetch_sub(1, std::memory_order_relaxed);
-      conn->inflight.erase(it);
-    }
-    t->ready_drain.clear();
   }
 
   void SweepConns(IoThread* t) {
@@ -1209,7 +1081,6 @@ class MatchServer::Impl {
     std::vector<EventLoop::Event> events;
     while (true) {
       if (stop_requested_.load(std::memory_order_acquire)) break;
-      DeliverReady(t);
       for (auto& conn : t->conns) {
         if (conn->dead) continue;
         FlushReplies(t, conn.get());
@@ -1234,8 +1105,8 @@ class MatchServer::Impl {
         if (t->conns.empty()) break;
       }
       UpdateInterest(t);
-      // Completion wakeups arrive through the wake pipe the instant a
-      // query finishes, so the timeout is pure idle housekeeping.
+      // Outcomes are posted the instant a query finishes and wake the
+      // loop, so the timeout is pure idle housekeeping.
       const int n = t->loop.Wait(250, &events);
       if (n < 0) break;
       // Event handlers only mark connection state (draining/dead); no fd
@@ -1257,7 +1128,7 @@ class MatchServer::Impl {
           // The socket is gone; nothing to flush.
           conn->outbuf.clear();
           conn->out_sent = 0;
-          CancelConnQueries(t, conn);
+          CancelConnQueries(conn);
           conn->draining = true;
           conn->dead = true;
           continue;
@@ -1266,11 +1137,12 @@ class MatchServer::Impl {
             (ev.events & (EventLoop::kReadable | EventLoop::kHangup))) {
           if (ReadConn(t, conn)) {
             // Peer EOF. The requester is gone, so its in-flight queries
-            // are cancelled (abandoned work must not outlive its
-            // requester) — but replies already earned by the final burst
-            // (PONGs, inline outcomes) are flushed, not discarded.
+            // are cancelled and their outcomes dropped (abandoned work must
+            // not outlive its requester) — but replies already earned by
+            // the final burst (PONGs, rejections, outcomes delivered
+            // before the EOF) are flushed, not discarded.
             conn->peer_closed = true;
-            CancelConnQueries(t, conn);
+            CancelConnQueries(conn);
             conn->draining = true;
           }
         }
@@ -1282,10 +1154,9 @@ class MatchServer::Impl {
     }
     // Loop exit: cancel whatever is still in flight on this thread's
     // connections and close every socket (outcomes of cancelled queries
-    // resolve through the service's completion path as it shuts down with
-    // the server).
+    // are posted to this stopped loop and never run).
     for (auto& conn : t->conns) {
-      CancelConnQueries(t, conn.get());
+      CancelConnQueries(conn.get());
       t->loop.Remove(conn->fd);
       ::close(conn->fd);
     }
@@ -1293,7 +1164,6 @@ class MatchServer::Impl {
     t->st_connections.store(0, std::memory_order_relaxed);
     t->conns.clear();
     t->by_fd.clear();
-    t->routes.clear();
     if (t->index == 0) {
       CloseListenFrom(t);
       CloseMetricsFrom(t);
@@ -1353,12 +1223,6 @@ class MatchServer::Impl {
   std::vector<std::unique_ptr<IoThread>> io_;
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> shutting_down_{false};
-
-  // Which IO thread delivers each in-flight ticket: the completion hook's
-  // only lookup. Entries die with their delivery, their cancellation or
-  // their connection.
-  std::mutex registry_mutex_;
-  std::unordered_map<uint64_t, IoThread*> registry_;
 
   // Edge rate limiter (ServerOptions::max_submits_per_sec).
   std::mutex rate_mutex_;

@@ -120,21 +120,17 @@ struct NamedGraph {
 /// per-connection locks):
 ///
 ///  - A connection is owned by exactly one IO thread from adoption to
-///    close. Its fd, frame reader, output buffer, in-flight ticket table
-///    and delivery routes are touched only by that thread — never
-///    concurrently, never handed off.
-///  - Each IO thread owns one EventLoop (epoll instance + wake pipe) and
-///    one route table mapping ticket ids to (connection, request id).
-///    Routes are created, read and destroyed on the owning thread only.
-///  - Cross-thread traffic uses exactly two channels, both leaf-locked:
-///    (1) the acceptor Post()s connection adoptions into the owning
-///    thread's loop, and (2) the service's completion hook pushes
-///    finished ticket ids onto the owning thread's ready list and wakes
-///    its loop. The hook finds the owning thread through a shared
-///    ticket registry (mutex-protected map, erased on completion); a
-///    ready-list id is only ever interpreted through the owning thread's
-///    route table, so a stale id — its route answered inline or dead with
-///    its connection — is skipped, never dereferenced.
+///    close. Its fd, frame reader, output buffer and in-flight ticket
+///    table are touched only by that thread — never concurrently, never
+///    handed off.
+///  - Each IO thread owns one EventLoop (epoll instance + wake pipe).
+///  - Cross-thread traffic uses exactly one channel, EventLoop::Post:
+///    the acceptor posts connection adoptions into the owning thread's
+///    loop, and each submission's completion hook posts its outcome there.
+///    The hook names its connection by fd, a never-reused per-connection
+///    serial and the request id; the loop delivers only when all three
+///    still match, so an outcome for a dropped connection, a recycled fd
+///    or a cancelled-away id is skipped, never dereferenced.
 ///  - Whole-server counters (connection count, submitted/completed/...)
 ///    are atomics; per-IO-thread stats rows are atomics owned by one
 ///    writer each. The per-tenant rate limiter is a shared
@@ -145,16 +141,17 @@ struct NamedGraph {
 /// admits the rest in one catalog call per run of entries naming the same
 /// graph. Per connection the server keeps a table of in-flight tickets
 /// keyed by the client's request id. Outcome delivery is
-/// completion-driven: the hook enqueues each finished ticket id on the
-/// owning thread's ready list and wakes its loop, so outcomes are
-/// delivered the moment they finalise — the outcomes of one reactor pass
-/// coalesced into kOutcome frames cut to the payload bound — in
+/// completion-driven and has one path: whether a query ran on the pool or
+/// resolved inside Submit/Cancel (shed, plan error, mirror of a finished
+/// canonical, cancelled while queued), its hook posts the outcome to the
+/// owning loop, which delivers it on its next pass — the outcomes of one
+/// pass coalesced into kOutcome frames cut to the payload bound — in
 /// completion order (clients pipeline submissions and match replies by
-/// id). A submission shed by queue-depth
-/// backpressure or the per-tenant rate limiter comes back immediately as
-/// kRejected with its reason. A connection that drops — cleanly or not —
-/// has all its in-flight queries cancelled: abandoned work never outlives
-/// its requester. A malformed frame gets one kError frame and the same
+/// id). A submission shed by queue-depth backpressure or the per-tenant
+/// rate limiter comes back as kRejected with its reason. A connection
+/// that drops — cleanly or not — has all its in-flight queries cancelled
+/// and their outcomes dropped: abandoned work never outlives its
+/// requester. A malformed frame gets one kError frame and the same
 /// cancel-and-close treatment.
 ///
 /// POSIX-only (epoll on Linux, poll elsewhere); Start() reports Internal

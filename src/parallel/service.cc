@@ -350,15 +350,12 @@ class ServiceImpl {
     std::function<void(const QueryOutcome&)> fn;
   };
 
-  // Invokes the harvested hooks: the per-submit hook first, then the
-  // service-wide one. Callers must hold no service or scheduler lock —
-  // hooks may re-enter the read-side API (Ticket::TryGet).
+  // Invokes the harvested per-submit hooks. Callers must hold no service
+  // or scheduler lock — hooks may re-enter the read-side API
+  // (Ticket::TryGet).
   void FireCompletions(std::vector<FiredCompletion>* fire) {
     for (FiredCompletion& f : *fire) {
       if (f.fn) f.fn(f.rec->outcome);
-      if (options_.on_query_complete) {
-        options_.on_query_complete(f.rec->id, f.rec->outcome);
-      }
     }
     fire->clear();
   }

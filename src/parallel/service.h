@@ -2,7 +2,6 @@
 #define HGMATCH_PARALLEL_SERVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -92,26 +91,6 @@ struct ServiceOptions {
   /// heterogeneous. First-seen plans, and every query of a cache-off
   /// service, charge 1.
   bool plan_cache = true;
-
-  /// Service-wide completion hook: invoked exactly once per submission —
-  /// with its Ticket::id() and final outcome — at the moment the outcome
-  /// finalises, whatever the terminal status (ok, timeout, limit,
-  /// cancelled, rejected, plan-error) and whichever path produced it
-  /// (executed on the pool, mirrored from a canonical, cancelled while
-  /// queued, shed by backpressure, rejected after Shutdown). Fired after
-  /// the outcome is observable through Ticket::TryGet() and with no
-  /// service or scheduler lock that the read-side API needs, so the hook
-  /// may TryGet other tickets. It runs on whichever thread finalised the
-  /// outcome: a pool worker for executed queries (mirrors piggyback on
-  /// their canonical's finish), or the caller of Submit()/Cancel() —
-  /// before that call returns — for synchronously resolved submissions.
-  /// Keep it fast and non-blocking, and do not call Submit/Wait/Cancel/
-  /// Drain/Shutdown on this service from inside it. The wire front end
-  /// (net/server.h) uses this hook to wake its serving loop the instant a
-  /// query finishes instead of polling tickets. Runs after the per-submit
-  /// SubmitOptions::completion hook of the same query, if any.
-  std::function<void(uint64_t ticket_id, const QueryOutcome& outcome)>
-      on_query_complete;
 };
 
 /// Live observability gauges of a running service, cheap enough to sample
@@ -236,10 +215,12 @@ SchedulerOptions ToSchedulerOptions(const ServiceOptions& options);
 /// hook on every pool submission (the scheduler's only outcome channel),
 /// and the moment the scheduler finalises a query the hook copies the
 /// outcome into the ticket record, resolves any mirrors attached to the
-/// record, wakes every Ticket::Wait, and fires the user-visible completion
-/// hooks (per-submit SubmitOptions::completion, then
-/// ServiceOptions::on_query_complete) — exactly once per submission, on
-/// the thread that finalised the outcome.
+/// record, wakes every Ticket::Wait, and fires the submission's own
+/// SubmitOptions::completion hook — exactly once per submission, whatever
+/// path produced the outcome (executed on the pool, mirrored from a
+/// canonical, cancelled while queued, shed by backpressure, a plan error,
+/// rejected after Shutdown), on the thread that finalised it. The wire
+/// front end (net/server.h) delivers every outcome through this hook.
 ///
 /// Retention is bounded for a long-lived service: the scheduler keeps
 /// nothing of a query once it finishes, the completion hook resolves the
@@ -257,9 +238,9 @@ class MatchService {
   /// Binds the service to a pool it shares with other services (the graph
   /// catalog's): queries execute on `pool`'s workers, carrying `data` per
   /// submission. The pool's admission policy/window/queue bounds apply
-  /// pool-wide; this service's `options` still govern its plan cache,
-  /// default budgets and completion hooks (the `parallel` pool-shape
-  /// fields and admission fields of `options` are ignored). `data` and
+  /// pool-wide; this service's `options` still govern its plan cache and
+  /// default budgets (the `parallel` pool-shape fields and admission
+  /// fields of `options` are ignored). `data` and
   /// `pool` must outlive the service; Shutdown() waits for this service's
   /// own queries only and leaves the pool running for its siblings (its
   /// report then carries service counters but no worker rows).

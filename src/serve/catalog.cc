@@ -47,7 +47,7 @@ struct GraphCatalog::Entry {
 };
 
 // The mutable registry, held by shared_ptr from the catalog AND from
-// every per-graph completion hook: a hook that fires while the catalog
+// every submission's completion hook: a hook that fires while the catalog
 // is mid-teardown still locks refcounted memory, never a dead object.
 struct GraphCatalog::State {
   std::mutex m;
@@ -59,14 +59,16 @@ struct GraphCatalog::State {
   std::string default_name;
   uint64_t entry_seq = 0;
   bool sealed = false;
+
+  // Outcomes finalised (Gauges().finished); written by the hooks without
+  // taking m.
+  std::atomic<uint64_t> finished{0};
 };
 
-GraphCatalog::GraphCatalog(const CatalogOptions& options)
+GraphCatalog::GraphCatalog(const ServiceOptions& options)
     : options_(options),
       state_(std::make_shared<State>()),
-      finished_(std::make_shared<std::atomic<uint64_t>>(0)),
-      pool_(std::make_unique<Scheduler>(
-          ToSchedulerOptions(options.service))) {}
+      pool_(std::make_unique<Scheduler>(ToSchedulerOptions(options))) {}
 
 GraphCatalog::~GraphCatalog() { Shutdown(); }
 
@@ -112,30 +114,8 @@ Status GraphCatalog::Install(std::shared_ptr<Entry> entry) {
     entry->submit_metric = MetricsRegistry::Default().GetCounter(
         "hgmatch_graph_submits_total",
         "graph=\"" + EscapeLabelValue(entry->name) + "\"");
-
-    ServiceOptions so = options_.service;
-    // Chain the catalog delivery hook behind any template-level one. The
-    // hook's closing act — the live-ticket decrement — is the unload
-    // gate, so it runs last, under State::m, touching nothing of the
-    // entry afterwards: once an unloader observes live == 0 the entry is
-    // destructible even though the hook's stack frame is still winding
-    // down (it only holds refcounted captures from there on).
-    auto chained = std::move(so.on_query_complete);
-    auto user = options_.on_query_complete;
-    auto fin = finished_;
-    Entry* raw = entry.get();
-    const uint64_t base = entry->id_base;
-    so.on_query_complete = [st, raw, base, chained, user, fin](
-                               uint64_t id, const QueryOutcome& out) {
-      if (chained) chained(id, out);
-      fin->fetch_add(1, std::memory_order_release);  // Gauges().finished
-      if (user) user(base + id, out);
-      std::lock_guard<std::mutex> lock(st->m);
-      --raw->live;
-      st->cv.notify_all();
-    };
     entry->service =
-        std::make_unique<MatchService>(*entry->index, *pool_, so);
+        std::make_unique<MatchService>(*entry->index, *pool_, options_);
 
     if (st->default_name.empty()) st->default_name = entry->name;
     st->entries.push_back(std::move(entry));
@@ -270,6 +250,24 @@ Result<std::vector<CatalogTicket>> GraphCatalog::Submit(
   std::shared_ptr<Entry> entry =
       FindPinnedForSubmit(name, batch.size(), &error);
   if (entry == nullptr) return error;
+  // Each entry's hook closes with the catalog's bookkeeping. Its last act,
+  // the live-ticket decrement, is the unload gate, so it runs under
+  // State::m and touches nothing of the entry afterwards: once an unloader
+  // observes live == 0 the entry is destructible even though the hook's
+  // stack frame is still winding down (it only holds refcounted captures
+  // from there on).
+  Entry* raw = entry.get();
+  for (BatchSubmission& b : batch) {
+    b.options.completion = [st = state_, raw,
+                            user = std::move(b.options.completion)](
+                               const QueryOutcome& out) {
+      if (user) user(out);
+      st->finished.fetch_add(1, std::memory_order_release);
+      std::lock_guard<std::mutex> lock(st->m);
+      --raw->live;
+      st->cv.notify_all();
+    };
+  }
   std::vector<Ticket> tickets = entry->service->SubmitBatch(std::move(batch));
   std::vector<CatalogTicket> out;
   out.reserve(tickets.size());
@@ -319,7 +317,7 @@ uint32_t GraphCatalog::num_threads() const {
 
 ServiceGauges GraphCatalog::Gauges() {
   ServiceGauges g;
-  g.finished = finished_->load(std::memory_order_acquire);
+  g.finished = state_->finished.load(std::memory_order_acquire);
   if (pool_ != nullptr) {
     g.live_contexts = pool_->LiveContexts();
     g.rejected = pool_->RejectedCount();

@@ -2,7 +2,6 @@
 #define HGMATCH_SERVE_CATALOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,23 +11,6 @@
 #include "util/status.h"
 
 namespace hgmatch {
-
-/// Configuration of a GraphCatalog.
-struct CatalogOptions {
-  /// Pool shape (parallel/admission/window/queue/timeout fields build the
-  /// shared Scheduler through ToSchedulerOptions) and per-graph service
-  /// behaviour (plan cache, capacity, default budgets) — every hosted
-  /// graph's MatchService is configured from this one template.
-  ServiceOptions service;
-
-  /// Completion hook receiving *catalog-unique* ticket ids (the
-  /// CatalogTicket::unique_id of the finished submission) — the wire
-  /// server's wakeup channel. Same contract as
-  /// ServiceOptions::on_query_complete: fires exactly once per
-  /// submission, after the outcome is retrievable, with no lock held.
-  std::function<void(uint64_t unique_id, const QueryOutcome& outcome)>
-      on_query_complete;
-};
 
 /// One row of GraphCatalog::List() — the per-graph slice of the STATS
 /// surface.
@@ -42,8 +24,8 @@ struct CatalogGraphInfo {
 
 /// A submission accepted by the catalog: the service ticket plus the
 /// catalog-unique id that survives graph routing (two graphs' services
-/// both hand out ticket id 0; unique_id disambiguates them for the wire
-/// server's completion registry).
+/// both hand out ticket id 0). unique_id only routes Cancel to the
+/// owning graph.
 struct CatalogTicket {
   Ticket ticket;
   uint64_t unique_id = 0;
@@ -55,7 +37,9 @@ struct CatalogTicket {
 /// Scheduler, so K graphs cost one set of worker threads, not K.
 /// Submissions route by graph name (empty = the default graph, the first
 /// one loaded), and every accepted submission carries a catalog-unique
-/// ticket id.
+/// ticket id. Outcomes reach callers through each entry's own
+/// SubmitOptions::completion hook, which fires exactly once per accepted
+/// submission, before the catalog counts it finished.
 ///
 /// Lifetime is refcounted per graph: Unload marks the graph so new
 /// submissions are rejected immediately, then waits (or defers, wait =
@@ -65,7 +49,11 @@ struct CatalogTicket {
 /// thread-safe.
 class GraphCatalog {
  public:
-  explicit GraphCatalog(const CatalogOptions& options);
+  /// `options` sizes the shared pool (its parallel/admission/window/queue/
+  /// timeout fields build the Scheduler through ToSchedulerOptions) and
+  /// configures every hosted graph's MatchService (plan cache, capacity,
+  /// default budgets).
+  explicit GraphCatalog(const ServiceOptions& options);
 
   /// Shuts down: blocks until every in-flight submission resolved.
   ~GraphCatalog();
@@ -141,12 +129,8 @@ class GraphCatalog {
   void ReapLocked(std::vector<std::shared_ptr<Entry>>* to_destroy);
   void DestroyEntries(std::vector<std::shared_ptr<Entry>> to_destroy);
 
-  CatalogOptions options_;
+  ServiceOptions options_;
   std::shared_ptr<State> state_;
-  // Finished-submission counter; shared with every per-graph completion
-  // hook so a hook mid-flight during teardown touches refcounted memory,
-  // never the catalog object.
-  std::shared_ptr<std::atomic<uint64_t>> finished_;
   std::unique_ptr<Scheduler> pool_;
 };
 

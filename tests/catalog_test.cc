@@ -1,8 +1,8 @@
 // Coverage of the graph catalog (serve/catalog.h): load/unload/list
 // lifecycle, submission routing by name, refcounted unload (an unload
 // blocks on — or defers past — in-flight tickets and never loses an
-// outcome), submit-after-unload rejection, the catalog-unique completion
-// hook, and the headline race: concurrent LOAD/UNLOAD cycles against
+// outcome), submit-after-unload rejection, per-submit completion hooks
+// through the catalog's bookkeeping, and the headline race: concurrent LOAD/UNLOAD cycles against
 // threads submitting to the same names, which must stay exact and
 // TSan-clean. Also the plan-cache capacity bound (LRU eviction of idle
 // canonicals) that the catalog's per-graph services inherit.
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -26,10 +27,10 @@
 namespace hgmatch {
 namespace {
 
-CatalogOptions SmallPool(uint32_t threads = 2) {
-  CatalogOptions o;
-  o.service.parallel.num_threads = threads;
-  o.service.parallel.scan_grain = 1;
+ServiceOptions SmallPool(uint32_t threads = 2) {
+  ServiceOptions o;
+  o.parallel.num_threads = threads;
+  o.parallel.scan_grain = 1;
   return o;
 }
 
@@ -169,36 +170,94 @@ TEST(CatalogTest, SubmitBatchRoutesWholeGroupAndRejectsUnknown) {
   EXPECT_FALSE(catalog.Submit("nope", std::move(missing)).ok());
 }
 
+// The catalog wraps each entry's own SubmitOptions::completion with its
+// bookkeeping: the user hook fires exactly once per accepted submission on
+// every resolution path — executed, mirrored inside Submit, plan error,
+// shed by the queue bound — and the finished gauge and per-graph live
+// tickets follow it. Hooks that resolve inside Submit fire before the
+// ticket exists, so submissions are keyed by the test, not by unique id.
 TEST(CatalogTest, CompletionHookFiresOncePerUniqueId) {
   std::mutex mutex;
-  std::vector<uint64_t> seen;
-  CatalogOptions options = SmallPool();
-  options.on_query_complete = [&](uint64_t unique_id, const QueryOutcome&) {
-    std::lock_guard<std::mutex> lock(mutex);
-    seen.push_back(unique_id);
-  };
+  std::map<int, int> fires;  // test key -> hook firings
+  ServiceOptions options = SmallPool();
+  options.max_inflight_queries = 1;
+  options.max_queued_queries = 1;
   GraphCatalog catalog(options);
   ASSERT_TRUE(catalog.Load("a", PaperDataHypergraph()).ok());
   ASSERT_TRUE(catalog.Load("b", PairCliqueData(4)).ok());
+  ASSERT_TRUE(catalog.Load("slow", PairCliqueData(40)).ok());
 
-  std::set<uint64_t> expected;
+  int next_key = 0;
+  std::set<uint64_t> unique_ids;
+  auto submit = [&](const std::string& name, Hypergraph query) {
+    SubmitOptions so;
+    so.completion = [&, key = next_key++](const QueryOutcome&) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++fires[key];
+    };
+    Result<CatalogTicket> t = SubmitOne(catalog, name, std::move(query), so);
+    if (t.ok()) unique_ids.insert(t.value().unique_id);
+    return t;
+  };
+
+  // Executed, then mirrored: each round waits, so the repeats of a
+  // finished canonical resolve inside Submit.
   for (int i = 0; i < 3; ++i) {
-    Result<CatalogTicket> ta = SubmitOne(catalog, "a", PathQuery(1), {});
-    Result<CatalogTicket> tb = SubmitOne(catalog, "b", PathQuery(1), {});
+    Result<CatalogTicket> ta = submit("a", PathQuery(1));
+    Result<CatalogTicket> tb = submit("b", PathQuery(1));
     ASSERT_TRUE(ta.ok());
     ASSERT_TRUE(tb.ok());
-    expected.insert(ta.value().unique_id);
-    expected.insert(tb.value().unique_id);
+    EXPECT_EQ(ta.value().ticket.Wait().status, QueryStatus::kOk);
+    EXPECT_EQ(tb.value().ticket.Wait().mirrored, i > 0) << "round " << i;
   }
+
+  // Plan error: resolved inside Submit.
+  Result<CatalogTicket> bad = submit("a", Hypergraph());
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad.value().ticket.Wait().status, QueryStatus::kPlanError);
+
+  // Shed by the queue bound: the monster holds the one-query window, one
+  // query waits, the third is rejected inside Submit. Distinct structures
+  // keep the plan cache from mirroring them.
+  Result<CatalogTicket> plug = submit("slow", PathQuery(4));
+  Result<CatalogTicket> waiting = submit("slow", PathQuery(2));
+  Result<CatalogTicket> shed = submit("slow", PathQuery(3));
+  ASSERT_TRUE(plug.ok() && waiting.ok() && shed.ok());
+  EXPECT_EQ(shed.value().ticket.Wait().status, QueryStatus::kRejected);
+  EXPECT_TRUE(catalog.Cancel(plug.value()));
+  EXPECT_EQ(plug.value().ticket.Wait().status, QueryStatus::kCancelled);
+  EXPECT_EQ(waiting.value().ticket.Wait().status, QueryStatus::kOk);
+
+  // The live-ticket decrement closes each hook, after the user hook and
+  // the finished gauge; once every graph reads 0 live tickets, every hook
+  // has fired and been counted.
+  EXPECT_TRUE([&] {
+    for (int i = 0; i < 1000; ++i) {
+      bool drained = true;
+      for (const CatalogGraphInfo& g : catalog.List()) {
+        drained = drained && g.live_tickets == 0;
+      }
+      if (drained) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }());
   for (const CatalogGraphInfo& g : catalog.List()) {
-    EXPECT_EQ(g.queries, 3u) << g.name;
+    EXPECT_EQ(g.queries, g.name == "a" ? 4u : 3u) << g.name;
   }
+  EXPECT_EQ(catalog.Gauges().finished, 10u);
+
+  // Submitted after Shutdown: refused without a ticket, so no hook.
   catalog.Shutdown();
+  EXPECT_FALSE(submit("a", PathQuery(1)).ok());
 
   std::lock_guard<std::mutex> lock(mutex);
-  EXPECT_EQ(seen.size(), 6u);  // exactly once each
-  EXPECT_EQ(std::set<uint64_t>(seen.begin(), seen.end()), expected);
-  EXPECT_EQ(catalog.Gauges().finished, 6u);
+  EXPECT_EQ(unique_ids.size(), 10u);  // unique across graphs
+  EXPECT_EQ(fires.size(), 10u);
+  for (const auto& [key, count] : fires) {
+    EXPECT_EQ(count, 1) << "submission " << key;  // exactly once each
+  }
+  EXPECT_EQ(catalog.Gauges().finished, 10u);
 }
 
 // A waiting unload must block until the graph's in-flight tickets

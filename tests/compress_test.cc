@@ -21,7 +21,11 @@
 // can check that decoding never sizes an allocation from a header's counts.
 std::atomic<size_t> largest_new_request{0};
 
-void* operator new(size_t bytes) {
+// The replacements stay out of line: inlined, GCC sees the malloc inside
+// operator new paired with the free inside operator delete at every
+// `new`/`delete` of the file (gtest's test objects included) and reports
+// -Wmismatched-new-delete, although the pair is consistent.
+[[gnu::noinline]] void* operator new(size_t bytes) {
   size_t seen = largest_new_request.load(std::memory_order_relaxed);
   while (bytes > seen && !largest_new_request.compare_exchange_weak(
                              seen, bytes, std::memory_order_relaxed)) {
@@ -29,8 +33,10 @@ void* operator new(size_t bytes) {
   if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace hgmatch {
 namespace {

@@ -10,11 +10,14 @@
 #include "net/async_client.h"
 #include "net/client.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <functional>
@@ -1757,7 +1760,169 @@ TEST(NetTest, ConnectionLimitTurnsExtrasAway) {
   server.Stop();
 }
 
+TEST(NetTest, StaleOutcomeOfADroppedConnectionSkipsTheNextOnItsFd) {
+  // Outcomes name their connection by fd and a never-reused serial. A
+  // drops with request id 1 in flight; B reuses A's fd and submits its own
+  // id 1. A's cancelled outcome must not answer B's id 1.
+  //
+  // One pool worker sets up the order: the control connection's monster,
+  // admitted while A's query runs, buries A's tasks under its own, so A's
+  // query stays unresolved after A's cancel. B's id 1 repeats A's structure and
+  // attaches to it as a mirror. Cancelling the monster unburies A's query:
+  // it resolves cancelled — posting A's stale outcome — and only then
+  // re-dispatches B's mirror as an execution of its own. (Should A's query
+  // finish before the monster arrives, B mirrors its exact count and the
+  // test still holds, without the stale outcome.)
+  IndexedHypergraph idx = IndexedHypergraph::Build(PairCliqueData(25));
+  MatchServer server(idx, LoopbackOptions(1));
+  ASSERT_TRUE(server.Start().ok());
+  const uint64_t expected =
+      MatchSequential(idx, PathQuery(3)).value().embeddings;
+
+  MatchClient control;
+  ASSERT_TRUE(control.Connect("127.0.0.1", server.port()).ok());
+  // Polls without sleeping: A's query must still run when the monster
+  // comes.
+  auto await_stats = [&](const std::function<bool(const WireStats&)>& ok) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      Result<WireStats> s = control.Stats();
+      if (s.ok() && ok(s.value())) return true;
+    }
+    return false;
+  };
+  WireSubmit submit;
+  submit.request_id = 1;
+  submit.query = PathQuery(3);
+  std::string stream = HelloFrame();
+  AppendFrame(FrameType::kSubmit, SubmitPayload({&submit}), &stream);
+
+  uint64_t monster = 0;
+  {
+    RawConn a;
+    ASSERT_TRUE(a.Connect(server.port()));
+    ASSERT_TRUE(a.Send(stream));
+    ASSERT_TRUE(await_stats([](const WireStats& s) {
+      return s.submitted == 1;
+    }));
+    Result<uint64_t> id = control.Submit(PathQuery(5));
+    ASSERT_TRUE(id.ok());
+    monster = id.value();
+    ASSERT_TRUE(await_stats([](const WireStats& s) {
+      return s.submitted == 2;
+    }));
+  }
+  ASSERT_TRUE(await_stats([](const WireStats& s) {
+    return s.connections == 1;  // A is gone and its fd free
+  }));
+
+  RawConn b;
+  ASSERT_TRUE(b.Connect(server.port()));
+  ASSERT_TRUE(b.Send(stream));
+  ASSERT_TRUE(await_stats([](const WireStats& s) {
+    return s.submitted == 3;
+  }));
+  ASSERT_TRUE(control.Cancel(monster).ok());
+  Result<WireOutcome> cancelled = control.WaitOutcome(monster);
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_EQ(cancelled.value().outcome.status, QueryStatus::kCancelled);
+
+  // Read B's replies until its outcome, then through a PONG: every
+  // outcome of the test has been posted by then, so B must hold exactly
+  // one, with its own exact count.
+  FrameReader reader;
+  auto next_frame = [&](FrameReader::Frame* frame) {
+    while (true) {
+      Result<bool> next = reader.Next(frame);
+      if (!next.ok()) return false;
+      if (next.value()) return true;
+      std::string chunk;
+      if (!b.ReadSome(&chunk)) return false;
+      reader.Feed(chunk.data(), chunk.size());
+    }
+  };
+  std::vector<WireOutcome> outcomes;
+  bool ponged = false;
+  FrameReader::Frame frame;
+  while (!ponged && next_frame(&frame)) {
+    if (frame.type == FrameType::kOutcome) {
+      Result<std::vector<std::string_view>> entries =
+          DecodeEntryList(frame.payload);
+      ASSERT_TRUE(entries.ok());
+      for (std::string_view entry : entries.value()) {
+        Result<WireOutcome> out = DecodeOutcome(entry);
+        ASSERT_TRUE(out.ok());
+        outcomes.push_back(out.value());
+      }
+      std::string ping;
+      AppendFrame(FrameType::kPing, "after", &ping);
+      ASSERT_TRUE(b.Send(ping));
+    } else if (frame.type == FrameType::kPong) {
+      ponged = true;
+    } else {
+      ASSERT_EQ(frame.type, FrameType::kHelloReply);
+    }
+  }
+  ASSERT_TRUE(ponged);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].request_id, 1u);
+  EXPECT_EQ(outcomes[0].outcome.status, QueryStatus::kOk);
+  EXPECT_EQ(outcomes[0].outcome.stats.embeddings, expected);
+  server.Stop();
+}
+
 // ---------------------------------------------- multi-threaded reactor --
+
+// Post() writes the wake pipe only when the task queue goes from empty to
+// non-empty; Wait() drains the pipe before it takes the queue. A lost
+// wake would strand the queue until Wait's timeout, so the loop waits with
+// the test's whole time budget: every task must run exactly once, and the
+// last well before that budget runs out.
+TEST(EventLoopTest, ConcurrentPostsRunOnceWithoutALostWake) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  constexpr int kPosters = 4;
+  constexpr int kPerPoster = 10000;
+  constexpr int kTotal = kPosters * kPerPoster;
+  const auto budget = std::chrono::seconds(20);
+  const auto start = std::chrono::steady_clock::now();
+
+  std::vector<int> runs(kTotal, 0);  // touched by the loop thread only
+  int ran = 0;
+  std::atomic<bool> waiting{false};
+  std::thread looper([&] {
+    std::vector<EventLoop::Event> events;
+    while (ran < kTotal) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          start + budget - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      waiting.store(true);
+      if (loop.Wait(static_cast<int>(left.count()), &events) < 0) break;
+    }
+  });
+  while (!waiting.load()) std::this_thread::yield();
+
+  std::vector<std::thread> posters;
+  for (int p = 0; p < kPosters; ++p) {
+    posters.emplace_back([&, p] {
+      for (int i = 0; i < kPerPoster; ++i) {
+        const int slot = p * kPerPoster + i;
+        loop.Post([&runs, &ran, slot] {
+          ++runs[slot];
+          ++ran;
+        });
+      }
+    });
+  }
+  for (std::thread& t : posters) t.join();
+  looper.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(ran, kTotal);
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1), kTotal);
+  EXPECT_LT(elapsed, budget) << "a posted task waited out the timeout";
+}
 
 TEST(NetReactorTest, SixtyFourClientsOverFourIoThreadsKeepExactCounts) {
   // The headline invariant of the reactor redesign: connections spread

@@ -227,9 +227,9 @@ TEST_P(CatalogRoutingTest, RoutedQueriesMatchOracleOnTheNamedGraph) {
   graphs.push_back(IndexedHypergraph::Build(
       GenerateHypergraph(SmallRandomConfig(seed + 100))));
 
-  CatalogOptions options;
-  options.service.parallel.num_threads = 2;
-  options.service.parallel.scan_grain = 4;
+  ServiceOptions options;
+  options.parallel.num_threads = 2;
+  options.parallel.scan_grain = 4;
   GraphCatalog catalog(options);
   for (size_t g = 0; g < 2; ++g) {
     ASSERT_TRUE(catalog.Load(names[g], graphs[g].graph().Clone()).ok());

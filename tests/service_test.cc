@@ -907,97 +907,99 @@ TEST(ServiceTest, CostAwareWfqHoldsSharesUnderHeterogeneousQuerySizes) {
 TEST(ServiceCallbackTest, HooksFireOnceForEveryResolutionPath) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
 
-  // Service-wide hook: id -> (fires, final status), recorded under a test
-  // mutex (the hook may run on pool workers and submit threads alike).
+  // Per-submit hooks: test key -> (fires, final status), recorded under a
+  // test mutex (a hook may run on pool workers and submit threads alike).
+  // Hooks that resolve inside Submit fire before the ticket exists, so
+  // submissions are keyed by the test, not by ticket id.
   std::mutex seen_mutex;
-  std::map<uint64_t, std::pair<int, QueryStatus>> seen;
-
-  ServiceOptions options = BaseOptions(2);
-  options.max_inflight_queries = 1;
-  options.max_queued_queries = 1;
-  options.on_query_complete = [&](uint64_t id, const QueryOutcome& out) {
-    std::lock_guard<std::mutex> lock(seen_mutex);
-    auto& entry = seen[id];
-    ++entry.first;
-    entry.second = out.status;
+  std::map<int, std::pair<int, QueryStatus>> seen;
+  std::atomic<uint64_t> executed_embeddings{0};
+  enum : int { kExecuted, kMirror, kBad, kPlug, kWaiting, kShed, kLate };
+  auto hooked = [&](int key, SubmitOptions so = {}) {
+    so.completion = [&, key](const QueryOutcome& out) {
+      if (key == kExecuted) executed_embeddings.store(out.stats.embeddings);
+      std::lock_guard<std::mutex> lock(seen_mutex);
+      auto& entry = seen[key];
+      ++entry.first;
+      entry.second = out.status;
+    };
+    return so;
   };
-  auto status_of = [&](const Ticket& t) {
+  auto status_of = [&](int key) {
     std::lock_guard<std::mutex> lock(seen_mutex);
-    auto it = seen.find(t.id());
+    auto it = seen.find(key);
     return it == seen.end()
                ? std::pair<int, QueryStatus>{0, QueryStatus::kOk}
                : it->second;
   };
 
+  ServiceOptions options = BaseOptions(2);
+  options.max_inflight_queries = 1;
+  options.max_queued_queries = 1;
   MatchService service(idx, options);
 
-  // Executed: the per-submit hook and the service-wide hook both fire with
-  // the exact final outcome. Hooks fire on the resolving pool thread just
-  // *after* Wait's condition variable is armed, so their effects are
-  // asserted once Shutdown has joined the pool, not right after Wait.
-  std::atomic<int> submit_hook_fires{0};
-  std::atomic<uint64_t> submit_hook_embeddings{0};
-  SubmitOptions with_hook;
-  with_hook.completion = [&](const QueryOutcome& out) {
-    submit_hook_fires.fetch_add(1);
-    submit_hook_embeddings.store(out.stats.embeddings);
-  };
-  Ticket executed = service.Submit(PaperQueryHypergraph(), with_hook);
+  // Executed: the hook fires with the exact final outcome. Hooks fire on
+  // the resolving pool thread just *after* Wait's condition variable is
+  // armed, so their effects are asserted once Shutdown has joined the
+  // pool, not right after Wait.
+  Ticket executed = service.Submit(PaperQueryHypergraph(), hooked(kExecuted));
   EXPECT_EQ(executed.Wait().status, QueryStatus::kOk);
 
   // Mirrored: a sink-less repeat of the finished canonical resolves inside
   // Submit — its hook has fired by the time Submit returns. (The canonical
   // resolved on a pool worker; Wait above proves resolution, and the
   // repeat's cache hit below proves the canonical outcome is mirrorable.)
-  Ticket mirror = service.Submit(PaperQueryHypergraph());
-  EXPECT_EQ(status_of(mirror), (std::pair<int, QueryStatus>{
-                                   1, QueryStatus::kOk}));
+  Ticket mirror = service.Submit(PaperQueryHypergraph(), hooked(kMirror));
+  EXPECT_EQ(status_of(kMirror), (std::pair<int, QueryStatus>{
+                                    1, QueryStatus::kOk}));
   EXPECT_TRUE(mirror.Wait().mirrored);
 
   // Plan error: resolved (and reported) synchronously.
-  Ticket bad = service.Submit(Hypergraph());
-  EXPECT_EQ(status_of(bad), (std::pair<int, QueryStatus>{
-                                1, QueryStatus::kPlanError}));
+  Ticket bad = service.Submit(Hypergraph(), hooked(kBad));
+  EXPECT_EQ(status_of(kBad), (std::pair<int, QueryStatus>{
+                                 1, QueryStatus::kPlanError}));
 
   // Rejected by the queue bound: a plug holds the window, one query
   // waits, the overflow is shed — and its hook fires inside Submit.
   GateSink gate;
   SubmitOptions plug_options;
   plug_options.sink = &gate;
-  Ticket plug = service.Submit(PaperQueryHypergraph(), plug_options);
+  Ticket plug =
+      service.Submit(PaperQueryHypergraph(), hooked(kPlug, plug_options));
   gate.AwaitEntered();
   CountSink waiting_sink;  // distinct budgets not needed; sink skips mirror
   SubmitOptions waiting_options;
   waiting_options.sink = &waiting_sink;
-  Ticket waiting = service.Submit(PaperQueryHypergraph(), waiting_options);
+  Ticket waiting = service.Submit(PaperQueryHypergraph(),
+                                  hooked(kWaiting, waiting_options));
   CountSink shed_sink;
   SubmitOptions shed_options;
   shed_options.sink = &shed_sink;
-  Ticket shed = service.Submit(PaperQueryHypergraph(), shed_options);
-  EXPECT_EQ(status_of(shed), (std::pair<int, QueryStatus>{
-                                 1, QueryStatus::kRejected}));
+  Ticket shed =
+      service.Submit(PaperQueryHypergraph(), hooked(kShed, shed_options));
+  EXPECT_EQ(status_of(kShed), (std::pair<int, QueryStatus>{
+                                  1, QueryStatus::kRejected}));
   gate.Release();
   service.Shutdown();  // waits out every hook delivery: all have fired
 
-  EXPECT_EQ(submit_hook_fires.load(), 1);
-  EXPECT_EQ(submit_hook_embeddings.load(), 2u);
-  EXPECT_EQ(status_of(executed), (std::pair<int, QueryStatus>{
+  EXPECT_EQ(executed_embeddings.load(), 2u);
+  EXPECT_EQ(status_of(kExecuted), (std::pair<int, QueryStatus>{
+                                      1, QueryStatus::kOk}));
+  EXPECT_EQ(status_of(kPlug), (std::pair<int, QueryStatus>{
+                                  1, QueryStatus::kOk}));
+  EXPECT_EQ(status_of(kWaiting), (std::pair<int, QueryStatus>{
                                      1, QueryStatus::kOk}));
-  EXPECT_EQ(status_of(plug), (std::pair<int, QueryStatus>{
-                                 1, QueryStatus::kOk}));
-  EXPECT_EQ(status_of(waiting), (std::pair<int, QueryStatus>{
-                                    1, QueryStatus::kOk}));
 
   // Submission after Shutdown: rejected as a plan error, hook included.
-  Ticket late = service.Submit(PaperQueryHypergraph());
-  EXPECT_EQ(status_of(late), (std::pair<int, QueryStatus>{
-                                 1, QueryStatus::kPlanError}));
+  Ticket late = service.Submit(PaperQueryHypergraph(), hooked(kLate));
+  EXPECT_EQ(status_of(kLate), (std::pair<int, QueryStatus>{
+                                  1, QueryStatus::kPlanError}));
 
   // Exactly one firing per submission, full stop.
   std::lock_guard<std::mutex> lock(seen_mutex);
   EXPECT_EQ(seen.size(), 7u);
-  for (const auto& [id, entry] : seen) {
-    EXPECT_EQ(entry.first, 1) << "ticket " << id;
+  for (const auto& [key, entry] : seen) {
+    EXPECT_EQ(entry.first, 1) << "submission " << key;
   }
 }
 
