@@ -78,7 +78,8 @@ void Expander::GenerateCandidatesImpl(const EdgeId* embedding, uint32_t step,
   if (s.adjacent_prev.empty()) {
     // SCAN semantics: first hyperedge of the order (or of a disconnected
     // component) matches every hyperedge of its signature table.
-    *out = part->edges();
+    const std::span<const EdgeId> table = part->edges();
+    out->assign(table.begin(), table.end());
   } else {
     const Hypergraph& h = data_->graph();
 

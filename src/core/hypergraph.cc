@@ -1,6 +1,7 @@
 #include "core/hypergraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <string>
 
@@ -23,30 +24,12 @@ uint64_t HashEdge(std::span<const VertexId> vertices, Label edge_label) {
 
 }  // namespace
 
-Hypergraph::IncidenceLists::IncidenceLists(IncidenceLists&& other) noexcept
-    : built(other.built.load(std::memory_order_relaxed)),
-      offsets(std::move(other.offsets)),
-      edges(std::move(other.edges)) {
-  other.built.store(false, std::memory_order_relaxed);
-}
-
-Hypergraph::IncidenceLists& Hypergraph::IncidenceLists::operator=(
-    IncidenceLists&& other) noexcept {
-  built.store(other.built.load(std::memory_order_relaxed),
-              std::memory_order_relaxed);
-  offsets = std::move(other.offsets);
-  edges = std::move(other.edges);
-  other.built.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
 Hypergraph Hypergraph::Clone() const {
   Hypergraph copy;
   copy.labels_ = labels_;
   copy.edge_offsets_ = edge_offsets_;
   copy.edge_vertices_ = edge_vertices_;
   copy.edge_labels_ = edge_labels_;
-  copy.edge_slots_ = edge_slots_;
   copy.num_labels_ = num_labels_;
   copy.num_edge_labels_ = num_edge_labels_;
   copy.max_arity_ = max_arity_;
@@ -98,9 +81,11 @@ Result<EdgeId> Hypergraph::AddEdge(std::span<const VertexId> vertices,
     return Status::InvalidArgument("hyperedge mentions unknown vertex " +
                                    std::to_string(unknown));
   }
-  if (2 * (NumEdges() + 1) > edge_slots_.size()) GrowEdgeSlots();
-  EdgeId& slot = edge_slots_[SlotOf(members, edge_label,
-                                    HashEdge(members, edge_label))];
+  if (2 * (NumEdges() + 1) > EdgeSlots().size()) {
+    FillEdgeSlots(NumEdges() + 1);
+  }
+  EdgeId& slot = edge_slots_.value[SlotOf(members, edge_label,
+                                          HashEdge(members, edge_label))];
   if (slot != kInvalidEdge) {
     edge_vertices_.resize(start);
     return slot;
@@ -118,9 +103,10 @@ Result<EdgeId> Hypergraph::AddEdge(std::span<const VertexId> vertices,
 
 size_t Hypergraph::SlotOf(std::span<const VertexId> vertices,
                           Label edge_label, uint64_t hash) const {
-  const size_t mask = edge_slots_.size() - 1;
+  const std::vector<EdgeId>& slots = edge_slots_.value;
+  const size_t mask = slots.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {
-    const EdgeId e = edge_slots_[i];
+    const EdgeId e = slots[i];
     if (e == kInvalidEdge ||
         (edge_labels_[e] == edge_label &&
          std::ranges::equal(edge(e), vertices))) {
@@ -129,23 +115,30 @@ size_t Hypergraph::SlotOf(std::span<const VertexId> vertices,
   }
 }
 
-void Hypergraph::GrowEdgeSlots() {
-  edge_slots_.assign(std::max<size_t>(8, 2 * edge_slots_.size()),
-                     kInvalidEdge);
-  const size_t mask = edge_slots_.size() - 1;
+void Hypergraph::FillEdgeSlots(size_t capacity) const {
+  std::vector<EdgeId>& slots = edge_slots_.value;
+  slots.assign(std::bit_ceil(std::max<size_t>(8, 2 * capacity)),
+               kInvalidEdge);
+  const size_t mask = slots.size() - 1;
   for (EdgeId e = 0; e < NumEdges(); ++e) {
     size_t i = HashEdge(edge(e), edge_labels_[e]) & mask;
-    while (edge_slots_[i] != kInvalidEdge) i = (i + 1) & mask;
-    edge_slots_[i] = e;
+    while (slots[i] != kInvalidEdge) i = (i + 1) & mask;
+    slots[i] = e;
   }
+  edge_slots_.built.store(true, std::memory_order_release);
+}
+
+void Hypergraph::ReleaseEdgeSlots() {
+  edge_slots_.built.store(false, std::memory_order_relaxed);
+  std::vector<EdgeId>().swap(edge_slots_.value);
 }
 
 EdgeId Hypergraph::FindEdge(std::span<const VertexId> vertices,
                             Label edge_label) const {
-  if (edge_slots_.empty()) return kInvalidEdge;
+  if (NumEdges() == 0) return kInvalidEdge;
   VertexSet canonical(vertices.begin(), vertices.end());
   SortUnique(&canonical);
-  return edge_slots_[SlotOf(canonical, edge_label,
+  return EdgeSlots()[SlotOf(canonical, edge_label,
                             HashEdge(canonical, edge_label))];
 }
 
@@ -155,8 +148,8 @@ void Hypergraph::BuildIncidence() const {
   // Count each vertex's degree into offsets[v], turn the counts into start
   // offsets, fill he(v) in edge-id order while offsets[v] walks to the end
   // of v's list, then shift the offsets back by one vertex.
-  std::vector<uint64_t>& offsets = incidence_.offsets;
-  std::vector<EdgeId>& edges = incidence_.edges;
+  std::vector<uint64_t>& offsets = incidence_.value.offsets;
+  std::vector<EdgeId>& edges = incidence_.value.edges;
   offsets.assign(NumVertices() + 1, 0);
   for (VertexId v : edge_vertices_) ++offsets[v];
   uint64_t sum = 0;
@@ -232,11 +225,16 @@ bool Hypergraph::IsConnected() const {
 
 uint64_t Hypergraph::MemoryBytes() const {
   const IncidenceLists& incidence = Incidence();
+  size_t edge_slots = 0;
+  {
+    std::lock_guard<std::mutex> lock(edge_slots_.mutex);
+    edge_slots = edge_slots_.value.capacity();
+  }
   return labels_.capacity() * sizeof(Label) +
          edge_offsets_.capacity() * sizeof(uint64_t) +
          edge_vertices_.capacity() * sizeof(VertexId) +
          edge_labels_.capacity() * sizeof(Label) +
-         edge_slots_.capacity() * sizeof(EdgeId) +
+         edge_slots * sizeof(EdgeId) +
          incidence.offsets.capacity() * sizeof(uint64_t) +
          incidence.edges.capacity() * sizeof(EdgeId);
 }

@@ -48,8 +48,10 @@ class IncidentEdges : public std::span<const EdgeId> {
 ///
 /// The incidence lists are built lazily, on the first incident() or
 /// degree() read after a mutation, so that callers which add edges never
-/// need a sealing step. A finished graph may be read from any number of
-/// threads at once, first reads included: the build runs under a mutex
+/// need a sealing step. The duplicate check may be released once the graph
+/// is complete (ReleaseEdgeSlots) and is then rebuilt on the next
+/// FindEdge() or AddEdge(). A finished graph may be read from any number
+/// of threads at once, first reads included: each build runs under a mutex
 /// and publishes through an acquire/release flag. Mutating a graph while
 /// another thread reads it is, as for any container, a data race.
 class Hypergraph {
@@ -109,9 +111,9 @@ class Hypergraph {
 
   /// Incident hyperedges he(v), sorted ascending by edge id.
   IncidentEdges incident(VertexId v) const {
-    const uint64_t* offsets = Incidence().offsets.data() + v;
-    return {incidence_.edges.data() + offsets[0],
-            incidence_.edges.data() + offsets[1]};
+    const IncidenceLists& lists = Incidence();
+    const uint64_t* offsets = lists.offsets.data() + v;
+    return {lists.edges.data() + offsets[0], lists.edges.data() + offsets[1]};
   }
 
   /// Degree d(v) = |he(v)|.
@@ -154,6 +156,11 @@ class Hypergraph {
     return FindEdge(std::span<const VertexId>(vertices), edge_label);
   }
 
+  /// Frees the duplicate check (8 to 16 B per hyperedge), for a graph that
+  /// gets no more hyperedges and few FindEdge() calls. The next FindEdge()
+  /// or AddEdge() rebuilds it.
+  void ReleaseEdgeSlots();
+
   /// True iff the hyperedge set is connected when viewed as a graph whose
   /// nodes are hyperedges and whose links are shared vertices. Vertices in
   /// no hyperedge are ignored. An edgeless hypergraph counts as connected.
@@ -164,17 +171,33 @@ class Hypergraph {
   uint64_t MemoryBytes() const;
 
  private:
-  // The CSR incidence lists: he(v) is edges[offsets[v], offsets[v + 1]).
-  // `built` turns true, with release order, once both arrays hold the
-  // current hyperedges; `mutex` lets one reader build them. Moving one
-  // carries the arrays and the flag over and leaves the source unbuilt.
-  struct IncidenceLists {
-    IncidenceLists() = default;
-    IncidenceLists(IncidenceLists&& other) noexcept;
-    IncidenceLists& operator=(IncidenceLists&& other) noexcept;
+  // Arrays derived from the hyperedges and built on first use: `built`
+  // turns true, with release order, once `value` covers the current
+  // hyperedges; `mutex` lets one reader build it. Moving one carries the
+  // value and the flag over and leaves the source unbuilt.
+  template <typename T>
+  struct Derived {
+    Derived() = default;
+    Derived(Derived&& other) noexcept
+        : built(other.built.load(std::memory_order_relaxed)),
+          value(std::move(other.value)) {
+      other.built.store(false, std::memory_order_relaxed);
+    }
+    Derived& operator=(Derived&& other) noexcept {
+      built.store(other.built.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      value = std::move(other.value);
+      other.built.store(false, std::memory_order_relaxed);
+      return *this;
+    }
 
     std::mutex mutex;
     std::atomic<bool> built{false};
+    T value;
+  };
+
+  // The CSR incidence lists: he(v) is edges[offsets[v], offsets[v + 1]).
+  struct IncidenceLists {
     std::vector<uint64_t> offsets;
     std::vector<EdgeId> edges;
   };
@@ -182,17 +205,30 @@ class Hypergraph {
   // The incidence lists of the current hyperedges, built first if needed.
   const IncidenceLists& Incidence() const {
     if (!incidence_.built.load(std::memory_order_acquire)) BuildIncidence();
-    return incidence_;
+    return incidence_.value;
   }
   void BuildIncidence() const;
+
+  // The duplicate table, rebuilt first if it was released.
+  const std::vector<EdgeId>& EdgeSlots() const {
+    if (!edge_slots_.built.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(edge_slots_.mutex);
+      if (!edge_slots_.built.load(std::memory_order_relaxed)) {
+        FillEdgeSlots(NumEdges());
+      }
+    }
+    return edge_slots_.value;
+  }
+  // Rebuilds the duplicate table with room for `capacity` hyperedges (the
+  // smallest power of two, and at least 8, holding twice that many slots)
+  // and inserts every hyperedge.
+  void FillEdgeSlots(size_t capacity) const;
 
   // The slot of the duplicate table holding the hyperedge with these
   // canonical vertices and label, whose hash is `hash`, or the empty slot
   // where it would go.
   size_t SlotOf(std::span<const VertexId> vertices, Label edge_label,
                 uint64_t hash) const;
-  // Doubles the duplicate table and re-inserts every hyperedge.
-  void GrowEdgeSlots();
 
   std::vector<Label> labels_;
   // Hyperedge e: edge_vertices_[edge_offsets_[e], edge_offsets_[e + 1]).
@@ -203,8 +239,8 @@ class Hypergraph {
   // Duplicate check, (vertex set, label) -> edge id: open addressing with
   // linear probing over a power-of-two array at most half full;
   // kInvalidEdge marks an empty slot.
-  std::vector<EdgeId> edge_slots_;
-  mutable IncidenceLists incidence_;
+  mutable Derived<std::vector<EdgeId>> edge_slots_;
+  mutable Derived<IncidenceLists> incidence_;
   size_t num_labels_ = 0;
   size_t num_edge_labels_ = 0;
   uint32_t max_arity_ = 0;

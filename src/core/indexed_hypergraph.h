@@ -2,6 +2,7 @@
 #define HGMATCH_CORE_INDEXED_HYPERGRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,20 +18,26 @@ namespace hgmatch {
 /// its lightweight inverted hyperedge index. Built once per data hypergraph;
 /// no further auxiliary structure is created at query time.
 ///
-/// The inverted indexes of all tables live in three flat arrays, table
-/// after table (see Partition), so a table costs a few dozen bytes of
-/// header beyond its 12 B or less per incidence.
+/// Every table lives in a few flat arrays shared by all tables (see
+/// TableArrays), so a table owns no heap block: it costs a 16-byte header,
+/// two directory words and its slot in the signature lookup. A table of one
+/// hyperedge, which most tables of a label-rich graph are, stores no
+/// inverted index, and no table stores its signature.
 class IndexedHypergraph {
  public:
   /// Builds the partitioned storage + inverted indexes. Takes ownership of
-  /// the hypergraph (the raw structure is still accessible via graph()).
-  /// Passes over the hyperedges assign them to tables and fill each
-  /// table's hyperedge list; two vertex-major passes over he(v), v
-  /// ascending and e ascending, first count each table's distinct vertices
-  /// and then fill the arrays, so every table receives its (v, e) entries
-  /// already sorted, every array is sized once and no sort runs. Aborts
-  /// if the hypergraph has 2^32 or more incidences, since offsets are
-  /// 32-bit (such a hypergraph would itself take over 32 GB).
+  /// the hypergraph (the raw structure is still accessible via graph()) and
+  /// releases its duplicate check (Hypergraph::ReleaseEdgeSlots). A pass
+  /// over the hyperedges assigns them to tables and a second lays out each
+  /// table's hyperedges. Only the incidences of tables of two or more
+  /// hyperedges are indexed: a counting pass gathers them vertex-major, in
+  /// a transient array, and two passes over it, v ascending and e
+  /// ascending, first count each table's distinct vertices and then fill
+  /// the arrays, so every table receives its (v, e) entries already
+  /// sorted, every array is sized once and no sort runs. The graph's own
+  /// incidence lists are never built. Aborts if the hypergraph has 2^32 or
+  /// more incidences, since offsets are 32-bit (such a hypergraph would
+  /// itself take over 32 GB).
   static IndexedHypergraph Build(Hypergraph graph);
 
   IndexedHypergraph(IndexedHypergraph&&) = default;
@@ -38,7 +45,7 @@ class IndexedHypergraph {
   IndexedHypergraph(const IndexedHypergraph&) = delete;
   IndexedHypergraph& operator=(const IndexedHypergraph&) = delete;
 
-  const Hypergraph& graph() const { return graph_; }
+  const Hypergraph& graph() const { return arrays_->graph; }
 
   const std::vector<Partition>& partitions() const { return partitions_; }
 
@@ -58,40 +65,37 @@ class IndexedHypergraph {
   std::span<const EdgeId> Postings(const Signature& s, VertexId v) const;
 
   /// Bytes held by the hyperedge tables and their inverted indexes (Exp-1
-  /// metric): the capacity of every array, the table headers with their
-  /// signatures, the edge-to-table map and the signature lookup table.
+  /// metric): the capacity of every array of the tables, the table
+  /// headers, the edge-to-table map and the signature lookup table.
   uint64_t IndexBytes() const;
 
  private:
   // One slot of the signature lookup table: the high half of the key's
-  // hash, which skips most key comparisons, and the table's id
-  // (kInvalidPartition in an empty slot).
+  // hash, which skips most key comparisons, and the table's first
+  // hyperedge, whose key is the table's key (kInvalidEdge in an empty
+  // slot).
   struct SignatureSlot {
     uint32_t hash_high;
-    PartitionId id;
+    EdgeId first_edge;
   };
 
   IndexedHypergraph() = default;
 
   // The slot holding the table of `s`, whose hash is `hash`, or the empty
-  // slot where it would go.
-  size_t SlotOf(const Signature& s, uint64_t hash) const;
-  // Doubles the lookup table and re-inserts every table.
-  void GrowSignatureSlots();
+  // slot where it would go. `scratch` receives the keys compared.
+  size_t SlotOf(const Signature& s, uint64_t hash, Signature* scratch) const;
+  // Doubles the lookup table and re-inserts every table; table p's key
+  // hashes to table_hash[p].
+  void GrowSignatureSlots(const std::vector<uint64_t>& table_hash);
 
-  Hypergraph graph_;
+  // On the heap, so that tables keep pointing at it when the index moves.
+  std::unique_ptr<TableArrays> arrays_;
   std::vector<Partition> partitions_;
   // Signature -> table: open addressing with linear probing over a
-  // power-of-two array at most half full. Keys are compared against
-  // partitions_[id].signature(), so no signature is stored twice.
+  // power-of-two array at most half full. Keys are compared against the
+  // key of the slot's hyperedge, so no signature is stored.
   std::vector<SignatureSlot> signature_slots_;
   std::vector<PartitionId> edge_partition_;
-  // The inverted index of every table, table after table: distinct
-  // vertices ascending within a table, the start of each one's list in
-  // postings_ (plus one end offset), and the posting lists.
-  std::vector<VertexId> keys_;
-  std::vector<uint32_t> offsets_;
-  std::vector<EdgeId> postings_;
 };
 
 }  // namespace hgmatch

@@ -5,56 +5,75 @@
 #include <span>
 #include <vector>
 
-#include "core/signature.h"
+#include "core/hypergraph.h"
 #include "core/types.h"
 
 namespace hgmatch {
+
+/// The arrays behind every hyperedge table of one IndexedHypergraph, with
+/// the hypergraph they index. The index keeps them in one heap block, whose
+/// address stays fixed when the index is moved, so each table reaches them
+/// through one pointer.
+///
+/// The tables form a flat directory: table p's hyperedges are
+/// edges[edge_begin[p], edge_begin[p + 1]), ascending, and its inverted
+/// index keys are keys[key_begin[p], key_begin[p + 1]). Only tables of two
+/// or more hyperedges have keys. Key i's posting list is
+/// postings[offsets[i], offsets[i + 1]), global edge ids ascending, and the
+/// lists of all keys lie back to back, so one end offset closes them.
+struct TableArrays {
+  Hypergraph graph;
+  std::vector<EdgeId> edges;
+  std::vector<uint32_t> edge_begin;
+  std::vector<uint32_t> key_begin;
+  std::vector<VertexId> keys;
+  std::vector<uint32_t> offsets;
+  std::vector<EdgeId> postings;
+};
 
 /// A hyperedge table (Section IV.B): all data hyperedges sharing one
 /// hyperedge signature, together with the table's inverted hyperedge index
 /// (Section IV.C) mapping each vertex that occurs in the table to the sorted
 /// posting list of its incident hyperedges *within this table*.
 ///
-/// The index is three sorted flat arrays, owned by the IndexedHypergraph
-/// that built the table and shared by all of its tables: the table's
-/// distinct vertices ascending (`keys`), one offset per key plus an end
-/// offset (`offsets`), and the posting lists back to back (`postings`,
-/// global edge ids ascending within each list). he(v, S(e_q)) is a binary
-/// search over the keys, and candidate generation (Algorithm 4) is plain
-/// sorted-set algebra over the returned lists. A Partition is valid only
-/// while its IndexedHypergraph lives.
+/// A table is a view of its owner's TableArrays: it owns no memory and
+/// keeps no copy of its signature, which is the key of its first
+/// hyperedge. he(v, S(e_q)) is a binary search over the table's keys, and
+/// candidate generation (Algorithm 4) is plain sorted-set algebra over the
+/// returned lists. A table of one hyperedge stores no index at all: its
+/// keys are that hyperedge's sorted vertices, and each of their lists is
+/// the hyperedge itself. A Partition is valid only while its
+/// IndexedHypergraph lives.
 class Partition {
  public:
   PartitionId id() const { return id_; }
-  const Signature& signature() const { return signature_; }
 
   /// All hyperedges in this table, ascending by global edge id. This count
   /// is the hyperedge cardinality Card(e_q, H) for any query hyperedge whose
   /// signature equals this table's (Definition V.2), available in O(1).
-  const EdgeSet& edges() const { return edges_; }
-  size_t size() const { return edges_.size(); }
+  std::span<const EdgeId> edges() const {
+    return {arrays_->edges.data() + arrays_->edge_begin[id_],
+            arrays_->edges.data() + arrays_->edge_begin[id_ + 1]};
+  }
+  size_t size() const {
+    return arrays_->edge_begin[id_ + 1] - arrays_->edge_begin[id_];
+  }
 
   /// Posting list of v within this table: he(v, S) sorted ascending.
   /// Returns an empty list when v does not occur in the table.
   std::span<const EdgeId> Postings(VertexId v) const;
 
   /// Number of distinct vertices appearing in the table.
-  size_t NumIndexedVertices() const { return keys_.size(); }
+  size_t NumIndexedVertices() const;
 
  private:
   friend class IndexedHypergraph;
 
-  Partition(PartitionId id, Signature signature)
-      : id_(id), signature_(std::move(signature)) {}
+  Partition(const TableArrays* arrays, PartitionId id)
+      : arrays_(arrays), id_(id) {}
 
+  const TableArrays* arrays_;
   PartitionId id_;
-  Signature signature_;
-  EdgeSet edges_;
-  std::span<const VertexId> keys_;
-  // offsets_[i] .. offsets_[i + 1] is the range of keys_[i]'s list in
-  // postings_; both point into the owner's shared arrays.
-  const uint32_t* offsets_ = nullptr;
-  const EdgeId* postings_ = nullptr;
 };
 
 }  // namespace hgmatch

@@ -1,6 +1,7 @@
 #include "core/reference.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/signature.h"
@@ -22,7 +23,8 @@ struct EdgeTupleSearch {
 
   std::vector<EdgeId> order;     // query edge ids 0..n-1
   std::vector<EdgeId> matched;   // data edge per position
-  std::vector<const EdgeSet*> candidates;  // per position: signature table
+  // Per position: the signature table, empty when there is none.
+  std::vector<std::span<const EdgeId>> candidates;
 
   void Recurse(uint32_t depth) {
     const uint32_t n = static_cast<uint32_t>(order.size());
@@ -39,7 +41,7 @@ struct EdgeTupleSearch {
       }
       return;
     }
-    for (EdgeId c : *candidates[depth]) {
+    for (EdgeId c : candidates[depth]) {
       bool used = false;
       for (uint32_t j = 0; j < depth; ++j) {
         if (matched[j] == c) {
@@ -78,11 +80,10 @@ MatchStats ReferenceEdgeTupleMatch(const IndexedHypergraph& data,
   search.order.resize(n);
   search.matched.resize(n, kInvalidEdge);
   search.candidates.resize(n);
-  static const EdgeSet kEmpty;
   for (EdgeId e = 0; e < n; ++e) {
     search.order[e] = e;
     const Partition* p = data.FindPartition(SignatureKeyOf(query, e));
-    search.candidates[e] = (p == nullptr) ? &kEmpty : &p->edges();
+    if (p != nullptr) search.candidates[e] = p->edges();
   }
   if (n > 0) search.Recurse(0);
   search.stats.seconds = timer.ElapsedSeconds();

@@ -11,11 +11,19 @@ Signature SignatureOf(const Hypergraph& h, EdgeId e) {
 }
 
 Signature SignatureKeyOf(const Hypergraph& h, EdgeId e) {
-  Signature s = SignatureOfVertices(h, h.edge(e));
-  if (h.edge_label(e) != 0) {
-    s.push_back(kEdgeLabelKeyBit | h.edge_label(e));
-  }
+  Signature s;
+  SignatureKeyOf(h, e, &s);
   return s;
+}
+
+void SignatureKeyOf(const Hypergraph& h, EdgeId e, Signature* out) {
+  out->clear();
+  out->reserve(h.arity(e) + 1);
+  for (VertexId v : h.edge(e)) out->push_back(h.label(v));
+  std::sort(out->begin(), out->end());
+  if (h.edge_label(e) != 0) {
+    out->push_back(kEdgeLabelKeyBit | h.edge_label(e));
+  }
 }
 
 Signature SignatureOfVertices(const Hypergraph& h,

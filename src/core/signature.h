@@ -29,6 +29,9 @@ Signature SignatureOf(const Hypergraph& h, EdgeId e);
 /// label. For label-0 (unlabelled) hyperedges the key equals the signature.
 Signature SignatureKeyOf(const Hypergraph& h, EdgeId e);
 
+/// The same key written into `out`, whose capacity is reused.
+void SignatureKeyOf(const Hypergraph& h, EdgeId e, Signature* out);
+
 /// Marker folded into partition keys for non-zero hyperedge labels.
 inline constexpr Label kEdgeLabelKeyBit = 0x80000000u;
 

@@ -25,7 +25,9 @@ BfsResult ExecutePlanBfs(const IndexedHypergraph& data, const QueryPlan& plan,
   std::vector<EdgeId> current;  // flattened rows of `depth` edges each
   uint32_t depth = 1;
   const Partition* first = data.FindPartition(plan.steps[0].signature);
-  if (first != nullptr) current = first->edges();
+  if (first != nullptr) {
+    current.assign(first->edges().begin(), first->edges().end());
+  }
 
   auto track_peak = [&result](uint64_t bytes) {
     if (bytes > result.peak_bytes) result.peak_bytes = bytes;

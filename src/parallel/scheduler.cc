@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -71,7 +72,7 @@ struct QueryContext {
   const QueryPlan* plan = nullptr;
   // The data graph this query runs against, named by its submission.
   const IndexedHypergraph* data = nullptr;
-  const EdgeSet* scan_table = nullptr;  // first-step signature table
+  std::span<const EdgeId> scan_table;  // first-step signature table
   EmbeddingSink* sink = nullptr;
 
   // Effective per-query budgets and admission parameters, resolved against
@@ -246,9 +247,7 @@ class Scheduler::Impl {
       const Partition* first =
           plan->NumSteps() > 0 ? data.FindPartition(plan->steps[0].signature)
                                : nullptr;
-      if (first != nullptr && !first->edges().empty()) {
-        ctx->scan_table = &first->edges();
-      }
+      if (first != nullptr) ctx->scan_table = first->edges();
       QueryContext* raw = ctx.get();
       queries_.emplace(index, std::move(ctx));
       submitted_count_.fetch_add(1, std::memory_order_relaxed);
@@ -712,14 +711,14 @@ class Scheduler::Impl {
       if (ctx->stop.load(std::memory_order_relaxed)) {
         // Stopped before it ever ran (whole-run deadline): all of its work
         // is dropped by definition, unless it had none to begin with.
-        if (ctx->scan_table != nullptr) {
+        if (!ctx->scan_table.empty()) {
           ctx->work_dropped.store(true, std::memory_order_relaxed);
         }
         ctx->finish_seconds = ctx->admit_seconds;
         FinishQueryLocked(ctx);
         continue;
       }
-      if (ctx->scan_table == nullptr) {
+      if (ctx->scan_table.empty()) {
         // Nothing matches the first step: done at admission.
         ctx->finish_seconds = ctx->admit_seconds;
         FinishQueryLocked(ctx);
@@ -727,7 +726,7 @@ class Scheduler::Impl {
       }
       ctx->seeded = true;
       inflight_.fetch_add(1, std::memory_order_relaxed);
-      const uint64_t total = ctx->scan_table->size();
+      const uint64_t total = ctx->scan_table.size();
       const uint64_t chunk = (total + num_threads_ - 1) / num_threads_;
       for (uint32_t w = 0; w < num_threads_; ++w) {
         const uint64_t lo = static_cast<uint64_t>(w) * chunk;
@@ -815,7 +814,7 @@ class Scheduler::Impl {
     uint32_t i = lo;
     for (; i < hi; ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
-      ProcessChild(w, ctx, nullptr, 0, (*ctx->scan_table)[i]);
+      ProcessChild(w, ctx, nullptr, 0, ctx->scan_table[i]);
       PollDeadlines(w, ctx);
     }
     if (i < hi) ctx->work_dropped.store(true, std::memory_order_relaxed);

@@ -247,6 +247,48 @@ TEST(HypergraphTest, ConcurrentFirstReadsAgreeWithASequentialRead) {
   }
 }
 
+// A released duplicate check is rebuilt by the first AddEdge or FindEdge,
+// and first FindEdge calls may race each other.
+TEST(HypergraphTest, ReleasedEdgeSlotsAreRebuiltOnFirstUse) {
+  constexpr uint32_t kVertices = 3000;
+  Hypergraph h;
+  h.AddVertices(kVertices, 0);
+  Rng rng(47);
+  for (int i = 0; i < 20000; ++i) {
+    (void)h.AddEdge({static_cast<VertexId>(rng.NextBounded(kVertices)),
+                     static_cast<VertexId>(rng.NextBounded(kVertices)),
+                     static_cast<VertexId>(rng.NextBounded(kVertices))});
+  }
+  const EdgeId num_edges = static_cast<EdgeId>(h.NumEdges());
+  const uint64_t bytes = h.MemoryBytes();
+  h.ReleaseEdgeSlots();
+  EXPECT_LT(h.MemoryBytes(), bytes);
+  const VertexSet first(h.edge(0).begin(), h.edge(0).end());
+  EXPECT_EQ(h.AddEdge(first).value(), 0u);
+  ASSERT_EQ(h.AddEdge({0, 1, 2, 3}).value(), num_edges);
+
+  h.ReleaseEdgeSlots();
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      for (EdgeId i = 0; i <= num_edges; ++i) {
+        const EdgeId e = (i + static_cast<EdgeId>(t) * 997) % (num_edges + 1);
+        mismatches[t] += h.FindEdge(h.edge(e)) != e;
+        mismatches[t] += h.FindEdge(h.edge(e), 1) != kInvalidEdge;
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
 TEST(SignatureTest, PaperExample) {
   Hypergraph h = PaperDataHypergraph();
   // S(e1) = {A, B}: labels of v2 (A) and v4 (B).
