@@ -167,7 +167,8 @@ void IndexedHypergraph::GrowSignatureSlots(
 }
 
 const Partition* IndexedHypergraph::FindPartition(const Signature& s) const {
-  Signature scratch;
+  // Reused per thread, so confirming a hit allocates nothing once warm.
+  static thread_local Signature scratch;
   const EdgeId first =
       signature_slots_[SlotOf(s, HashSignature(s), &scratch)].first_edge;
   return first == kInvalidEdge ? nullptr

@@ -106,7 +106,7 @@ class MatchServer::Impl {
     ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
                   &bound_len);
     port_ = ntohs(bound.sin_port);
-    if (::listen(listen_fd_, 64) != 0 || !SetNonBlocking(listen_fd_)) {
+    if (::listen(listen_fd_, SOMAXCONN) != 0 || !SetNonBlocking(listen_fd_)) {
       CloseListen();
       return Status::IOError("cannot listen on " + options_.host);
     }

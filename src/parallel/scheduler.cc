@@ -271,8 +271,7 @@ class Scheduler::Impl {
         FinishQueryLocked(raw);
       } else {
         EnqueuePendingLocked(raw);
-        AdmitLocked(nullptr);
-        notify = true;
+        notify = AdmitLocked(nullptr);
       }
       fire.swap(deferred_completions_);
     }
@@ -422,6 +421,7 @@ class Scheduler::Impl {
     Ctx(t)->pending.fetch_add(1, std::memory_order_acq_rel);
     ++w->report.tasks_spawned;
     w->deque.Push(t);
+    if (parked_.load(std::memory_order_relaxed) != 0) WakeWorkers(false);
   }
 
   // Finalises a query: assembles its outcome, marks it finished, queues
@@ -509,8 +509,7 @@ class Scheduler::Impl {
     if (ctx->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       // Last task of this query retired: record its finish and finalise
       // the outcome, then free the admission slot and seed waiting
-      // queries. A worker that parks untimed on the in-flight count's
-      // transient 0 in between is woken below, with the new seeds.
+      // queries, waking the pool for their seeds.
       ctx->finish_seconds = wall_.ElapsedSeconds();
       ctx->last_task_mono = MonotonicSeconds();
       if (ctx->first_task_mono > 0) {
@@ -520,11 +519,9 @@ class Scheduler::Impl {
       bool wake;
       {
         std::lock_guard<std::mutex> lock(admit_mutex_);
-        inflight_.fetch_sub(1, std::memory_order_relaxed);
+        --inflight_;
         FinishQueryLocked(ctx);  // frees ctx; must stay the last use
-        // Wake the pool for new seeds, or, when this was the last query in
-        // flight, so parked peers go from the timed to the untimed park.
-        wake = AdmitLocked(w) || inflight_.load(std::memory_order_relaxed) == 0;
+        wake = AdmitLocked(w);
         fire.swap(deferred_completions_);
       }
       if (wake) WakeWorkers();
@@ -532,16 +529,21 @@ class Scheduler::Impl {
     }
   }
 
-  // Bumps the wake epoch and wakes every parked worker (see WorkerLoop).
-  // Called, without admit_mutex_ held, after any path that made work or
-  // stops the pool. The release bump makes everything written before it
-  // (the stop flag included) visible to a worker that reads the new epoch.
-  void WakeWorkers() {
+  // Bumps the wake epoch and wakes every parked worker, or one for a
+  // spawned task (see WorkerLoop). Called, without admit_mutex_ held, after
+  // any path that made work or stops the pool. The release bump makes
+  // everything written before it (the stop flag included) visible to a
+  // worker that reads the new epoch.
+  void WakeWorkers(bool all = true) {
     {
       std::lock_guard<std::mutex> lock(idle_mutex_);
       wake_epoch_.fetch_add(1, std::memory_order_release);
     }
-    idle_cv_.notify_all();
+    if (all) {
+      idle_cv_.notify_all();
+    } else {
+      idle_cv_.notify_one();
+    }
   }
 
   // ------------------------------------------------------------ admission --
@@ -725,7 +727,7 @@ class Scheduler::Impl {
         continue;
       }
       ctx->seeded = true;
-      inflight_.fetch_add(1, std::memory_order_relaxed);
+      ++inflight_;
       const uint64_t total = ctx->scan_table.size();
       const uint64_t chunk = (total + num_threads_ - 1) / num_threads_;
       for (uint32_t w = 0; w < num_threads_; ++w) {
@@ -900,8 +902,9 @@ class Scheduler::Impl {
   void WorkerLoop(Worker* w) {
     uint32_t idle_rounds = 0;
     while (true) {
-      // Read before looking for work: anything made after this read bumps
-      // the epoch, so the untimed park below cannot miss it.
+      // Read before looking for work: an injection or a spawn that sees
+      // this worker parked bumps the epoch after this read, so the park
+      // below returns at once or is woken.
       const uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
       // Set only once the pool is idle, so no task is left behind.
       if (stopping_.load(std::memory_order_acquire)) break;
@@ -927,19 +930,18 @@ class Scheduler::Impl {
       } else if (++idle_rounds < 64) {
         std::this_thread::yield();
       } else {
-        // Park instead of burning a core. With no query in flight no task
-        // is live anywhere, and the park is untimed: only a path that bumps
-        // the epoch can make work (see WakeWorkers). While a query is in
-        // flight it is timed, since deque pushes, which this worker could
-        // steal, never notify.
+        // Park instead of burning a core, untimed, until the epoch moves:
+        // an injection wakes every parked worker, a spawn one. A spawn that
+        // reads parked_ just before this worker counts itself wakes no one,
+        // and needs no fence or recheck: this worker's own deque was empty
+        // when it looked, and every deque is drained by its owner, so the
+        // task still runs, and the next spawn wakes this worker.
         std::unique_lock<std::mutex> lock(idle_mutex_);
-        if (inflight_.load(std::memory_order_acquire) == 0) {
-          idle_cv_.wait(lock, [&] {
-            return wake_epoch_.load(std::memory_order_relaxed) != epoch;
-          });
-        } else {
-          idle_cv_.wait_for(lock, std::chrono::microseconds(500));
-        }
+        parked_.fetch_add(1, std::memory_order_relaxed);
+        idle_cv_.wait(lock, [&] {
+          return wake_epoch_.load(std::memory_order_relaxed) != epoch;
+        });
+        parked_.fetch_sub(1, std::memory_order_relaxed);
         idle_rounds = 0;
       }
     }
@@ -958,19 +960,20 @@ class Scheduler::Impl {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  // Read by every worker on every loop iteration (or park) and written at
-  // most a few times per query, so they share a cache line of their own,
-  // apart from everything written per task.
+  // Read by every worker on every loop iteration or spawn, and written only
+  // when work is injected or a worker parks or is woken, so they share a
+  // cache line of their own, apart from everything written per task.
   alignas(kCacheLine) std::atomic<bool> stopping_{false};  // set once idle
   std::atomic<uint64_t> wake_epoch_{0};  // bumped under idle_mutex_
+  // Workers parked on idle_cv_; changed under idle_mutex_, read lock-free
+  // by Spawn.
+  std::atomic<uint32_t> parked_{0};
   // Version of the retire log below, the lock-free signal to reap it.
   std::atomic<uint64_t> retired_version_{0};
   std::atomic<int64_t> inject_size_{0};  // entries in inject_
-  // Queries seeded and not yet finished. Modified under admit_mutex_, read
-  // lock-free by parking workers: no task is live exactly when it is 0.
-  std::atomic<uint32_t> inflight_{0};
 
   alignas(kCacheLine) std::mutex admit_mutex_;
+  uint32_t inflight_ = 0;          // queries seeded and not yet finished
   size_t queued_count_ = 0;        // entries across the policy structures
   size_t queued_corpses_ = 0;      // of which: already resolved (cancelled)
   uint64_t admit_seq_ = 0;         // guarded by admit_mutex_

@@ -120,16 +120,12 @@ struct QueryOutcome {
 /// nothing once its hook has run, whether or not anyone looks at the
 /// outcome. A caller that wants the outcome copies it in the hook.
 ///
-/// Idle workers park, so a pool that outlives its queries costs no CPU.
-/// A worker that finds no task yields 64 times, then parks on a condition
-/// variable. If no query is in flight (none seeded and unfinished), no
-/// task is live anywhere, and it sleeps untimed until a wake epoch, read
-/// before it looked for work, changes. The epoch is bumped under the park
-/// mutex by every path that can make work or stop the pool: Submit(),
-/// admissions made inside Cancel() or by a retiring task, the last
-/// in-flight query finishing, and the destructor. While a query is in
-/// flight the park is timed (500 us) instead, because deque pushes, which
-/// the parked worker could steal, are never notified.
+/// Idle workers park and cost no CPU, mid-query too. A worker that finds no
+/// task yields 64 times, then counts itself parked and sleeps untimed
+/// until a wake epoch, read before it looked for work, changes. Seeds
+/// injected by Submit(), by admissions inside Cancel() or a retiring task,
+/// and the destructor's stop wake every parked worker; a spawn that finds
+/// the parked count non-zero wakes one, to steal the new task.
 ///
 /// Plans must stay alive until the owning query finishes; submitting the
 /// same plan pointer for several queries is allowed (the plan caches do

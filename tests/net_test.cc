@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -35,10 +36,12 @@
 #include "io/byte_io.h"
 #include "tests/test_fixtures.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define HGMATCH_NET_TEST_SOCKETS 1
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -1757,6 +1760,58 @@ TEST(NetTest, ConnectionLimitTurnsExtrasAway) {
   ASSERT_TRUE(second.Connect(server.port()));
   ExpectErrorFrameThenEof(second);
   ASSERT_TRUE(first.Ping().ok());  // unaffected
+  server.Stop();
+}
+
+// A burst of simultaneous connects larger than a small listen backlog must
+// not overflow the accept queue: Linux drops a SYN that finds it full, and
+// the client retries only after its 1 s SYN retransmission timeout. One
+// thread opens 200 non-blocking connects at once, then sends a HELLO on
+// each and reads every reply, which proves the server accepted it.
+TEST(NetTest, ConnectBurstIsAcceptedWithoutSynRetransmits) {
+  IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
+  ServerOptions options = LoopbackOptions(1);
+  options.max_connections = 256;
+  MatchServer server(idx, options);
+  ASSERT_TRUE(server.Start().ok());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+
+  constexpr int kConnections = 200;
+  std::vector<int> fds;
+  Timer burst;
+  for (int i = 0; i < kConnections; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+    ASSERT_EQ(::fcntl(fd, F_SETFL, O_NONBLOCK), 0);
+    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                             sizeof(addr));
+    ASSERT_TRUE(rc == 0 || errno == EINPROGRESS) << "connect " << i;
+  }
+  // Blocking from here on: a send on a connection still in SYN_SENT waits
+  // for the handshake.
+  const std::string hello = HelloFrame();
+  for (int fd : fds) {
+    ASSERT_EQ(::fcntl(fd, F_SETFL, 0), 0);
+    ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
+              static_cast<ssize_t>(hello.size()));
+  }
+  for (int fd : fds) {
+    FrameReader reader;
+    FrameReader::Frame frame;
+    char buffer[256];
+    while (!reader.Next(&frame).value()) {
+      const ssize_t got = ::read(fd, buffer, sizeof(buffer));
+      ASSERT_GT(got, 0);
+      reader.Feed(buffer, static_cast<size_t>(got));
+    }
+    EXPECT_EQ(frame.type, FrameType::kHelloReply);
+  }
+  EXPECT_LT(burst.ElapsedSeconds(), 0.5);
+  for (int fd : fds) ::close(fd);
   server.Stop();
 }
 

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,8 +177,8 @@ TEST(SchedulerTest, ZeroAndSingleThreadPools) {
 }
 
 // Workers of a pool with no live task sleep untimed; a submission and the
-// destructor must each wake them. A lost wakeup hangs here (or takes the
-// old timed park's rounds), so both must finish far inside their bounds.
+// destructor must each wake them. A lost wakeup hangs here, so both must
+// finish far inside their bounds.
 TEST(SchedulerTest, IdlePoolWakesForSubmissionAndDestruction) {
   IndexedHypergraph idx = IndexedHypergraph::Build(PaperDataHypergraph());
   Result<QueryPlan> plan = BuildQueryPlan(PaperQueryHypergraph(), idx);
@@ -200,6 +201,73 @@ TEST(SchedulerTest, IdlePoolWakesForSubmissionAndDestruction) {
   Timer stop;
   scheduler.reset();
   EXPECT_LT(stop.ElapsedSeconds(), 0.25);
+}
+
+// Star data for the mid-query park: one root edge {h, r}, n spokes
+// {h, s_i} and one leaf {s_i, t_i} per spoke, with labels h=0, s=1, r=2,
+// t=3. Matched by StarQuery() from the root, it has one task at depth 1
+// whose Expand walks all n spokes before it spawns anything, then n
+// independent leaf tasks of one embedding each.
+Hypergraph StarData(uint32_t n) {
+  Hypergraph h;
+  const VertexId hub = h.AddVertex(0);
+  const VertexId root = h.AddVertex(2);
+  (void)h.AddEdge({hub, root});
+  for (uint32_t i = 0; i < n; ++i) {
+    const VertexId spoke = h.AddVertex(1);
+    const VertexId leaf = h.AddVertex(3);
+    (void)h.AddEdge({hub, spoke});
+    (void)h.AddEdge({spoke, leaf});
+  }
+  return h;
+}
+
+Hypergraph StarQuery() {
+  Hypergraph q;
+  for (Label l : {0u, 2u, 1u, 3u}) q.AddVertex(l);
+  (void)q.AddEdge({0, 1});
+  (void)q.AddEdge({0, 2});
+  (void)q.AddEdge({2, 3});
+  return q;
+}
+
+// Mid-query, every worker but one parks untimed: the only live task is
+// the depth-1 expansion, whose Expand over all spokes (a few ms) outlasts
+// the spin rounds of idle workers that have cores of their own. A sink
+// callback cannot be the hold, since a task that emits spawns nothing.
+// Only spawns can then wake the parked workers, so a lost wake leaves
+// every leaf task to one worker and shows as a single emitting thread.
+// The query must still finish, exactly.
+TEST(SchedulerTest, SpawnsWakeWorkersParkedMidQuery) {
+  static const IndexedHypergraph idx =
+      IndexedHypergraph::Build(StarData(100000));
+  Result<QueryPlan> plan = BuildQueryPlan(StarQuery(), idx);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(idx.Cardinality(plan.value().steps[0].signature), 1u);
+  Result<MatchStats> expected = MatchSequential(idx, StarQuery());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected.value().embeddings, 100000u);
+
+  std::mutex mutex;
+  std::set<std::thread::id> emitters;
+  CallbackSink sink([&](const EdgeId*, uint32_t) {
+    std::lock_guard<std::mutex> lock(mutex);
+    emitters.insert(std::this_thread::get_id());
+  });
+  SchedulerOptions options;
+  options.parallel.num_threads = 4;
+  OutcomeLog log;
+  Scheduler scheduler(options);
+  SubmitOptions so;
+  so.sink = &sink;
+  Timer run;
+  const uint32_t query = log.Submit(scheduler, &plan.value(), idx, so);
+  scheduler.WaitIdle();
+  EXPECT_LT(run.ElapsedSeconds(), 10.0);
+  ASSERT_NE(log.Get(query), nullptr);
+  EXPECT_EQ(log.Get(query)->status, QueryStatus::kOk);
+  EXPECT_EQ(log.Get(query)->stats.embeddings, expected.value().embeddings);
+  EXPECT_GT(emitters.size(), 1u);
 }
 
 TEST(SchedulerTest, AdmissionWindowOfOneSerialisesQueries) {
