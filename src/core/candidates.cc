@@ -59,9 +59,14 @@ class StepMaskScope {
 
 }  // namespace
 
-Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan)
-    : data_(&data), plan_(&plan) {
-  step_partition_.reserve(plan.NumSteps());
+Expander::Expander(const IndexedHypergraph& data, const QueryPlan& plan) {
+  Rebind(data, plan);
+}
+
+void Expander::Rebind(const IndexedHypergraph& data, const QueryPlan& plan) {
+  data_ = &data;
+  plan_ = &plan;
+  step_partition_.clear();
   for (const PlanStep& s : plan.steps) {
     step_partition_.push_back(data.FindPartition(s.signature));
   }

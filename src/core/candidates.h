@@ -16,8 +16,9 @@ namespace hgmatch {
 /// plus embedding validation (Algorithm 5) for one compiled query against
 /// one indexed data hypergraph. Buffers grow to the working-set size of the
 /// query and are then reused, so the steady-state hot path performs no
-/// allocation. The parallel engine creates one Expander per (worker, plan)
-/// pair; an Expander itself is not thread-safe.
+/// allocation. Each pool worker of the parallel engine keeps one Expander
+/// and rebinds it to the query of the task it runs (Rebind); an Expander
+/// itself is not thread-safe.
 ///
 /// Every call first records, for each data vertex v of the partial
 /// embedding m, the mask of earlier steps whose matched hyperedge contains
@@ -35,8 +36,13 @@ namespace hgmatch {
 /// list, before it returns.
 class Expander {
  public:
-  /// `data` and `plan` must outlive the Expander.
+  /// `data` and `plan` must outlive every call made before the next
+  /// Rebind().
   Expander(const IndexedHypergraph& data, const QueryPlan& plan);
+
+  /// Points this Expander at another (data, plan) pair and keeps the
+  /// scratch buffers. Never reads the previous pair, which may be gone.
+  void Rebind(const IndexedHypergraph& data, const QueryPlan& plan);
 
   /// The EXPAND operator body: given the partial embedding
   /// m = embedding[0..step-1], appends to *out_valid every data hyperedge c
@@ -80,8 +86,8 @@ class Expander {
   bool IsValidImpl(uint32_t step, EdgeId c, const uint64_t* step_mask,
                    uint32_t matched_vertices, bool* vertex_count_ok);
 
-  const IndexedHypergraph* data_;
-  const QueryPlan* plan_;
+  const IndexedHypergraph* data_ = nullptr;
+  const QueryPlan* plan_ = nullptr;
   // Signature table of each step; nullptr when the data has none.
   std::vector<const Partition*> step_partition_;
 

@@ -79,7 +79,6 @@ ParallelResult ExecutePlanParallel(const IndexedHypergraph& data,
   };
   pool.Submit(&plan, data, submit);
   pool.WaitIdle();
-  pool.RetirePlan(plan.uid);
   result.workers = pool.WorkerReports();
   for (size_t i = 0; i < result.workers.size(); ++i) {
     result.workers[i] = Since(result.workers[i], before[i]);

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -143,9 +143,10 @@ struct QueryContext {
 
 }  // namespace
 
-// One pool thread plus the streaming admission machinery. Worker state
-// (expanders, depth buffers) is sparse per plan: a worker that never
-// executes a task of plan p spends nothing on p.
+// One pool thread plus the streaming admission machinery. A worker holds
+// one Expander, bound to the query of the last task it expanded and
+// rebound when a task of another query arrives; it never reads the plan of
+// a finished query.
 class Scheduler::Impl {
  public:
   explicit Impl(const SchedulerOptions& options)
@@ -211,10 +212,6 @@ class Scheduler::Impl {
 
   uint32_t Submit(const QueryPlan* plan, const IndexedHypergraph& data,
                   const SubmitOptions& so) {
-    // Compiler-stamped plans only: uid 0 would collide with the workers'
-    // empty-expander-cache sentinel and alias distinct plans in the
-    // uid-keyed expander maps.
-    assert(plan->uid != 0 && "submit plans built by BuildQueryPlan");
     uint32_t index;
     bool notify = false;
     std::vector<PendingCompletion> fire;
@@ -307,20 +304,6 @@ class Scheduler::Impl {
     return true;
   }
 
-  void RetirePlan(uint64_t plan_uid) {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    retired_plans_.push_back(plan_uid);
-    // Trim the retire log to what the slowest worker has not consumed yet,
-    // so it does not grow with ever-retired plans.
-    uint64_t min_seen = retired_base_ + retired_plans_.size();
-    for (auto& w : workers_) min_seen = std::min(min_seen, w->retire_seen);
-    while (retired_base_ < min_seen && !retired_plans_.empty()) {
-      retired_plans_.pop_front();
-      ++retired_base_;
-    }
-    retired_version_.fetch_add(1, std::memory_order_release);
-  }
-
   size_t LiveContexts() {
     std::lock_guard<std::mutex> lock(admit_mutex_);
     return queries_.size();
@@ -365,19 +348,12 @@ class Scheduler::Impl {
     // Stats of the task currently executing; flushed into this worker's
     // slot of the owning query when the task retires (FlushTaskStats).
     MatchStats task_stats;
-    // Sparse per-plan expanders with a one-entry cache that skips the hash
-    // lookup on the common task runs of one plan (LIFO scheduling keeps
-    // runs long). Keyed by QueryPlan::uid, never by address: a retired
-    // plan's freed memory being reused for a new plan must not alias its
-    // cached state.
-    std::unordered_map<uint64_t, std::unique_ptr<Expander>> expanders;
-    uint64_t expander_key = 0;  // uids are 1-based; 0 never matches
-    Expander* expander_cache = nullptr;
-    // Count of RetirePlan() entries this worker has consumed (absolute
-    // position in the retire log; guarded by admit_mutex_) and the last
-    // retire-log version observed (worker-local fast-path check).
-    uint64_t retire_seen = 0;
-    uint64_t retire_seen_version = 0;
+    // Bound to the query with index expander_query, rebound when a task of
+    // another query arrives (LIFO scheduling keeps runs of one query long).
+    // Query indices are never reused, so a binding left by a finished
+    // query never matches again and its freed plan is never read.
+    std::optional<Expander> expander;
+    uint32_t expander_query = 0;
     WorkerReport report;
     uint64_t poll_counter = 0;
   };
@@ -386,34 +362,14 @@ class Scheduler::Impl {
     return static_cast<QueryContext*>(t->owner);
   }
 
-  Expander* ExpanderFor(Worker* w, QueryContext* ctx) {
-    const uint64_t uid = ctx->plan->uid;
-    if (w->expander_key != uid) {
-      auto& slot = w->expanders[uid];
-      if (slot == nullptr) {
-        slot = std::make_unique<Expander>(*ctx->data, *ctx->plan);
-      }
-      w->expander_key = uid;
-      w->expander_cache = slot.get();
+  static Expander& ExpanderFor(Worker* w, QueryContext* ctx) {
+    if (!w->expander.has_value()) {
+      w->expander.emplace(*ctx->data, *ctx->plan);
+    } else if (w->expander_query != ctx->index) {
+      w->expander->Rebind(*ctx->data, *ctx->plan);
     }
-    return w->expander_cache;
-  }
-
-  // Drops this worker's cached expanders for every plan retired since the
-  // worker last looked. Runs on the worker's own state, so the map mutation
-  // is single-threaded; the retire log itself is read under admit_mutex_.
-  void ReapRetiredPlans(Worker* w) {
-    std::lock_guard<std::mutex> lock(admit_mutex_);
-    const uint64_t end = retired_base_ + retired_plans_.size();
-    for (uint64_t i = std::max(w->retire_seen, retired_base_); i < end; ++i) {
-      const uint64_t uid = retired_plans_[i - retired_base_];
-      w->expanders.erase(uid);
-      if (w->expander_key == uid) {
-        w->expander_key = 0;
-        w->expander_cache = nullptr;
-      }
-    }
-    w->retire_seen = end;
+    w->expander_query = ctx->index;
+    return *w->expander;
   }
 
   void Spawn(Worker* w, Task* t) {
@@ -825,7 +781,7 @@ class Scheduler::Impl {
   void ExecuteExpand(Worker* w, Task* t) {
     QueryContext* ctx = Ctx(t);
     std::vector<EdgeId>& valid = w->valid;
-    ExpanderFor(w, ctx)->Expand(t->edges, t->depth, &valid, &w->task_stats);
+    ExpanderFor(w, ctx).Expand(t->edges, t->depth, &valid, &w->task_stats);
     size_t i = 0;
     for (; i < valid.size(); ++i) {
       if (ctx->stop.load(std::memory_order_relaxed)) break;
@@ -908,12 +864,6 @@ class Scheduler::Impl {
       const uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
       // Set only once the pool is idle, so no task is left behind.
       if (stopping_.load(std::memory_order_acquire)) break;
-      if (retired_version_.load(std::memory_order_acquire) !=
-          w->retire_seen_version) {
-        w->retire_seen_version =
-            retired_version_.load(std::memory_order_acquire);
-        ReapRetiredPlans(w);
-      }
       // Freshly injected seed ranges come before the worker's own deque: a
       // newly admitted query starts at the next task boundary instead of
       // queueing behind the expansions of the queries already running, and
@@ -968,8 +918,6 @@ class Scheduler::Impl {
   // Workers parked on idle_cv_; changed under idle_mutex_, read lock-free
   // by Spawn.
   std::atomic<uint32_t> parked_{0};
-  // Version of the retire log below, the lock-free signal to reap it.
-  std::atomic<uint64_t> retired_version_{0};
   std::atomic<int64_t> inject_size_{0};  // entries in inject_
 
   alignas(kCacheLine) std::mutex admit_mutex_;
@@ -996,12 +944,6 @@ class Scheduler::Impl {
   // releasing the lock and fires it after, so entries never outlive the
   // critical section that produced them. Guarded by admit_mutex_.
   std::vector<PendingCompletion> deferred_completions_;
-  // Retire log of plan uids whose cached per-worker state is obsolete;
-  // workers consume it lazily (ReapRetiredPlans). Trimmed to the slowest
-  // worker. Guarded by admit_mutex_; retired_version_ is the lock-free
-  // signal.
-  std::deque<uint64_t> retired_plans_;
-  uint64_t retired_base_ = 0;
   std::atomic<uint64_t> rejected_count_{0};
   std::atomic<bool> batch_expired_{false};
   std::atomic<uint64_t> submitted_count_{0};
@@ -1036,8 +978,6 @@ uint32_t Scheduler::Submit(const QueryPlan* plan,
 }
 
 bool Scheduler::Cancel(uint32_t query) { return impl_->Cancel(query); }
-
-void Scheduler::RetirePlan(uint64_t plan_uid) { impl_->RetirePlan(plan_uid); }
 
 size_t Scheduler::LiveContexts() { return impl_->LiveContexts(); }
 

@@ -127,9 +127,10 @@ struct QueryOutcome {
 /// and the destructor's stop wake every parked worker; a spawn that finds
 /// the parked count non-zero wakes one, to steal the new task.
 ///
-/// Plans must stay alive until the owning query finishes; submitting the
-/// same plan pointer for several queries is allowed (the plan caches do
-/// this) and shares per-worker expanders between them.
+/// A plan may be freed once the last query submitted with it has
+/// finished, at the earliest from inside that query's completion hook: no
+/// worker reads the plan of a finished query. Submitting the same plan
+/// pointer for several queries is allowed (the plan caches do this).
 class Scheduler {
  public:
   /// Starts the pool. Every submission names its own data graph, so one
@@ -146,9 +147,7 @@ class Scheduler {
 
   /// Registers one query against `data`, which must be the index the plan
   /// was built against and must outlive the query. `plan` must outlive the
-  /// query and must come from BuildQueryPlan/BuildQueryPlanWithOrder (its
-  /// uid stamps the per-worker expander cache; a hand-assembled plan with
-  /// uid 0 is rejected by assertion). `options.sink` may be null (count
+  /// query (see the class comment). `options.sink` may be null (count
   /// only). Thread-safe. Returns the query's index.
   ///
   /// `options.completion`, when set, is invoked exactly once at the moment
@@ -166,14 +165,6 @@ class Scheduler {
   /// live tasks drain. Returns false iff the query had already finished.
   /// Thread-safe.
   bool Cancel(uint32_t query);
-
-  /// Declares that no further queries will ever be submitted for the plan
-  /// with this uid (QueryPlan::uid): workers lazily drop their cached
-  /// per-plan expansion state. Call before freeing a plan whose queries all
-  /// finished; without it, per-worker state grows with distinct plans. A
-  /// plan that is submitted again after all is still matched correctly;
-  /// the workers just rebuild its state.
-  void RetirePlan(uint64_t plan_uid);
 
   /// Diagnostics: number of per-query contexts currently allocated
   /// (in-flight + waiting queries). Bounded by the admission window plus

@@ -91,9 +91,9 @@ struct ResolveGate {
 // the moment its query finalises (mirrors resolve in the same step as
 // their canonical), after which the record is the slim, self-contained
 // outcome store. The scheduler keeps nothing of a finished query, and a
-// plan-cache-off submission's compiled plan is retired and freed at
-// resolution, so a record costs the scheduler nothing once its query
-// finished, whether or not anyone ever retrieves the outcome.
+// plan-cache-off submission's compiled plan is freed at resolution, so a
+// record costs the scheduler nothing once its query finished, whether or
+// not anyone ever retrieves the outcome.
 struct QueryRecord {
   ServiceImpl* service = nullptr;
   // Pin on the service's resolve gate; lets Ticket reads outlive the
@@ -104,9 +104,9 @@ struct QueryRecord {
   uint32_t sched_index = kNotScheduled;
   std::shared_ptr<QueryRecord> canonical;
   Hypergraph owned_query;  // keeps the plan's query alive for owning submits
-  // Plan-cache-off submissions own their plan; retired + freed at
-  // resolution (cached plans instead live in ServiceImpl::plans_ for the
-  // service lifetime, bounded by distinct query structures).
+  // Plan-cache-off submissions own their plan, freed at resolution (cached
+  // plans instead live in their CacheEntry until evicted or until
+  // Shutdown).
   std::unique_ptr<QueryPlan> owned_plan;
   // Cost tracker of this record's plan-cache entry: latest measured task
   // count of a completed run of the plan (0 = not yet measured). Written at
@@ -246,11 +246,6 @@ class ServiceImpl {
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      // Cached plans die with this service while a shared pool's workers
-      // live on; retire them so the per-worker expander state keyed by
-      // their uids is dropped instead of accreting across service
-      // lifetimes.
-      for (auto& [key, entry] : cache_) sched_->RetirePlan(entry.plan->uid);
       report_.seconds = wall_.ElapsedSeconds();
       FillReportCountersLocked();
       if (private_pool_ != nullptr) {
@@ -450,7 +445,6 @@ class ServiceImpl {
     }
     rec->resolved.store(true, std::memory_order_release);
     if (rec->owned_plan != nullptr) {
-      sched_->RetirePlan(rec->owned_plan->uid);
       rec->owned_plan.reset();
       rec->owned_query = Hypergraph();
     }
@@ -833,19 +827,12 @@ class ServiceImpl {
       // Without the cache — or when this submission was shed by the queue
       // bound (a rejected canonical would poison the structure's cache
       // entry: repeats could never mirror again) — the plan serves exactly
-      // this record; it is retired + freed at resolution (bounded
-      // retention for cache-off services).
-      {
-        std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
-        if (!rec->resolved.load(std::memory_order_acquire)) {
-          rec->owned_plan = std::move(compiled_owner);
-        } else {
-          // Resolved synchronously inside Submit (shed by the queue
-          // bound): the record has already resolved, so retire the plan
-          // right here instead of parking it on the record.
-          sched_->RetirePlan(compiled_owner->uid);
-          compiled_owner.reset();
-        }
+      // this record and is freed at resolution (bounded retention for
+      // cache-off services). A record already resolved inside Submit
+      // (shed) frees it right here, as compiled_owner goes out of scope.
+      std::lock_guard<std::mutex> resolve_lock(resolve_mutex_);
+      if (!rec->resolved.load(std::memory_order_acquire)) {
+        rec->owned_plan = std::move(compiled_owner);
       }
     }
     records_.push_back(rec);
@@ -855,9 +842,7 @@ class ServiceImpl {
   // submission) entries until the cache is back under
   // plan_cache_capacity; entries pinned by a live submission are skipped,
   // so the cache transiently overshoots rather than evict a plan the pool
-  // is executing. Callers hold mutex_. (Taking the scheduler's internal
-  // lock via RetirePlan under mutex_ alone is safe: the scheduler never
-  // calls into the service while holding its own lock.)
+  // is executing. Callers hold mutex_.
   void EvictIdlePlansLocked() {
     const size_t cap = options_.plan_cache_capacity;
     if (cap == 0) return;
@@ -866,7 +851,6 @@ class ServiceImpl {
       --it;
       auto cit = cache_.find(*it);
       if (cit->second.live->load(std::memory_order_acquire) != 0) continue;
-      sched_->RetirePlan(cit->second.plan->uid);
       Metrics().plan_cache_evictions->Add();
       // erase returns the position after the erased element; the next
       // pass's --it lands on the element before it, so the walk keeps
@@ -934,10 +918,10 @@ class ServiceImpl {
   size_t last_sweep_size_ = 0;
   bool sealed_ = false;
 
-  // Lock order: mutex_ before resolve_mutex_; scheduler-internal locks are
-  // only ever taken *under* resolve_mutex_ (RetirePlan),
-  // never the other way around — the scheduler fires completion hooks with
-  // no lock held.
+  // Lock order: mutex_ before resolve_mutex_. The scheduler is called
+  // under mutex_ (Submit) or under no service lock (Cancel), never under
+  // resolve_mutex_; it fires completion hooks with none of its own locks
+  // held, so a hook that runs inside Submit may take resolve_mutex_.
   // Record resolution + mirror lists park on the shared gate (see
   // ResolveGate); the references keep the service-internal code reading
   // as plain members.

@@ -43,9 +43,9 @@ struct ServiceOptions {
   /// Upper bound on distinct compiled plans retained by the plan cache;
   /// 0 = unbounded. When an insertion pushes the cache past the bound, the
   /// least-recently-used entries with no in-flight submissions are evicted
-  /// (plan retired and freed; the structure re-compiles on its next
-  /// appearance). Entries with live submissions are never evicted, so the
-  /// cache may transiently exceed the bound under heavy concurrency.
+  /// (plan freed; the structure re-compiles on its next appearance).
+  /// Entries with live submissions are never evicted, so the cache may
+  /// transiently exceed the bound under heavy concurrency.
   size_t plan_cache_capacity = 0;
 
   /// Whole-service wall-clock budget in seconds, armed at construction;

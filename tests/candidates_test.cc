@@ -148,7 +148,9 @@ ExpandOutcome ExpectedOutcome(const IndexedHypergraph& idx,
 // share one thread's step-mask array. Interleaving their Expand,
 // GenerateCandidates and IsValidEmbedding calls on one thread must give
 // exactly the answers of fresh Expanders, which holds only if every call
-// leaves the array all-zero.
+// leaves the array all-zero. One more Expander is rebound to the side of
+// every call, as a pool worker rebinds its one Expander to the query of
+// each task: Rebind must leave nothing of the previous (data, plan) pair.
 TEST(CandidatesTest, InterleavedExpandersMatchFreshOnes) {
   GeneratorConfig big_config;
   big_config.seed = 11;
@@ -190,22 +192,26 @@ TEST(CandidatesTest, InterleavedExpandersMatchFreshOnes) {
 
   Expander a(*sides[0].idx, sides[0].plan);
   Expander b(*sides[1].idx, sides[1].plan);
-  Expander* expanders[] = {&a, &b};
+  Expander rebound(*sides[1].idx, sides[1].plan);
+  Expander* per_side[] = {&a, &b};
   const size_t rounds =
       std::max(sides[0].calls.size(), sides[1].calls.size());
   // Round r runs each API call on the r-th partial embedding of both
-  // sides, alternating sides between every single call.
-  std::vector<ExpandOutcome> got[2];
+  // sides, alternating sides between every single call. got[0] holds the
+  // answers of the per-side Expanders, got[1] those of `rebound`.
+  std::vector<ExpandOutcome> got[2][2];
   for (size_t r = 0; r < rounds; ++r) {
     for (int phase = 0; phase < 3; ++phase) {
-      for (int k = 0; k < 2; ++k) {
+      for (int k = 0; k < 4; ++k) {
         const int x = (k + static_cast<int>(r)) % 2;  // who goes first
+        const int variant = k / 2;
         const Side& side = sides[x];
         if (r >= side.calls.size()) continue;
         const PartialEmbedding& pe = side.calls[r];
-        Expander& ex = *expanders[x];
-        if (phase == 0) got[x].emplace_back();
-        ExpandOutcome& o = got[x].back();
+        Expander& ex = variant == 0 ? *per_side[x] : rebound;
+        if (variant == 1) rebound.Rebind(*side.idx, side.plan);
+        if (phase == 0) got[variant][x].emplace_back();
+        ExpandOutcome& o = got[variant][x].back();
         if (phase == 0) {
           MatchStats stats;
           ex.Expand(pe.prefix.data(), pe.step(), &o.valid, &stats);
@@ -224,12 +230,15 @@ TEST(CandidatesTest, InterleavedExpandersMatchFreshOnes) {
       }
     }
   }
-  for (int x = 0; x < 2; ++x) {
-    ASSERT_EQ(got[x].size(), sides[x].expected.size());
-    for (size_t r = 0; r < got[x].size(); ++r) {
-      EXPECT_TRUE(got[x][r] == sides[x].expected[r])
-          << "side " << x << " call " << r << " at step "
-          << sides[x].calls[r].step();
+  for (int variant = 0; variant < 2; ++variant) {
+    for (int x = 0; x < 2; ++x) {
+      const std::vector<ExpandOutcome>& g = got[variant][x];
+      ASSERT_EQ(g.size(), sides[x].expected.size());
+      for (size_t r = 0; r < g.size(); ++r) {
+        EXPECT_TRUE(g[r] == sides[x].expected[r])
+            << (variant == 0 ? "per-side" : "rebound") << " side " << x
+            << " call " << r << " at step " << sides[x].calls[r].step();
+      }
     }
   }
 }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/hgmatch.h"
+#include "gen/query_gen.h"
 #include "parallel/service.h"
 #include "parallel/task.h"
 #include "tests/test_fixtures.h"
@@ -754,6 +755,67 @@ TEST(SchedulerTest, ContextTableStaysBoundedUnderStreamingChurn) {
   // Bounded by one wave (what was genuinely outstanding), never by the
   // 2000 submissions that passed through.
   EXPECT_LE(max_live, static_cast<size_t>(kPerWave));
+}
+
+TEST(SchedulerTest, PlansFreedInTheirLastCompletionHook) {
+  // Plan lifetime: a plan may be freed inside the completion hook of its
+  // last query, with no other call into the scheduler. Each worker keeps
+  // one Expander and rebinds it per query, so 64 back-to-back queries that
+  // alternate between two data graphs rebind it across plans and graphs on
+  // every worker; a binding that read a freed plan shows as a wrong count
+  // here and as a use-after-free under ASan.
+  GeneratorConfig config = SmallRandomConfig(5);
+  config.num_vertices = 200;
+  config.num_edges = 400;
+  config.num_labels = 2;
+  const IndexedHypergraph graphs[] = {
+      IndexedHypergraph::Build(GenerateHypergraph(SmallRandomConfig(3))),
+      IndexedHypergraph::Build(GenerateHypergraph(config))};
+  constexpr size_t kQueries = 64;
+  std::vector<Hypergraph> queries[2];
+  std::vector<uint64_t> expected[2];
+  for (int g = 0; g < 2; ++g) {
+    queries[g] = SampleQueries(graphs[g].graph(),
+                               QuerySettings{"rebind", 3, 2, 100},
+                               kQueries / 2, 0x5EED + g);
+    ASSERT_EQ(queries[g].size(), kQueries / 2);
+    expected[g] = SequentialCounts(graphs[g], queries[g]);
+  }
+
+  SchedulerOptions options;
+  options.parallel.num_threads = 3;
+  options.parallel.scan_grain = 1;
+  OutcomeLog log;
+  Scheduler scheduler(options);
+  for (size_t i = 0; i < kQueries; ++i) {
+    const int g = i % 2;
+    Result<QueryPlan> plan = BuildQueryPlan(queries[g][i / 2], graphs[g]);
+    ASSERT_TRUE(plan.ok());
+    auto* owned = new QueryPlan(std::move(plan).value());
+    SubmitOptions so;
+    so.completion = [owned](const QueryOutcome&) { delete owned; };
+    log.Submit(scheduler, owned, graphs[g], so);
+  }
+  // One plan shared by concurrent queries lives until all of them ran.
+  constexpr uint32_t kShared = 8;
+  Result<QueryPlan> shared_plan = BuildQueryPlan(queries[1][0], graphs[1]);
+  ASSERT_TRUE(shared_plan.ok());
+  auto shared = std::make_unique<QueryPlan>(std::move(shared_plan).value());
+  for (uint32_t i = 0; i < kShared; ++i) {
+    log.Submit(scheduler, shared.get(), graphs[1]);
+  }
+  scheduler.WaitIdle();
+  shared.reset();
+
+  for (uint32_t i = 0; i < kQueries + kShared; ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const QueryOutcome* out = log.Get(i);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->status, QueryStatus::kOk);
+    const uint64_t want =
+        i < kQueries ? expected[i % 2][i / 2] : expected[1][0];
+    EXPECT_EQ(out->stats.embeddings, want);
+  }
 }
 
 // ----------------------------------------------- completion-hook contract --

@@ -4,14 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
+#include <string>
 
 #include "core/hgmatch.h"
 #include "core/hypergraph_stats.h"
 #include "gen/query_gen.h"
 #include "io/binary_format.h"
+#include "io/loader.h"
 #include "io/writer.h"
 #include "tests/test_fixtures.h"
+#include "util/rng.h"
 
 namespace hgmatch {
 namespace {
@@ -101,6 +106,107 @@ TEST(BinaryFormatTest, RejectsTruncation) {
   ASSERT_EQ(truncate(path.c_str(), full - 6), 0);
   EXPECT_FALSE(LoadHypergraphBinary(path).ok());
   std::remove(path.c_str());
+}
+
+// A decoded graph must hold together: every hyperedge names vertices
+// below NumVertices(), and every vertex's incidence list reads back, lists
+// only hyperedges that contain the vertex, and all lists together hold
+// every incidence once.
+void ExpectWellFormed(const Hypergraph& h) {
+  for (EdgeId e = 0; e < h.NumEdges(); ++e) {
+    for (VertexId v : h.edge(e)) ASSERT_LT(v, h.NumVertices());
+  }
+  uint64_t incidences = 0;
+  for (VertexId v = 0; v < h.NumVertices(); ++v) {
+    for (EdgeId e : h.incident(v)) {
+      ASSERT_LT(e, h.NumEdges());
+      const std::span<const VertexId> members = h.edge(e);
+      ASSERT_TRUE(std::binary_search(members.begin(), members.end(), v));
+      ++incidences;
+    }
+  }
+  EXPECT_EQ(incidences, h.NumIncidences());
+}
+
+// One to three seeded mutations of `image`, each a bit flip, a byte
+// overwrite, a byte insertion or a truncation.
+std::string Mutate(const std::string& image, Rng* rng) {
+  std::string m = image;
+  for (uint64_t n = 1 + rng->NextBounded(3); n > 0; --n) {
+    const size_t pos = rng->NextBounded(m.size() + 1);
+    const char byte = static_cast<char>(rng->NextBounded(256));
+    switch (rng->NextBounded(4)) {
+      case 0:
+        if (pos < m.size()) {
+          m[pos] ^= static_cast<char>(1u << rng->NextBounded(8));
+        }
+        break;
+      case 1:
+        if (pos < m.size()) m[pos] = byte;
+        break;
+      case 2:
+        m.insert(m.begin() + static_cast<ptrdiff_t>(pos), byte);
+        break;
+      default:
+        m.resize(pos);
+        break;
+    }
+  }
+  return m;
+}
+
+// Seeded mutations of valid v1 and v2 images: each decode is either an
+// error or a well-formed graph, never a crash or a sanitizer report.
+TEST(BinaryFormatTest, MutatedImagesDecodeToErrorsOrWellFormedGraphs) {
+  constexpr int kMutations = 5000;
+  const Hypergraph graphs[] = {PaperDataHypergraph(),
+                               GenerateHypergraph(SmallRandomConfig(12))};
+  Rng rng(0xF022);
+  for (bool compressed : {false, true}) {
+    for (const Hypergraph& h : graphs) {
+      std::string image;
+      if (compressed) {
+        AppendHypergraphCompressed(h, &image);
+      } else {
+        AppendHypergraphBinary(h, &image);
+      }
+      int accepted = 0;
+      for (int i = 0; i < kMutations / 2; ++i) {
+        const std::string m = Mutate(image, &rng);
+        Result<Hypergraph> r = DecodeHypergraphBinary(m.data(), m.size());
+        if (!r.ok()) continue;
+        ++accepted;
+        SCOPED_TRACE(std::string(compressed ? "v2" : "v1") + " mutation " +
+                     std::to_string(i));
+        ExpectWellFormed(r.value());
+        if (HasFatalFailure()) return;
+      }
+      // The loop must reach past the header checks, not only bounce off
+      // them: some mutations (say, a flipped label bit) still decode.
+      EXPECT_GT(accepted, 0) << (compressed ? "v2" : "v1");
+    }
+  }
+}
+
+// The same loop over the text format.
+TEST(BinaryFormatTest, MutatedTextParsesToErrorsOrWellFormedGraphs) {
+  constexpr int kMutations = 5000;
+  const std::string texts[] = {
+      FormatHypergraph(PaperDataHypergraph()),
+      FormatHypergraph(GenerateHypergraph(SmallRandomConfig(12)))};
+  Rng rng(0x7E47);
+  for (const std::string& text : texts) {
+    int accepted = 0;
+    for (int i = 0; i < kMutations / 2; ++i) {
+      Result<Hypergraph> r = ParseHypergraph(Mutate(text, &rng));
+      if (!r.ok()) continue;
+      ++accepted;
+      SCOPED_TRACE("text mutation " + std::to_string(i));
+      ExpectWellFormed(r.value());
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(accepted, 0);
+  }
 }
 
 TEST(OrderVariantTest, AllVariantsYieldSameCounts) {
